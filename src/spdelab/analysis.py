@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 OFFGRID_RULE = "substep exponential interpolation consistent with the grid recursion"
+# a line through two points has R^2 = 1 whatever they are, so R^2 says
+# something about the fit only from three points on
+R2_MIN_POINTS = 3
 
 CSV_HEADER = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
 
@@ -261,6 +264,10 @@ class ConvergenceReport:
     def passed(self) -> bool:
         return all(self.pass_flags.values())
 
+    @property
+    def fit_points(self) -> int:
+        return len(self.rows)
+
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
         for row in self.rows:
@@ -276,6 +283,7 @@ class ConvergenceReport:
             "slope": self.slope,
             "intercept": self.intercept,
             "r2": self.r_squared,
+            "fit_points": self.fit_points,
             "nu_theory": self.nu_theory,
             "pass": self.passed,
             "pass_flags": dict(self.pass_flags),
@@ -355,7 +363,8 @@ def temporal_study(
 
     Every ladder level is coupled to the ref_level reference through the
     shared lattice, so the spatial truncation error cancels exactly and the
-    fitted slope isolates the temporal rate.
+    fitted slope isolates the temporal rate.  The r2_at_least_min flag is
+    set only on ladders of at least R2_MIN_POINTS rungs.
     """
     levels = sorted(levels)
     if not levels or levels[-1] >= ref_level:
@@ -388,8 +397,9 @@ def temporal_study(
     flags = {
         "err2_strictly_decreasing": _decreasing_beyond_noise(means, stderrs),
         "slope_at_least_nu_minus_margin": slope >= nu - slope_margin,
-        "r2_at_least_min": r2 >= r2_min,
     }
+    if len(rows) >= R2_MIN_POINTS:
+        flags["r2_at_least_min"] = r2 >= r2_min
     return ConvergenceReport("temporal", rows, slope, intercept, r2, nu, flags)
 
 

@@ -41,6 +41,7 @@ from .scheme import (
     write_trajectory_csv,
 )
 from .analysis import (
+    R2_MIN_POINTS,
     ConvergenceReport,
     HypothesisViolation,
     RateParams,
@@ -457,8 +458,12 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xl
     gate = ""
     if report.slope_threshold is not None:
         gate = f"  stderr {report.slope_stderr:.4f}  threshold {report.slope_threshold:.4f}"
+    if report.fit_points >= R2_MIN_POINTS:
+        r2 = f"r2 {report.r_squared:.4f}"
+    else:
+        r2 = f"r2 n/a ({report.fit_points} points)"
     print(
-        f"{report.study} study: slope {report.slope:.4f}{gate}  r2 {report.r_squared:.4f}  "
+        f"{report.study} study: slope {report.slope:.4f}{gate}  {r2}  "
         f"nu {report.nu_theory:.5g}  -> {verdict}"
     )
     for name, ok in report.pass_flags.items():

@@ -86,7 +86,13 @@ def time_weight_lipschitz(spec: HolderDriftSpec) -> float:
 
 
 def _psi(u: np.ndarray, epsilon: float, cap: float) -> np.ndarray:
-    return np.sign(u) * np.minimum(np.abs(u) ** epsilon, cap)
+    # sign(u) * min(|u|**epsilon, cap), built in one fresh buffer
+    out = np.array(u, dtype=float)
+    np.abs(out, out=out)
+    np.power(out, epsilon, out=out)
+    np.minimum(out, cap, out=out)
+    out *= np.sign(u)
+    return out
 
 
 def _nonlinearity(spec: HolderDriftSpec, u: np.ndarray) -> np.ndarray:
@@ -101,13 +107,16 @@ def _nonlinearity_sup(spec: HolderDriftSpec) -> float:
 
 
 def drift_array(spec: HolderDriftSpec, lam: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-    """Array core of the drift; broadcasts over leading axes of x."""
-    weights = lam ** (-spec.beta)
-    values = spec.amplitude * time_weight(spec, t) * weights * _nonlinearity(spec, x)
+    """Array core of the drift; broadcasts over leading axes of x.
+
+    The result is built in the nonlinearity's buffer; x is never written.
+    """
+    values = _nonlinearity(spec, x)
+    values *= spec.amplitude * time_weight(spec, t) * lam ** (-spec.beta)
     if spec.kind == "rank_one":
-        out = np.zeros_like(values)
-        out[..., 0] = np.sum(values, axis=-1)
-        return out
+        total = np.sum(values, axis=-1)
+        values.fill(0.0)
+        values[..., 0] = total
     return values
 
 

@@ -203,6 +203,11 @@ def ou_joint_modes_batch(
     (fluctuation, weight) is bivariate normal with equal variances
     convolution_variance(lam, t) and covariance t*exp(-lam*t); weights for a
     direction eta are obtained by contracting the weight array with eta.
+
+    The two outputs are built in the buffers of the two normal draws (z1
+    then z2), so at most three (size, n) arrays are alive at once.  The
+    values are bitwise those of decay*x + sd*z1 and (cov/sd)*z1 + resid*z2,
+    since IEEE + and * are commutative.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -211,10 +216,12 @@ def ou_joint_modes_batch(
     cov = ou_cross_covariance(lam, t)
     sd = np.sqrt(var)
     resid_sd = _joint_conditional_sd(lam, t, var, cov)
-    z1 = rng.standard_normal((size, lam.size))
-    z2 = rng.standard_normal((size, lam.size))
-    states = decay_factor(lam, t) * x + sd * z1
-    weights = (cov / sd) * z1 + resid_sd * z2
+    states = rng.standard_normal((size, lam.size))
+    weights = rng.standard_normal((size, lam.size))
+    weights *= resid_sd
+    weights += (cov / sd) * states
+    states *= sd
+    states += decay_factor(lam, t) * x
     return states, weights
 
 

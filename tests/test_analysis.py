@@ -284,6 +284,7 @@ def test_temporal_study_report_shape():
     assert summary["study"] == "temporal"
     assert summary["nu_theory"] == report.nu_theory
     assert summary["pass"] == report.passed
+    assert summary["fit_points"] == report.fit_points == 3
     # errors shrink as the step refines on this toy ladder
     means = [r.err2_mean for r in report.rows]
     assert means[0] > means[1] > means[2]

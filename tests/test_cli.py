@@ -126,6 +126,27 @@ def test_temporal_study_end_to_end(tmp_path, capsys):
     assert len(summary["hypotheses"]) == 5
 
 
+@pytest.mark.parametrize("ladder", [[2, 3], [2, 3, 4]])
+def test_r2_reported_only_from_three_points(tmp_path, capsys, ladder):
+    # two points always fit a line with R^2 = 1, so the flag is left out and
+    # the verdict line says why
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc(str(out), ladder=ladder))
+    run(["temporal-study", "--config", cfg, "--deterministic"])
+    stdout = capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fit_points"] == len(ladder)
+    if len(ladder) == 2:
+        assert summary["r2"] == 1.0
+        assert "r2_at_least_min" not in summary["pass_flags"]
+        assert "  r2 n/a (2 points)  " in stdout
+        assert "r2_at_least_min" not in stdout
+    else:
+        assert "r2_at_least_min" in summary["pass_flags"]
+        assert f"  r2 {summary['r2']:.4f}  " in stdout
+        assert "] r2_at_least_min" in stdout
+
+
 def test_seed_override_changes_results(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

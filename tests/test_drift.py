@@ -209,3 +209,32 @@ def test_spec_serialization_round_trip(rough_drift):
     assert drift_spec_from_dict(data) == rough_drift
     with pytest.raises(ValueError, match="unknown drift fields"):
         drift_spec_from_dict({**data, "sigma": 2.0})
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rank_one", "smooth_baseline"])
+@pytest.mark.parametrize("time_mod", ["constant", "cosine"])
+def test_drift_array_matches_expression_form(kind, time_mod):
+    # the one-buffer kernel against amp*h(t)*lam**-beta*psi(u), bit for bit,
+    # on zeros of both signs, negatives and values beyond the cap
+    spec = HolderDriftSpec(kind=kind, beta=0.5, epsilon=0.9, amplitude=1.3, cap=0.8, time_mod=time_mod)
+    lam = make_heat_operator(8).eigenvalues
+    x = np.random.default_rng(3).normal(0.0, 2.0, size=(6, 8))
+    x[0, :4] = [0.0, -0.0, 5.0, -5.0]
+    x[1, :3] = [0.8 ** (1.0 / 0.9), -1e-300, 1e-300]
+    x_before = x.copy()
+    t = 0.3
+    out = drift_array(spec, lam, t, x)
+    assert x.tobytes() == x_before.tobytes()
+
+    if kind == "smooth_baseline":
+        nl = np.tanh(x)
+    else:
+        nl = np.sign(x) * np.minimum(np.abs(x) ** spec.epsilon, spec.cap)
+    values = spec.amplitude * time_weight(spec, t) * lam ** (-spec.beta) * nl
+    if kind == "rank_one":
+        expected = np.zeros_like(values)
+        expected[:, 0] = np.sum(values, axis=-1)
+    else:
+        expected = values
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()

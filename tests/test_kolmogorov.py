@@ -194,6 +194,29 @@ def test_gradient_decay_report(heat16):
         gradient_decay_check(heat16, f, 0.5, x, (17,), 100)
 
 
+def test_gradient_decay_matches_per_mode_bismut(heat16):
+    # oracle: one bismut_gradient call per mode along e_i with the shared seed
+    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
+    x = ModeVector(1.0 / np.arange(1.0, 17.0))
+    modes = (1, 2, 4, 16)
+    t, m, seed = 0.5, 2000, 2024
+    report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
+    bounded = True
+    assert [row.mode for row in report.rows] == list(modes)
+    for row, i in zip(report.rows, modes):
+        est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(16)[i - 1]), m, seed=seed)
+        size = est.norm()
+        se_size = float(np.linalg.norm(se))
+        lam_i = float(heat16.eigenvalues[i - 1])
+        theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
+        assert row.estimate == size
+        assert row.stderr == se_size
+        assert row.bound_ratio == size / theory
+        bounded = bounded and not size > theory + 3.0 * se_size
+    assert report.max_ratio == max(row.bound_ratio for row in report.rows)
+    assert report.bounded is bounded
+
+
 def test_gradient_decay_vanishes_at_large_time(heat16):
     f = drift_test_function(DRIFT, heat16, 16, time=0.25)
     x = ModeVector(1.0 / np.arange(1.0, 17.0))
@@ -310,3 +333,30 @@ def test_kolmogorov_suite_passes(heat16):
     assert all(c["passed"] for c in result["checks"])
     assert result["decay_csv"].startswith(DECAY_CSV_HEADER)
     assert len(result["picard"]["norms"]) == 3
+
+
+# recorded with the per-mode loop of earlier releases (one joint draw and one
+# drift evaluation per decay mode); the suite must reproduce it byte for byte
+GOLDEN_DECAY_CSV = (
+    "i,estimate,stderr,bound_ratio\n"
+    "1,0.43872675580090975,0.01634588992647181,0.2161455240337169\n"
+    "4,0.008207499843969209,0.005643805460917406,0.012859467418444633\n"
+    "16,0.0012179861945164256,0.0013749328194287952,0.007633336924012661\n"
+    "64,8.0763117895624e-05,0.000357617518791521,0.0020246275128785636\n"
+)
+GOLDEN_DETAILS = [
+    ("semigroup_linear_closed_form", "|0.596154 - 0.606531| vs 3*stderr = 0.0366", True),
+    ("bismut_linear_closed_form", "|0.55661 - 0.606531| vs 3*stderr = 0.0763", True),
+    ("bismut_matches_finite_difference", "max relative gap 0.0722 over 1 significant coordinates", False),
+    ("gradient_decay_bounded", "max bound ratio 0.2161 over modes (1, 4, 16, 64)", True),
+    ("picard_terminal_zero", "value at t = horizon", True),
+    ("picard_norm_bound", "norms 0.3654 <= 0.7375, 0.07972 <= 0.1167, 0.0002187 <= 0.01167", True),
+    ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
+    ("summability_non_exploding", "partial sum growth ratio 1.0021 at theta = 0.45", True),
+]
+
+
+def test_kolmogorov_suite_golden():
+    result = kolmogorov_suite(make_heat_operator(64), DRIFT, m_samples=2000, decay_modes=(1, 4, 16, 64))
+    assert result["decay_csv"] == GOLDEN_DECAY_CSV
+    assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_DETAILS

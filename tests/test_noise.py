@@ -13,6 +13,7 @@ from spdelab import (
     OUState,
     SpectralOperator,
     convolution_variance,
+    decay_factor,
     left_fold_blocks,
     make_heat_operator,
     ou_cross_covariance,
@@ -288,3 +289,33 @@ def test_total_fluctuation_matches_mode_sum(heat16):
     sq = np.sum((draws - np.exp(-heat16.eigenvalues * t) * x) ** 2, axis=1)
     se = math.sqrt(2.0 * float(np.sum(per_mode**2)) / m)
     assert abs(sq.mean() - total) <= 3.0 * se
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.5])
+def test_joint_batch_matches_expression_form(heat16, t):
+    # the in-place sampler against its expression form, bit for bit; at
+    # t = 1e-6 modes 1..9 take the small-u series and modes 10..16 do not
+    lam = heat16.eigenvalues
+    u = lam * t
+    if t < 1e-3:
+        assert np.any(u < 1e-4) and np.any(u >= 1e-4)
+    else:
+        assert np.all(u >= 1e-4)
+    x = np.linspace(-1.0, 2.0, 16)
+    x_before = x.copy()
+    states, weights = ou_joint_modes_batch(heat16, x, t, np.random.default_rng(41), 300)
+    assert _same_bits(x, x_before)
+
+    rng = np.random.default_rng(41)
+    z1 = rng.standard_normal((300, 16))
+    z2 = rng.standard_normal((300, 16))
+    var = convolution_variance(lam, t)
+    cov = ou_cross_covariance(lam, t)
+    sd = np.sqrt(var)
+    resid = np.sqrt(np.maximum(np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var), 0.0))
+    assert _same_bits(states, decay_factor(lam, t) * x + sd * z1)
+    assert _same_bits(weights, (cov / sd) * z1 + resid * z2)
