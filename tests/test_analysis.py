@@ -297,6 +297,75 @@ def test_temporal_study_worker_count_invariance():
     assert solo.slope == pooled.slope
 
 
+# Golden study outputs, recorded when each study still wrote out its own copy
+# of the sub-step formula and its own chunk worker; they pin the bytes the
+# shared kernel and ladder driver must reproduce.
+GOLDEN_TEMPORAL_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "3,0.125,8,40,0.05046628178883998,0.0011095988541394407\n"
+    "4,0.0625,8,40,0.022813271783279316,0.0004472199338604753\n"
+    "5,0.03125,8,40,0.007742199547384943,0.00012008982724737079\n"
+)
+GOLDEN_SPATIAL_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "2,0.125,2,30,0.015097802184799716,0.0015375089383122733\n"
+    "4,0.125,4,30,0.00025020773638166643,2.189060215297957e-05\n"
+    "8,0.125,8,30,5.337350811971184e-07,2.0694046383688158e-11\n"
+)
+GOLDEN_INCREMENT_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "2,0.25,8,30,0.18678147474950538,0.04157866828163509\n"
+    "3,0.125,8,30,0.1379481428824908,0.023477380076068727\n"
+    "4,0.0625,8,30,0.12014724838203354,0.01292851841176566\n"
+)
+
+
+def _spatial(seed=5, m_paths=30, drift=DRIFT):
+    lat = NoiseLattice(master_seed=seed, horizon=1.0, levels=3, n_modes=16)
+    return spatial_study(
+        make_heat_operator(16),
+        drift,
+        INITIAL,
+        lat,
+        mode_ladder=[2, 4, 8],
+        ref_modes=16,
+        level=3,
+        m_paths=m_paths,
+        rate=CANONICAL,
+    )
+
+
+def test_temporal_study_golden():
+    report = _temporal()
+    assert report.csv_text() == GOLDEN_TEMPORAL_CSV
+    assert repr(report.slope) == "1.3522521998399442"
+
+
+def test_spatial_study_golden():
+    report = _spatial()
+    assert report.csv_text() == GOLDEN_SPATIAL_CSV
+    assert repr(report.slope) == "-3.6969637959871195"
+
+
+def test_increment_statistic_golden():
+    lat = NoiseLattice(master_seed=7, horizon=1.0, levels=6, n_modes=8)
+    report = increment_statistic(
+        make_heat_operator(8),
+        DRIFT,
+        INITIAL,
+        lat,
+        levels=[2, 3, 4],
+        n_dim=8,
+        m_paths=30,
+        sample_fractions=(0.25, 0.5),
+        chunk_size=7,
+        alpha=0.45,
+    )
+    assert report.csv_text() == GOLDEN_INCREMENT_CSV
+    assert repr(report.slope) == "0.3182738827174801"
+    assert repr(report.slope_stderr) == "0.16676456395423334"
+
+
 def test_temporal_study_ladder_validation():
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
     with pytest.raises(ValueError):
@@ -310,18 +379,7 @@ def test_temporal_study_ladder_validation():
 
 
 def test_spatial_study_report_shape():
-    lat = NoiseLattice(master_seed=5, horizon=1.0, levels=3, n_modes=16)
-    report = spatial_study(
-        make_heat_operator(16),
-        DRIFT,
-        INITIAL,
-        lat,
-        mode_ladder=[2, 4, 8],
-        ref_modes=16,
-        level=3,
-        m_paths=30,
-        rate=CANONICAL,
-    )
+    report = _spatial()
     assert report.study == "spatial"
     assert [r.resolution for r in report.rows] == [2, 4, 8]
     assert all(r.delta == 0.125 for r in report.rows)
