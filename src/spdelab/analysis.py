@@ -6,19 +6,23 @@ of the same path.  It is evaluated as a left Riemann sum on the reference
 grid; between its own grid points the coarse scheme is read through the
 sub-step closed form (exponential interpolation with frozen drift and the
 exact partial noise), and that convention is stamped into every report.
+The sub-step values come from the scheme's own kernel (`scheme._ei_substep`,
+read step by step through `scheme._substep_values`); this module has no
+copy of the formula.  The temporal and spatial studies are one coupled
+ladder driver (`_ladder_rows`) that differs only in the config field that
+varies down the ladder.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .noise import NoiseLattice
-from .scheme import SchemeConfig, Trajectory, _coupled_grids, _fine_block
-from .drift import drift_array
+from .scheme import SchemeConfig, Trajectory, _coupled_grids, _fine_block, _substep_values
 
 __all__ = [
     "RateParams",
@@ -26,9 +30,7 @@ __all__ = [
     "rate_exponent",
     "theoretical_nu",
     "fit_rate",
-    "ErrorAccumulator",
     "integrated_square_error",
-    "strong_error",
     "ReportRow",
     "ConvergenceReport",
     "temporal_study",
@@ -112,45 +114,6 @@ def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-@dataclass
-class ErrorAccumulator:
-    """Per-path squared errors keyed by path id.
-
-    Keeping the raw keyed values makes merging exactly order independent:
-    statistics are always reduced over ascending path ids, so any partition
-    of paths into chunks or workers yields bit-identical results.
-    """
-
-    values: dict[int, float] = field(default_factory=dict)
-
-    def add(self, path_id: int, value: float) -> None:
-        if path_id in self.values:
-            raise ValueError(f"duplicate path id {path_id}")
-        self.values[path_id] = float(value)
-
-    def merge(self, other: "ErrorAccumulator") -> None:
-        for pid, value in other.values.items():
-            self.add(pid, value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    def _ordered(self) -> np.ndarray:
-        return np.array([self.values[k] for k in sorted(self.values)])
-
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError("empty accumulator")
-        return float(np.mean(self._ordered()))
-
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        vals = self._ordered()
-        return float(np.std(vals, ddof=1) / math.sqrt(self.count))
-
-
 def _err2_batch(
     ref_cfg: SchemeConfig,
     ref_grid: np.ndarray,
@@ -171,37 +134,23 @@ def _err2_batch(
     n_ap = min(approx_cfg.n_dim, n_ref)
 
     ratio = 1 << (ref_cfg.level - approx_cfg.level)
-    fine_per_ref = 1 << (lattice.levels - ref_cfg.level)
-    fine_per_ap = 1 << (lattice.levels - approx_cfg.level)
-    if ratio > 1 and fine is None:
+    if ratio == 1:
+        # same grid: the approximation is compared at its own grid points
+        steps = approx_grid[:-1, None]
+    elif fine is None:
         raise ValueError("sub-step comparison needs the fine increments")
-
-    lam = approx_cfg.operator.eigenvalues[: approx_cfg.n_dim]
-    delta_ref = ref_cfg.delta
-    tau = delta_ref * np.arange(ratio)
-    exp_frac = np.exp(-np.outer(tau, lam))
-    n_paths = approx_grid.shape[1]
-    err2 = np.zeros(n_paths)
-
-    for k in range(approx_cfg.steps):
-        y = approx_grid[k]
-        if ratio == 1:
-            values = y[None]
-        else:
-            blk = fine[k * fine_per_ap : (k + 1) * fine_per_ap, :, : approx_cfg.n_dim]
-            prefix = np.cumsum(blk, axis=0)
-            partial = np.empty((ratio, n_paths, approx_cfg.n_dim))
-            partial[0] = 0.0
-            partial[1:] = prefix[fine_per_ref * np.arange(1, ratio) - 1]
-            b = drift_array(approx_cfg.drift, lam, k * approx_cfg.delta, y)
-            values = exp_frac[:, None, :] * (y[None] + b[None] * tau[:, None, None] + partial)
+    else:
+        offsets = (1 << (lattice.levels - ref_cfg.level)) * np.arange(ratio)
+        steps = _substep_values(approx_cfg, lattice, approx_grid, fine, offsets)
+    err2 = np.zeros(approx_grid.shape[1])
+    for k, values in enumerate(steps):
         ref_slice = ref_grid[k * ratio : (k + 1) * ratio]
         diff = ref_slice[:, :, :n_ap] - values[:, :, :n_ap]
         err2 += np.einsum("rpn,rpn->p", diff, diff)
         if n_ref > n_ap:
             tail = ref_slice[:, :, n_ap:n_ref]
             err2 += np.einsum("rpn,rpn->p", tail, tail)
-    return err2 * delta_ref
+    return err2 * ref_cfg.delta
 
 
 def integrated_square_error(
@@ -227,14 +176,6 @@ def integrated_square_error(
         n_limit,
     )
     return float(value[0])
-
-
-def strong_error(
-    ref: Trajectory, approx: Trajectory, lattice: NoiseLattice, accumulator: ErrorAccumulator
-) -> tuple[float, float]:
-    """Fold one path's integrated squared error into the running statistics."""
-    accumulator.add(ref.path_id, integrated_square_error(ref, approx, lattice))
-    return accumulator.mean(), accumulator.stderr()
 
 
 @dataclass(frozen=True)
@@ -308,17 +249,37 @@ def _run_chunks(worker, payloads, workers: int):
         return list(pool.map(worker, payloads))
 
 
-def _temporal_chunk(payload):
-    operator, spec, initial, lattice, levels, ref_level, n_dim, path_ids = payload
-    ref_cfg = SchemeConfig(operator, spec, initial, lattice.horizon, ref_level, n_dim)
-    configs = [SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim) for lev in levels]
-    fine = _fine_block(lattice, path_ids, n_dim)
-    grids = _coupled_grids([ref_cfg] + configs, lattice, fine)
-    ref_grid = grids[0]
-    return {
-        cfg.level: _err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, fine)
-        for cfg, grid in zip(configs, grids[1:])
-    }
+def _ladder_chunk(payload):
+    """Per-path err2 of every ladder config against the reference, one chunk."""
+    ref_cfg, configs, lattice, path_ids = payload
+    fine = _fine_block(lattice, path_ids, ref_cfg.n_dim)
+    ref_grid, *grids = _coupled_grids([ref_cfg] + configs, lattice, fine)
+    return [_err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, fine) for cfg, grid in zip(configs, grids)]
+
+
+def _row(resolution: int, delta: float, n_modes: int, vals: np.ndarray, mean: float | None = None) -> ReportRow:
+    """A report row over per-path values: their mean (unless given) and its
+    standard error."""
+    m = len(vals)
+    return ReportRow(
+        resolution=resolution,
+        delta=delta,
+        n_modes=n_modes,
+        m_paths=m,
+        err2_mean=float(np.mean(vals)) if mean is None else mean,
+        err2_stderr=float(np.std(vals, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
+    )
+
+
+def _ladder_rows(ref_cfg, configs, resolutions, lattice, m_paths, workers, chunk_size) -> list[ReportRow]:
+    """One row per ladder config: the integrated squared error against the
+    coupled reference ref_cfg, over m_paths paths run chunk by chunk."""
+    payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
+    results = _run_chunks(_ladder_chunk, payloads, workers)
+    return [
+        _row(res, cfg.delta, cfg.n_dim, np.concatenate([r[i] for r in results]))
+        for i, (res, cfg) in enumerate(zip(resolutions, configs))
+    ]
 
 
 def _decreasing_beyond_noise(means: np.ndarray, stderrs: np.ndarray) -> bool:
@@ -370,26 +331,9 @@ def temporal_study(
     if not levels or levels[-1] >= ref_level:
         raise ValueError("ladder levels must be coarser than the reference")
     nu = theoretical_nu(rate)
-    payloads = [
-        (operator, drift_spec, initial, lattice, levels, ref_level, n_dim, ids)
-        for ids in _chunked(m_paths, chunk_size)
-    ]
-    results = _run_chunks(_temporal_chunk, payloads, workers)
-    err2 = {lev: np.concatenate([r[lev] for r in results]) for lev in levels}
-
-    rows = []
-    for lev in levels:
-        vals = err2[lev]
-        rows.append(
-            ReportRow(
-                resolution=lev,
-                delta=lattice.horizon / (1 << lev),
-                n_modes=n_dim,
-                m_paths=m_paths,
-                err2_mean=float(np.mean(vals)),
-                err2_stderr=float(np.std(vals, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0,
-            )
-        )
+    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, ref_level, n_dim)
+    configs = [replace(ref_cfg, level=lev) for lev in levels]
+    rows = _ladder_rows(ref_cfg, configs, levels, lattice, m_paths, workers, chunk_size)
     means = np.array([r.err2_mean for r in rows])
     stderrs = np.array([r.err2_stderr for r in rows])
     deltas = np.array([r.delta for r in rows])
@@ -401,19 +345,6 @@ def temporal_study(
     if len(rows) >= R2_MIN_POINTS:
         flags["r2_at_least_min"] = r2 >= r2_min
     return ConvergenceReport("temporal", rows, slope, intercept, r2, nu, flags)
-
-
-def _spatial_chunk(payload):
-    operator, spec, initial, lattice, mode_ladder, ref_modes, level, path_ids = payload
-    ref_cfg = SchemeConfig(operator, spec, initial, lattice.horizon, level, ref_modes)
-    configs = [SchemeConfig(operator, spec, initial, lattice.horizon, level, n) for n in mode_ladder]
-    fine = _fine_block(lattice, path_ids, ref_modes)
-    grids = _coupled_grids([ref_cfg] + configs, lattice, fine)
-    ref_grid = grids[0]
-    return {
-        cfg.n_dim: _err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, fine)
-        for cfg, grid in zip(configs, grids[1:])
-    }
 
 
 def spatial_study(
@@ -436,26 +367,9 @@ def spatial_study(
     if not mode_ladder or mode_ladder[-1] >= ref_modes:
         raise ValueError("mode ladder must stay below the reference mode count")
     nu = theoretical_nu(rate)
-    payloads = [
-        (operator, drift_spec, initial, lattice, mode_ladder, ref_modes, level, ids)
-        for ids in _chunked(m_paths, chunk_size)
-    ]
-    results = _run_chunks(_spatial_chunk, payloads, workers)
-    err2 = {n: np.concatenate([r[n] for r in results]) for n in mode_ladder}
-
-    rows = []
-    for n in mode_ladder:
-        vals = err2[n]
-        rows.append(
-            ReportRow(
-                resolution=n,
-                delta=lattice.horizon / (1 << level),
-                n_modes=n,
-                m_paths=m_paths,
-                err2_mean=float(np.mean(vals)),
-                err2_stderr=float(np.std(vals, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0,
-            )
-        )
+    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, ref_modes)
+    configs = [replace(ref_cfg, n_dim=n) for n in mode_ladder]
+    rows = _ladder_rows(ref_cfg, configs, mode_ladder, lattice, m_paths, workers, chunk_size)
     means = np.array([r.err2_mean for r in rows])
     top_eigs = np.array([operator.eigenvalues[n - 1] for n in mode_ladder])
     slope, intercept, r2 = fit_rate(top_eigs, means)
@@ -466,34 +380,23 @@ def spatial_study(
     return ConvergenceReport("spatial", rows, slope, intercept, r2, nu, flags)
 
 
-def _substep_taus(lattice: NoiseLattice, level: int, fractions) -> tuple[list[int], np.ndarray]:
-    """Fine-lattice offsets of the sampled off-grid times inside one step,
-    and the matching elapsed times tau."""
+def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray:
+    """Fine-lattice offsets of the sampled off-grid times inside one step."""
     fine_per_step = 1 << (lattice.levels - level)
-    offsets = [int(round(phi * fine_per_step)) for phi in fractions]
-    return offsets, np.array([j * lattice.fine_dt for j in offsets])
+    return np.array([int(round(phi * fine_per_step)) for phi in fractions])
 
 
 def _increment_chunk(payload):
     operator, spec, initial, lattice, levels, n_dim, fractions, path_ids = payload
     fine = _fine_block(lattice, path_ids, n_dim)
     out = {}
-    lam = operator.eigenvalues[:n_dim]
     for lev in levels:
         cfg = SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim)
         grid = _coupled_grids([cfg], lattice, fine)[0]
-        fine_per_step = 1 << (lattice.levels - lev)
-        offsets, taus = _substep_taus(lattice, lev, fractions)
-        exp_frac = np.exp(-np.outer(taus, lam))
+        offsets = _substep_offsets(lattice, lev, fractions)
         per_path = np.empty((len(path_ids), len(fractions), cfg.steps))
-        for k in range(cfg.steps):
-            y = grid[k]
-            blk = fine[k * fine_per_step : (k + 1) * fine_per_step]
-            prefix = np.cumsum(blk, axis=0)
-            partial = np.stack([prefix[j - 1] for j in offsets])
-            b = drift_array(spec, lam, k * cfg.delta, y)
-            values = exp_frac[:, None, :] * (y[None] + b[None] * taus[:, None, None] + partial)
-            diff = values - y[None]
+        for k, values in enumerate(_substep_values(cfg, lattice, grid, fine, offsets)):
+            diff = values - grid[k][None]
             per_path[:, :, k] = np.einsum("fpn,fpn->fp", diff, diff).T
         out[lev] = per_path
     return out
@@ -518,7 +421,7 @@ def _driftless_increment_means(
     # geometric sum a^2 (1 - a^(2k)) / (1 - a^2), written stably
     decay = -2.0 * lam * delta
     var = lattice.scale**2 * delta * np.exp(decay) * np.expm1(decay * k) / np.expm1(decay)
-    _, taus = _substep_taus(lattice, level, fractions)
+    taus = _substep_offsets(lattice, level, fractions) * lattice.fine_dt
     a_tau = np.exp(-np.outer(taus, lam))[:, None, :]
     cells = (a_tau - 1.0) ** 2 * (mean2 + var)[None] + a_tau**2 * lattice.scale**2 * taus[:, None, None]
     return cells.sum(axis=-1)
@@ -608,19 +511,8 @@ def increment_statistic(
         per_path = np.concatenate([r[lev] for r in results], axis=0)
         means = per_path.mean(axis=0)
         flat = int(np.argmax(means))
-        worst = per_path.reshape(m_paths, -1)[:, flat]
-        selected.append(worst)
-        stderr = float(np.std(worst, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
-        rows.append(
-            ReportRow(
-                resolution=lev,
-                delta=lattice.horizon / (1 << lev),
-                n_modes=n_dim,
-                m_paths=m_paths,
-                err2_mean=float(means.reshape(-1)[flat]),
-                err2_stderr=stderr,
-            )
-        )
+        selected.append(per_path.reshape(m_paths, -1)[:, flat])
+        rows.append(_row(lev, lattice.horizon / (1 << lev), n_dim, selected[-1], float(means.reshape(-1)[flat])))
     deltas = np.array([r.delta for r in rows])
     stats = np.array([r.err2_mean for r in rows])
     slope, intercept, r2 = fit_rate(deltas, stats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -160,15 +161,18 @@ def _int_field(section, name, where, minimum, maximum=None, default=_MISSING) ->
     return value
 
 
-def _ladder_field(section, where) -> list[int]:
-    ladder = _get(section, "ladder", where)
-    if not isinstance(ladder, list) or not ladder:
-        raise ConfigError(f"{where}.ladder must be a non-empty list")
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in ladder):
-        raise ConfigError(f"{where}.ladder entries must be nonnegative integers")
-    if len(set(ladder)) != len(ladder):
-        raise ConfigError(f"{where}.ladder entries must be distinct")
-    return sorted(ladder)
+def _int_list_field(section, name, where, minimum, maximum=None, default=_MISSING) -> list[int]:
+    """A non-empty list of distinct integers in [minimum, maximum], sorted."""
+    values = _get(section, name, where, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}.{name} must be a non-empty list")
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < minimum or (maximum is not None and v > maximum):
+            bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+            raise ConfigError(f"{where}.{name} entries must be integers {bounds}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{where}.{name} entries must be distinct")
+    return sorted(values)
 
 
 def _build_operator(section: dict) -> SpectralOperator:
@@ -196,7 +200,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
         section["m_samples" if kind == "kolmogorov" else "m_paths"] = section.pop("M")
 
     if kind == "temporal":
-        ladder = _ladder_field(section, "study")
+        ladder = _int_list_field(section, "ladder", "study", 0)
         ref = _int_field(section, "reference_level", "study", 0, cfg_levels)
         if ladder[-1] >= ref:
             raise ConfigError("study.ladder must stay strictly below the reference level")
@@ -208,7 +212,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
             m_paths=_int_field(section, "m_paths", "study", 2),
         )
     elif kind == "spatial":
-        ladder = _ladder_field(section, "study")
+        ladder = _int_list_field(section, "ladder", "study", 0)
         ref = _int_field(section, "reference_modes", "study", 1, min(cfg_modes, op.n_max))
         if ladder[0] < 1 or ladder[-1] >= ref:
             raise ConfigError("study.ladder must be mode counts strictly below reference_modes")
@@ -219,7 +223,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
             m_paths=_int_field(section, "m_paths", "study", 2),
         )
     elif kind == "increment":
-        ladder = _ladder_field(section, "study")
+        ladder = _int_list_field(section, "ladder", "study", 0)
         if ladder[-1] >= cfg_levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
         fractions = _get(section, "sample_fractions", "study", default=[0.5])
@@ -236,11 +240,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
         )
     elif kind == "kolmogorov":
         dims = _int_field(section, "dims", "study", 1, min(4, op.n_max), default=min(4, op.n_max))
-        decay_modes = section.get("decay_modes", [1, 4, 16])
-        if not isinstance(decay_modes, list) or not decay_modes:
-            raise ConfigError("study.decay_modes must be a non-empty list")
-        if not all(isinstance(v, int) and 1 <= v <= op.n_max for v in decay_modes):
-            raise ConfigError("study.decay_modes entries must be modes of the operator")
+        decay_modes = _int_list_field(section, "decay_modes", "study", 1, op.n_max, default=[1, 4, 16])
         lam_sweep = [float(v) for v in section.get("lam_sweep", [1.0, 10.0, 100.0])]
         if not lam_sweep or any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
             raise ConfigError("study.lam_sweep must be positive and ascending")
@@ -254,7 +254,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
             m_samples=_int_field(section, "m_samples", "study", 2, default=20_000),
             dims=dims,
             t=t,
-            decay_modes=sorted(decay_modes),
+            decay_modes=decay_modes,
             picard_dims=_int_field(section, "picard_dims", "study", 1, min(4, op.n_max), default=min(3, op.n_max)),
             lam_sweep=lam_sweep,
             theta=theta,
@@ -304,7 +304,7 @@ def parse_config(doc: dict) -> StudyConfig:
         out_dir = str(_get(output, "directory", "output"))
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     if drift.beta != rate.beta or drift.epsilon != rate.epsilon:
         raise ConfigError("rate_params must repeat the drift's beta and epsilon")
@@ -322,9 +322,22 @@ def parse_config(doc: dict) -> StudyConfig:
     )
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is out of the floating-point range")
+    return value
+
+
 def load_config(path, seed=None, paths=None, out=None) -> StudyConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        # json accepts NaN, Infinity and overflowing literals such as 1e400;
+        # none of them is a valid setting, so they are refused here
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

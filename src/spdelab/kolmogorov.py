@@ -359,27 +359,34 @@ def _draw_transitions(op, z, dt, rng, m, cfg, budget) -> np.ndarray:
     return ou_transition_sample(op, z, dt, rng, m)
 
 
+def _node_integrand(cfg, op_d, lam_d, spec, k, t, s, z, rng, budget) -> np.ndarray:
+    """Samples, one row per transition draw, of the k-th Picard integrand at
+    the time node s for the iterate at (t, z)."""
+    m = cfg.outer_samples if k == cfg.depth else cfg.inner_samples
+    states = _draw_transitions(op_d, z, s - t, rng, m, cfg, budget)
+    integrand = drift_array(spec, lam_d, s, states)
+    if k >= 2:
+        # directional derivative of the previous iterate along the drift,
+        # one forward difference per outer sample
+        rows = []
+        for r in range(m):
+            moved = states[r] + cfg.fd_step * integrand[r]
+            up = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, moved, rng, budget)
+            u0 = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, states[r], rng, budget)
+            rows.append((up - u0) / cfg.fd_step)
+        integrand = integrand + np.stack(rows)
+    return integrand
+
+
 def _picard_level(cfg, op_d, lam_d, spec, k, t, z, rng, budget) -> np.ndarray:
     """Value of the k-th Picard iterate at (t, z); zero at k = 0 or t past T."""
     if k == 0 or t >= cfg.horizon:
         return np.zeros(cfg.dims)
     ds = (cfg.horizon - t) / cfg.time_nodes
-    m = cfg.outer_samples if k == cfg.depth else cfg.inner_samples
     acc = np.zeros(cfg.dims)
     for j in range(cfg.time_nodes):
         s = t + (j + 0.5) * ds
-        states = _draw_transitions(op_d, z, s - t, rng, m, cfg, budget)
-        integrand = drift_array(spec, lam_d, s, states)
-        if k >= 2:
-            # directional derivative of the previous iterate along the drift,
-            # one forward difference per outer sample
-            rows = []
-            for r in range(m):
-                moved = states[r] + cfg.fd_step * integrand[r]
-                up = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, moved, rng, budget)
-                u0 = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, states[r], rng, budget)
-                rows.append((up - u0) / cfg.fd_step)
-            integrand = integrand + np.stack(rows)
+        integrand = _node_integrand(cfg, op_d, lam_d, spec, k, t, s, z, rng, budget)
         acc += math.exp(-cfg.lam * (s - t)) * integrand.mean(axis=0) * ds
     return acc
 
@@ -424,16 +431,7 @@ def picard_u_lambda(
     for j in range(cfg.time_nodes):
         s = t + (j + 0.5) * ds
         try:
-            states = _draw_transitions(op_d, x.coeffs, s - t, rng, cfg.outer_samples, cfg, budget)
-            integrand = drift_array(spec, lam_d, s, states)
-            if cfg.depth >= 2:
-                rows = []
-                for r in range(cfg.outer_samples):
-                    moved = states[r] + cfg.fd_step * integrand[r]
-                    up = _picard_level(cfg, op_d, lam_d, spec, 1, s, moved, rng, budget)
-                    u0 = _picard_level(cfg, op_d, lam_d, spec, 1, s, states[r], rng, budget)
-                    rows.append((up - u0) / cfg.fd_step)
-                integrand = integrand + np.stack(rows)
+            integrand = _node_integrand(cfg, op_d, lam_d, spec, cfg.depth, t, s, x.coeffs, rng, budget)
         except _BudgetExhausted:
             completed = False
             break

@@ -4,8 +4,12 @@ One step over [k*delta, (k+1)*delta] maps Y to
 exp(delta*A_n) * (Y + b(k*delta, Y)*delta + dW_k), and the continuous-time
 reading of the same recursion gives the sub-step closed form
 exp(tau*A_n) * (Y + b(k*delta, Y)*tau + (W(t) - W(k*delta))) with
-tau = t - k*delta, which agrees with the grid recursion at tau = delta bit
-for bit because both run through the same kernel.
+tau = t - k*delta.  Both are one formula, written once in `_ei_substep`:
+the grid recursion, `ei_step`, `interpolate_substep` and the error and
+increment integrators of the analysis layer all evaluate it, so a sub-step
+value at tau = delta equals the next grid value bit for bit.  The
+integrators read the sub-step values of a whole grid batch through
+`_substep_values`, which owns the partial noise of each step.
 """
 
 from __future__ import annotations
@@ -137,10 +141,15 @@ class Trajectory:
         return ModeVector(self.grid[k])
 
 
-def _flow(exp_factors: np.ndarray, y: np.ndarray, b: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    # single kernel shared by grid steps and sub-step interpolation; the
-    # bitwise grid-point agreement between the two rests on this
-    return exp_factors * (y + b * dt + dw)
+def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial) -> np.ndarray:
+    """decay * (y + b(k*delta, y)*tau + partial) with decay = exp(-lam*tau).
+
+    y is a state or a (C, n) batch of states.  A stack of R sub-steps passes
+    tau with shape (R, 1, 1), decay (R, 1, n) and partial (R, C, n); the
+    drift is evaluated once on y and broadcast over the stack.
+    """
+    b = drift_array(cfg.drift, cfg.operator.eigenvalues[: cfg.n_dim], k * cfg.delta, y)
+    return decay * (y + b * tau + partial)
 
 
 def ei_step(cfg: SchemeConfig, k: int, y: ModeVector, dw: ModeVector) -> ModeVector:
@@ -149,10 +158,8 @@ def ei_step(cfg: SchemeConfig, k: int, y: ModeVector, dw: ModeVector) -> ModeVec
         raise ValueError("state and increment must have n_dim modes")
     if not 0 <= k < cfg.steps:
         raise ValueError("step index out of range")
-    lam = cfg.operator.eigenvalues[: cfg.n_dim]
-    exp_factors = np.exp(-lam * cfg.delta)
-    b = drift_array(cfg.drift, lam, k * cfg.delta, y.coeffs)
-    return ModeVector(_flow(exp_factors, y.coeffs, b, cfg.delta, dw.coeffs))
+    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * cfg.delta)
+    return ModeVector(_ei_substep(cfg, k, y.coeffs, decay, cfg.delta, dw.coeffs))
 
 
 def interpolate_substep(cfg: SchemeConfig, k: int, y: ModeVector, t: float, partial_noise: ModeVector) -> ModeVector:
@@ -161,14 +168,11 @@ def interpolate_substep(cfg: SchemeConfig, k: int, y: ModeVector, t: float, part
         raise ValueError("state and partial noise must have n_dim modes")
     if not 0 <= k < cfg.steps:
         raise ValueError("step index out of range")
-    t_left = k * cfg.delta
-    tau = t - t_left
+    tau = t - k * cfg.delta
     if tau < 0.0 or tau > cfg.delta:
         raise ValueError("t must lie within the step")
-    lam = cfg.operator.eigenvalues[: cfg.n_dim]
-    exp_factors = np.exp(-lam * tau)
-    b = drift_array(cfg.drift, lam, t_left, y.coeffs)
-    return ModeVector(_flow(exp_factors, y.coeffs, b, tau, partial_noise.coeffs))
+    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * tau)
+    return ModeVector(_ei_substep(cfg, k, y.coeffs, decay, tau, partial_noise.coeffs))
 
 
 def _check_lattice(cfg: SchemeConfig, lattice: NoiseLattice):
@@ -187,15 +191,13 @@ def _iterate_batch(cfg: SchemeConfig, dw: np.ndarray) -> np.ndarray:
     identical no matter which other paths share the batch.
     """
     steps, n_paths, _ = dw.shape
-    lam = cfg.operator.eigenvalues[: cfg.n_dim]
-    exp_factors = np.exp(-lam * cfg.delta)
     delta = cfg.delta
+    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * delta)
     grid = np.empty((steps + 1, n_paths, cfg.n_dim))
     y = np.broadcast_to(cfg.initial_coefficients(), (n_paths, cfg.n_dim)).copy()
     grid[0] = y
     for k in range(steps):
-        b = drift_array(cfg.drift, lam, k * delta, y)
-        y = _flow(exp_factors, y, b, delta, dw[k])
+        y = _ei_substep(cfg, k, y, decay, delta, dw[k])
         if not np.all(np.isfinite(y)):
             raise SimulationError(f"non-finite state after step {k + 1} of {steps}")
         grid[k + 1] = y
@@ -218,12 +220,26 @@ def _coupled_grids(configs, lattice: NoiseLattice, fine: np.ndarray) -> list[np.
     return grids
 
 
+def _substep_values(cfg: SchemeConfig, lattice: NoiseLattice, grid: np.ndarray, fine: np.ndarray, offsets: np.ndarray):
+    """Yield, for each step k of a (steps+1, C, n) grid batch, the scheme's
+    values at fine-lattice offsets inside the step, shape (len(offsets), C, n).
+
+    Offset j is time k*delta + j*fine_dt; offset 0 reads Y_k itself through
+    the kernel.  The partial noise is the running prefix sum of the step's
+    rows of `fine`, the (fine_steps, C, >= n) increment block.
+    """
+    per_step = 1 << (lattice.levels - cfg.level)
+    tau = (offsets * lattice.fine_dt)[:, None, None]
+    decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])
+    prefix = np.zeros((per_step + 1, fine.shape[1], cfg.n_dim))
+    for k in range(cfg.steps):
+        np.cumsum(fine[k * per_step : (k + 1) * per_step, :, : cfg.n_dim], axis=0, out=prefix[1:])
+        yield _ei_substep(cfg, k, grid[k], decay, tau, prefix[offsets])
+
+
 def simulate_path(cfg: SchemeConfig, lattice: NoiseLattice, path_id: int) -> Trajectory:
     """Simulate one path on its grid; bitwise reproducible from the seed."""
-    _check_lattice(cfg, lattice)
-    fine = _fine_block(lattice, [path_id], cfg.n_dim)
-    grid = _coupled_grids([cfg], lattice, fine)[0]
-    return Trajectory(cfg, path_id, grid[:, 0, :])
+    return simulate_coupled([cfg], lattice, path_id)[0]
 
 
 def simulate_coupled(configs, lattice: NoiseLattice, path_id: int) -> list[Trajectory]:

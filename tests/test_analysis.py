@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdelab import (
-    ErrorAccumulator,
     HolderDriftSpec,
     HypothesisViolation,
     InitialData,
@@ -23,7 +22,6 @@ from spdelab import (
     rate_exponent,
     simulate_path,
     spatial_study,
-    strong_error,
     temporal_study,
     theoretical_nu,
 )
@@ -39,6 +37,7 @@ from spdelab.analysis import (
 CANONICAL = RateParams(alpha=0.45, beta=0.5, epsilon=0.9)
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
+DRIFTLESS = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=0.0)
 INITIAL = InitialData(profile="power_decay", q=3.0)
 
 
@@ -147,36 +146,6 @@ def test_fit_rate_validation():
         fit_rate(np.array([1.0, 0.5]), np.array([1.0, math.nan]))
 
 
-def test_error_accumulator_order_independence():
-    left = ErrorAccumulator()
-    for pid, v in [(0, 0.3), (1, 0.7), (2, 1.1), (3, 0.05)]:
-        left.add(pid, v)
-    right = ErrorAccumulator()
-    for pid, v in [(2, 1.1), (0, 0.3), (3, 0.05), (1, 0.7)]:
-        right.add(pid, v)
-    assert left.mean() == right.mean()
-    assert left.stderr() == right.stderr()
-    merged = ErrorAccumulator()
-    part = ErrorAccumulator()
-    part.add(1, 0.7)
-    part.add(3, 0.05)
-    merged.add(2, 1.1)
-    merged.add(0, 0.3)
-    merged.merge(part)
-    assert merged.mean() == left.mean()
-    assert merged.stderr() == left.stderr()
-
-
-def test_error_accumulator_edge_cases():
-    acc = ErrorAccumulator()
-    with pytest.raises(ValueError):
-        acc.mean()
-    acc.add(0, 1.0)
-    assert acc.stderr() == 0.0
-    with pytest.raises(ValueError):
-        acc.add(0, 2.0)
-
-
 def _lattice(levels=4, n_modes=8, seed=3, scale=1.0):
     return NoiseLattice(master_seed=seed, horizon=1.0, levels=levels, n_modes=n_modes, scale=scale)
 
@@ -230,18 +199,6 @@ def test_integrated_error_validation():
         integrated_square_error(ref, approx, lat, n_limit=9)
     with pytest.raises(ValueError):
         integrated_square_error(ref, approx, _lattice(levels=3))
-
-
-def test_strong_error_folds_into_accumulator():
-    lat = _lattice(levels=4)
-    acc = ErrorAccumulator()
-    for pid in (0, 1):
-        ref = simulate_path(_config(4, 8), lat, pid)
-        approx = simulate_path(_config(2, 4), lat, pid)
-        mean, stderr = strong_error(ref, approx, lat, acc)
-    assert acc.count == 2
-    assert mean == acc.mean()
-    assert stderr == acc.stderr()
 
 
 def _temporal(workers=1):
@@ -471,15 +428,73 @@ def test_driftless_increment_monte_carlo_matches_closed_form():
     # with the drift switched off every (step, fraction) cell of the sampled
     # statistic is an unbiased estimate of the closed form
     lat = NoiseLattice(master_seed=7, horizon=1.0, levels=6, n_modes=8)
-    off = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=0.0)
     m = 3000
-    out = _increment_chunk((make_heat_operator(8), off, INITIAL, lat, [2, 3], 8, (0.5,), list(range(m))))
+    out = _increment_chunk((make_heat_operator(8), DRIFTLESS, INITIAL, lat, [2, 3], 8, (0.5,), list(range(m))))
     for lev in (2, 3):
         per_path = out[lev][:, 0, :]
         means = per_path.mean(axis=0)
         stderrs = per_path.std(axis=0, ddof=1) / math.sqrt(m)
         exact = np.array(_driftless_increment_oracle(lev, 8, 0.5, 6))
         assert np.all(np.abs(means - exact) <= 3.0 * stderrs), (lev, (means - exact) / stderrs)
+
+
+def _driftless_temporal_oracle(levels, ref_level, n_dim):
+    """E[err2] of the driftless heat scheme at unit noise scale, per level.
+
+    The reference value at step r is a^r x0 + sum_{l<r} a^(r-l) dW_l with
+    a = exp(-lam_i d), d the reference step.  Read at the same time, the
+    coarse value carries the same initial term and weights each dW_l with
+    exp(-lam_i (r - R floor(l/R)) d), R reference steps to a coarse step, so
+    E err2 = d^2 sum_r sum_i sum_{l<r} c^2 with c the gap of the weights.
+    """
+    d = 1.0 / (1 << ref_level)
+    out = []
+    for lev in levels:
+        ratio = 1 << (ref_level - lev)
+        total = 0.0
+        for r in range(1 << ref_level):
+            for i in range(1, n_dim + 1):
+                lam = float(i * i)
+                for l in range(r):
+                    c = math.exp(-lam * (r - l) * d) - math.exp(-lam * (r - ratio * (l // ratio)) * d)
+                    total += c * c
+        out.append(d * d * total)
+    return out
+
+
+def _driftless_spatial_oracle(ladder, ref_modes, level):
+    """E[err2] of the driftless heat scheme at unit noise scale, per mode
+    count n: the modes up to n agree exactly, so only the reference's tail
+    modes count, each with mean^2 + var at every left grid point."""
+    d = 1.0 / (1 << level)
+    out = []
+    for n in ladder:
+        total = 0.0
+        for k in range(1 << level):
+            for i in range(n + 1, ref_modes + 1):
+                a = math.exp(-i * i * d)
+                var = sum(d * a ** (2 * j) for j in range(1, k + 1))
+                total += (a**k * i**-3.0) ** 2 + var
+        out.append(d * total)
+    return out
+
+
+def _assert_rungs_match(report, exact):
+    z = [(r.err2_mean - e) / r.err2_stderr for r, e in zip(report.rows, exact)]
+    assert all(abs(v) <= 3.0 for v in z), z
+
+
+def test_driftless_temporal_study_matches_oracle():
+    lat = NoiseLattice(master_seed=11, horizon=1.0, levels=7, n_modes=8)
+    report = temporal_study(
+        make_heat_operator(8), DRIFTLESS, INITIAL, lat, [2, 3, 4], 6, 8, 2000, CANONICAL, chunk_size=250
+    )
+    _assert_rungs_match(report, _driftless_temporal_oracle([2, 3, 4], 6, 8))
+
+
+def test_driftless_spatial_study_matches_oracle():
+    report = _spatial(seed=11, m_paths=2000, drift=DRIFTLESS)
+    _assert_rungs_match(report, _driftless_spatial_oracle([2, 4, 8], 16, 3))
 
 
 def test_slope_stderr_paired_delta_method():

@@ -325,6 +325,45 @@ def test_config_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _kolmogorov_doc(out, **study):
+    doc = canonical_doc({"kind": "kolmogorov", "m_samples": 200, **study}, out=out)
+    doc["operator"] = {"kind": "heat", "n_max": 16}
+    doc["noise"] = {"seed": 2, "levels": 4, "n_modes": 16, "horizon": 1.0}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, section, field, literal",
+    [
+        ("temporal-study", "noise", "horizon", "NaN"),
+        ("temporal-study", "drift", "amplitude", "NaN"),
+        ("temporal-study", "drift", "amplitude", "1e400"),
+        ("temporal-study", "rate_params", "alpha", "-Infinity"),
+        ("temporal-study", "noise", "horizon", "1" + "0" * 400),
+        ("kolmogorov-check", "study", "theta", "NaN"),
+    ],
+    ids=["horizon-nan", "amplitude-nan", "amplitude-1e400", "alpha-neg-inf", "horizon-huge-int", "theta-nan"],
+)
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, section, field, literal):
+    # json reads NaN, +-Infinity and 1e400 as floats; a study must refuse
+    # them up front instead of failing mid-run or passing them through
+    out = tmp_path / "o"
+    doc = temporal_study_doc(str(out)) if command == "temporal-study" else _kolmogorov_doc(str(out))
+    doc[section][field] = "@"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    assert run([command, "--config", str(path), "--deterministic"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("modes", [[True, 4], [1, 4, 4], [0, 4], [1, 17], [1.0, 4], []])
+def test_decay_modes_validated_like_ladder(tmp_path, modes):
+    with pytest.raises(ConfigError, match="decay_modes"):
+        parse_config(_kolmogorov_doc("out", decay_modes=modes))
+    assert parse_config(_kolmogorov_doc("out", decay_modes=[16, 1, 4])).study["decay_modes"] == [1, 4, 16]
+
+
 def test_load_config_overrides(tmp_path):
     cfg_path = write_doc(tmp_path, temporal_study_doc("out"))
     cfg = load_config(cfg_path, seed=55, paths=6, out="elsewhere")

@@ -1,0 +1,49 @@
+"""The public names and call shapes that callers outside the package use.
+
+The benchmark's per-layer probes (bench/probes.py) call the functions below
+with these positional counts and keywords.  A probe that can no longer make
+its call is reported there as unavailable, not failed, so a refactor that
+drops a name or renames a keyword must fail here instead.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+import spdelab
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in spdelab.__all__ if not hasattr(spdelab, name)]
+    assert missing == []
+    assert len(set(spdelab.__all__)) == len(spdelab.__all__)
+
+
+# (module, attribute path, positional arguments, keywords), as the probes call them
+PROBE_CALLS = [
+    ("spdelab.analysis", "integrated_square_error", 3, ()),
+    ("spdelab.scheme", "simulate_coupled", 3, ()),
+    ("spdelab.scheme", "simulate_path", 3, ()),
+    ("spdelab.noise", "left_fold_blocks", 2, ()),
+    ("spdelab.noise", "NoiseLattice.mode_increments", 4, ()),
+    ("spdelab.noise", "ou_joint_modes_batch", 5, ()),
+    ("spdelab.drift", "verify_mode_holder", 2, ("trials", "rng_seed")),
+    ("spdelab.drift", "verify_time_holder", 2, ("trials", "rng_seed")),
+    ("spdelab.kolmogorov", "picard_u_lambda", 5, ("seed",)),
+    (
+        "spdelab.kolmogorov",
+        "PicardConfig",
+        0,
+        ("lam", "depth", "dims", "time_nodes", "outer_samples", "inner_samples"),
+    ),
+]
+
+
+@pytest.mark.parametrize("module, path, n_positional, keywords", PROBE_CALLS)
+def test_probe_calls_still_bind(module, path, n_positional, keywords):
+    target = importlib.import_module(module)
+    for part in path.split("."):
+        target = getattr(target, part)
+    # raises TypeError when the call shape no longer fits the signature
+    inspect.signature(target).bind(*range(n_positional), **dict.fromkeys(keywords))
