@@ -26,6 +26,8 @@ from spdelab import (
 )
 from spdelab.drift import drift_array
 
+from oracles import holder_ratio_at
+
 
 def _diag(epsilon, beta=0.5, **kw):
     return HolderDriftSpec(kind="diagonal", beta=beta, epsilon=epsilon, **kw)
@@ -238,3 +240,104 @@ def test_drift_array_matches_expression_form(kind, time_mod):
         expected = values
     assert out.shape == expected.shape and out.dtype == expected.dtype
     assert out.tobytes() == expected.tobytes()
+
+
+# Recorded from the per-trial loop validators on the 16-mode heat ladder, 10k
+# trials: (kind, time_mod, seed, validator, passed, constant, max_ratio, worst)
+VALIDATOR_GOLDEN = [
+    ("diagonal", "constant", 0, "mode", True, 1.0717734625362931, 1.0000000000000004,
+     {"t": 0.5314916072374146, "mode": 13, "x_i": 0.004616790429035762, "y_i": -0.004616790429035762}),
+    ("diagonal", "constant", 0, "time", True, 0.0, 0.0,
+     {}),
+    ("diagonal", "constant", 1, "mode", True, 1.0717734625362931, 1.0000000000000004,
+     {"t": 0.09226896413386121, "mode": 13, "x_i": 0.005209957678123232, "y_i": -0.005209957678123232}),
+    ("diagonal", "constant", 1, "time", True, 0.0, 0.0,
+     {}),
+    ("diagonal", "constant", 7, "mode", True, 1.0717734625362931, 1.0000000000000004,
+     {"t": 0.984697497380695, "mode": 6, "x_i": 0.0011486620768456422, "y_i": -0.0011486620768456422}),
+    ("diagonal", "constant", 7, "time", True, 0.0, 0.0,
+     {}),
+    ("diagonal", "cosine", 0, "mode", True, 1.0717734625362931, 0.9999999961761663,
+     {"t": 8.745094209761106e-05, "mode": 8, "x_i": 0.0017279316006336514, "y_i": -0.0017279316006336514}),
+    ("diagonal", "cosine", 0, "time", True, 1.2587082797236964, 0.6531273621897887,
+     {"s": 0.989990344401882, "t": 0.7548793524418798}),
+    ("diagonal", "cosine", 1, "mode", True, 1.0717734625362931, 0.999999869374605,
+     {"t": 0.0005111269859709999, "mode": 1, "x_i": 0.030347394977866073, "y_i": -0.030347394977866073}),
+    ("diagonal", "cosine", 1, "time", True, 1.2587082797236964, 0.6557323994341236,
+     {"s": 0.7288176510273463, "t": 0.9931849059006819}),
+    ("diagonal", "cosine", 7, "mode", True, 1.0717734625362931, 0.9999999974203323,
+     {"t": 7.182851073339602e-05, "mode": 7, "x_i": 0.007072718543584862, "y_i": -0.007072718543584862}),
+    ("diagonal", "cosine", 7, "time", True, 1.2587082797236964, 0.6525605970555507,
+     {"s": 0.7256956868989294, "t": 0.9976732697267473}),
+    ("rank_one", "constant", 0, "mode", True, 1.0717734625362931, 1.000000000000565,
+     {"t": 0.2404895665697856, "mode": 10, "x_i": 0.0011147737294051204, "y_i": -0.0011147737294051204}),
+    ("rank_one", "constant", 0, "time", True, 0.0, 0.0,
+     {}),
+    ("rank_one", "constant", 1, "mode", True, 1.0717734625362931, 1.0000000000007945,
+     {"t": 0.32088010955847923, "mode": 12, "x_i": 0.0010338335071904078, "y_i": -0.0010338335071904078}),
+    ("rank_one", "constant", 1, "time", True, 0.0, 0.0,
+     {}),
+    ("rank_one", "constant", 7, "mode", True, 1.0717734625362931, 1.0000000000005673,
+     {"t": 0.5656964311550562, "mode": 15, "x_i": 0.0012560117799993741, "y_i": -0.0012560117799993741}),
+    ("rank_one", "constant", 7, "time", True, 0.0, 0.0,
+     {}),
+    ("rank_one", "cosine", 0, "mode", True, 1.0717734625362931, 0.9999999961760367,
+     {"t": 8.745094209761106e-05, "mode": 8, "x_i": 0.0017279316006336514, "y_i": -0.0017279316006336514}),
+    ("rank_one", "cosine", 0, "time", True, 3.3807289932289937, 0.4953148984138512,
+     {"s": 0.6360511070112979, "t": 0.9439532126338567}),
+    ("rank_one", "cosine", 1, "mode", True, 1.0717734625362931, 0.9999998693746056,
+     {"t": 0.0005111269859709999, "mode": 1, "x_i": 0.030347394977866073, "y_i": -0.030347394977866073}),
+    ("rank_one", "cosine", 1, "time", True, 3.3807289932289937, 0.4697808346669456,
+     {"s": 0.9452612220185244, "t": 0.7285704799019611}),
+    ("rank_one", "cosine", 7, "mode", True, 1.0717734625362931, 0.9999999974203313,
+     {"t": 7.182851073339602e-05, "mode": 7, "x_i": 0.007072718543584862, "y_i": -0.007072718543584862}),
+    ("rank_one", "cosine", 7, "time", True, 3.3807289932289937, 0.5045390532402853,
+     {"s": 0.7243059763959206, "t": 0.9027562211063529}),
+    ("smooth_baseline", "constant", 0, "mode", True, 1.0717734625362931, 0.8667064077991217,
+     {"t": 0.289632903681448, "mode": 6, "x_i": 0.4016216496170794, "y_i": -0.4016216496170794}),
+    ("smooth_baseline", "constant", 0, "time", True, 0.0, 0.0,
+     {}),
+    ("smooth_baseline", "constant", 1, "mode", True, 1.0717734625362931, 0.8667058321856672,
+     {"t": 0.23942384755279889, "mode": 1, "x_i": 0.4006402257528616, "y_i": -0.4006402257528616}),
+    ("smooth_baseline", "constant", 1, "time", True, 0.0, 0.0,
+     {}),
+    ("smooth_baseline", "constant", 7, "mode", True, 1.0717734625362931, 0.8667063969912576,
+     {"t": 0.3952151099632393, "mode": 12, "x_i": 0.401542107787468, "y_i": -0.401542107787468}),
+    ("smooth_baseline", "constant", 7, "time", True, 0.0, 0.0,
+     {}),
+    ("smooth_baseline", "cosine", 0, "mode", True, 1.0717734625362931, 0.8664402471152106,
+     {"t": 0.013038089661882357, "mode": 4, "x_i": 0.42156748716492937, "y_i": -0.42156748716492937}),
+    ("smooth_baseline", "cosine", 0, "time", True, 1.2587082797236964, 0.6448993892920838,
+     {"s": 0.9929462949892476, "t": 0.8157980967961264}),
+    ("smooth_baseline", "cosine", 1, "mode", True, 1.0717734625362931, 0.8664657172358358,
+     {"t": 0.010744336685843292, "mode": 12, "x_i": 0.4214716158822168, "y_i": -0.4214716158822168}),
+    ("smooth_baseline", "cosine", 1, "time", True, 1.2587082797236964, 0.6379026334111927,
+     {"s": 0.9978072464895896, "t": 0.8088702054822201}),
+    ("smooth_baseline", "cosine", 7, "mode", True, 1.0717734625362931, 0.8663279922763438,
+     {"t": 0.029535246107224356, "mode": 14, "x_i": 0.40263648546430814, "y_i": -0.40263648546430814}),
+    ("smooth_baseline", "cosine", 7, "time", True, 1.2587082797236964, 0.6298211472890035,
+     {"s": 0.7391221366311337, "t": 0.9809478716531418}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, time_mod, seed, which, passed, constant, max_ratio, worst",
+    VALIDATOR_GOLDEN,
+    ids=[f"{g[0]}-{g[1]}-{g[2]}-{g[3]}" for g in VALIDATOR_GOLDEN],
+)
+def test_validator_golden(heat16, kind, time_mod, seed, which, passed, constant, max_ratio, worst):
+    spec = HolderDriftSpec(kind=kind, beta=0.5, epsilon=0.9, amplitude=1.0, cap=1.0, time_mod=time_mod)
+    verify = verify_mode_holder if which == "mode" else verify_time_holder
+    report = verify(spec, heat16, trials=10_000, rng_seed=seed)
+    assert report.passed == passed
+    assert report.trials == 10_000
+    assert report.constant == constant
+    assert math.isclose(report.max_ratio, max_ratio, rel_tol=1e-14)
+    if not worst:
+        assert report.worst == {}
+        return
+    # many trials attain the constant to within rounding, so the worst record
+    # may name another trial, as long as its reference ratio ties the maximum
+    assert report.worst.keys() == worst.keys()
+    ratio = holder_ratio_at(spec, heat16, which, 10_000, seed, report.worst)
+    assert math.isclose(ratio, max_ratio, rel_tol=1e-14)
