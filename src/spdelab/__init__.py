@@ -1,55 +1,30 @@
 """Simulation and verification lab for exponential-integrator spectral
-Galerkin schemes driven by space-time white noise with rough bounded drifts."""
+Galerkin schemes driven by space-time white noise with rough bounded drifts.
+
+Only the names the command line uses are re-exported here; every other
+public name is imported from its own module.
+"""
 
 from .spectral import (
     ModeVector,
     SpectralOperator,
-    TraceReport,
     check_trace_condition,
-    convolution_variance,
-    decay_factor,
-    exp_holder_constant,
-    frac_power_apply,
     make_heat_operator,
     make_power_law_operator,
-    render_sine_profile,
-    semigroup_apply,
 )
 from .drift import (
     HolderDriftSpec,
-    ValidationReport,
-    drift_bound,
-    drift_eval,
     drift_spec_from_dict,
     drift_spec_to_dict,
-    global_holder_constant,
-    holder_constant_grid,
-    mode_holder_constant,
-    psi_holder_constant,
-    time_weight,
-    time_weight_lipschitz,
     verify_mode_holder,
     verify_time_holder,
 )
-from .noise import (
-    NoiseLattice,
-    OUState,
-    left_fold_blocks,
-    ou_cross_covariance,
-    ou_exact_step,
-    ou_joint_modes_batch,
-    ou_joint_with_weight,
-    ou_transition_sample,
-)
+from .noise import NoiseLattice
 from .scheme import (
     InitialData,
     SchemeConfig,
     SimulationError,
-    Trajectory,
-    ei_step,
     initial_domain_check,
-    interpolate_substep,
-    simulate_coupled,
     simulate_path,
     write_trajectory_csv,
 )
@@ -57,103 +32,42 @@ from .analysis import (
     ConvergenceReport,
     HypothesisViolation,
     RateParams,
-    ReportRow,
-    fit_rate,
     increment_statistic,
-    integrated_square_error,
     rate_exponent,
     spatial_study,
     temporal_study,
     theoretical_nu,
 )
-from .kolmogorov import (
-    GradientDecayReport,
-    PicardConfig,
-    TestFunction,
-    bismut_gradient,
-    bounded_smooth_function,
-    coordinate_function,
-    drift_test_function,
-    finite_difference_gradient,
-    gradient_decay_check,
-    gradient_summability_probe,
-    kolmogorov_suite,
-    ou_semigroup_estimate,
-    picard_norm_bound,
-    picard_u_lambda,
-)
+from .kolmogorov import kolmogorov_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModeVector",
     "SpectralOperator",
-    "TraceReport",
     "check_trace_condition",
-    "convolution_variance",
-    "decay_factor",
-    "exp_holder_constant",
-    "frac_power_apply",
     "make_heat_operator",
     "make_power_law_operator",
-    "render_sine_profile",
-    "semigroup_apply",
     "HolderDriftSpec",
-    "ValidationReport",
-    "drift_bound",
-    "drift_eval",
     "drift_spec_from_dict",
     "drift_spec_to_dict",
-    "global_holder_constant",
-    "holder_constant_grid",
-    "mode_holder_constant",
-    "psi_holder_constant",
-    "time_weight",
-    "time_weight_lipschitz",
     "verify_mode_holder",
     "verify_time_holder",
     "NoiseLattice",
-    "OUState",
-    "left_fold_blocks",
-    "ou_cross_covariance",
-    "ou_exact_step",
-    "ou_joint_modes_batch",
-    "ou_joint_with_weight",
-    "ou_transition_sample",
     "InitialData",
     "SchemeConfig",
     "SimulationError",
-    "Trajectory",
-    "ei_step",
     "initial_domain_check",
-    "interpolate_substep",
-    "simulate_coupled",
     "simulate_path",
     "write_trajectory_csv",
     "ConvergenceReport",
     "HypothesisViolation",
     "RateParams",
-    "ReportRow",
-    "fit_rate",
     "increment_statistic",
-    "integrated_square_error",
     "rate_exponent",
     "spatial_study",
     "temporal_study",
     "theoretical_nu",
-    "GradientDecayReport",
-    "PicardConfig",
-    "TestFunction",
-    "bismut_gradient",
-    "bounded_smooth_function",
-    "coordinate_function",
-    "drift_test_function",
-    "finite_difference_gradient",
-    "gradient_decay_check",
-    "gradient_summability_probe",
     "kolmogorov_suite",
-    "ou_semigroup_estimate",
-    "picard_norm_bound",
-    "picard_u_lambda",
     "__version__",
 ]

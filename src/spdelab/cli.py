@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -175,18 +175,35 @@ def _int_list_field(section, name, where, minimum, maximum=None, default=_MISSIN
     return sorted(values)
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number; strings and booleans are refused."""
+    # an int too large for a float raises OverflowError, a config error in parse_config
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number")
+    return float(value)
+
+
+def _float_field(section, name, where, default=_MISSING) -> float:
+    return _number(_get(section, name, where, default), f"{where}.{name}")
+
+
+def _float_list_field(section, name, where, default=_MISSING) -> list[float]:
+    """A non-empty list of finite numbers, in the given order."""
+    values = _get(section, name, where, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}.{name} must be a non-empty list")
+    return [_number(v, f"{where}.{name} entries") for v in values]
+
+
 def _build_operator(section: dict) -> SpectralOperator:
     kind = _get(section, "kind", "operator")
     if kind == "heat":
         return make_heat_operator(_int_field(section, "n_max", "operator", 1))
     if kind == "power_law":
-        power = _get(section, "power", "operator")
-        return make_power_law_operator(_int_field(section, "n_max", "operator", 1), float(power))
+        power = _float_field(section, "power", "operator")
+        return make_power_law_operator(_int_field(section, "n_max", "operator", 1), power)
     if kind == "explicit":
-        eigenvalues = _get(section, "eigenvalues", "operator")
-        if not isinstance(eigenvalues, list) or not eigenvalues:
-            raise ConfigError("operator.eigenvalues must be a non-empty list")
-        return SpectralOperator(np.asarray(eigenvalues, dtype=float))
+        return SpectralOperator(np.asarray(_float_list_field(section, "eigenvalues", "operator")))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -226,10 +243,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
         ladder = _int_list_field(section, "ladder", "study", 0)
         if ladder[-1] >= cfg_levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
-        fractions = _get(section, "sample_fractions", "study", default=[0.5])
-        if not isinstance(fractions, list) or not fractions:
-            raise ConfigError("study.sample_fractions must be a non-empty list")
-        fractions = [float(v) for v in fractions]
+        fractions = _float_list_field(section, "sample_fractions", "study", default=[0.5])
         if not all(0.0 < v < 1.0 for v in fractions):
             raise ConfigError("study.sample_fractions must lie strictly inside (0, 1)")
         out.update(
@@ -241,13 +255,13 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
     elif kind == "kolmogorov":
         dims = _int_field(section, "dims", "study", 1, min(4, op.n_max), default=min(4, op.n_max))
         decay_modes = _int_list_field(section, "decay_modes", "study", 1, op.n_max, default=[1, 4, 16])
-        lam_sweep = [float(v) for v in section.get("lam_sweep", [1.0, 10.0, 100.0])]
-        if not lam_sweep or any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
+        lam_sweep = _float_list_field(section, "lam_sweep", "study", default=[1.0, 10.0, 100.0])
+        if any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
             raise ConfigError("study.lam_sweep must be positive and ascending")
-        t = float(section.get("t", 0.5))
+        t = _float_field(section, "t", "study", default=0.5)
         if t <= 0.0:
             raise ConfigError("study.t must be positive")
-        theta = float(section.get("theta", rate.alpha))
+        theta = _float_field(section, "theta", "study", default=rate.alpha)
         if theta < 0.0:
             raise ConfigError("study.theta must be nonnegative")
         out.update(
@@ -276,14 +290,14 @@ def parse_config(doc: dict) -> StudyConfig:
         drift = drift_spec_from_dict(_section(doc, "drift"))
         rate_section = _section(doc, "rate_params")
         rate = RateParams(
-            alpha=float(_get(rate_section, "alpha", "rate_params")),
-            beta=float(_get(rate_section, "beta", "rate_params")),
-            epsilon=float(_get(rate_section, "epsilon", "rate_params")),
+            alpha=_float_field(rate_section, "alpha", "rate_params"),
+            beta=_float_field(rate_section, "beta", "rate_params"),
+            epsilon=_float_field(rate_section, "epsilon", "rate_params"),
         )
         initial_section = _section(doc, "initial")
         profile = _get(initial_section, "profile", "initial")
         if profile == "power_decay":
-            initial = InitialData("power_decay", q=float(_get(initial_section, "q", "initial")))
+            initial = InitialData("power_decay", q=_float_field(initial_section, "q", "initial"))
         else:
             initial = InitialData(
                 str(profile), coeffs=tuple(_get(initial_section, "coeffs", "initial", default=()))
@@ -294,7 +308,7 @@ def parse_config(doc: dict) -> StudyConfig:
         if not isinstance(levels, int) or not 0 <= levels <= 30:
             raise ConfigError("noise.levels must be an integer in [0, 30]")
         n_modes = _int_field(noise, "n_modes", "noise", 1, op.n_max)
-        horizon = float(noise.get("horizon", 1.0))
+        horizon = _float_field(noise, "horizon", "noise", default=1.0)
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
         study = _normalize_study(_section(doc, "study"), levels, n_modes, op, rate)
@@ -581,8 +595,8 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
 def _cmd_validate(cfg: StudyConfig) -> int:
     trials = cfg.study["trials"]
     reports = [
-        verify_mode_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed),
-        verify_time_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed),
+        verify_mode_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
+        verify_time_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
     ]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -594,7 +608,7 @@ def _cmd_validate(cfg: StudyConfig) -> int:
         outdir / "summary.json",
         {
             "pass": all(r.passed for r in reports),
-            "validators": [r.to_dict() for r in reports],
+            "validators": [asdict(r) for r in reports],
             "config": cfg.to_dict(),
             "hypotheses": hypothesis_rows(cfg),
         },

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ModeVector, SpectralOperator, convolution_variance, decay_factor
+from .spectral import SpectralOperator, convolution_variance, decay_factor
 
 __all__ = [
     "NoiseLattice",
-    "OUState",
-    "ou_exact_step",
+    "left_fold_blocks",
     "ou_transition_sample",
-    "ou_joint_with_weight",
     "ou_joint_modes_batch",
     "ou_cross_covariance",
 ]
@@ -82,11 +80,6 @@ class NoiseLattice:
         sd = self.scale * math.sqrt(self.fine_dt)
         return sd * self._substream(path_id, mode).standard_normal(count)
 
-    def increment(self, path_id: int, mode: int, step: int) -> float:
-        if not 0 <= step < self.fine_steps:
-            raise ValueError("step index out of range")
-        return float(self.mode_increments(path_id, mode, step + 1)[-1])
-
     def fine_increments(self, path_id: int, n_modes: int | None = None) -> np.ndarray:
         """Full fine array, shape (fine_steps, n_modes)."""
         if n_modes is None:
@@ -97,27 +90,6 @@ class NoiseLattice:
         for m in range(n_modes):
             out[:, m] = self.mode_increments(path_id, m)
         return out
-
-    def coarse_increments(self, path_id: int, level: int, n_modes: int | None = None) -> np.ndarray:
-        """Increments at a coarser dyadic level, shape (2**level, n_modes)."""
-        fine = self.fine_increments(path_id, n_modes)
-        return left_fold_blocks(fine, 1 << (self.levels - self._check_level(level)))
-
-    def coarse_increment(self, path_id: int, mode: int, level: int, j: int) -> float:
-        """One coarse increment: the exact left-fold sum of its fine children."""
-        block = 1 << (self.levels - self._check_level(level))
-        if not 0 <= j < (1 << level):
-            raise ValueError("coarse step index out of range")
-        row = self.mode_increments(path_id, mode, (j + 1) * block)
-        acc = row[j * block]
-        for m in range(1, block):
-            acc = acc + row[j * block + m]
-        return float(acc)
-
-    def _check_level(self, level: int) -> int:
-        if not 0 <= level <= self.levels:
-            raise ValueError("level must lie in [0, levels]")
-        return level
 
 
 def left_fold_blocks(arr: np.ndarray, block: int) -> np.ndarray:
@@ -136,30 +108,10 @@ def left_fold_blocks(arr: np.ndarray, block: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OUState:
-    modes: ModeVector
-    t: float
-
-
 def _mode_eigenvalues(op: SpectralOperator, n: int) -> np.ndarray:
     if n > op.n_max:
         raise ValueError("state has more modes than the operator stores")
     return op.eigenvalues[:n]
-
-
-def ou_exact_step(op: SpectralOperator, state: OUState, delta: float, rng: np.random.Generator) -> OUState:
-    """Advance the driftless mild solution by delta with its exact transition.
-
-    Mode i moves to exp(-lam_i*delta)*z_i plus a centred Gaussian with the
-    exact accumulated variance; no step-size error at any delta.
-    """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    lam = _mode_eigenvalues(op, len(state.modes))
-    mean = decay_factor(lam, delta) * state.modes.coeffs
-    sd = np.sqrt(convolution_variance(lam, delta))
-    return OUState(ModeVector(mean + sd * rng.standard_normal(lam.size)), state.t + delta)
 
 
 def ou_transition_sample(
@@ -224,12 +176,3 @@ def ou_joint_modes_batch(
     states += decay_factor(lam, t) * x
     return states, weights
 
-
-def ou_joint_with_weight(
-    op: SpectralOperator, x: ModeVector, t: float, eta: ModeVector, rng: np.random.Generator
-) -> tuple[ModeVector, float]:
-    """One joint draw (Z_t, integral of <exp(s*A) eta, dW_s> over [0, t])."""
-    if len(eta) != len(x):
-        raise ValueError("direction and state must have the same mode count")
-    states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, 1)
-    return ModeVector(states[0]), float(weights[0] @ eta.coeffs)

@@ -5,11 +5,11 @@ exp(delta*A_n) * (Y + b(k*delta, Y)*delta + dW_k), and the continuous-time
 reading of the same recursion gives the sub-step closed form
 exp(tau*A_n) * (Y + b(k*delta, Y)*tau + (W(t) - W(k*delta))) with
 tau = t - k*delta.  Both are one formula, written once in `_ei_substep`:
-the grid recursion, `ei_step`, `interpolate_substep` and the error and
-increment integrators of the analysis layer all evaluate it, so a sub-step
-value at tau = delta equals the next grid value bit for bit.  The
-integrators read the sub-step values of a whole grid batch through
-`_substep_values`, which owns the partial noise of each step.
+the grid recursion and the error and increment integrators of the analysis
+layer all evaluate it, so a sub-step value at tau = delta equals the next
+grid value bit for bit.  The integrators read the sub-step values of a
+whole grid batch through `_substep_values`, which owns the partial noise of
+each step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .drift import HolderDriftSpec, drift_array
 from .noise import NoiseLattice, left_fold_blocks
-from .spectral import ModeVector, SpectralOperator
+from .spectral import SpectralOperator
 
 __all__ = [
     "InitialData",
@@ -30,9 +30,7 @@ __all__ = [
     "Trajectory",
     "SimulationError",
     "initial_domain_check",
-    "ei_step",
     "simulate_path",
-    "interpolate_substep",
     "simulate_coupled",
     "write_trajectory_csv",
 ]
@@ -137,9 +135,6 @@ class Trajectory:
     def time(self, k: int) -> float:
         return k * self.config.delta
 
-    def state(self, k: int) -> ModeVector:
-        return ModeVector(self.grid[k])
-
 
 def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial) -> np.ndarray:
     """decay * (y + b(k*delta, y)*tau + partial) with decay = exp(-lam*tau).
@@ -150,29 +145,6 @@ def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial) -
     """
     b = drift_array(cfg.drift, cfg.operator.eigenvalues[: cfg.n_dim], k * cfg.delta, y)
     return decay * (y + b * tau + partial)
-
-
-def ei_step(cfg: SchemeConfig, k: int, y: ModeVector, dw: ModeVector) -> ModeVector:
-    """One grid step from time k*delta with increment dw."""
-    if len(y) != cfg.n_dim or len(dw) != cfg.n_dim:
-        raise ValueError("state and increment must have n_dim modes")
-    if not 0 <= k < cfg.steps:
-        raise ValueError("step index out of range")
-    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * cfg.delta)
-    return ModeVector(_ei_substep(cfg, k, y.coeffs, decay, cfg.delta, dw.coeffs))
-
-
-def interpolate_substep(cfg: SchemeConfig, k: int, y: ModeVector, t: float, partial_noise: ModeVector) -> ModeVector:
-    """Continuous-time value inside step k given the partial noise W(t)-W(k*delta)."""
-    if len(y) != cfg.n_dim or len(partial_noise) != cfg.n_dim:
-        raise ValueError("state and partial noise must have n_dim modes")
-    if not 0 <= k < cfg.steps:
-        raise ValueError("step index out of range")
-    tau = t - k * cfg.delta
-    if tau < 0.0 or tau > cfg.delta:
-        raise ValueError("t must lie within the step")
-    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * tau)
-    return ModeVector(_ei_substep(cfg, k, y.coeffs, decay, tau, partial_noise.coeffs))
 
 
 def _check_lattice(cfg: SchemeConfig, lattice: NoiseLattice):

@@ -1,8 +1,8 @@
 """Diagonal calculus for a positive self-adjoint operator with a known spectrum.
 
 Everything downstream works in the eigenbasis of the (negated) generator, so
-the operator is represented by its eigenvalue ladder alone.  The basis is
-never materialized except in the optional profile renderer at the bottom.
+the operator is represented by its eigenvalue ladder alone and the basis is
+never materialized.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ __all__ = [
     "make_heat_operator",
     "make_power_law_operator",
     "check_trace_condition",
-    "semigroup_apply",
-    "frac_power_apply",
     "decay_factor",
     "convolution_variance",
-    "exp_holder_constant",
-    "render_sine_profile",
 ]
 
 
@@ -140,26 +136,6 @@ def check_trace_condition(op: SpectralOperator, alpha: float) -> TraceReport:
     return TraceReport(alpha, s, partial, math.inf, None)
 
 
-def _check_vector(op: SpectralOperator, v: ModeVector) -> np.ndarray:
-    if len(v) > op.n_max:
-        raise ValueError("vector has more modes than the operator stores")
-    return op.eigenvalues[: len(v)]
-
-
-def semigroup_apply(op: SpectralOperator, t: float, v: ModeVector) -> ModeVector:
-    """Apply the decay semigroup at time t >= 0, mode-diagonally."""
-    if t < 0.0:
-        raise ValueError("semigroup time must be nonnegative")
-    lam = _check_vector(op, v)
-    return ModeVector(v.coeffs * np.exp(-lam * t))
-
-
-def frac_power_apply(op: SpectralOperator, gamma: float, v: ModeVector) -> ModeVector:
-    """Apply the fractional power lambda_i**gamma mode-diagonally."""
-    lam = _check_vector(op, v)
-    return ModeVector(v.coeffs * lam**gamma)
-
-
 def decay_factor(lam, t):
     """Per-mode semigroup scalar exp(-lam*t); array-friendly."""
     return np.exp(-np.asarray(lam, dtype=float) * t)
@@ -180,21 +156,3 @@ def convolution_variance(lam, t):
         return float(result)
     return result
 
-
-def exp_holder_constant(theta: float) -> float:
-    """Constant c with |exp(-x) - exp(-y)| <= c*|x-y|**theta on x, y >= 0.
-
-    |exp(-x) - exp(-y)| <= min(|x-y|, 1), and min(d, 1) <= d**theta for
-    every theta in [0, 1], so 1.0 is valid for the whole range.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return 1.0
-
-
-def render_sine_profile(v: ModeVector, points: np.ndarray) -> np.ndarray:
-    """Optional renderer for the heat ladder: sqrt(2/pi)*sin(i*xi) on [0, pi]."""
-    xi = np.asarray(points, dtype=float)
-    idx = np.arange(1, len(v) + 1, dtype=float)
-    basis = math.sqrt(2.0 / math.pi) * np.sin(np.outer(xi, idx))
-    return basis @ v.coeffs

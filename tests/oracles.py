@@ -8,6 +8,64 @@ by appearing on both sides of a comparison.
 import numpy as np
 
 from spdelab.drift import drift_array, drift_bound, mode_holder_constant, time_weight_lipschitz
+from spdelab.spectral import ModeVector
+
+
+def interpolate_substep(cfg, k, y, t, partial_noise):
+    """Continuous-time value inside step k given the partial noise W(t)-W(k*delta):
+    exp(-lam*tau) * (y + b(k*delta, y)*tau + partial) with tau = t - k*delta."""
+    if not 0 <= k < cfg.steps:
+        raise ValueError("step index out of range")
+    tau = t - k * cfg.delta
+    if tau < 0.0 or tau > cfg.delta:
+        raise ValueError("t must lie within the step")
+    return _substep(cfg, k, y, tau, partial_noise)
+
+
+def ei_step(cfg, k, y, dw):
+    """One grid step from time k*delta with increment dw."""
+    if not 0 <= k < cfg.steps:
+        raise ValueError("step index out of range")
+    return _substep(cfg, k, y, cfg.delta, dw)
+
+
+def _substep(cfg, k, y, tau, partial):
+    if len(y) != cfg.n_dim or len(partial) != cfg.n_dim:
+        raise ValueError("state and noise must have n_dim modes")
+    lam = cfg.operator.eigenvalues[: cfg.n_dim]
+    b = drift_array(cfg.drift, lam, k * cfg.delta, y.coeffs)
+    return ModeVector(np.exp(-lam * tau) * (y.coeffs + b * tau + partial.coeffs))
+
+
+def increment(lattice, path_id, mode, step):
+    """One fine increment, read as the last draw of a prefix of its substream."""
+    if not 0 <= step < lattice.fine_steps:
+        raise ValueError("step index out of range")
+    return float(lattice.mode_increments(path_id, mode, step + 1)[-1])
+
+
+def coarse_increment(lattice, path_id, mode, level, j):
+    """One coarse increment: the left-fold sum of its fine children, one add at a time."""
+    if not 0 <= level <= lattice.levels:
+        raise ValueError("level must lie in [0, levels]")
+    if not 0 <= j < (1 << level):
+        raise ValueError("coarse step index out of range")
+    block = 1 << (lattice.levels - level)
+    row = lattice.mode_increments(path_id, mode, (j + 1) * block)
+    acc = row[j * block]
+    for m in range(1, block):
+        acc = acc + row[j * block + m]
+    return float(acc)
+
+
+def holder_constant_grid(f, epsilon, lo=-3.0, hi=3.0, m=1201):
+    """Grid-search estimate of the 1-d Holder constant of f on [lo, hi]."""
+    grid = np.linspace(lo, hi, m)
+    vals = f(grid)
+    du = np.abs(grid[:, None] - grid[None, :])
+    dv = np.abs(vals[:, None] - vals[None, :])
+    mask = du > 0.0
+    return float(np.max(dv[mask] / du[mask] ** epsilon))
 
 
 def holder_ratio_at(spec, op, which, trials, seed, worst, horizon=1.0):

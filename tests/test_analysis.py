@@ -14,10 +14,7 @@ from spdelab import (
     NoiseLattice,
     RateParams,
     SchemeConfig,
-    Trajectory,
-    fit_rate,
     increment_statistic,
-    integrated_square_error,
     make_heat_operator,
     rate_exponent,
     simulate_path,
@@ -32,7 +29,10 @@ from spdelab.analysis import (
     _driftless_increment_slope,
     _increment_chunk,
     _slope_stderr,
+    fit_rate,
+    integrated_square_error,
 )
+from spdelab.scheme import Trajectory
 
 CANONICAL = RateParams(alpha=0.45, beta=0.5, epsilon=0.9)
 

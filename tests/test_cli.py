@@ -207,6 +207,26 @@ def test_validate_drift_end_to_end(tmp_path, capsys):
     assert lines[0] == "name,passed,trials,max_ratio,constant"
     assert lines[1].startswith("mode_holder,True,400")
     assert lines[2].startswith("time_holder,True,400")
+    # after the name, every cell is a plain number or a boolean
+    for line in lines[1:]:
+        for cell in line.split(",")[1:]:
+            assert cell in ("True", "False") or float(cell) >= 0.0
+
+
+def test_validate_drift_checks_the_noise_horizon(tmp_path, capsys):
+    # Lipschitz in time gives Holder on [0, T] with constant ~ T**(1-epsilon)
+    constants = []
+    for horizon in (1.0, 2.0):
+        out = tmp_path / f"h{horizon}"
+        doc = canonical_doc({"kind": "validate", "trials": 200}, out=str(out))
+        doc["operator"] = {"kind": "heat", "n_max": 16}
+        doc["noise"] = {"seed": 7, "levels": 4, "n_modes": 16, "horizon": horizon}
+        assert run(["validate-drift", "--config", write_doc(tmp_path, doc)]) == EXIT_OK
+        validators = json.loads((out / "summary.json").read_text())["validators"]
+        constants.append({v["name"]: v["constant"] for v in validators})
+    capsys.readouterr()
+    assert constants[1]["mode_holder"] == constants[0]["mode_holder"]
+    assert constants[1]["time_holder"] == pytest.approx(constants[0]["time_holder"] * 2.0**0.1, rel=1e-14)
 
 
 def test_simulate_writes_trajectories(tmp_path, capsys):
@@ -341,12 +361,31 @@ def _kolmogorov_doc(out, **study):
         ("temporal-study", "rate_params", "alpha", "-Infinity"),
         ("temporal-study", "noise", "horizon", "1" + "0" * 400),
         ("kolmogorov-check", "study", "theta", "NaN"),
+        # numbers written as JSON strings
+        ("temporal-study", "rate_params", "alpha", '"0.45"'),
+        ("temporal-study", "noise", "horizon", '"nan"'),
+        ("temporal-study", "initial", "q", '"nan"'),
+        ("kolmogorov-check", "study", "t", '"nan"'),
+        ("kolmogorov-check", "study", "lam_sweep", '[1.0, "10", 100.0]'),
     ],
-    ids=["horizon-nan", "amplitude-nan", "amplitude-1e400", "alpha-neg-inf", "horizon-huge-int", "theta-nan"],
+    ids=[
+        "horizon-nan",
+        "amplitude-nan",
+        "amplitude-1e400",
+        "alpha-neg-inf",
+        "horizon-huge-int",
+        "theta-nan",
+        "alpha-string",
+        "horizon-nan-string",
+        "q-nan-string",
+        "t-nan-string",
+        "lam-sweep-string-entry",
+    ],
 )
 def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, section, field, literal):
-    # json reads NaN, +-Infinity and 1e400 as floats; a study must refuse
-    # them up front instead of failing mid-run or passing them through
+    # json reads NaN, +-Infinity and 1e400 as floats, and a string holds any
+    # text; a study must refuse them up front instead of failing mid-run or
+    # passing them through
     out = tmp_path / "o"
     doc = temporal_study_doc(str(out)) if command == "temporal-study" else _kolmogorov_doc(str(out))
     doc[section][field] = "@"

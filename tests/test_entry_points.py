@@ -11,13 +11,17 @@ import inspect
 
 import pytest
 
-import spdelab
 
-
-def test_every_exported_name_resolves():
-    missing = [name for name in spdelab.__all__ if not hasattr(spdelab, name)]
+@pytest.mark.parametrize(
+    "module",
+    ["spdelab", "spdelab.spectral", "spdelab.drift", "spdelab.noise", "spdelab.scheme",
+     "spdelab.analysis", "spdelab.kolmogorov", "spdelab.cli"],
+)
+def test_every_exported_name_resolves(module):
+    target = importlib.import_module(module)
+    missing = [name for name in target.__all__ if not hasattr(target, name)]
     assert missing == []
-    assert len(set(spdelab.__all__)) == len(spdelab.__all__)
+    assert len(set(target.__all__)) == len(target.__all__)
 
 
 # (module, attribute path, positional arguments, keywords), as the probes call them

@@ -6,26 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (
-    HolderDriftSpec,
-    ModeVector,
+from spdelab.drift import HolderDriftSpec, drift_bound
+from spdelab.kolmogorov import (
+    DECAY_CSV_HEADER,
     PicardConfig,
     TestFunction,
     bismut_gradient,
     bounded_smooth_function,
     coordinate_function,
-    drift_bound,
     drift_test_function,
     finite_difference_gradient,
     gradient_decay_check,
     gradient_summability_probe,
     kolmogorov_suite,
-    make_heat_operator,
     ou_semigroup_estimate,
     picard_norm_bound,
     picard_u_lambda,
 )
-from spdelab.kolmogorov import DECAY_CSV_HEADER
+from spdelab.spectral import ModeVector, make_heat_operator
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 

@@ -7,21 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spdelab import (
-    ModeVector,
+from spdelab.noise import (
     NoiseLattice,
-    OUState,
-    SpectralOperator,
-    convolution_variance,
-    decay_factor,
     left_fold_blocks,
-    make_heat_operator,
     ou_cross_covariance,
-    ou_exact_step,
     ou_joint_modes_batch,
-    ou_joint_with_weight,
     ou_transition_sample,
 )
+from spdelab.spectral import SpectralOperator, convolution_variance, decay_factor, make_heat_operator
+
+from oracles import coarse_increment, increment
 
 
 def small_lattice(**kw):
@@ -37,7 +32,7 @@ def test_prefix_addressability():
     assert np.array_equal(lat.mode_increments(0, 1, 5), row[:5])
     # single-increment lookups in scrambled order agree with the row
     for step in (7, 2, 15, 0, 2):
-        assert lat.increment(0, 1, step) == row[step]
+        assert increment(lat, 0, 1, step) == row[step]
 
 
 def test_streams_are_distinct():
@@ -71,14 +66,13 @@ def test_increment_variance_calibration():
 
 
 def test_coarse_level_equal_to_fine():
-    lat = small_lattice()
-    assert np.array_equal(lat.coarse_increments(0, lat.levels), lat.fine_increments(0))
+    fine = small_lattice().fine_increments(0)
+    assert np.array_equal(left_fold_blocks(fine, 1), fine)
 
 
 def test_coarse_one_level_up_is_pair_sum():
-    lat = small_lattice()
-    fine = lat.fine_increments(2)
-    coarse = lat.coarse_increments(2, lat.levels - 1)
+    fine = small_lattice().fine_increments(2)
+    coarse = left_fold_blocks(fine, 2)
     assert coarse.shape == (8, 3)
     assert np.array_equal(coarse, fine[0::2] + fine[1::2])
 
@@ -89,16 +83,17 @@ def test_coarse_level_zero_is_whole_row_fold():
     acc = row[0]
     for k in range(1, row.size):
         acc = acc + row[k]
-    assert lat.coarse_increment(1, 2, 0, 0) == acc
+    assert coarse_increment(lat, 1, 2, 0, 0) == acc
 
 
 def test_coarse_matrix_matches_scalar():
     lat = small_lattice(levels=3)
+    fine = lat.fine_increments(7)
     for level in range(4):
-        grid = lat.coarse_increments(7, level)
+        grid = left_fold_blocks(fine, 1 << (lat.levels - level))
         for j in range(1 << level):
             for m in range(3):
-                assert grid[j, m] == lat.coarse_increment(7, m, level, j)
+                assert grid[j, m] == coarse_increment(lat, 7, m, level, j)
 
 
 def test_coarse_telescoping():
@@ -107,7 +102,7 @@ def test_coarse_telescoping():
     lat = small_lattice(levels=6)
     total = math.fsum(lat.mode_increments(0, 0))
     for level in (0, 2, 4, 6):
-        sums = [lat.coarse_increment(0, 0, level, j) for j in range(1 << level)]
+        sums = [coarse_increment(lat, 0, 0, level, j) for j in range(1 << level)]
         assert math.fsum(sums) == pytest.approx(total, rel=1e-12, abs=1e-14)
 
 
@@ -155,12 +150,6 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         lat.mode_increments(0, 0, 17)
     with pytest.raises(ValueError):
-        lat.increment(0, 0, 16)
-    with pytest.raises(ValueError):
-        lat.coarse_increments(0, 5)
-    with pytest.raises(ValueError):
-        lat.coarse_increment(0, 0, 2, 4)
-    with pytest.raises(ValueError):
         lat.fine_increments(0, 4)
 
 
@@ -173,31 +162,22 @@ def test_scale_factor():
     assert np.array_equal(doubled.mode_increments(0, 0), 2.0 * unit.mode_increments(0, 0))
 
 
-def test_ou_exact_step_zero_delta(heat16):
-    state = OUState(ModeVector(np.linspace(0.1, 1.6, 16)), t=0.25)
-    out = ou_exact_step(heat16, state, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out.modes.coeffs, state.modes.coeffs)
-    assert out.t == 0.25
+def test_ou_transition_sample_tiny_time_is_stable(heat16):
+    x = np.ones(16)
+    t = 1e-14
+    out = ou_transition_sample(heat16, x, t, np.random.default_rng(3), 4)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - x)) <= 8.0 * math.sqrt(t)
 
 
-def test_ou_exact_step_tiny_delta_is_stable(heat16):
-    state = OUState(ModeVector(np.ones(16)), t=0.0)
-    delta = 1e-14
-    out = ou_exact_step(heat16, state, delta, np.random.default_rng(3))
-    shift = np.max(np.abs(out.modes.coeffs - state.modes.coeffs))
-    assert np.all(np.isfinite(out.modes.coeffs))
-    assert shift <= 8.0 * math.sqrt(delta)
-
-
-def test_ou_exact_step_matches_stated_law(heat16):
-    # same seed on both sides: the step must be literally mean + sd * z
+def test_ou_transition_sample_matches_stated_law(heat16):
+    # same seed on both sides: the draw must be literally mean + sd * z
     x = np.linspace(-1.0, 2.0, 16)
-    out = ou_exact_step(heat16, OUState(ModeVector(x), 0.0), 0.7, np.random.default_rng(21))
+    out = ou_transition_sample(heat16, x, 0.7, np.random.default_rng(21), 3)
     lam = heat16.eigenvalues
-    z = np.random.default_rng(21).standard_normal(16)
+    z = np.random.default_rng(21).standard_normal((3, 16))
     manual = np.exp(-lam * 0.7) * x + np.sqrt(convolution_variance(lam, 0.7)) * z
-    assert np.array_equal(out.modes.coeffs, manual)
-    assert out.t == 0.7
+    assert np.array_equal(out, manual)
 
 
 def test_ou_one_step_statistics():
@@ -209,13 +189,6 @@ def test_ou_one_step_statistics():
     true_mean = 1.3 * math.exp(-1.0)
     assert abs(draws.mean() - true_mean) <= 3.0 * math.sqrt(true_var / m)
     assert abs(draws.var() - true_var) <= 3.0 * true_var * math.sqrt(2.0 / m)
-    # the scalar stepper draws from the same law
-    rng = np.random.default_rng(44)
-    vals = np.array(
-        [ou_exact_step(op, OUState(ModeVector(x), 0.0), 1.0, rng).modes.coeffs[0] for _ in range(2000)]
-    )
-    assert abs(vals.mean() - true_mean) <= 3.0 * math.sqrt(true_var / 2000)
-    assert abs(vals.var() - true_var) <= 3.0 * true_var * math.sqrt(2.0 / 2000)
 
 
 def test_transition_sample_at_zero_time(heat16):
@@ -227,23 +200,11 @@ def test_transition_sample_at_zero_time(heat16):
 def test_sampler_validation(heat16):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        ou_exact_step(heat16, OUState(ModeVector([1.0]), 0.0), -0.1, rng)
-    with pytest.raises(ValueError):
         ou_transition_sample(heat16, np.zeros(16), -1.0, rng, 4)
     with pytest.raises(ValueError):
         ou_joint_modes_batch(heat16, np.zeros(16), 0.0, rng, 4)
     with pytest.raises(ValueError):
-        ou_joint_with_weight(heat16, ModeVector([1.0, 2.0]), 0.5, ModeVector([1.0]), rng)
-    with pytest.raises(ValueError):
         ou_transition_sample(make_heat_operator(2), np.zeros(3), 0.5, rng, 4)
-
-
-def test_joint_zero_direction_gives_zero_weight(heat16):
-    z, w = ou_joint_with_weight(
-        heat16, ModeVector(np.ones(16)), 0.5, ModeVector(np.zeros(16)), np.random.default_rng(6)
-    )
-    assert w == 0.0
-    assert len(z) == 16
 
 
 def test_cross_covariance_closed_form():

@@ -8,21 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spdelab import (
-    HolderDriftSpec,
+from spdelab.drift import HolderDriftSpec, drift_bound
+from spdelab.noise import NoiseLattice
+from spdelab.scheme import (
     InitialData,
-    ModeVector,
-    NoiseLattice,
     SchemeConfig,
     SimulationError,
-    ei_step,
+    Trajectory,
+    _substep_values,
     initial_domain_check,
-    interpolate_substep,
-    make_heat_operator,
     simulate_coupled,
     simulate_path,
     write_trajectory_csv,
 )
+from spdelab.spectral import ModeVector, SpectralOperator, make_heat_operator
+
+from oracles import ei_step, interpolate_substep
 
 
 def make_config(level=3, n_dim=4, drift=None, initial=None, horizon=1.0, n_op=None):
@@ -65,8 +66,6 @@ def test_initial_domain_check(heat16):
     assert edge is False
     exp_ok, _ = initial_domain_check(InitialData(profile="explicit", coeffs=(1.0,)), heat16)
     assert exp_ok is True
-    from spdelab import SpectralOperator
-
     none_case, _ = initial_domain_check(
         InitialData(profile="power_decay", q=3.0), SpectralOperator(np.array([1.0, 2.0]))
     )
@@ -156,6 +155,25 @@ def test_interpolation_grid_point_equality(coords, noise, k):
     dw = ModeVector(noise)
     full = interpolate_substep(cfg, k, y, (k + 1) * cfg.delta, dw)
     assert np.array_equal(full.coeffs, ei_step(cfg, k, y, dw).coeffs)
+
+
+def test_substep_reader_matches_oracle():
+    # the sub-step values the error integrators read, against the scalar
+    # oracle, bit for bit, at both ends and inside every step
+    cfg = make_config(level=2, n_dim=3)
+    lat = NoiseLattice(master_seed=5, horizon=1.0, levels=4, n_modes=3)
+    traj = simulate_path(cfg, lat, 0)
+    fine = lat.fine_increments(0)
+    offsets = np.array([0, 1, 3, 4])
+    values = _substep_values(cfg, lat, traj.grid[:, None, :], fine[:, None, :], offsets)
+    for k, stack in enumerate(values):
+        for row, j in zip(stack, offsets):
+            partial = np.zeros(3)
+            for m in range(j):
+                partial = partial + fine[4 * k + m]
+            t = k * cfg.delta + j * lat.fine_dt
+            want = interpolate_substep(cfg, k, ModeVector(traj.grid[k]), t, ModeVector(partial))
+            assert np.array_equal(row[0], want.coeffs)
 
 
 def test_interpolate_substep_validation():
@@ -284,10 +302,8 @@ def test_trajectory_accessors():
     lat = NoiseLattice(master_seed=2, horizon=1.0, levels=1, n_modes=2)
     traj = simulate_path(cfg, lat, 0)
     assert traj.time(2) == 1.0
-    assert np.array_equal(traj.state(0).coeffs, cfg.initial_coefficients())
+    assert np.array_equal(traj.grid[0], cfg.initial_coefficients())
     with pytest.raises(ValueError):
-        from spdelab import Trajectory
-
         Trajectory(cfg, 0, np.zeros((2, 2)))
 
 
@@ -302,8 +318,6 @@ def test_moment_sanity_across_levels():
         msq = np.mean(np.sum(grids**2, axis=-1), axis=0)
         assert np.all(np.isfinite(msq))
         sups.append(float(np.max(msq)))
-    from spdelab import drift_bound
-
     cfg = make_config(level=3, n_dim=8, n_op=8)
     x_sq = float(np.sum(cfg.initial_coefficients() ** 2))
     cap = 3.0 * (x_sq + drift_bound(cfg.drift, cfg.operator) ** 2 + 8.0)

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spdelab import (
+from spdelab.spectral import (
     ModeVector,
     SpectralOperator,
     check_trace_condition,
     convolution_variance,
     decay_factor,
-    exp_holder_constant,
-    frac_power_apply,
     make_heat_operator,
     make_power_law_operator,
-    render_sine_profile,
-    semigroup_apply,
 )
 
 finite_coeffs = st.lists(
@@ -136,16 +132,13 @@ def test_trace_dichotomy_power_law(power, alpha):
 
 
 def test_semigroup_identity_at_zero(heat16):
-    v = ModeVector([0.3, -1.2, 5.0])
-    out = semigroup_apply(heat16, 0.0, v)
-    assert np.array_equal(out.coeffs, v.coeffs)
+    assert np.array_equal(decay_factor(heat16.eigenvalues, 0.0), np.ones(16))
 
 
 def test_semigroup_heat_half_life():
-    op = make_heat_operator(2)
-    out = semigroup_apply(op, math.log(2.0), ModeVector([1.0, 1.0]))
-    assert out.coeffs[0] == pytest.approx(0.5, rel=1e-14)
-    assert out.coeffs[1] == pytest.approx(0.0625, rel=1e-14)
+    out = decay_factor(make_heat_operator(2).eigenvalues, math.log(2.0))
+    assert out[0] == pytest.approx(0.5, rel=1e-14)
+    assert out[1] == pytest.approx(0.0625, rel=1e-14)
 
 
 @given(
@@ -154,51 +147,32 @@ def test_semigroup_heat_half_life():
     coeffs=finite_coeffs,
 )
 def test_semigroup_contraction_and_composition(t, s, coeffs):
-    op = make_heat_operator(8)
+    lam = make_heat_operator(len(coeffs)).eigenvalues
     v = ModeVector(coeffs)
-    once = semigroup_apply(op, t, v)
+    once = ModeVector(decay_factor(lam, t) * v.coeffs)
     assert once.norm() <= v.norm() * (1.0 + 1e-12)
-    twice = semigroup_apply(op, s, once)
-    joint = semigroup_apply(op, t + s, v)
-    np.testing.assert_allclose(twice.coeffs, joint.coeffs, rtol=1e-12, atol=1e-15)
-
-
-def test_semigroup_validation(heat16):
-    with pytest.raises(ValueError):
-        semigroup_apply(heat16, -0.1, ModeVector([1.0]))
-    with pytest.raises(ValueError):
-        semigroup_apply(make_heat_operator(2), 1.0, ModeVector([1.0, 1.0, 1.0]))
-
-
-def test_frac_power_identity_and_inverse(heat16):
-    v = ModeVector([0.7, -0.3, 0.1])
-    assert np.array_equal(frac_power_apply(heat16, 0.0, v).coeffs, v.coeffs)
-    e2 = frac_power_apply(heat16, -1.0, ModeVector([0.0, 1.0]))
-    assert np.array_equal(e2.coeffs, [0.0, 0.25])
+    twice = decay_factor(lam, s) * once.coeffs
+    joint = decay_factor(lam, t + s) * v.coeffs
+    np.testing.assert_allclose(twice, joint, rtol=1e-12, atol=1e-15)
 
 
 def test_regularization_product_bound():
     # lam**gamma * exp(-lam*t) <= t**-gamma uniformly over the ladder
-    op = make_heat_operator(512)
-    ones = ModeVector(np.ones(512))
+    lam = make_heat_operator(512).eigenvalues
     for gamma in (0.25, 0.5, 1.0):
         for t in (1e-3, 1e-1, 1.0):
-            damped = semigroup_apply(op, t, ones)
-            out = frac_power_apply(op, gamma, damped)
-            assert np.max(np.abs(out.coeffs)) <= t ** (-gamma) * (1.0 + 1e-12)
+            assert np.max(lam**gamma * decay_factor(lam, t)) <= t ** (-gamma) * (1.0 + 1e-12)
 
 
 def test_exp_difference_holder_bound():
+    # |exp(-x) - exp(-y)| <= |x - y|**theta on x, y >= 0 for theta in [0, 1]
     xs = np.linspace(0.0, 50.0, 101)
+    decay = decay_factor(xs, 1.0)
     dx = np.abs(xs[:, None] - xs[None, :])
-    dv = np.abs(np.exp(-xs)[:, None] - np.exp(-xs)[None, :])
+    dv = np.abs(decay[:, None] - decay[None, :])
     mask = dx > 0.0
     for theta in (0.25, 0.5, 1.0):
-        c = exp_holder_constant(theta)
-        assert c == 1.0
-        assert np.max(dv[mask] / dx[mask] ** theta) <= c * (1.0 + 1e-12)
-    with pytest.raises(ValueError):
-        exp_holder_constant(1.1)
+        assert np.max(dv[mask] / dx[mask] ** theta) <= 1.0 + 1e-12
 
 
 def test_convolution_variance_values():
@@ -216,9 +190,3 @@ def test_decay_factor_values():
     arr = decay_factor(np.array([1.0, 4.0]), 1.0)
     assert arr.shape == (2,)
     assert arr[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-
-def test_render_sine_profile():
-    vals = render_sine_profile(ModeVector([1.0]), np.array([math.pi / 2.0]))
-    assert vals.shape == (1,)
-    assert vals[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
