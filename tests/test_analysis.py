@@ -323,6 +323,69 @@ def test_increment_statistic_golden():
     assert repr(report.slope_stderr) == "0.16676456395423334"
 
 
+# Multi-window goldens, recorded before the coupled pass streamed the noise
+# through time windows.  Their lattices hold 512 or 1024 fine rows, so every
+# study crosses window seams.
+GOLDEN_TEMPORAL_WINDOWS_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "3,0.125,16,13,0.07418309543340362,0.003937165055357333\n"
+    "4,0.0625,16,13,0.040892547162501645,0.0008543752271127866\n"
+    "5,0.03125,16,13,0.019464938889503396,0.0002963650811781863\n"
+    "6,0.015625,16,13,0.007553482210822047,9.332723304890034e-05\n"
+)
+GOLDEN_INCREMENT_WINDOWS_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "3,0.125,8,12,0.1762830771978955,0.05091845685617451\n"
+    "4,0.0625,8,12,0.15693113383341492,0.028687621452990617\n"
+    "5,0.03125,8,12,0.09938770276321784,0.014266233861827416\n"
+)
+GOLDEN_SPATIAL_WINDOWS_CSV = (
+    "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr\n"
+    "2,0.001953125,2,12,0.146209523639347,0.005689954249316507\n"
+    "4,0.001953125,4,12,0.0666519322167516,0.001927738004376435\n"
+    "8,0.001953125,8,12,0.021508422266578276,0.0002532228572660557\n"
+)
+
+
+def test_temporal_study_golden_across_windows():
+    lat = NoiseLattice(master_seed=43, horizon=1.0, levels=10, n_modes=16)
+    report = temporal_study(
+        make_heat_operator(16), DRIFT, INITIAL, lat, levels=[3, 4, 5, 6], ref_level=8,
+        n_dim=16, m_paths=13, rate=CANONICAL, chunk_size=5,
+    )
+    assert report.csv_text() == GOLDEN_TEMPORAL_WINDOWS_CSV
+    assert repr(report.slope) == "1.0958590131862938"
+
+
+def test_increment_statistic_golden_across_windows():
+    lat = NoiseLattice(master_seed=47, horizon=1.0, levels=10, n_modes=8)
+    report = increment_statistic(
+        make_heat_operator(8), DRIFT, INITIAL, lat, levels=[3, 4, 5], n_dim=8, m_paths=12,
+        sample_fractions=(0.25, 0.5), chunk_size=5, alpha=0.45,
+    )
+    assert report.csv_text() == GOLDEN_INCREMENT_WINDOWS_CSV
+    assert repr(report.slope) == "0.4133773611490132"
+    assert repr(report.slope_stderr) == "0.24663149879256746"
+
+
+def test_spatial_study_golden_across_windows():
+    lat = NoiseLattice(master_seed=53, horizon=1.0, levels=9, n_modes=16)
+    report = spatial_study(
+        make_heat_operator(16), DRIFT, INITIAL, lat, mode_ladder=[2, 4, 8], ref_modes=16,
+        level=9, m_paths=12, rate=CANONICAL, chunk_size=5,
+    )
+    assert report.csv_text() == GOLDEN_SPATIAL_WINDOWS_CSV
+    assert repr(report.slope) == "-0.691265920270509"
+
+
+def test_integrated_error_golden_across_windows():
+    lat = NoiseLattice(master_seed=59, horizon=1.0, levels=10, n_modes=8)
+    ref = simulate_path(_config(10, 8), lat, 6)
+    assert repr(integrated_square_error(ref, simulate_path(_config(3, 5), lat, 6), lat)) == "0.08898852650178339"
+    coarse = simulate_path(_config(5, 5), lat, 6)
+    assert repr(integrated_square_error(ref, coarse, lat, n_limit=6)) == "0.01976430377043229"
+
+
 def test_temporal_study_ladder_validation():
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the exponential integrator: steps, paths, coupling, interpolation."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -237,6 +238,30 @@ def test_coupled_matches_standalone():
     for cfg, traj in zip(configs, coupled):
         solo = simulate_path(cfg, lat, 9)
         assert np.array_equal(traj.grid, solo.grid)
+
+
+# sha256 of each grid's little-endian float64 bytes, recorded before the
+# coupled pass streamed the noise through time windows; levels 3-10 on a
+# 1024-row lattice cross every window seam
+GOLDEN_COUPLED_GRIDS = {
+    3: "b843d73ea0bf338ae945dc6e3b37a0c8de5d728b4b2f8c3f7d8da7ec1cae12b1",
+    4: "55b9cee6d2370f03d387d8538db25951df00335d3ab29c14428e1d7f695a8193",
+    5: "62abda8b8390757700f001e8ed14f08271cfe0471b706f42f2c04d4833ac898b",
+    6: "3273075afbfd772b11182eb7c7bf7b44963aeb74ba39c6ba84f2b33b897a0730",
+    7: "a02fb32518b8f0ef3468a715b3756ebbfe2d979edbc00f2a06fcb8c4fae0669c",
+    8: "e2088127bed7022774424e3fa96c0abac4ac1e809f758fa3fe3d9f42835e956d",
+    9: "aa1bce3f09733d3d36b1c40c005ea8dab4831580a60b9369288c9b020d872a3b",
+    10: "c9173094456943163d02df2e792d954ed0b7154003841db92fc519f0a49debac",
+}
+
+
+def test_coupled_grids_golden_across_windows():
+    lat = NoiseLattice(master_seed=59, horizon=1.0, levels=10, n_modes=8)
+    # odd levels carry 5 of the 8 modes, so the coupled pass serves mixed widths
+    configs = [make_config(level=lev, n_dim=8 if lev % 2 == 0 else 5, n_op=8) for lev in range(3, 11)]
+    for cfg, traj in zip(configs, simulate_coupled(configs, lat, 6)):
+        assert traj.grid.dtype == np.dtype("<f8")
+        assert hashlib.sha256(traj.grid.tobytes()).hexdigest() == GOLDEN_COUPLED_GRIDS[cfg.level]
 
 
 def test_reference_consumes_each_increment_once():
