@@ -11,6 +11,14 @@ read step by step through `scheme._substep_values`); this module has no
 copy of the formula.  The temporal and spatial studies are one coupled
 ladder driver (`_ladder_rows`) that differs only in the config field that
 varies down the ladder.
+
+The study chunks and `integrated_square_error` consume the scheme's window
+pass (`scheme._coupled_windows`): a chunk holds one noise window and the
+grid rows it covers, never the whole fine block.  `_err2_batch` adds the
+steps of each window into the caller's per-path sums, so every sum takes
+its terms in step order, as one pass over the whole grid would, and it is
+multiplied by the reference step once at the end; the integrals are thus
+bitwise those of the whole-grid computation.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseLattice
-from .scheme import SchemeConfig, Trajectory, _coupled_grids, _fine_block, _substep_values
+from .scheme import SchemeConfig, Trajectory, _coupled_windows, _noise_windows, _substep_values
 
 __all__ = [
     "RateParams",
@@ -120,10 +128,19 @@ def _err2_batch(
     approx_cfg: SchemeConfig,
     approx_grid: np.ndarray,
     lattice: NoiseLattice,
-    fine: np.ndarray | None,
+    window: np.ndarray | None,
+    k0: int,
+    err2: np.ndarray,
     n_limit: int | None = None,
-) -> np.ndarray:
-    """Per-path integrated squared error for a (steps+1, C, n) grid batch."""
+) -> None:
+    """Add to err2, per path, the squared error summed over the reference
+    steps inside the approximation steps k0 .. k0+s-1.
+
+    approx_grid holds rows k0 .. k0+s, shape (s+1, C, n); ref_grid holds the
+    reference rows from the time of step k0 on; window holds the fine
+    increments from that time on.  The integral is err2 * ref_cfg.delta once
+    every step has been added.
+    """
     if approx_cfg.level > ref_cfg.level:
         raise ValueError("reference must be at least as fine in time")
     if approx_cfg.n_dim > ref_cfg.n_dim:
@@ -137,20 +154,18 @@ def _err2_batch(
     if ratio == 1:
         # same grid: the approximation is compared at its own grid points
         steps = approx_grid[:-1, None]
-    elif fine is None:
+    elif window is None:
         raise ValueError("sub-step comparison needs the fine increments")
     else:
         offsets = (1 << (lattice.levels - ref_cfg.level)) * np.arange(ratio)
-        steps = _substep_values(approx_cfg, lattice, approx_grid, fine, offsets)
-    err2 = np.zeros(approx_grid.shape[1])
-    for k, values in enumerate(steps):
-        ref_slice = ref_grid[k * ratio : (k + 1) * ratio]
+        steps = _substep_values(approx_cfg, lattice, approx_grid, window, offsets, k0)
+    for j, values in enumerate(steps):
+        ref_slice = ref_grid[j * ratio : (j + 1) * ratio]
         diff = ref_slice[:, :, :n_ap] - values[:, :, :n_ap]
         err2 += np.einsum("rpn,rpn->p", diff, diff)
         if n_ref > n_ap:
             tail = ref_slice[:, :, n_ap:n_ref]
             err2 += np.einsum("rpn,rpn->p", tail, tail)
-    return err2 * ref_cfg.delta
 
 
 def integrated_square_error(
@@ -163,19 +178,18 @@ def integrated_square_error(
         raise ValueError("trajectories and lattice must share the horizon")
     if ref.config.level > lattice.levels:
         raise ValueError("reference is finer than the lattice")
-    fine = None
-    if ref.config.level > approx.config.level:
-        fine = _fine_block(lattice, [approx.path_id], approx.config.n_dim)
-    value = _err2_batch(
-        ref.config,
-        ref.grid[:, None, :],
-        approx.config,
-        approx.grid[:, None, :],
-        lattice,
-        fine,
-        n_limit,
-    )
-    return float(value[0])
+    ref_cfg, ap_cfg = ref.config, approx.config
+    ref_grid, ap_grid = ref.grid[:, None, :], approx.grid[:, None, :]
+    err2 = np.zeros(1)
+    if ref_cfg.level == ap_cfg.level:
+        _err2_batch(ref_cfg, ref_grid, ap_cfg, ap_grid, lattice, None, 0, err2, n_limit)
+    else:
+        ap_shift, ref_shift = lattice.levels - ap_cfg.level, lattice.levels - ref_cfg.level
+        for start, window in _noise_windows(lattice, [approx.path_id], ap_cfg.n_dim, [ap_cfg.level]):
+            k0 = start >> ap_shift
+            rows = ap_grid[k0 : k0 + (len(window) >> ap_shift) + 1]
+            _err2_batch(ref_cfg, ref_grid[start >> ref_shift :], ap_cfg, rows, lattice, window, k0, err2, n_limit)
+    return float(err2[0] * ref_cfg.delta)
 
 
 @dataclass(frozen=True)
@@ -252,9 +266,11 @@ def _run_chunks(worker, payloads, workers: int):
 def _ladder_chunk(payload):
     """Per-path err2 of every ladder config against the reference, one chunk."""
     ref_cfg, configs, lattice, path_ids = payload
-    fine = _fine_block(lattice, path_ids, ref_cfg.n_dim)
-    ref_grid, *grids = _coupled_grids([ref_cfg] + configs, lattice, fine)
-    return [_err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, fine) for cfg, grid in zip(configs, grids)]
+    err2 = np.zeros((len(configs), len(path_ids)))
+    for window, ((_, ref_grid), *grids) in _coupled_windows([ref_cfg] + configs, lattice, path_ids):
+        for cfg, (k0, grid), acc in zip(configs, grids, err2):
+            _err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, window, k0, acc)
+    return err2 * ref_cfg.delta
 
 
 def _row(resolution: int, delta: float, n_modes: int, vals: np.ndarray, mean: float | None = None) -> ReportRow:
@@ -388,17 +404,14 @@ def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray
 
 def _increment_chunk(payload):
     operator, spec, initial, lattice, levels, n_dim, fractions, path_ids = payload
-    fine = _fine_block(lattice, path_ids, n_dim)
-    out = {}
-    for lev in levels:
-        cfg = SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim)
-        grid = _coupled_grids([cfg], lattice, fine)[0]
-        offsets = _substep_offsets(lattice, lev, fractions)
-        per_path = np.empty((len(path_ids), len(fractions), cfg.steps))
-        for k, values in enumerate(_substep_values(cfg, lattice, grid, fine, offsets)):
-            diff = values - grid[k][None]
-            per_path[:, :, k] = np.einsum("fpn,fpn->fp", diff, diff).T
-        out[lev] = per_path
+    configs = [SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim) for lev in levels]
+    offsets = [_substep_offsets(lattice, lev, fractions) for lev in levels]
+    out = {cfg.level: np.empty((len(path_ids), len(fractions), cfg.steps)) for cfg in configs}
+    for window, grids in _coupled_windows(configs, lattice, path_ids):
+        for cfg, (k0, grid), offs in zip(configs, grids, offsets):
+            for j, values in enumerate(_substep_values(cfg, lattice, grid, window, offs, k0)):
+                diff = values - grid[j][None]
+                out[cfg.level][:, :, k0 + j] = np.einsum("fpn,fpn->fp", diff, diff).T
     return out
 
 

@@ -175,6 +175,9 @@ def _int_list_field(section, name, where, minimum, maximum=None, default=_MISSIN
     return sorted(values)
 
 
+_DRIFT_NUMBERS = ("beta", "epsilon", "amplitude", "cap", "period")
+
+
 def _number(value, what: str) -> float:
     """A finite JSON number; strings and booleans are refused."""
     # an int too large for a float raises OverflowError, a config error in parse_config
@@ -287,7 +290,9 @@ def parse_config(doc: dict) -> StudyConfig:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
     try:
         op = _build_operator(_section(doc, "operator"))
-        drift = drift_spec_from_dict(_section(doc, "drift"))
+        drift = drift_spec_from_dict(
+            {k: _number(v, f"drift.{k}") if k in _DRIFT_NUMBERS else v for k, v in _section(doc, "drift").items()}
+        )
         rate_section = _section(doc, "rate_params")
         rate = RateParams(
             alpha=_float_field(rate_section, "alpha", "rate_params"),
@@ -298,10 +303,10 @@ def parse_config(doc: dict) -> StudyConfig:
         profile = _get(initial_section, "profile", "initial")
         if profile == "power_decay":
             initial = InitialData("power_decay", q=_float_field(initial_section, "q", "initial"))
+        elif profile == "explicit":
+            initial = InitialData("explicit", coeffs=tuple(_float_list_field(initial_section, "coeffs", "initial")))
         else:
-            initial = InitialData(
-                str(profile), coeffs=tuple(_get(initial_section, "coeffs", "initial", default=()))
-            )
+            raise ConfigError(f"unknown initial profile {profile!r}")
         noise = _section(doc, "noise")
         seed = _int_field(noise, "seed", "noise", 0)
         levels = noise.get("levels", noise.get("L"))

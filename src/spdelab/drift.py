@@ -24,7 +24,6 @@ __all__ = [
     "time_weight_lipschitz",
     "mode_holder_constant",
     "psi_holder_constant",
-    "global_holder_constant",
     "verify_mode_holder",
     "verify_time_holder",
     "drift_spec_to_dict",
@@ -147,16 +146,6 @@ def psi_holder_constant(epsilon: float) -> float:
 def mode_holder_constant(spec: HolderDriftSpec) -> float:
     """Constant c in the mode-wise Holder bound for this family."""
     return spec.amplitude * psi_holder_constant(spec.epsilon)
-
-
-def global_holder_constant(spec: HolderDriftSpec, op: SpectralOperator) -> float:
-    """Constant for ||b_t(x) - b_t(y)|| <= c0 ||x - y||**epsilon.
-
-    Comes from the mode-wise bound via Holder's inequality with exponents
-    2/epsilon and 2/(2-epsilon), leaving the weight sum below.
-    """
-    q_sum = float(np.sum(op.eigenvalues ** (-2.0 * spec.beta / (2.0 - spec.epsilon))))
-    return mode_holder_constant(spec) * q_sum ** ((2.0 - spec.epsilon) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,22 @@ tau = t - k*delta.  Both are one formula, written once in `_ei_substep`:
 the grid recursion and the error and increment integrators of the analysis
 layer all evaluate it, so a sub-step value at tau = delta equals the next
 grid value bit for bit.  The integrators read the sub-step values of a
-whole grid batch through `_substep_values`, which owns the partial noise of
-each step.
+grid batch through `_substep_values`, which owns the partial noise of each
+step.
+
+Every consumer reads the noise in one forward pass over time windows
+(`_coupled_windows` over `_noise_windows`).  Each (path, mode) substream of
+a path batch is opened once and fills the next W fine rows of one reused
+(W, C, n) buffer, so a batch holds one window instead of all 2**levels
+fine rows.  W is one step of the coarsest level in the pass, at least 256
+fine rows and at most the whole lattice.  Being a power of two no smaller
+than any level's step, W is a multiple of every level's step, so each block
+fold, recursion step and sub-step stack sees exactly the rows, in the same
+order, that it sees in a whole-lattice array; the grid state and the global
+step index, which sets the drift's time, carry from window to window.  A
+Philox substream read in pieces gives the draws it gives in one call, and
+they are scaled element by element by the factor `mode_increments` uses, so
+every output is bitwise that of the whole-lattice pass.
 """
 
 from __future__ import annotations
@@ -34,6 +48,10 @@ __all__ = [
     "simulate_coupled",
     "write_trajectory_csv",
 ]
+
+
+# fewest fine rows a noise window holds
+_MIN_WINDOW = 256
 
 
 class SimulationError(RuntimeError):
@@ -156,8 +174,9 @@ def _check_lattice(cfg: SchemeConfig, lattice: NoiseLattice):
         raise ValueError("config needs more modes than the lattice stores")
 
 
-def _iterate_batch(cfg: SchemeConfig, dw: np.ndarray) -> np.ndarray:
-    """Run the recursion on a (steps, C, n) increment stack -> (steps+1, C, n).
+def _iterate_batch(cfg: SchemeConfig, dw: np.ndarray, y: np.ndarray, k0: int, path_ids) -> np.ndarray:
+    """Run the recursion from state y at global step k0 on a (steps, C, n)
+    increment stack -> (steps+1, C, n), row 0 being y.
 
     All operations are elementwise per path, so each path's rows are bitwise
     identical no matter which other paths share the batch.
@@ -166,47 +185,98 @@ def _iterate_batch(cfg: SchemeConfig, dw: np.ndarray) -> np.ndarray:
     delta = cfg.delta
     decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * delta)
     grid = np.empty((steps + 1, n_paths, cfg.n_dim))
-    y = np.broadcast_to(cfg.initial_coefficients(), (n_paths, cfg.n_dim)).copy()
     grid[0] = y
-    for k in range(steps):
-        y = _ei_substep(cfg, k, y, decay, delta, dw[k])
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(f"non-finite state after step {k + 1} of {steps}")
-        grid[k + 1] = y
+    for j in range(steps):
+        y = _ei_substep(cfg, k0 + j, y, decay, delta, dw[j])
+        bad = ~np.isfinite(y)
+        if bad.any():
+            c, m = np.argwhere(bad)[0]
+            raise SimulationError(
+                f"non-finite state after step {k0 + j + 1} of {cfg.steps} "
+                f"on path {path_ids[c]}, first in mode {m + 1}"
+            )
+        grid[j + 1] = y
     return grid
 
 
-def _fine_block(lattice: NoiseLattice, path_ids, n_dim: int) -> np.ndarray:
-    """Fine increments for a path batch, shape (fine_steps, C, n_dim)."""
-    out = np.empty((lattice.fine_steps, len(path_ids), n_dim))
-    for c, pid in enumerate(path_ids):
-        out[:, c, :] = lattice.fine_increments(pid, n_dim)
-    return out
+def _noise_windows(lattice: NoiseLattice, path_ids, n_dim: int, levels):
+    """Yield (start, window): fine increments start .. start+W-1 of a path
+    batch, shape (W, C, n_dim), in one reused buffer.
+
+    W is one step of the coarsest of `levels`, at least _MIN_WINDOW rows and
+    at most the whole lattice, so every level's steps tile each window.
+    Each (path, mode) substream is opened once and read forward; the draws
+    are those of `NoiseLattice.mode_increments`, scaled by the same factor.
+    """
+    rows = min(lattice.fine_steps, max(_MIN_WINDOW, 1 << (lattice.levels - min(levels))))
+    streams = [[None] * n_dim for _ in path_ids]
+    sd = lattice.scale * math.sqrt(lattice.fine_dt)
+    draws = np.empty((n_dim, rows))
+    window = np.empty((rows, len(path_ids), n_dim))
+    for start in range(0, lattice.fine_steps, rows):
+        more = start + rows < lattice.fine_steps
+        for c, pid in enumerate(path_ids):
+            row = streams[c]
+            for m in range(n_dim):
+                gen = row[m] if row[m] is not None else lattice._substream(pid, m)
+                # a draw fills a contiguous row; a stream (~1 kB) is held
+                # open only while it has windows left to fill
+                gen.standard_normal(out=draws[m])
+                row[m] = gen if more else None
+            # one path's draws land in the window, scaled as mode_increments scales them
+            np.multiply(sd, draws.T, out=window[:, c])
+        yield start, window
 
 
-def _coupled_grids(configs, lattice: NoiseLattice, fine: np.ndarray) -> list[np.ndarray]:
-    grids = []
-    for cfg in configs:
-        dw = left_fold_blocks(fine[:, :, : cfg.n_dim], 1 << (lattice.levels - cfg.level))
-        grids.append(_iterate_batch(cfg, dw))
-    return grids
+def _coupled_windows(configs, lattice: NoiseLattice, path_ids):
+    """One forward pass of several resolutions of a path batch over the
+    noise windows.
+
+    Yields (window, grids) with one (k0, grid) per config: the grid rows
+    k0 .. k0+s of the steps the window covers, shape (s+1, C, n), row 0
+    being the state carried from the previous window.
+    """
+    n_top = max(cfg.n_dim for cfg in configs)
+    states = [np.broadcast_to(cfg.initial_coefficients(), (len(path_ids), cfg.n_dim)) for cfg in configs]
+    for start, window in _noise_windows(lattice, path_ids, n_top, [cfg.level for cfg in configs]):
+        grids = []
+        for i, cfg in enumerate(configs):
+            shift = lattice.levels - cfg.level
+            dw = left_fold_blocks(window[:, :, : cfg.n_dim], 1 << shift)
+            grid = _iterate_batch(cfg, dw, states[i], start >> shift, path_ids)
+            states[i] = grid[-1]
+            grids.append((start >> shift, grid))
+        yield window, grids
 
 
-def _substep_values(cfg: SchemeConfig, lattice: NoiseLattice, grid: np.ndarray, fine: np.ndarray, offsets: np.ndarray):
-    """Yield, for each step k of a (steps+1, C, n) grid batch, the scheme's
+def _substep_values(
+    cfg: SchemeConfig, lattice: NoiseLattice, grid: np.ndarray, window: np.ndarray, offsets: np.ndarray, k0: int
+):
+    """Yield, for each step k0 + j of a (s+1, C, n) grid batch, the scheme's
     values at fine-lattice offsets inside the step, shape (len(offsets), C, n).
 
-    Offset j is time k*delta + j*fine_dt; offset 0 reads Y_k itself through
-    the kernel.  The partial noise is the running prefix sum of the step's
-    rows of `fine`, the (fine_steps, C, >= n) increment block.
+    Offset i is time k*delta + i*fine_dt; offset 0 reads Y_k itself through
+    the kernel.  The partial noise is the prefix sum of the step's rows of
+    `window`, the (s * rows per step, C, >= n) increments the grid batch
+    covers.  It is a running sum in row order, the first row copied and the
+    next ones added one at a time, as np.cumsum adds them, and only the
+    offset rows are kept.
     """
     per_step = 1 << (lattice.levels - cfg.level)
+    steps, n_paths = grid.shape[0] - 1, grid.shape[1]
     tau = (offsets * lattice.fine_dt)[:, None, None]
     decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])
-    prefix = np.zeros((per_step + 1, fine.shape[1], cfg.n_dim))
-    for k in range(cfg.steps):
-        np.cumsum(fine[k * per_step : (k + 1) * per_step, :, : cfg.n_dim], axis=0, out=prefix[1:])
-        yield _ei_substep(cfg, k, grid[k], decay, tau, prefix[offsets])
+    rows = window[: steps * per_step, :, : cfg.n_dim].reshape(steps, per_step, n_paths, cfg.n_dim)
+    partial = np.zeros((steps, len(offsets), n_paths, cfg.n_dim))
+    prefix, done = rows[:, 0].copy(), 1
+    for i in np.argsort(offsets, kind="stable"):
+        if offsets[i]:
+            for r in range(done, offsets[i]):
+                prefix += rows[:, r]
+            done = offsets[i]
+            partial[:, i] = prefix
+    for j in range(steps):
+        yield _ei_substep(cfg, k0 + j, grid[j], decay, tau, partial[j])
 
 
 def simulate_path(cfg: SchemeConfig, lattice: NoiseLattice, path_id: int) -> Trajectory:
@@ -229,10 +299,11 @@ def simulate_coupled(configs, lattice: NoiseLattice, path_id: int) -> list[Traje
             raise ValueError("coupled configs must share the horizon")
         if cfg.drift != first.drift or cfg.initial != first.initial:
             raise ValueError("coupled configs must share drift and initial data")
-    n_top = max(cfg.n_dim for cfg in configs)
-    fine = _fine_block(lattice, [path_id], n_top)
-    grids = _coupled_grids(configs, lattice, fine)
-    return [Trajectory(cfg, path_id, g[:, 0, :]) for cfg, g in zip(configs, grids)]
+    grids = [np.empty((cfg.steps + 1, cfg.n_dim)) for cfg in configs]
+    for _, windows in _coupled_windows(configs, lattice, [path_id]):
+        for full, (k0, grid) in zip(grids, windows):
+            full[k0 : k0 + len(grid)] = grid[:, 0]
+    return [Trajectory(cfg, path_id, g) for cfg, g in zip(configs, grids)]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

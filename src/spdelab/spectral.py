@@ -45,18 +45,6 @@ class ModeVector:
         # fsum keeps the squared sum exact, so zero padding cannot change it
         return math.sqrt(math.fsum(float(c) * float(c) for c in self.coeffs))
 
-    def padded(self, n: int) -> "ModeVector":
-        if n < len(self):
-            raise ValueError("padding target shorter than the vector")
-        out = np.zeros(n)
-        out[: len(self)] = self.coeffs
-        return ModeVector(out)
-
-    def projected(self, m: int) -> "ModeVector":
-        if m > len(self):
-            raise ValueError("projection target longer than the vector")
-        return ModeVector(self.coeffs[:m])
-
 
 @dataclass(frozen=True)
 class SpectralOperator:

@@ -367,6 +367,10 @@ def _kolmogorov_doc(out, **study):
         ("temporal-study", "initial", "q", '"nan"'),
         ("kolmogorov-check", "study", "t", '"nan"'),
         ("kolmogorov-check", "study", "lam_sweep", '[1.0, "10", 100.0]'),
+        # JSON booleans, which Python reads as 1 and 0
+        ("temporal-study", "drift", "amplitude", "true"),
+        ("temporal-study", "drift", "cap", "true"),
+        ("temporal-study", "initial", "coeffs", "[true, 0.5]"),
     ],
     ids=[
         "horizon-nan",
@@ -380,14 +384,19 @@ def _kolmogorov_doc(out, **study):
         "q-nan-string",
         "t-nan-string",
         "lam-sweep-string-entry",
+        "amplitude-bool",
+        "cap-bool",
+        "coeffs-bool-entry",
     ],
 )
 def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, section, field, literal):
-    # json reads NaN, +-Infinity and 1e400 as floats, and a string holds any
-    # text; a study must refuse them up front instead of failing mid-run or
-    # passing them through
+    # json reads NaN, +-Infinity and 1e400 as floats, a string holds any
+    # text and a boolean passes for an integer; a study must refuse them up
+    # front instead of failing mid-run or passing them through
     out = tmp_path / "o"
     doc = temporal_study_doc(str(out)) if command == "temporal-study" else _kolmogorov_doc(str(out))
+    if field == "coeffs":
+        doc["initial"] = {"profile": "explicit"}
     doc[section][field] = "@"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc).replace('"@"', literal))

@@ -15,7 +15,6 @@ from spdelab.drift import (
     drift_bound,
     drift_spec_from_dict,
     drift_spec_to_dict,
-    global_holder_constant,
     mode_holder_constant,
     psi_holder_constant,
     time_weight,
@@ -145,20 +144,6 @@ def test_drift_norm_never_exceeds_bound(kind, heat16):
     values = drift_array(spec, heat16.eigenvalues, 0.25, states)
     norms = np.sqrt(np.sum(values**2, axis=-1))
     assert np.max(norms) <= bound * (1.0 + 1e-12)
-
-
-def test_global_holder_inequality(heat16, rough_drift):
-    c0 = global_holder_constant(rough_drift, heat16)
-    rng = np.random.default_rng(17)
-    x = rng.normal(0.0, 1.5, size=(5000, 16))
-    y = x + rng.normal(0.0, 0.5, size=(5000, 16))
-    for t in (0.0, 0.4, 1.0):
-        diff = drift_array(rough_drift, heat16.eigenvalues, t, x) - drift_array(
-            rough_drift, heat16.eigenvalues, t, y
-        )
-        lhs = np.sqrt(np.sum(diff**2, axis=-1))
-        rhs = c0 * np.sqrt(np.sum((x - y) ** 2, axis=-1)) ** rough_drift.epsilon
-        assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
 
 @given(

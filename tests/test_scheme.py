@@ -166,7 +166,13 @@ def test_substep_reader_matches_oracle():
     traj = simulate_path(cfg, lat, 0)
     fine = lat.fine_increments(0)
     offsets = np.array([0, 1, 3, 4])
-    values = _substep_values(cfg, lat, traj.grid[:, None, :], fine[:, None, :], offsets)
+    grid, fine_b = traj.grid[:, None, :], fine[:, None, :]
+    # read in two windows of two steps each: steps 2 and 3 come from the
+    # second window's rows and take the drift at their global times
+    values = [
+        *_substep_values(cfg, lat, grid[:3], fine_b[:8], offsets, 0),
+        *_substep_values(cfg, lat, grid[2:], fine_b[8:], offsets, 2),
+    ]
     for k, stack in enumerate(values):
         for row, j in zip(stack, offsets):
             partial = np.zeros(3)
@@ -305,6 +311,27 @@ def test_simulation_error_on_overflow():
     lat = NoiseLattice(master_seed=0, horizon=1.0, levels=0, n_modes=1, scale=0.0)
     with np.errstate(over="ignore"), pytest.raises(SimulationError, match="step 1 of 1"):
         simulate_path(cfg, lat, 0)
+
+
+def test_simulation_error_names_global_step_path_and_mode():
+    # mode 2 grows by about 1.5e305 a step from 1.3e308 and overflows at
+    # step 340, in the second noise window of a 1024-step grid; mode 1 stays 0
+    op = SpectralOperator(np.array([1e-30, 1e-30]))
+    hot = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=1.5e293)
+    cfg = SchemeConfig(op, hot, InitialData("explicit", coeffs=(0.0, 1.3e308)), 1.0, 10, 2)
+    y, step = ModeVector(cfg.initial_coefficients()), 0
+    with np.errstate(over="ignore"):
+        while True:
+            try:
+                y = ei_step(cfg, step, y, ModeVector(np.zeros(2)))
+            except ValueError:  # the oracle refuses the non-finite state
+                break
+            step += 1
+    assert step + 1 > 256
+    lat = NoiseLattice(master_seed=0, horizon=1.0, levels=10, n_modes=2, scale=0.0)
+    want = f"step {step + 1} of 1024 on path 5, first in mode 2"
+    with np.errstate(over="ignore"), pytest.raises(SimulationError, match=want):
+        simulate_path(cfg, lat, 5)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

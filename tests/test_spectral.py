@@ -70,24 +70,6 @@ def test_mode_vector_basics():
     assert w.coeffs[0] == 1.0
 
 
-@given(coeffs=finite_coeffs, extra=st.integers(min_value=0, max_value=5))
-def test_pad_project_round_trip(coeffs, extra):
-    v = ModeVector(coeffs)
-    padded = v.padded(len(v) + extra)
-    back = padded.projected(len(v))
-    assert np.array_equal(back.coeffs, v.coeffs)
-    # fsum-based norm is insensitive to trailing zeros, exactly
-    assert padded.norm() == v.norm()
-
-
-def test_pad_project_bounds():
-    v = ModeVector([1.0, 2.0])
-    with pytest.raises(ValueError):
-        v.padded(1)
-    with pytest.raises(ValueError):
-        v.projected(3)
-
-
 def test_trace_condition_heat_alpha_045():
     report = check_trace_condition(make_heat_operator(128), 0.45)
     assert report.converges is True
