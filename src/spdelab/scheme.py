@@ -50,7 +50,9 @@ __all__ = [
 ]
 
 
-# fewest fine rows a noise window holds
+# fewest fine rows a noise window holds, unless the lattice is shorter: one
+# draw call costs about as much as 50 normals, so short windows would spend
+# their time on calls
 _MIN_WINDOW = 256
 
 

@@ -384,6 +384,9 @@ def test_integrated_error_golden_across_windows():
     assert repr(integrated_square_error(ref, simulate_path(_config(3, 5), lat, 6), lat)) == "0.08898852650178339"
     coarse = simulate_path(_config(5, 5), lat, 6)
     assert repr(integrated_square_error(ref, coarse, lat, n_limit=6)) == "0.01976430377043229"
+    # a reference coarser than the lattice: four fine rows per reference step
+    mid = simulate_path(_config(8, 8), lat, 6)
+    assert repr(integrated_square_error(mid, simulate_path(_config(3, 5), lat, 6), lat)) == "0.08086959951173064"
 
 
 def test_temporal_study_ladder_validation():
