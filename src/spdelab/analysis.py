@@ -6,19 +6,20 @@ of the same path.  It is evaluated as a left Riemann sum on the reference
 grid; between its own grid points the coarse scheme is read through the
 sub-step closed form (exponential interpolation with frozen drift and the
 exact partial noise), and that convention is stamped into every report.
-The sub-step values come from the scheme's own kernel (`scheme._ei_substep`,
-read step by step through `scheme._substep_values`); this module has no
-copy of the formula.  The temporal and spatial studies are one coupled
-ladder driver (`_ladder_rows`) that differs only in the config field that
-varies down the ladder.
+The sub-step values come from the scheme's own step (`scheme._advance`),
+which gives them with the grid from one kernel call per step; this module
+has no copy of the formula.  The temporal and spatial studies are one
+coupled ladder driver (`_ladder_rows`) that differs only in the config
+field that varies down the ladder.
 
 The study chunks and `integrated_square_error` consume the scheme's window
-pass (`scheme._coupled_windows`): a chunk holds one noise window and the
-grid rows it covers, never the whole fine block.  `_err2_batch` adds the
-steps of each window into the caller's per-path sums, so every sum takes
-its terms in step order, as one pass over the whole grid would, and it is
-multiplied by the reference step once at the end; the integrals are thus
-bitwise those of the whole-grid computation.
+pass (`scheme._coupled_pass`) one config at a time: a chunk holds one noise
+window and the grid rows and sub-step values of one config over it, never
+the whole fine block.  `_err2_batch` adds the steps of each window into the
+caller's per-path sums, so every sum takes its terms in step order, as one
+pass over the whole grid would, and it is multiplied by the reference step
+once at the end; the integrals are thus bitwise those of the whole-grid
+computation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseLattice
-from .scheme import SchemeConfig, Trajectory, _coupled_windows, _noise_windows, _substep_values
+from .scheme import SchemeConfig, Trajectory, _coupled_pass
 
 __all__ = [
     "RateParams",
@@ -122,25 +123,9 @@ def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _err2_batch(
-    ref_cfg: SchemeConfig,
-    ref_grid: np.ndarray,
-    approx_cfg: SchemeConfig,
-    approx_grid: np.ndarray,
-    lattice: NoiseLattice,
-    window: np.ndarray | None,
-    k0: int,
-    err2: np.ndarray,
-    n_limit: int | None = None,
-) -> None:
-    """Add to err2, per path, the squared error summed over the reference
-    steps inside the approximation steps k0 .. k0+s-1.
-
-    approx_grid holds rows k0 .. k0+s, shape (s+1, C, n); ref_grid holds the
-    reference rows from the time of step k0 on; window holds the fine
-    increments from that time on.  The integral is err2 * ref_cfg.delta once
-    every step has been added.
-    """
+def _pair_modes(ref_cfg: SchemeConfig, approx_cfg: SchemeConfig, n_limit: int | None = None) -> tuple[int, int]:
+    """Check that ref_cfg can serve as reference for approx_cfg -> (n_ap,
+    n_ref): the modes compared and the reference modes counted."""
     if approx_cfg.level > ref_cfg.level:
         raise ValueError("reference must be at least as fine in time")
     if approx_cfg.n_dim > ref_cfg.n_dim:
@@ -148,20 +133,30 @@ def _err2_batch(
     n_ref = ref_cfg.n_dim if n_limit is None else n_limit
     if not 0 < n_ref <= ref_cfg.n_dim:
         raise ValueError("mode limit out of range")
-    n_ap = min(approx_cfg.n_dim, n_ref)
+    return min(approx_cfg.n_dim, n_ref), n_ref
 
+
+def _substep_stops(lattice: NoiseLattice, ref_cfg: SchemeConfig, approx_cfg: SchemeConfig):
+    """The approximation's sub-step offsets at the reference grid times
+    inside each of its steps; None on the reference's own grid, where the
+    grid rows are the values compared."""
     ratio = 1 << (ref_cfg.level - approx_cfg.level)
-    if ratio == 1:
-        # same grid: the approximation is compared at its own grid points
-        steps = approx_grid[:-1, None]
-    elif window is None:
-        raise ValueError("sub-step comparison needs the fine increments")
-    else:
-        offsets = (1 << (lattice.levels - ref_cfg.level)) * np.arange(ratio)
-        steps = _substep_values(approx_cfg, lattice, approx_grid, window, offsets, k0)
-    for j, values in enumerate(steps):
+    return (1 << (lattice.levels - ref_cfg.level)) * np.arange(ratio) if ratio > 1 else None
+
+
+def _err2_batch(ref_grid: np.ndarray, values: np.ndarray, n_ap: int, n_ref: int, err2: np.ndarray) -> None:
+    """Add to err2, per path, the squared error summed over the reference
+    steps inside a run of approximation steps.
+
+    values holds the approximation's values at the reference times of each
+    step, shape (s, ratio, C, n); ref_grid holds the reference rows from the
+    time of the first step on.  Steps are added one at a time in order, and
+    the integral is err2 * ref_cfg.delta once every step has been added.
+    """
+    ratio = values.shape[1]
+    for j, stack in enumerate(values):
         ref_slice = ref_grid[j * ratio : (j + 1) * ratio]
-        diff = ref_slice[:, :, :n_ap] - values[:, :, :n_ap]
+        diff = ref_slice[:, :, :n_ap] - stack[:, :, :n_ap]
         err2 += np.einsum("rpn,rpn->p", diff, diff)
         if n_ref > n_ap:
             tail = ref_slice[:, :, n_ap:n_ref]
@@ -171,7 +166,12 @@ def _err2_batch(
 def integrated_square_error(
     ref: Trajectory, approx: Trajectory, lattice: NoiseLattice, n_limit: int | None = None
 ) -> float:
-    """Integral over [0, T] of the squared H-distance along one path."""
+    """Integral over [0, T] of the squared H-distance along one path.
+
+    approx must be the scheme's path on the lattice (`simulate_path`
+    output): its sub-step values are recomputed from the noise, and a grid
+    that does not match them is refused.
+    """
     if ref.path_id != approx.path_id:
         raise ValueError("trajectories must describe the same path")
     if ref.config.horizon != approx.config.horizon or ref.config.horizon != lattice.horizon:
@@ -179,16 +179,14 @@ def integrated_square_error(
     if ref.config.level > lattice.levels:
         raise ValueError("reference is finer than the lattice")
     ref_cfg, ap_cfg = ref.config, approx.config
-    ref_grid, ap_grid = ref.grid[:, None, :], approx.grid[:, None, :]
+    n_ap, n_ref = _pair_modes(ref_cfg, ap_cfg, n_limit)
+    ratio = 1 << (ref_cfg.level - ap_cfg.level)
+    stops = [_substep_stops(lattice, ref_cfg, ap_cfg)]
     err2 = np.zeros(1)
-    if ref_cfg.level == ap_cfg.level:
-        _err2_batch(ref_cfg, ref_grid, ap_cfg, ap_grid, lattice, None, 0, err2, n_limit)
-    else:
-        ap_shift, ref_shift = lattice.levels - ap_cfg.level, lattice.levels - ref_cfg.level
-        for start, window in _noise_windows(lattice, [approx.path_id], ap_cfg.n_dim, [ap_cfg.level]):
-            k0 = start >> ap_shift
-            rows = ap_grid[k0 : k0 + (len(window) >> ap_shift) + 1]
-            _err2_batch(ref_cfg, ref_grid[start >> ref_shift :], ap_cfg, rows, lattice, window, k0, err2, n_limit)
+    for _, k0, grid, values in _coupled_pass([ap_cfg], lattice, [approx.path_id], stops):
+        if not np.array_equal(grid[:, 0], approx.grid[k0 : k0 + len(grid)]):
+            raise ValueError("approximation is not the scheme's path on this lattice")
+        _err2_batch(ref.grid[k0 * ratio :, None], values, n_ap, n_ref, err2)
     return float(err2[0] * ref_cfg.delta)
 
 
@@ -266,10 +264,16 @@ def _run_chunks(worker, payloads, workers: int):
 def _ladder_chunk(payload):
     """Per-path err2 of every ladder config against the reference, one chunk."""
     ref_cfg, configs, lattice, path_ids = payload
+    modes = [_pair_modes(ref_cfg, cfg) for cfg in configs]
+    stops = [None] + [_substep_stops(lattice, ref_cfg, cfg) for cfg in configs]
     err2 = np.zeros((len(configs), len(path_ids)))
-    for window, ((_, ref_grid), *grids) in _coupled_windows([ref_cfg] + configs, lattice, path_ids):
-        for cfg, (k0, grid), acc in zip(configs, grids, err2):
-            _err2_batch(ref_cfg, ref_grid, cfg, grid, lattice, window, k0, acc)
+    for i, _, grid, values in _coupled_pass([ref_cfg] + configs, lattice, path_ids, stops):
+        # the reference comes first in every window
+        if i == 0:
+            ref_grid = grid
+        else:
+            _err2_batch(ref_grid, values, *modes[i - 1], err2[i - 1])
+        del grid, values
     return err2 * ref_cfg.delta
 
 
@@ -405,14 +409,14 @@ def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray
 def _increment_chunk(payload):
     operator, spec, initial, lattice, levels, n_dim, fractions, path_ids = payload
     configs = [SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim) for lev in levels]
-    offsets = [_substep_offsets(lattice, lev, fractions) for lev in levels]
-    out = {cfg.level: np.empty((len(path_ids), len(fractions), cfg.steps)) for cfg in configs}
-    for window, grids in _coupled_windows(configs, lattice, path_ids):
-        for cfg, (k0, grid), offs in zip(configs, grids, offsets):
-            for j, values in enumerate(_substep_values(cfg, lattice, grid, window, offs, k0)):
-                diff = values - grid[j][None]
-                out[cfg.level][:, :, k0 + j] = np.einsum("fpn,fpn->fp", diff, diff).T
-    return out
+    stops = [_substep_offsets(lattice, lev, fractions) for lev in levels]
+    out = [np.empty((len(path_ids), len(fractions), cfg.steps)) for cfg in configs]
+    for i, k0, grid, values in _coupled_pass(configs, lattice, path_ids, stops):
+        for j in range(len(values)):
+            diff = values[j] - grid[j]
+            out[i][:, :, k0 + j] = np.einsum("fpn,fpn->fp", diff, diff).T
+        del grid, values
+    return dict(zip(levels, out))
 
 
 def _driftless_increment_means(

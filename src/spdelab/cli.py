@@ -70,8 +70,6 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RUNTIME = 4
 
-_STUDY_KINDS = ("temporal", "spatial", "increment", "kolmogorov", "validate")
-
 _COMMAND_KINDS = {
     "temporal-study": "temporal",
     "spatial-study": "spatial",
@@ -79,6 +77,8 @@ _COMMAND_KINDS = {
     "kolmogorov-check": "kolmogorov",
     "validate-drift": "validate",
 }
+
+_STUDY_KINDS = tuple(_COMMAND_KINDS.values())
 
 
 class ConfigError(ValueError):
@@ -309,9 +309,7 @@ def parse_config(doc: dict) -> StudyConfig:
             raise ConfigError(f"unknown initial profile {profile!r}")
         noise = _section(doc, "noise")
         seed = _int_field(noise, "seed", "noise", 0)
-        levels = noise.get("levels", noise.get("L"))
-        if not isinstance(levels, int) or not 0 <= levels <= 30:
-            raise ConfigError("noise.levels must be an integer in [0, 30]")
+        levels = _int_field(noise, "levels", "noise", 0, 30, default=noise.get("L"))
         n_modes = _int_field(noise, "n_modes", "noise", 1, op.n_max)
         horizon = _float_field(noise, "horizon", "noise", default=1.0)
         if horizon <= 0.0:
@@ -466,17 +464,7 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xl
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.csv").write_text(report.csv_text())
     summary = report.summary_dict()
-    summary["rows"] = [
-        {
-            "resolution": r.resolution,
-            "delta": r.delta,
-            "n_modes": r.n_modes,
-            "m_paths": r.m_paths,
-            "err2_mean": r.err2_mean,
-            "err2_stderr": r.err2_stderr,
-        }
-        for r in report.rows
-    ]
+    summary["rows"] = [asdict(r) for r in report.rows]
     summary["config"] = cfg.to_dict()
     summary["hypotheses"] = hypothesis_rows(cfg)
     _write_json(outdir / "summary.json", summary)

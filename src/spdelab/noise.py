@@ -92,20 +92,41 @@ class NoiseLattice:
         return out
 
 
-def left_fold_blocks(arr: np.ndarray, block: int) -> np.ndarray:
+def left_fold_blocks(arr: np.ndarray, block: int, stops=None):
     """Sum consecutive blocks along axis 0 by a sequential left fold.
 
     The fold order is fixed so block sums match the scalar oracle bit for bit
-    and are independent of how many paths or modes share the array.
+    and are independent of how many paths or modes share the array: the
+    first row is copied and the next ones are added one at a time.  This is
+    the only place that sums fine increments, so it owns that order.
+
+    With ``stops`` (row counts in [0, block], in any order) it returns
+    ``(sums, running)``: ``running[:, i]`` is the fold of the first
+    ``stops[i]`` rows of each block, read off the same fold, so stop 0 gives
+    zeros and stop ``block`` gives the block sum.
     """
     steps = arr.shape[0]
     if steps % block:
         raise ValueError("block must divide the number of steps")
     shaped = arr.reshape(steps // block, block, *arr.shape[1:])
     out = shaped[:, 0].copy()
-    for m in range(1, block):
+    if stops is None:
+        for m in range(1, block):
+            out += shaped[:, m]
+        return out
+    if not all(0 <= s <= block for s in stops):
+        raise ValueError("stops must lie in [0, block]")
+    running = np.zeros((len(out), len(stops), *out.shape[1:]))
+    done = 1
+    for i in sorted(range(len(stops)), key=lambda i: stops[i]):
+        for m in range(done, stops[i]):
+            out += shaped[:, m]
+        done = max(done, stops[i])
+        if stops[i]:
+            running[:, i] = out
+    for m in range(done, block):
         out += shaped[:, m]
-    return out
+    return out, running
 
 
 def _mode_eigenvalues(op: SpectralOperator, n: int) -> np.ndarray:

@@ -4,15 +4,15 @@ One step over [k*delta, (k+1)*delta] maps Y to
 exp(delta*A_n) * (Y + b(k*delta, Y)*delta + dW_k), and the continuous-time
 reading of the same recursion gives the sub-step closed form
 exp(tau*A_n) * (Y + b(k*delta, Y)*tau + (W(t) - W(k*delta))) with
-tau = t - k*delta.  Both are one formula, written once in `_ei_substep`:
-the grid recursion and the error and increment integrators of the analysis
-layer all evaluate it, so a sub-step value at tau = delta equals the next
-grid value bit for bit.  The integrators read the sub-step values of a
-grid batch through `_substep_values`, which owns the partial noise of each
-step.
+tau = t - k*delta.  Both are one formula, written once in `_ei_substep`,
+and one call of it per step (`_advance`) gives both: the step's end is one
+more sub-step stop, so the drift is evaluated once per step and a sub-step
+value at tau = delta is the next grid value bit for bit.  The partial noise
+of every stop is a running sum of the step's fine rows, read off the one
+fold that also gives the step's increment (`noise.left_fold_blocks`).
 
 Every consumer reads the noise in one forward pass over time windows
-(`_coupled_windows` over `_noise_windows`).  Each (path, mode) substream of
+(`_coupled_pass` over `_noise_windows`).  Each (path, mode) substream of
 a path batch is opened once and fills the next W fine rows of one reused
 (W, C, n) buffer, so a batch holds one window instead of all 2**levels
 fine rows.  W is one step of the coarsest level in the pass, at least 256
@@ -176,31 +176,6 @@ def _check_lattice(cfg: SchemeConfig, lattice: NoiseLattice):
         raise ValueError("config needs more modes than the lattice stores")
 
 
-def _iterate_batch(cfg: SchemeConfig, dw: np.ndarray, y: np.ndarray, k0: int, path_ids) -> np.ndarray:
-    """Run the recursion from state y at global step k0 on a (steps, C, n)
-    increment stack -> (steps+1, C, n), row 0 being y.
-
-    All operations are elementwise per path, so each path's rows are bitwise
-    identical no matter which other paths share the batch.
-    """
-    steps, n_paths, _ = dw.shape
-    delta = cfg.delta
-    decay = np.exp(-cfg.operator.eigenvalues[: cfg.n_dim] * delta)
-    grid = np.empty((steps + 1, n_paths, cfg.n_dim))
-    grid[0] = y
-    for j in range(steps):
-        y = _ei_substep(cfg, k0 + j, y, decay, delta, dw[j])
-        bad = ~np.isfinite(y)
-        if bad.any():
-            c, m = np.argwhere(bad)[0]
-            raise SimulationError(
-                f"non-finite state after step {k0 + j + 1} of {cfg.steps} "
-                f"on path {path_ids[c]}, first in mode {m + 1}"
-            )
-        grid[j + 1] = y
-    return grid
-
-
 def _noise_windows(lattice: NoiseLattice, path_ids, n_dim: int, levels):
     """Yield (start, window): fine increments start .. start+W-1 of a path
     batch, shape (W, C, n_dim), in one reused buffer.
@@ -230,55 +205,66 @@ def _noise_windows(lattice: NoiseLattice, path_ids, n_dim: int, levels):
         yield start, window
 
 
-def _coupled_windows(configs, lattice: NoiseLattice, path_ids):
+def _advance(cfg: SchemeConfig, lattice: NoiseLattice, window: np.ndarray, y: np.ndarray, k0: int, stops, path_ids):
+    """Run the steps k0 .. k0+s-1 that a window of fine increments covers,
+    from state y at global step k0 -> (grid, values).
+
+    grid holds rows k0 .. k0+s, shape (s+1, C, n), row 0 being y.  values
+    holds, per step, the sub-step values at the fine-lattice offsets
+    ``stops`` inside it, shape (s, len(stops), C, n); offset i is time
+    k*delta + i*fine_dt.  With no stops, values are the grid rows at the
+    start of each step, shape (s, 1, C, n), read off the grid.  The step's
+    end is one more stop, so each step is one `_ei_substep` call, with one
+    drift evaluation, whose last row is the next grid state.
+
+    All operations are elementwise per path, so each path's rows are bitwise
+    identical no matter which other paths share the batch.
+    """
+    block = 1 << (lattice.levels - cfg.level)
+    rows = window[:, :, : cfg.n_dim]
+    if stops is None:
+        partial, taus = left_fold_blocks(rows, block)[:, None], [cfg.delta]
+    else:
+        partial = left_fold_blocks(rows, block, [*stops, block])[1]
+        taus = [*(np.asarray(stops) * lattice.fine_dt), cfg.delta]
+    tau = np.array(taus)[:, None, None]
+    decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])
+    grid = np.empty((len(partial) + 1, *y.shape))
+    grid[0] = y
+    for j, stack in enumerate(partial):
+        # the stack is overwritten by its own sub-step values
+        stack[...] = _ei_substep(cfg, k0 + j, y, decay, tau, stack)
+        y = stack[-1]
+        bad = ~np.isfinite(y)
+        if bad.any():
+            c, m = np.argwhere(bad)[0]
+            raise SimulationError(
+                f"non-finite state after step {k0 + j + 1} of {cfg.steps} "
+                f"on path {path_ids[c]}, first in mode {m + 1}"
+            )
+        grid[j + 1] = y
+    return grid, (grid[:-1, None] if stops is None else partial[:, :-1])
+
+
+def _coupled_pass(configs, lattice: NoiseLattice, path_ids, stops):
     """One forward pass of several resolutions of a path batch over the
     noise windows.
 
-    Yields (window, grids) with one (k0, grid) per config: the grid rows
-    k0 .. k0+s of the steps the window covers, shape (s+1, C, n), row 0
-    being the state carried from the previous window.
+    Yields (i, k0, grid, values) per window and config i, in config order:
+    the `_advance` output of the steps from global step k0 that the window
+    covers, with sub-step offsets ``stops[i]``.  A consumer that drops its
+    references before asking for the next item lets each config's stack go
+    before the next one is computed.
     """
     n_top = max(cfg.n_dim for cfg in configs)
     states = [np.broadcast_to(cfg.initial_coefficients(), (len(path_ids), cfg.n_dim)) for cfg in configs]
     for start, window in _noise_windows(lattice, path_ids, n_top, [cfg.level for cfg in configs]):
-        grids = []
         for i, cfg in enumerate(configs):
-            shift = lattice.levels - cfg.level
-            dw = left_fold_blocks(window[:, :, : cfg.n_dim], 1 << shift)
-            grid = _iterate_batch(cfg, dw, states[i], start >> shift, path_ids)
+            k0 = start >> (lattice.levels - cfg.level)
+            grid, values = _advance(cfg, lattice, window, states[i], k0, stops[i], path_ids)
             states[i] = grid[-1]
-            grids.append((start >> shift, grid))
-        yield window, grids
-
-
-def _substep_values(
-    cfg: SchemeConfig, lattice: NoiseLattice, grid: np.ndarray, window: np.ndarray, offsets: np.ndarray, k0: int
-):
-    """Yield, for each step k0 + j of a (s+1, C, n) grid batch, the scheme's
-    values at fine-lattice offsets inside the step, shape (len(offsets), C, n).
-
-    Offset i is time k*delta + i*fine_dt; offset 0 reads Y_k itself through
-    the kernel.  The partial noise is the prefix sum of the step's rows of
-    `window`, the (s * rows per step, C, >= n) increments the grid batch
-    covers.  It is a running sum in row order, the first row copied and the
-    next ones added one at a time, as np.cumsum adds them, and only the
-    offset rows are kept.
-    """
-    per_step = 1 << (lattice.levels - cfg.level)
-    steps, n_paths = grid.shape[0] - 1, grid.shape[1]
-    tau = (offsets * lattice.fine_dt)[:, None, None]
-    decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])
-    rows = window[: steps * per_step, :, : cfg.n_dim].reshape(steps, per_step, n_paths, cfg.n_dim)
-    partial = np.zeros((steps, len(offsets), n_paths, cfg.n_dim))
-    prefix, done = rows[:, 0].copy(), 1
-    for i in np.argsort(offsets, kind="stable"):
-        if offsets[i]:
-            for r in range(done, offsets[i]):
-                prefix += rows[:, r]
-            done = offsets[i]
-            partial[:, i] = prefix
-    for j in range(steps):
-        yield _ei_substep(cfg, k0 + j, grid[j], decay, tau, partial[j])
+            yield i, k0, grid, values
+            del grid, values
 
 
 def simulate_path(cfg: SchemeConfig, lattice: NoiseLattice, path_id: int) -> Trajectory:
@@ -302,9 +288,8 @@ def simulate_coupled(configs, lattice: NoiseLattice, path_id: int) -> list[Traje
         if cfg.drift != first.drift or cfg.initial != first.initial:
             raise ValueError("coupled configs must share drift and initial data")
     grids = [np.empty((cfg.steps + 1, cfg.n_dim)) for cfg in configs]
-    for _, windows in _coupled_windows(configs, lattice, [path_id]):
-        for full, (k0, grid) in zip(grids, windows):
-            full[k0 : k0 + len(grid)] = grid[:, 0]
+    for i, k0, grid, _ in _coupled_pass(configs, lattice, [path_id], [None] * len(configs)):
+        grids[i][k0 : k0 + len(grid)] = grid[:, 0]
     return [Trajectory(cfg, path_id, g) for cfg, g in zip(configs, grids)]
 
 

@@ -28,10 +28,13 @@ from spdelab.analysis import (
     _driftless_increment_means,
     _driftless_increment_slope,
     _increment_chunk,
+    _ladder_chunk,
     _slope_stderr,
     fit_rate,
     integrated_square_error,
 )
+from spdelab import scheme
+from spdelab.drift import drift_array
 from spdelab.scheme import Trajectory
 
 CANONICAL = RateParams(alpha=0.45, beta=0.5, epsilon=0.9)
@@ -199,6 +202,33 @@ def test_integrated_error_validation():
         integrated_square_error(ref, approx, lat, n_limit=9)
     with pytest.raises(ValueError):
         integrated_square_error(ref, approx, _lattice(levels=3))
+    # the approximation's sub-step values come from the lattice, so a grid
+    # that is not the scheme's path on it is refused, not half used
+    for level in (2, 4):
+        elsewhere = simulate_path(_config(level, 4), _lattice(levels=4, seed=4), 1)
+        with pytest.raises(ValueError, match="not the scheme's path"):
+            integrated_square_error(ref, elsewhere, lat)
+
+
+def test_one_drift_evaluation_per_step(monkeypatch):
+    # each scheme step gives its next state and its sub-step values from one
+    # kernel call, so the drift is evaluated once per step and path
+    states = []
+
+    def counting(spec, lam, t, x):
+        states.append(x.size // x.shape[-1])
+        return drift_array(spec, lam, t, x)
+
+    monkeypatch.setattr(scheme, "drift_array", counting)
+    lat = _lattice(levels=6)
+    path_ids = [0, 1, 2]
+    ref_cfg, configs = _config(5, 8), [_config(lev, 8) for lev in (2, 3, 4)]
+    _ladder_chunk((ref_cfg, configs, lat, path_ids))
+    assert sum(states) == len(path_ids) * sum(cfg.steps for cfg in [ref_cfg, *configs])
+    states.clear()
+    levels = [2, 3, 4]
+    _increment_chunk((make_heat_operator(8), DRIFT, INITIAL, lat, levels, 8, (0.25, 0.5), path_ids))
+    assert sum(states) == len(path_ids) * sum(1 << lev for lev in levels)
 
 
 def _temporal(workers=1):

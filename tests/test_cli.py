@@ -371,6 +371,7 @@ def _kolmogorov_doc(out, **study):
         ("temporal-study", "drift", "amplitude", "true"),
         ("temporal-study", "drift", "cap", "true"),
         ("temporal-study", "initial", "coeffs", "[true, 0.5]"),
+        ("kolmogorov-check", "noise", "levels", "true"),
     ],
     ids=[
         "horizon-nan",
@@ -387,6 +388,7 @@ def _kolmogorov_doc(out, **study):
         "amplitude-bool",
         "cap-bool",
         "coeffs-bool-entry",
+        "levels-bool",
     ],
 )
 def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, section, field, literal):

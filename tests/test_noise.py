@@ -111,20 +111,34 @@ def test_coarse_telescoping():
         st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=8, max_size=8
     ),
     block=st.sampled_from([1, 2, 4, 8]),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
 )
-def test_left_fold_blocks_matches_scalar_fold(values, block):
+def test_left_fold_blocks_matches_scalar_fold(values, block, fractions):
     arr = np.array(values)
     folded = left_fold_blocks(arr, block)
+    stops = [round(f * block) for f in fractions] + [0, block]
+    sums, running = left_fold_blocks(arr, block, stops)
+    assert np.array_equal(sums, folded)
     for j in range(arr.size // block):
         acc = arr[j * block]
         for k in range(1, block):
             acc = acc + arr[j * block + k]
         assert folded[j] == acc
+        for i, stop in enumerate(stops):
+            # the running sum after `stop` rows, folded one add at a time
+            acc = 0.0 if stop == 0 else arr[j * block]
+            for k in range(1, stop):
+                acc = acc + arr[j * block + k]
+            assert running[j, i] == acc
+        assert running[j, -2] == 0.0
+        assert running[j, -1] == folded[j]
 
 
 def test_left_fold_blocks_rejects_ragged():
     with pytest.raises(ValueError):
         left_fold_blocks(np.zeros(10), 4)
+    with pytest.raises(ValueError):
+        left_fold_blocks(np.zeros(8), 4, [5])
 
 
 def test_lattice_validation():

@@ -16,7 +16,7 @@ from spdelab.scheme import (
     SchemeConfig,
     SimulationError,
     Trajectory,
-    _substep_values,
+    _advance,
     initial_domain_check,
     simulate_coupled,
     simulate_path,
@@ -165,22 +165,27 @@ def test_substep_reader_matches_oracle():
     lat = NoiseLattice(master_seed=5, horizon=1.0, levels=4, n_modes=3)
     traj = simulate_path(cfg, lat, 0)
     fine = lat.fine_increments(0)
-    offsets = np.array([0, 1, 3, 4])
-    grid, fine_b = traj.grid[:, None, :], fine[:, None, :]
+    stops = np.array([3, 0, 4, 1])
+    y0 = traj.grid[:1]
+    fine_b = fine[:, None, :]
     # read in two windows of two steps each: steps 2 and 3 come from the
     # second window's rows and take the drift at their global times
-    values = [
-        *_substep_values(cfg, lat, grid[:3], fine_b[:8], offsets, 0),
-        *_substep_values(cfg, lat, grid[2:], fine_b[8:], offsets, 2),
-    ]
-    for k, stack in enumerate(values):
-        for row, j in zip(stack, offsets):
+    grid_a, values_a = _advance(cfg, lat, fine_b[:8], y0, 0, stops, [0])
+    grid_b, values_b = _advance(cfg, lat, fine_b[8:], grid_a[-1], 2, stops, [0])
+    assert np.array_equal(grid_a[:, 0], traj.grid[:3])
+    assert np.array_equal(grid_b[:, 0], traj.grid[2:])
+    for k, stack in enumerate([*values_a, *values_b]):
+        for row, j in zip(stack, stops):
             partial = np.zeros(3)
             for m in range(j):
                 partial = partial + fine[4 * k + m]
             t = k * cfg.delta + j * lat.fine_dt
             want = interpolate_substep(cfg, k, ModeVector(traj.grid[k]), t, ModeVector(partial))
             assert np.array_equal(row[0], want.coeffs)
+    # with no stops the values are the grid rows at the start of each step
+    grid, values = _advance(cfg, lat, fine_b[8:], grid_a[-1], 2, None, [0])
+    assert np.array_equal(grid, grid_b)
+    assert np.array_equal(values, grid_b[:-1, None])
 
 
 def test_interpolate_substep_validation():
