@@ -158,13 +158,19 @@ def ou_cross_covariance(lam, t):
     return np.asarray(t, dtype=float) * np.exp(-np.asarray(lam, dtype=float) * t)
 
 
-def _joint_conditional_sd(lam: np.ndarray, t: float, var: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _joint_law(op: SpectralOperator, x: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """Per-mode (sd, decay*x, cov/sd, resid_sd) of the joint OU law: normals z1,
+    z2 give the state decay*x + sd*z1 and the weight (cov/sd)*z1 + resid_sd*z2."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    lam = _mode_eigenvalues(op, x.shape[-1])
+    var = convolution_variance(lam, t)
+    cov = ou_cross_covariance(lam, t)
     u = lam * t
-    direct = var - cov * cov / var
-    # the difference cancels to O(u^2) as u -> 0; switch to its series there
-    series = t * u * u / 3.0 * (1.0 - u)
-    resid = np.where(u < 1e-4, series, direct)
-    return np.sqrt(np.maximum(resid, 0.0))
+    # the residual variance cancels to O(u^2) as u -> 0; switch to its series there
+    resid = np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var)
+    sd = np.sqrt(var)
+    return sd, decay_factor(lam, t) * x, cov / sd, np.sqrt(np.maximum(resid, 0.0))
 
 
 def ou_joint_modes_batch(
@@ -182,18 +188,12 @@ def ou_joint_modes_batch(
     values are bitwise those of decay*x + sd*z1 and (cov/sd)*z1 + resid*z2,
     since IEEE + and * are commutative.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    lam = _mode_eigenvalues(op, x.shape[-1])
-    var = convolution_variance(lam, t)
-    cov = ou_cross_covariance(lam, t)
-    sd = np.sqrt(var)
-    resid_sd = _joint_conditional_sd(lam, t, var, cov)
-    states = rng.standard_normal((size, lam.size))
-    weights = rng.standard_normal((size, lam.size))
+    sd, mean, cov_sd, resid_sd = _joint_law(op, x, t)
+    states = rng.standard_normal((size, sd.size))
+    weights = rng.standard_normal((size, sd.size))
     weights *= resid_sd
-    weights += (cov / sd) * states
+    weights += cov_sd * states
     states *= sd
-    states += decay_factor(lam, t) * x
+    states += mean
     return states, weights
 

@@ -1,11 +1,14 @@
 """Tests for the Kolmogorov-side estimators: semigroup means, gradients,
 Picard iterates, and the bundled diagnostic suite."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spdelab import kolmogorov
 from spdelab.drift import HolderDriftSpec, drift_bound
 from spdelab.kolmogorov import (
     DECAY_CSV_HEADER,
@@ -190,29 +193,55 @@ def test_gradient_decay_report(heat16):
         gradient_decay_check(heat16, f, 0.5, x, (0,), 100)
     with pytest.raises(ValueError):
         gradient_decay_check(heat16, f, 0.5, x, (17,), 100)
+    with pytest.raises(ValueError):
+        gradient_decay_check(heat16, f, 0.0, x, (1,), 100)
+    with pytest.raises(ValueError):
+        gradient_decay_check(heat16, f, 0.5, x, (1,), 1)
 
 
-def test_gradient_decay_matches_per_mode_bismut(heat16):
-    # oracle: one bismut_gradient call per mode along e_i with the shared seed
-    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
-    modes = (1, 2, 4, 16)
+def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
+    # oracle: one bismut_gradient call per mode along e_i with the shared seed.
+    # 300-row chunks split m = 2000 into six full chunks and a short last one,
+    # so the carried sums are exercised; the one-mode state checks that an
+    # (m, 1) column, which numpy sums pairwise, is still reduced exactly.
     t, m, seed = 0.5, 2000, 2024
-    report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
-    bounded = True
-    assert [row.mode for row in report.rows] == list(modes)
-    for row, i in zip(report.rows, modes):
-        est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(16)[i - 1]), m, seed=seed)
-        size = est.norm()
-        se_size = float(np.linalg.norm(se))
-        lam_i = float(heat16.eigenvalues[i - 1])
-        theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
-        assert row.estimate == size
-        assert row.stderr == se_size
-        assert row.bound_ratio == size / theory
-        bounded = bounded and not size > theory + 3.0 * se_size
-    assert report.max_ratio == max(row.bound_ratio for row in report.rows)
-    assert report.bounded is bounded
+    cases = [(16, (1, 2, 4, 16), None), (16, (1, 2, 4, 16), 300), (1, (1,), 300), (2, (2, 1), 300)]
+    for n, modes, chunk_rows in cases:
+        if chunk_rows is not None:
+            monkeypatch.setattr(kolmogorov, "_DECAY_CHUNK_ROWS", chunk_rows)
+        f = drift_test_function(DRIFT, heat16, n, time=0.25)
+        x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
+        report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
+        bounded = True
+        assert [row.mode for row in report.rows] == list(modes)
+        for row, i in zip(report.rows, modes):
+            est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(n)[i - 1]), m, seed=seed)
+            size = est.norm()
+            se_size = float(np.linalg.norm(se))
+            lam_i = float(heat16.eigenvalues[i - 1])
+            theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
+            assert row.estimate == size
+            assert row.stderr == se_size
+            assert row.bound_ratio == size / theory
+            bounded = bounded and not size > theory + 3.0 * se_size
+        assert report.max_ratio == max(row.bound_ratio for row in report.rows)
+        assert report.bounded is bounded
+
+
+def test_gradient_decay_memory_is_one_values_array():
+    # the streamed check holds the (m, n) values of f and chunk-sized buffers,
+    # not the whole joint draw and a per-mode (m, n) product
+    op = make_heat_operator(64)
+    m, n = 50_000, 64
+    f = drift_test_function(DRIFT, op, n, time=0.25)
+    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
+    tracemalloc.start()
+    try:
+        gradient_decay_check(op, f, 0.5, x, (1, 4, 16, 64), m, seed=2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m * n * 8
 
 
 def test_gradient_decay_vanishes_at_large_time(heat16):
@@ -381,6 +410,18 @@ GOLDEN_DETAILS = [
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
     ("summability_non_exploding", "partial sum growth ratio 1.0021 at theta = 0.45", True),
 ]
+
+
+def test_kolmogorov_suite_fails_unfinished_picard(heat16, monkeypatch):
+    # 1500 samples cover two 512-sample nodes of eight; the partial sum is
+    # smaller than the full one, so it must not pass the norm bound
+    monkeypatch.setattr(kolmogorov, "PicardConfig", functools.partial(PicardConfig, sample_budget=1500))
+    result = kolmogorov_suite(heat16, DRIFT, m_samples=4000)
+    check = next(c for c in result["checks"] if c["name"] == "picard_norm_bound")
+    assert check["passed"] is False
+    for lam in (1, 10, 100):
+        assert f"; lam {lam} stopped at 2/8 nodes" in check["detail"]
+    assert result["passed"] is False
 
 
 def test_kolmogorov_suite_golden():
