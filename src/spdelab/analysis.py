@@ -256,7 +256,9 @@ def _chunked(m_paths: int, chunk_size: int) -> list[list[int]]:
 def _run_chunks(worker, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the executor may start all max_workers processes at once, so ask for no
+    # more than there are chunks
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         # map preserves payload order, so assembly is schedule independent
         return list(pool.map(worker, payloads))
 

@@ -1,10 +1,13 @@
 """Command line front end: JSON study configs in, CSV and JSON reports out.
 
 Every invocation loads one config document, checks the standing hypotheses
-of the rate theorem against it, runs the requested study, and writes
-`report.csv`, `summary.json`, and `plot.gp` (plain plotting commands) into
-the output directory.  Exit codes: 0 all pass flags true, 1 a study gate
-failed, 2 invalid config, 3 hypothesis violated, 4 runtime failure.
+of the rate theorem against it and runs the command `_COMMANDS` names.  The
+one writer `_emit` puts `report.csv`, `summary.json` (with the config and the
+hypothesis table) and `plot.gp` (plain plotting commands) into the output
+directory.  Study functions are looked up by their module-level names at each
+call, never kept in a table, so a tracer that rebinds them here sees every run.
+Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
+3 hypothesis violated, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -70,15 +73,18 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RUNTIME = 4
 
-_COMMAND_KINDS = {
-    "temporal-study": "temporal",
-    "spatial-study": "spatial",
-    "increment-study": "increment",
-    "kolmogorov-check": "kolmogorov",
-    "validate-drift": "validate",
+# name -> (help text, the study kind its config must describe, or None)
+_COMMANDS = {
+    "simulate": ("simulate paths at the lattice resolution and dump them as CSV", None),
+    "temporal-study": ("self-convergence in the step size", "temporal"),
+    "spatial-study": ("self-convergence in the mode count", "spatial"),
+    "increment-study": ("off-grid increment regularity", "increment"),
+    "kolmogorov-check": ("semigroup, gradient, and Picard probes", "kolmogorov"),
+    "validate-drift": ("stress the drift regularity certificates", "validate"),
+    "hypotheses": ("print the standing-hypothesis table", None),
 }
 
-_STUDY_KINDS = tuple(_COMMAND_KINDS.values())
+_STUDY_KINDS = tuple(kind for _, kind in _COMMANDS.values() if kind is not None)
 
 
 class ConfigError(ValueError):
@@ -437,38 +443,42 @@ def _sanitize(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
+def _plot(*lines: str) -> str:
+    """plot.gp text: the shared header, then the given gnuplot commands."""
+    return "\n".join(["# plotting commands for a gnuplot-compatible tool", "set datafile separator ','", *lines, ""])
 
 
-def _convergence_plot(report: ConvergenceReport, xcol: int, xlabel: str) -> str:
-    return "\n".join(
-        [
-            "# plotting commands for a gnuplot-compatible tool",
-            "set datafile separator ','",
-            "set logscale xy",
-            f"set xlabel '{xlabel}'",
-            "set ylabel 'mean integrated squared error'",
-            "set key left top",
-            f"slope = {report.slope!r}",
-            f"intercept = {report.intercept!r}",
-            f"plot 'report.csv' skip 1 using {xcol}:5:6 with yerrorlines title 'measured', \\",
-            "     exp(intercept) * x**slope with lines title sprintf('fit, slope %.3f', slope)",
-            "",
-        ]
-    )
+def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = None) -> Path:
+    """Write the outputs of one command into the output directory and return it.
+
+    `summary.json` gets the config and the hypothesis table added; `plot.gp`
+    holds `plot`; `report.csv` is written when given.
+    """
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if report_csv is not None:
+        (outdir / "report.csv").write_text(report_csv)
+    summary["config"] = cfg.to_dict()
+    summary["hypotheses"] = hypothesis_rows(cfg)
+    (outdir / "summary.json").write_text(json.dumps(_sanitize(summary), indent=2, sort_keys=True) + "\n")
+    (outdir / "plot.gp").write_text(plot)
+    return outdir
 
 
 def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xlabel: str) -> int:
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.csv").write_text(report.csv_text())
     summary = report.summary_dict()
     summary["rows"] = [asdict(r) for r in report.rows]
-    summary["config"] = cfg.to_dict()
-    summary["hypotheses"] = hypothesis_rows(cfg)
-    _write_json(outdir / "summary.json", summary)
-    (outdir / "plot.gp").write_text(_convergence_plot(report, xcol, xlabel))
+    plot = _plot(
+        "set logscale xy",
+        f"set xlabel '{xlabel}'",
+        "set ylabel 'mean integrated squared error'",
+        "set key left top",
+        f"slope = {report.slope!r}",
+        f"intercept = {report.intercept!r}",
+        f"plot 'report.csv' skip 1 using {xcol}:5:6 with yerrorlines title 'measured', \\",
+        "     exp(intercept) * x**slope with lines title sprintf('fit, slope %.3f', slope)",
+    )
+    outdir = _emit(cfg, summary, plot, report.csv_text())
     for row in report.rows:
         print(
             f"resolution {row.resolution:>4}  delta {row.delta:.6g}  "
@@ -492,54 +502,23 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xl
     return EXIT_OK if report.passed else EXIT_ACCEPTANCE
 
 
-def _cmd_temporal(cfg: StudyConfig, workers: int) -> int:
+def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
     st = cfg.study
-    report = temporal_study(
-        cfg.operator,
-        cfg.drift,
-        cfg.initial,
-        cfg.lattice(),
-        st["ladder"],
-        st["reference_level"],
-        st["n_modes"],
-        st["m_paths"],
-        cfg.rate,
-        workers=workers,
-    )
-    return _emit_convergence(cfg, report, xcol=2, xlabel="step size")
-
-
-def _cmd_spatial(cfg: StudyConfig, workers: int) -> int:
-    st = cfg.study
-    report = spatial_study(
-        cfg.operator,
-        cfg.drift,
-        cfg.initial,
-        cfg.lattice(),
-        st["ladder"],
-        st["reference_modes"],
-        st["level"],
-        st["m_paths"],
-        cfg.rate,
-        workers=workers,
-    )
-    return _emit_convergence(cfg, report, xcol=3, xlabel="retained modes")
-
-
-def _cmd_increment(cfg: StudyConfig, workers: int) -> int:
-    st = cfg.study
-    report = increment_statistic(
-        cfg.operator,
-        cfg.drift,
-        cfg.initial,
-        cfg.lattice(),
-        st["ladder"],
-        st["n_modes"],
-        st["m_paths"],
-        sample_fractions=st["sample_fractions"],
-        workers=workers,
-        alpha=cfg.rate.alpha,
-    )
+    common = (cfg.operator, cfg.drift, cfg.initial, cfg.lattice(), st["ladder"])
+    if st["kind"] == "spatial":
+        report = spatial_study(*common, st["reference_modes"], st["level"], st["m_paths"], cfg.rate, workers=workers)
+        return _emit_convergence(cfg, report, xcol=3, xlabel="retained modes")
+    if st["kind"] == "temporal":
+        report = temporal_study(*common, st["reference_level"], st["n_modes"], st["m_paths"], cfg.rate, workers=workers)
+    else:
+        report = increment_statistic(
+            *common,
+            st["n_modes"],
+            st["m_paths"],
+            sample_fractions=st["sample_fractions"],
+            workers=workers,
+            alpha=cfg.rate.alpha,
+        )
     return _emit_convergence(cfg, report, xcol=2, xlabel="step size")
 
 
@@ -558,27 +537,15 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
         theta=st["theta"],
         seed=cfg.master_seed,
     )
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.csv").write_text(suite["decay_csv"])
-    summary = {k: v for k, v in suite.items() if k != "decay_csv"}
-    summary["config"] = cfg.to_dict()
-    summary["hypotheses"] = hypothesis_rows(cfg)
-    _write_json(outdir / "summary.json", summary)
-    (outdir / "plot.gp").write_text(
-        "\n".join(
-            [
-                "# plotting commands for a gnuplot-compatible tool",
-                "set datafile separator ','",
-                "set logscale y",
-                "set xlabel 'mode index'",
-                "set ylabel 'gradient estimate'",
-                "plot 'report.csv' skip 1 using 1:2:3 with yerrorlines title 'estimated gradient size', \\",
-                "     'report.csv' skip 1 using 1:($2/$4) with lines title 'decay bound'",
-                "",
-            ]
-        )
+    report_csv = suite.pop("decay_csv")
+    plot = _plot(
+        "set logscale y",
+        "set xlabel 'mode index'",
+        "set ylabel 'gradient estimate'",
+        "plot 'report.csv' skip 1 using 1:2:3 with yerrorlines title 'estimated gradient size', \\",
+        "     'report.csv' skip 1 using 1:($2/$4) with lines title 'decay bound'",
     )
+    outdir = _emit(cfg, suite, plot, report_csv)
     for check in suite["checks"]:
         print(f"  [{'ok' if check['passed'] else 'FAIL'}] {check['name']}: {check['detail']}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'plot.gp'}")
@@ -591,25 +558,15 @@ def _cmd_validate(cfg: StudyConfig) -> int:
         verify_mode_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
         verify_time_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
     ]
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = ["name,passed,trials,max_ratio,constant"]
     for rep in reports:
         lines.append(f"{rep.name},{rep.passed},{rep.trials},{rep.max_ratio!r},{rep.constant!r}")
-    (outdir / "report.csv").write_text("\n".join(lines) + "\n")
-    _write_json(
-        outdir / "summary.json",
-        {
-            "pass": all(r.passed for r in reports),
-            "validators": [asdict(r) for r in reports],
-            "config": cfg.to_dict(),
-            "hypotheses": hypothesis_rows(cfg),
-        },
-    )
-    (outdir / "plot.gp").write_text("# nothing to plot for validator reports\n")
+    passed = all(r.passed for r in reports)
+    summary = {"pass": passed, "validators": [asdict(r) for r in reports]}
+    _emit(cfg, summary, "# nothing to plot for validator reports\n", "\n".join(lines) + "\n")
     for rep in reports:
         print(f"  [{'ok' if rep.passed else 'FAIL'}] {rep.name}: max ratio {rep.max_ratio:.6f}")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_ACCEPTANCE
+    return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 
 def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
@@ -625,29 +582,13 @@ def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
         target = outdir / f"trajectory_{pid}.csv"
         write_trajectory_csv(traj, target)
         files.append(target.name)
-    _write_json(
-        outdir / "summary.json",
-        {
-            "paths": n_paths,
-            "level": cfg.levels,
-            "n_modes": cfg.n_modes,
-            "files": files,
-            "config": cfg.to_dict(),
-            "hypotheses": hypothesis_rows(cfg),
-        },
+    summary = {"paths": n_paths, "level": cfg.levels, "n_modes": cfg.n_modes, "files": files}
+    plot = _plot(
+        "set xlabel 't'",
+        "set ylabel 'first mode'",
+        "plot 'trajectory_0.csv' skip 1 using 1:2 with lines title 'mode 1'",
     )
-    (outdir / "plot.gp").write_text(
-        "\n".join(
-            [
-                "# plotting commands for a gnuplot-compatible tool",
-                "set datafile separator ','",
-                "set xlabel 't'",
-                "set ylabel 'first mode'",
-                "plot 'trajectory_0.csv' skip 1 using 1:2 with lines title 'mode 1'",
-                "",
-            ]
-        )
-    )
+    _emit(cfg, summary, plot)
     print(f"wrote {n_paths} trajectories to {outdir}")
     return EXIT_OK
 
@@ -676,16 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exponential-integrator scheme with rough bounded drifts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "simulate paths at the lattice resolution and dump them as CSV",
-        "temporal-study": "self-convergence in the step size",
-        "spatial-study": "self-convergence in the mode count",
-        "increment-study": "off-grid increment regularity",
-        "kolmogorov-check": "semigroup, gradient, and Picard probes",
-        "validate-drift": "stress the drift regularity certificates",
-        "hypotheses": "print the standing-hypothesis table",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON study config")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -704,15 +636,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    wanted = _COMMANDS[args.command][1]
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("worker count must be positive")
         # simulate reads --paths as a path count, not a study-size override
-        size_override = None if args.command == "simulate" else args.paths
-        cfg = load_config(args.config, seed=args.seed, paths=size_override, out=args.out)
-        wanted = _COMMAND_KINDS.get(args.command)
+        simulate = args.command == "simulate"
+        if simulate and args.paths is not None and args.paths < 1:
+            raise ConfigError("path override must be positive")
+        cfg = load_config(args.config, seed=args.seed, paths=None if simulate else args.paths, out=args.out)
         if wanted is not None and cfg.study["kind"] != wanted:
-            raise ConfigError(
-                f"config describes a {cfg.study['kind']!r} study, not {wanted!r}"
-            )
+            raise ConfigError(f"config describes a {cfg.study['kind']!r} study, not {wanted!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -721,19 +655,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "hypotheses":
             return _cmd_hypotheses(cfg)
-        if args.command == "simulate":
-            enforce_hypotheses(cfg)
-            return _cmd_simulate(cfg, args.paths or 1)
         enforce_hypotheses(cfg)
-        if args.command == "temporal-study":
-            return _cmd_temporal(cfg, workers)
-        if args.command == "spatial-study":
-            return _cmd_spatial(cfg, workers)
-        if args.command == "increment-study":
-            return _cmd_increment(cfg, workers)
-        if args.command == "kolmogorov-check":
+        if simulate:
+            return _cmd_simulate(cfg, args.paths or 1)
+        if wanted == "kolmogorov":
             return _cmd_kolmogorov(cfg)
-        return _cmd_validate(cfg)
+        if wanted == "validate":
+            return _cmd_validate(cfg)
+        return _cmd_convergence(cfg, workers)
     except HypothesisViolation as exc:
         print(f"hypothesis violated [{exc.hypothesis}]: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

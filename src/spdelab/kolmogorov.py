@@ -642,7 +642,7 @@ def kolmogorov_suite(
         bounds.append(bound)
         slacks.append(se_norm)
         if not diag["completed"]:
-            # a partial node sum is smaller, so it must not pass the bound
+            # a partial node sum is smaller, so it must pass neither the bound nor the trend
             partial.append(f"; lam {lam_value:g} stopped at {diag['nodes_done']}/{diag['nodes_total']} nodes")
         if value.norm() > bound + 3.0 * se_norm or not diag["completed"]:
             within = False
@@ -656,8 +656,8 @@ def kolmogorov_suite(
     )
     record(
         "picard_smallness_trend",
-        monotone,
-        "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms),
+        monotone and not partial,
+        "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms) + "".join(partial),
     )
 
     n_sum = max(decay_modes)

@@ -284,6 +284,30 @@ def test_temporal_study_worker_count_invariance():
     assert solo.slope == pooled.slope
 
 
+@pytest.mark.parametrize("workers, pool_size", [(2, 2), (4, 4), (8, 4)])
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, workers, pool_size):
+    # an executor may start all max_workers processes at its first submit, so
+    # a pool larger than the 4 chunks of _temporal would fork idle processes
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr("spdelab.analysis.ProcessPoolExecutor", InProcessPool)
+    assert _temporal(workers=workers).csv_text() == _temporal(workers=1).csv_text()
+    assert sizes == [pool_size]
+
+
 # Golden study outputs, recorded when each study still wrote out its own copy
 # of the sub-step formula and its own chunk worker; they pin the bytes the
 # shared kernel and ladder driver must reproduce.

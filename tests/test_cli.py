@@ -243,6 +243,26 @@ def test_simulate_writes_trajectories(tmp_path, capsys):
     assert summary["paths"] == 2
 
 
+@pytest.mark.parametrize("paths", ["0", "-5"])
+def test_simulate_refuses_nonpositive_path_count(tmp_path, capsys, paths):
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc(str(out)))
+    assert run(["simulate", "--config", cfg, "--paths", paths]) == EXIT_CONFIG
+    assert "config error: path override must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("deterministic", [[], ["--deterministic"]], ids=["pooled", "deterministic"])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers, deterministic):
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc(str(out)))
+    assert run([command, "--config", cfg, "--workers", workers, *deterministic]) == EXIT_CONFIG
+    assert "config error: worker count must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kolmogorov_check_end_to_end(tmp_path, capsys):
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "kolmogorov", "m_samples": 4000}, out=str(out))

@@ -414,13 +414,15 @@ GOLDEN_DETAILS = [
 
 def test_kolmogorov_suite_fails_unfinished_picard(heat16, monkeypatch):
     # 1500 samples cover two 512-sample nodes of eight; the partial sum is
-    # smaller than the full one, so it must not pass the norm bound
+    # smaller than the full one, so it must pass neither the norm bound nor
+    # the smallness trend
     monkeypatch.setattr(kolmogorov, "PicardConfig", functools.partial(PicardConfig, sample_budget=1500))
     result = kolmogorov_suite(heat16, DRIFT, m_samples=4000)
-    check = next(c for c in result["checks"] if c["name"] == "picard_norm_bound")
-    assert check["passed"] is False
-    for lam in (1, 10, 100):
-        assert f"; lam {lam} stopped at 2/8 nodes" in check["detail"]
+    for name in ("picard_norm_bound", "picard_smallness_trend"):
+        check = next(c for c in result["checks"] if c["name"] == name)
+        assert check["passed"] is False
+        for lam in (1, 10, 100):
+            assert f"; lam {lam} stopped at 2/8 nodes" in check["detail"]
     assert result["passed"] is False
 
 
