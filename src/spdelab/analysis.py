@@ -52,6 +52,9 @@ OFFGRID_RULE = "substep exponential interpolation consistent with the grid recur
 # a line through two points has R^2 = 1 whatever they are, so R^2 says
 # something about the fit only from three points on
 R2_MIN_POINTS = 3
+R2_MIN = 0.9  # least R^2 of the temporal fit
+SLOPE_MARGIN = 0.05  # how far the fitted rate may fall short of nu
+ALPHA_MARGIN = 0.1  # how far the increment slope may fall below min(alpha, s0)
 
 CSV_HEADER = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
 
@@ -139,9 +142,10 @@ def _pair_modes(ref_cfg: SchemeConfig, approx_cfg: SchemeConfig, n_limit: int | 
 def _substep_stops(lattice: NoiseLattice, ref_cfg: SchemeConfig, approx_cfg: SchemeConfig):
     """The approximation's sub-step offsets at the reference grid times
     inside each of its steps; None on the reference's own grid, where the
-    grid rows are the values compared."""
+    grid rows are the values compared.  A reference finer than the lattice
+    gets zero offsets here and is refused by `_coupled_pass`."""
     ratio = 1 << (ref_cfg.level - approx_cfg.level)
-    return (1 << (lattice.levels - ref_cfg.level)) * np.arange(ratio) if ratio > 1 else None
+    return (lattice.fine_steps >> ref_cfg.level) * np.arange(ratio) if ratio > 1 else None
 
 
 def _err2_batch(ref_grid: np.ndarray, values: np.ndarray, n_ap: int, n_ref: int, err2: np.ndarray) -> None:
@@ -339,15 +343,14 @@ def temporal_study(
     rate: RateParams,
     workers: int = 1,
     chunk_size: int = 25,
-    slope_margin: float = 0.05,
-    r2_min: float = 0.9,
 ) -> ConvergenceReport:
     """Self-convergence in the step size at fixed mode count.
 
     Every ladder level is coupled to the ref_level reference through the
     shared lattice, so the spatial truncation error cancels exactly and the
-    fitted slope isolates the temporal rate.  The r2_at_least_min flag is
-    set only on ladders of at least R2_MIN_POINTS rungs.
+    fitted slope isolates the temporal rate.  The slope must reach
+    nu - SLOPE_MARGIN; the r2_at_least_min flag (R^2 >= R2_MIN) is set only
+    on ladders of at least R2_MIN_POINTS rungs.
     """
     levels = sorted(levels)
     if not levels or levels[-1] >= ref_level:
@@ -362,10 +365,10 @@ def temporal_study(
     slope, intercept, r2 = fit_rate(deltas, means)
     flags = {
         "err2_strictly_decreasing": _decreasing_beyond_noise(means, stderrs),
-        "slope_at_least_nu_minus_margin": slope >= nu - slope_margin,
+        "slope_at_least_nu_minus_margin": slope >= nu - SLOPE_MARGIN,
     }
     if len(rows) >= R2_MIN_POINTS:
-        flags["r2_at_least_min"] = r2 >= r2_min
+        flags["r2_at_least_min"] = r2 >= R2_MIN
     return ConvergenceReport("temporal", rows, slope, intercept, r2, nu, flags)
 
 
@@ -381,10 +384,9 @@ def spatial_study(
     rate: RateParams,
     workers: int = 1,
     chunk_size: int = 25,
-    slope_margin: float = 0.05,
 ) -> ConvergenceReport:
     """Galerkin truncation error at fixed step size, fitted against the
-    largest retained eigenvalue."""
+    largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN)."""
     mode_ladder = sorted(mode_ladder)
     if not mode_ladder or mode_ladder[-1] >= ref_modes:
         raise ValueError("mode ladder must stay below the reference mode count")
@@ -397,7 +399,7 @@ def spatial_study(
     slope, intercept, r2 = fit_rate(top_eigs, means)
     flags = {
         "err2_strictly_decreasing": bool(np.all(np.diff(means) < 0.0)),
-        "slope_at_most_neg_nu_plus_margin": slope <= -(nu - slope_margin),
+        "slope_at_most_neg_nu_plus_margin": slope <= -(nu - SLOPE_MARGIN),
     }
     return ConvergenceReport("spatial", rows, slope, intercept, r2, nu, flags)
 
@@ -406,6 +408,19 @@ def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray
     """Fine-lattice offsets of the sampled off-grid times inside one step."""
     fine_per_step = 1 << (lattice.levels - level)
     return np.array([int(round(phi * fine_per_step)) for phi in fractions])
+
+
+def _check_sample_fractions(fractions, finest_level: int, lattice_levels: int) -> None:
+    """Refuse increment-study fractions that are not off-grid lattice times
+    inside every step of every level up to finest_level; the CLI checks its
+    configs with this too."""
+    finest_block = 1 << (lattice_levels - finest_level)
+    for phi in fractions:
+        if not 0.0 < phi < 1.0:
+            raise ValueError("sample fractions must lie strictly inside (0, 1)")
+        j = phi * finest_block
+        if abs(j - round(j)) > 1e-9 or not 1 <= round(j) <= finest_block - 1:
+            raise ValueError("sample fractions must hit off-grid lattice times at every level")
 
 
 def _increment_chunk(payload):
@@ -469,7 +484,6 @@ def increment_statistic(
     workers: int = 1,
     chunk_size: int = 25,
     alpha: float | None = None,
-    alpha_margin: float = 0.1,
 ) -> ConvergenceReport:
     """Worst off-grid mean-square displacement from the last grid point.
 
@@ -490,16 +504,16 @@ def increment_statistic(
       alpha only as delta -> 0: with infinitely many heat modes its
       fresh-noise term sum_i a_tau^2 tau is (sqrt(pi*tau/2) - tau)/2, and
       the -tau correction is 28% of the leading term at tau = 1/8.
-    * So the threshold is min(alpha, s0) - alpha_margin, where s0 is the
+    * So the threshold is min(alpha, s0) - ALPHA_MARGIN, where s0 is the
       exact driftless slope on the same ladder, fractions, initial datum and
       lattice scale.  Once the ladder is fine enough that s0 >= alpha, this
-      is the plain asymptotic assertion slope >= alpha - alpha_margin.
+      is the plain asymptotic assertion slope >= alpha - ALPHA_MARGIN.
       On a coarse ladder the flag asserts that the drift lowers the local
-      slope below the driftless one by no more than alpha_margin.
+      slope below the driftless one by no more than ALPHA_MARGIN.
     * The flag is the plain comparison slope >= threshold.  The report
       also carries ``slope_stderr``, a delta-method standard error from the
       paired per-path values of the selected cells (``_slope_stderr``).  It
-      is information only: where 2 * slope_stderr exceeds alpha_margin, a
+      is information only: where 2 * slope_stderr exceeds ALPHA_MARGIN, a
       shortfall of the size the margin allows cannot be told from noise.
     * S(delta) takes the largest sample mean over cells that are nearly
       tied, which biases it upward by up to about one standard error.  The
@@ -511,13 +525,7 @@ def increment_statistic(
     levels = sorted(levels)
     if not levels or levels[-1] >= lattice.levels:
         raise ValueError("levels must be strictly coarser than the lattice")
-    for phi in sample_fractions:
-        if not 0.0 < phi < 1.0:
-            raise ValueError("sample fractions must lie strictly inside (0, 1)")
-        finest_block = 1 << (lattice.levels - max(levels))
-        j = phi * finest_block
-        if abs(j - round(j)) > 1e-9 or not 1 <= round(j) <= finest_block - 1:
-            raise ValueError("sample fractions must hit off-grid lattice times at every level")
+    _check_sample_fractions(sample_fractions, levels[-1], lattice.levels)
     payloads = [
         (operator, drift_spec, initial, lattice, levels, n_dim, tuple(sample_fractions), ids)
         for ids in _chunked(m_paths, chunk_size)
@@ -539,7 +547,7 @@ def increment_statistic(
     report = ConvergenceReport("increment", rows, slope, intercept, r2, float("nan"), flags)
     if alpha is not None:
         s0 = _driftless_increment_slope(operator, initial, lattice, levels, n_dim, sample_fractions)
-        report.slope_threshold = min(alpha, s0) - alpha_margin
+        report.slope_threshold = min(alpha, s0) - ALPHA_MARGIN
         report.slope_stderr = _slope_stderr(deltas, np.stack(selected, axis=1))
         flags["slope_at_least_alpha_minus_margin"] = slope >= report.slope_threshold
     return report

@@ -49,6 +49,7 @@ from .analysis import (
     ConvergenceReport,
     HypothesisViolation,
     RateParams,
+    _check_sample_fractions,
     increment_statistic,
     rate_exponent,
     spatial_study,
@@ -253,8 +254,7 @@ def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: Spectra
         if ladder[-1] >= cfg_levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
         fractions = _float_list_field(section, "sample_fractions", "study", default=[0.5])
-        if not all(0.0 < v < 1.0 for v in fractions):
-            raise ConfigError("study.sample_fractions must lie strictly inside (0, 1)")
+        _check_sample_fractions(fractions, ladder[-1], cfg_levels)
         out.update(
             ladder=ladder,
             n_modes=_int_field(section, "n_modes", "study", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max)),
@@ -640,11 +640,12 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("worker count must be positive")
-        # simulate reads --paths as a path count, not a study-size override
+        # simulate reads --paths as a path count and hypotheses runs no study,
+        # so only the commands with a study kind take it as a study size
         simulate = args.command == "simulate"
         if simulate and args.paths is not None and args.paths < 1:
             raise ConfigError("path override must be positive")
-        cfg = load_config(args.config, seed=args.seed, paths=None if simulate else args.paths, out=args.out)
+        cfg = load_config(args.config, seed=args.seed, paths=None if wanted is None else args.paths, out=args.out)
         if wanted is not None and cfg.study["kind"] != wanted:
             raise ConfigError(f"config describes a {cfg.study['kind']!r} study, not {wanted!r}")
     except ConfigError as exc:

@@ -5,18 +5,26 @@ is sampled exactly, so its Markov semigroup, the gradient representation with
 an integral weight, the per-mode gradient decay, and a depth-limited Picard
 evaluation of the resolvent-type integral equation can all be checked by
 plain Monte Carlo with no discretization error.
+
+A test observable is a `TestFunction`: a function of a batch of states and
+the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
+samplers take the operator itself and read as many modes as the state has.
+The quadrature and gate settings that no caller varies are the module
+constants `FD_STEP`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
+`SUMMABILITY_GROWTH_CAP`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .spectral import ModeVector, SpectralOperator, decay_factor
 from .drift import HolderDriftSpec, drift_array, drift_bound
-from .noise import _joint_law, ou_joint_modes_batch, ou_transition_sample
+from .noise import _joint_law, _mode_eigenvalues, ou_joint_modes_batch, ou_transition_sample
 
 __all__ = [
     "TestFunction",
@@ -38,102 +46,83 @@ __all__ = [
 ]
 
 DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
+FD_STEP = 1e-3  # forward-difference step of the depth-2 Picard derivative term
+SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
+SUMMABILITY_SAMPLES = 4096  # joint draws per node of the summability probe
+# the last half of the modes may add at most this factor to the first half's sum
+SUMMABILITY_GROWTH_CAP = 1.5
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     """Vector-valued test observable on the mode space.
 
-    Kinds: ``coordinate`` reads one mode and sends it along a fixed output
-    direction (unbounded, so excluded from bound-dependent checks, bound is
-    None); ``bounded_smooth`` is tanh of a linear form times a unit output
-    direction; ``drift_function`` evaluates a rough drift frozen at one time.
+    ``evaluate(states, lam)`` maps a batch of states with trailing mode axis
+    to an array of the same shape; ``bound`` is its sup norm, or None for an
+    unbounded observable, which the bound-dependent checks refuse.
     """
 
-    kind: str
-    index: int = 1
-    weights: tuple = ()
-    out_direction: tuple = ()
-    drift: HolderDriftSpec | None = None
-    time: float = 0.0
-    bound: float | None = None
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bound: float | None
 
     __test__ = False  # keep pytest from collecting this as a test case
 
-    def __post_init__(self):
-        if self.kind not in ("coordinate", "bounded_smooth", "drift_function"):
-            raise ValueError(f"unknown test function kind {self.kind!r}")
-        if self.kind == "coordinate":
-            if self.bound is not None:
-                raise ValueError("coordinate observables are unbounded")
-            if self.index < 1 or not self.out_direction:
-                raise ValueError("coordinate observable needs an index and a direction")
-        if self.kind == "bounded_smooth":
-            if not self.weights or not self.out_direction:
-                raise ValueError("bounded_smooth needs weights and a direction")
-        if self.kind == "drift_function" and self.drift is None:
-            raise ValueError("drift_function needs a drift description")
-        if self.kind != "coordinate":
-            if self.bound is None or not math.isfinite(self.bound) or self.bound <= 0.0:
-                raise ValueError("bounded observables need a finite positive bound")
 
-    def evaluate(self, states: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Apply to a batch of states with trailing mode axis; same shape out."""
-        n = states.shape[-1]
-        if self.kind == "drift_function":
-            return drift_array(self.drift, lam, self.time, states)
-        u = np.asarray(self.out_direction, dtype=float)
-        if u.shape != (n,):
-            raise ValueError("output direction does not match the mode count")
-        if self.kind == "coordinate":
-            if self.index > n:
-                raise ValueError("coordinate index beyond the mode count")
-            return states[..., self.index - 1, None] * u
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("weights do not match the mode count")
-        return np.tanh(states @ w)[..., None] * u
-
-
-def _unit(direction) -> tuple:
+def _unit(direction) -> np.ndarray:
     u = np.asarray(direction, dtype=float)
     size = float(np.linalg.norm(u))
     if size == 0.0:
         raise ValueError("output direction must be nonzero")
-    return tuple(u / size)
+    return u / size
+
+
+def _check_size(vector: np.ndarray, n: int, what: str) -> None:
+    if vector.shape != (n,):
+        raise ValueError(f"{what} does not match the mode count")
 
 
 def coordinate_function(index: int, out_direction) -> TestFunction:
-    return TestFunction(kind="coordinate", index=index, out_direction=_unit(out_direction))
+    """Mode ``index`` (1-based) sent along a unit output direction; unbounded."""
+    if index < 1:
+        raise ValueError("coordinate index must be at least 1")
+    u = _unit(out_direction)
+
+    def evaluate(states, lam):
+        _check_size(u, states.shape[-1], "output direction")
+        if index > states.shape[-1]:
+            raise ValueError("coordinate index beyond the mode count")
+        return states[..., index - 1, None] * u
+
+    return TestFunction(evaluate, None)
 
 
 def bounded_smooth_function(weights, out_direction) -> TestFunction:
+    """tanh of a linear form times a unit output direction."""
+    w, u = np.array(weights, dtype=float), _unit(out_direction)
+
+    def evaluate(states, lam):
+        _check_size(u, states.shape[-1], "output direction")
+        _check_size(w, states.shape[-1], "weights")
+        return np.tanh(states @ w)[..., None] * u
+
     # |tanh| < 1 and the direction is normalized, so the sup norm is 1
-    return TestFunction(
-        kind="bounded_smooth",
-        weights=tuple(float(w) for w in weights),
-        out_direction=_unit(out_direction),
-        bound=1.0,
-    )
+    return TestFunction(evaluate, 1.0)
 
 
 def drift_test_function(spec: HolderDriftSpec, op: SpectralOperator, n_dim: int, time: float) -> TestFunction:
-    return TestFunction(
-        kind="drift_function",
-        drift=spec,
-        time=time,
-        bound=drift_bound(spec, _truncated(op, n_dim)),
-    )
+    """The drift frozen at ``time``, bounded by its sup over the first n_dim modes."""
+
+    def evaluate(states, lam):
+        # looked up at each call, so a wrapped module binding sees it
+        return drift_array(spec, lam, time, states)
+
+    return TestFunction(evaluate, _drift_sup(spec, op, n_dim))
 
 
-def _truncated(op: SpectralOperator, n: int) -> SpectralOperator:
-    if not 1 <= n <= op.n_max:
-        raise ValueError("mode count beyond the operator capacity")
-    if n == op.n_max:
-        return op
-    if op.spectrum_kind == "power_law":
-        return SpectralOperator(op.eigenvalues[:n], spectrum_kind="power_law", power=op.power)
-    return SpectralOperator(op.eigenvalues[:n])
+def _drift_sup(spec: HolderDriftSpec, op: SpectralOperator, n: int) -> float:
+    """Sup norm of the drift over the first n modes."""
+    if n < 1:
+        raise ValueError("need at least one mode")
+    return drift_bound(spec, SpectralOperator(_mode_eigenvalues(op, n)))
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,21 +224,7 @@ class GradientDecayReport:
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "sup_bound": self.sup_bound,
-            "max_ratio": self.max_ratio,
-            "bounded": self.bounded,
-            "rows": [
-                {
-                    "mode": r.mode,
-                    "estimate": r.estimate,
-                    "stderr": r.stderr,
-                    "bound_ratio": r.bound_ratio,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 _DECAY_CHUNK_ROWS = 4096  # sample rows per chunk of the streamed gradient-decay check
@@ -279,10 +254,11 @@ def gradient_decay_check(
     modes,
     m_samples: int,
     seed: int = 0,
-    ratio_cap: float = 1.0,
 ) -> GradientDecayReport:
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
+    The report is bounded when no mode's size exceeds that bound by more
+    than three standard errors.
     One joint draw and one evaluation of f serve every mode: the gradient
     along e_i contracts the shared values of f with weights[:, i-1] / t.
     The draw keeps the joint sampler's order, all z1 rows then all z2 rows
@@ -329,7 +305,7 @@ def gradient_decay_check(
         theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         ratio = size / theory
         rows.append(GradientDecayRow(mode=int(i), estimate=size, stderr=se_size, bound_ratio=ratio))
-        if size > ratio_cap * theory + 3.0 * se_size:
+        if size > theory + 3.0 * se_size:
             bounded = False
     max_ratio = max(row.bound_ratio for row in rows)
     return GradientDecayReport(t=t, sup_bound=f.bound, rows=rows, max_ratio=max_ratio, bounded=bounded)
@@ -341,7 +317,8 @@ class PicardConfig:
 
     Cost grows like (time_nodes*inner_samples)**depth, which is why depth is
     capped at 2 and the dimension at 4; sample_budget is the hard stop on
-    total transition draws.
+    total transition draws.  Depth 2 differentiates the first iterate by a
+    forward difference of step FD_STEP.
     """
 
     lam: float
@@ -350,7 +327,6 @@ class PicardConfig:
     time_nodes: int = 8
     outer_samples: int = 512
     inner_samples: int = 128
-    fd_step: float = 1e-3
     horizon: float = 1.0
     sample_budget: int = 5_000_000
 
@@ -365,8 +341,6 @@ class PicardConfig:
             raise ValueError("need at least one time node")
         if self.outer_samples < 2 or self.inner_samples < 2:
             raise ValueError("need at least two samples per level")
-        if self.fd_step <= 0.0:
-            raise ValueError("difference step must be positive")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
         if self.sample_budget < 1:
@@ -384,34 +358,32 @@ def _draw_transitions(op, z, dt, rng, m, cfg, budget) -> np.ndarray:
     return ou_transition_sample(op, z, dt, rng, m)
 
 
-def _node_integrand(cfg, op_d, lam_d, spec, k, t, s, z, rng, budget) -> np.ndarray:
+def _node_integrand(cfg, op, lam_d, spec, k, t, s, z, rng, budget) -> np.ndarray:
     """Samples, one row per transition draw, of the k-th Picard integrand at
     the time node s for the iterate at (t, z)."""
     m = cfg.outer_samples if k == cfg.depth else cfg.inner_samples
-    states = _draw_transitions(op_d, z, s - t, rng, m, cfg, budget)
+    states = _draw_transitions(op, z, s - t, rng, m, cfg, budget)
     integrand = drift_array(spec, lam_d, s, states)
     if k >= 2:
         # directional derivative of the previous iterate along the drift,
         # one forward difference per outer sample
         rows = []
         for r in range(m):
-            moved = states[r] + cfg.fd_step * integrand[r]
-            up = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, moved, rng, budget)
-            u0 = _picard_level(cfg, op_d, lam_d, spec, k - 1, s, states[r], rng, budget)
-            rows.append((up - u0) / cfg.fd_step)
+            moved = states[r] + FD_STEP * integrand[r]
+            up = _picard_level(cfg, op, lam_d, spec, k - 1, s, moved, rng, budget)
+            u0 = _picard_level(cfg, op, lam_d, spec, k - 1, s, states[r], rng, budget)
+            rows.append((up - u0) / FD_STEP)
         integrand = integrand + np.stack(rows)
     return integrand
 
 
-def _picard_level(cfg, op_d, lam_d, spec, k, t, z, rng, budget) -> np.ndarray:
-    """Value of the k-th Picard iterate at (t, z); zero at k = 0 or t past T."""
-    if k == 0 or t >= cfg.horizon:
-        return np.zeros(cfg.dims)
+def _picard_level(cfg, op, lam_d, spec, k, t, z, rng, budget) -> np.ndarray:
+    """Value of the k-th Picard iterate, k >= 1, at (t, z) with t < T."""
     ds = (cfg.horizon - t) / cfg.time_nodes
     acc = np.zeros(cfg.dims)
     for j in range(cfg.time_nodes):
         s = t + (j + 0.5) * ds
-        integrand = _node_integrand(cfg, op_d, lam_d, spec, k, t, s, z, rng, budget)
+        integrand = _node_integrand(cfg, op, lam_d, spec, k, t, s, z, rng, budget)
         acc += math.exp(-cfg.lam * (s - t)) * integrand.mean(axis=0) * ds
     return acc
 
@@ -436,8 +408,7 @@ def picard_u_lambda(
         raise ValueError("state dimension must match the configuration")
     if not 0.0 <= t <= cfg.horizon:
         raise ValueError("t must lie in [0, horizon]")
-    op_d = _truncated(op, cfg.dims)
-    lam_d = op_d.eigenvalues
+    lam_d = _mode_eigenvalues(op, cfg.dims)
     if t >= cfg.horizon:
         return ModeVector(np.zeros(cfg.dims)), {
             "completed": True,
@@ -456,7 +427,7 @@ def picard_u_lambda(
     for j in range(cfg.time_nodes):
         s = t + (j + 0.5) * ds
         try:
-            integrand = _node_integrand(cfg, op_d, lam_d, spec, cfg.depth, t, s, x.coeffs, rng, budget)
+            integrand = _node_integrand(cfg, op, lam_d, spec, cfg.depth, t, s, x.coeffs, rng, budget)
         except _BudgetExhausted:
             completed = False
             break
@@ -488,18 +459,12 @@ def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> flo
 @dataclass
 class SummabilityReport:
     theta: float
-    terms: np.ndarray
-    partial_sums: np.ndarray
+    partial_sums: list[float]
     growth_ratio: float
     bounded: bool
 
     def summary_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "partial_sums": [float(v) for v in self.partial_sums],
-            "growth_ratio": self.growth_ratio,
-            "bounded": self.bounded,
-        }
+        return asdict(self)
 
 
 def gradient_summability_probe(
@@ -510,17 +475,16 @@ def gradient_summability_probe(
     x: ModeVector,
     theta: float,
     horizon: float = 1.0,
-    time_nodes: int = 8,
-    m_samples: int = 4096,
     seed: int = 0,
-    growth_cap: float = 1.5,
 ) -> SummabilityReport:
     """Weighted square sum of per-mode gradients of the first Picard iterate.
 
     Estimates grad_i of u at (t, x) for every retained mode in one pass (the
-    joint sampler hands out all mode weights at once), then reports whether
-    the partial sums of lam_i**theta * ||grad_i||**2 flatten out: the last
-    half of the modes may add at most growth_cap times the first half's sum.
+    joint sampler hands out all mode weights at once), with a midpoint rule
+    of SUMMABILITY_NODES nodes and SUMMABILITY_SAMPLES joint draws per node.
+    Then reports whether the partial sums of lam_i**theta * ||grad_i||**2
+    flatten out: the last half of the modes may add at most
+    SUMMABILITY_GROWTH_CAP times the first half's sum.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -529,27 +493,18 @@ def gradient_summability_probe(
     rng = np.random.default_rng(seed)
     n = len(x)
     lam = op.eigenvalues[:n]
-    op_n = _truncated(op, n)
-    ds = (horizon - t) / time_nodes
+    ds = (horizon - t) / SUMMABILITY_NODES
     grad = np.zeros((n, n))
-    for j in range(time_nodes):
+    for j in range(SUMMABILITY_NODES):
         s = t + (j + 0.5) * ds
         tau = s - t
-        states, weights = ou_joint_modes_batch(op_n, x.coeffs, tau, rng, m_samples)
+        states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, SUMMABILITY_SAMPLES)
         values = drift_array(spec, lam, s, states)
-        node_grad = (weights.T @ values) / (m_samples * tau)
+        node_grad = (weights.T @ values) / (SUMMABILITY_SAMPLES * tau)
         grad += math.exp(-lam_picard * tau) * ds * node_grad
-    terms = lam**theta * np.einsum("ij,ij->i", grad, grad)
-    partial_sums = np.cumsum(terms)
-    half = max(1, n // 2)
-    growth_ratio = float(partial_sums[-1] / partial_sums[half - 1])
-    return SummabilityReport(
-        theta=theta,
-        terms=terms,
-        partial_sums=partial_sums,
-        growth_ratio=growth_ratio,
-        bounded=bool(growth_ratio <= growth_cap),
-    )
+    partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
+    growth_ratio = float(partial_sums[-1] / partial_sums[max(1, n // 2) - 1])
+    return SummabilityReport(theta, partial_sums.tolist(), growth_ratio, growth_ratio <= SUMMABILITY_GROWTH_CAP)
 
 
 def kolmogorov_suite(
@@ -571,6 +526,8 @@ def kolmogorov_suite(
     estimators, the finite-difference cross-check, per-mode gradient decay,
     the Picard terminal condition, the first-iterate norm bound with its
     large-lam smallness trend, and the weighted gradient summability probe.
+    The summability probe always uses SUMMABILITY_NODES (8) nodes times
+    SUMMABILITY_SAMPLES (4096) draws, whatever m_samples is.
     """
     checks = []
 
@@ -630,7 +587,7 @@ def kolmogorov_suite(
     terminal, _ = picard_u_lambda(base, op, spec, horizon, x_pic, seed=seed)
     record("picard_terminal_zero", terminal.norm() == 0.0, "value at t = horizon")
 
-    sup_b = drift_bound(spec, _truncated(op, picard_dims))
+    sup_b = _drift_sup(spec, op, picard_dims)
     norms, bounds, slacks, partial = [], [], [], []
     within = True
     for lam_value in lam_sweep:

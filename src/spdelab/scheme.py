@@ -254,8 +254,11 @@ def _coupled_pass(configs, lattice: NoiseLattice, path_ids, stops):
     the `_advance` output of the steps from global step k0 that the window
     covers, with sub-step offsets ``stops[i]``.  A consumer that drops its
     references before asking for the next item lets each config's stack go
-    before the next one is computed.
+    before the next one is computed.  Every config is checked against the
+    lattice before the first window is drawn.
     """
+    for cfg in configs:
+        _check_lattice(cfg, lattice)
     n_top = max(cfg.n_dim for cfg in configs)
     states = [np.broadcast_to(cfg.initial_coefficients(), (len(path_ids), cfg.n_dim)) for cfg in configs]
     for start, window in _noise_windows(lattice, path_ids, n_top, [cfg.level for cfg in configs]):
@@ -275,16 +278,14 @@ def simulate_path(cfg: SchemeConfig, lattice: NoiseLattice, path_id: int) -> Tra
 def simulate_coupled(configs, lattice: NoiseLattice, path_id: int) -> list[Trajectory]:
     """Simulate several resolutions of the same path from one noise fetch.
 
-    Configs must share horizon, drift, and initial data; each returned
-    trajectory is bitwise identical to what simulate_path would produce.
+    Configs must share drift and initial data, and each must fit the
+    lattice, horizon included; each returned trajectory is bitwise identical
+    to what simulate_path would produce.
     """
     if not configs:
         raise ValueError("need at least one config")
     first = configs[0]
     for cfg in configs:
-        _check_lattice(cfg, lattice)
-        if cfg.horizon != first.horizon:
-            raise ValueError("coupled configs must share the horizon")
         if cfg.drift != first.drift or cfg.initial != first.initial:
             raise ValueError("coupled configs must share drift and initial data")
     grids = [np.empty((cfg.steps + 1, cfg.n_dim)) for cfg in configs]

@@ -660,6 +660,23 @@ def test_increment_gate_passes_and_fails():
     assert summary["slope_stderr"] == 0.0
 
 
+def test_studies_check_configs_against_the_lattice():
+    lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
+    op = make_heat_operator(8)
+    # more modes than the lattice stores
+    with pytest.raises(ValueError, match="more modes than the lattice"):
+        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 5, 8, 2, CANONICAL)
+    with pytest.raises(ValueError, match="more modes than the lattice"):
+        spatial_study(op, DRIFT, INITIAL, lat, [2, 4], 8, 3, 2, CANONICAL)
+    with pytest.raises(ValueError, match="more modes than the lattice"):
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2)
+    # a reference finer than the lattice
+    with pytest.raises(ValueError, match="finer than the lattice"):
+        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, CANONICAL)
+    with pytest.raises(ValueError, match="finer than the lattice"):
+        spatial_study(op, DRIFT, INITIAL, lat, [2], 4, 6, 2, CANONICAL)
+
+
 def test_increment_statistic_validation():
     lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
     op = make_heat_operator(4)

@@ -194,6 +194,16 @@ def test_increment_study_end_to_end(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_off_lattice_increment_fractions_are_config_errors(tmp_path, capsys):
+    # 0.3 of a 16-row step on the finest rung falls between lattice times
+    doc = canonical_doc({"kind": "increment", "ladder": [2, 3], "m_paths": 4, "sample_fractions": [0.3]})
+    cfg = write_doc(tmp_path, doc)
+    assert run(["increment-study", "--config", cfg, "--deterministic"]) == EXIT_CONFIG
+    assert "sample fractions must hit off-grid lattice times" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
 def test_validate_drift_end_to_end(tmp_path, capsys):
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "validate", "trials": 400}, out=str(out))
@@ -300,6 +310,15 @@ def test_hypotheses_canonical_table(tmp_path, capsys):
     assert "0.08225" in stdout
     assert "fails" not in stdout
     assert stdout.count("holds") == 5
+
+
+def test_hypotheses_ignores_study_size_override(tmp_path, capsys):
+    cfg = write_doc(tmp_path, temporal_study_doc("out"))
+    assert run(["hypotheses", "--config", cfg]) == EXIT_OK
+    table = capsys.readouterr().out
+    for paths in ("1", "0"):
+        assert run(["hypotheses", "--config", cfg, "--paths", paths]) == EXIT_OK
+        assert capsys.readouterr().out == table
 
 
 def test_hypotheses_flags_divergent_trace(tmp_path, capsys):

@@ -3,7 +3,9 @@
 The benchmark's per-layer probes (bench/probes.py) call the functions below
 with these positional counts and keywords.  A probe that can no longer make
 its call is reported there as unavailable, not failed, so a refactor that
-drops a name or renames a keyword must fail here instead.
+drops a name or renames a keyword must fail here instead.  Likewise the
+benchmark's tracer (bench/tracer.py) wraps the module bindings below and
+silently records no span for one that is gone.
 """
 
 import importlib
@@ -51,3 +53,29 @@ def test_probe_calls_still_bind(module, path, n_positional, keywords):
         target = getattr(target, part)
     # raises TypeError when the call shape no longer fits the signature
     inspect.signature(target).bind(*range(n_positional), **dict.fromkeys(keywords))
+
+
+# the targets bench/tracer.py wraps, as "module:attribute.path"; it also lists
+# spdelab.analysis:drift_array, which has been gone since every drift
+# evaluation of the studies moved into the scheme
+TRACER_TARGETS = [
+    "spdelab.noise:NoiseLattice.mode_increments",
+    "spdelab.scheme:left_fold_blocks",
+    "spdelab.scheme:drift_array",
+    "spdelab.kolmogorov:drift_array",
+    "spdelab.kolmogorov:ou_transition_sample",
+    "spdelab.kolmogorov:ou_joint_modes_batch",
+    "spdelab.cli:temporal_study",
+    "spdelab.cli:spatial_study",
+    "spdelab.cli:increment_statistic",
+    "spdelab.cli:kolmogorov_suite",
+]
+
+
+@pytest.mark.parametrize("target", TRACER_TARGETS)
+def test_tracer_targets_resolve(target):
+    module, _, path = target.partition(":")
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

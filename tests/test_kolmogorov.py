@@ -13,7 +13,6 @@ from spdelab.drift import HolderDriftSpec, drift_bound
 from spdelab.kolmogorov import (
     DECAY_CSV_HEADER,
     PicardConfig,
-    TestFunction,
     bismut_gradient,
     bounded_smooth_function,
     coordinate_function,
@@ -31,33 +30,47 @@ from spdelab.spectral import ModeVector, make_heat_operator
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 
 
-def test_test_function_validation():
+def test_test_function_validation(heat16):
+    # checks at construction: a 1-based index and a nonzero direction
     with pytest.raises(ValueError):
-        TestFunction(kind="polynomial")
-    with pytest.raises(ValueError):
-        TestFunction(kind="coordinate", index=1, out_direction=(1.0,), bound=1.0)
-    with pytest.raises(ValueError):
-        TestFunction(kind="coordinate", index=0, out_direction=(1.0,))
-    with pytest.raises(ValueError):
-        TestFunction(kind="coordinate", index=1)
-    with pytest.raises(ValueError):
-        TestFunction(kind="bounded_smooth", out_direction=(1.0,), bound=1.0)
-    with pytest.raises(ValueError):
-        TestFunction(kind="bounded_smooth", weights=(1.0,), out_direction=(1.0,), bound=0.0)
-    with pytest.raises(ValueError):
-        TestFunction(kind="drift_function", bound=1.0)
-
-
-def test_factories():
-    f = coordinate_function(2, [3.0, 4.0])
-    assert f.out_direction == (0.6, 0.8)
-    assert f.bound is None
+        coordinate_function(0, [1.0])
     with pytest.raises(ValueError):
         coordinate_function(1, [0.0, 0.0])
-    g = bounded_smooth_function([1.0, 0.5], [1.0, 0.0])
+    with pytest.raises(ValueError):
+        bounded_smooth_function([1.0], [0.0])
+    with pytest.raises(ValueError):
+        drift_test_function(DRIFT, heat16, 0, time=0.25)
+    with pytest.raises(ValueError):
+        drift_test_function(DRIFT, heat16, 17, time=0.25)
+    # shape mismatches surface when the observable meets a state batch
+    lam = make_heat_operator(1).eigenvalues
+    states = np.ones((3, 1))
+    with pytest.raises(ValueError):
+        coordinate_function(2, [1.0]).evaluate(states, lam)
+    with pytest.raises(ValueError):
+        bounded_smooth_function([], [1.0]).evaluate(states, lam)
+    with pytest.raises(ValueError):
+        bounded_smooth_function([1.0], [1.0, 1.0]).evaluate(states, lam)
+
+
+def test_factories(monkeypatch):
+    states = np.arange(6.0).reshape(3, 2)
+    lam = make_heat_operator(2).eigenvalues
+    f = coordinate_function(2, [3.0, 4.0])
+    assert f.bound is None
+    assert np.array_equal(f.evaluate(states, lam), np.outer(states[:, 1], [0.6, 0.8]))
+    weights = np.array([1.0, 0.5])
+    g = bounded_smooth_function(weights, [2.0, 0.0])
+    weights[0] = 9.0  # the observable keeps its own copy
     assert g.bound == 1.0
+    assert np.array_equal(g.evaluate(states, lam)[:, 0], np.tanh(states @ [1.0, 0.5]))
     h = drift_test_function(DRIFT, make_heat_operator(16), 4, time=0.25)
     assert h.bound == pytest.approx(drift_bound(DRIFT, make_heat_operator(4)), rel=1e-15)
+    # the drift is looked up at each call, so a rebound module name sees it
+    seen = []
+    monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: seen.append(t) or x)
+    assert h.evaluate(states, lam) is states
+    assert seen == [0.25]
 
 
 def test_evaluate_shapes_and_values():
