@@ -12,13 +12,7 @@ from .spectral import (
     make_heat_operator,
     make_power_law_operator,
 )
-from .drift import (
-    HolderDriftSpec,
-    drift_spec_from_dict,
-    drift_spec_to_dict,
-    verify_mode_holder,
-    verify_time_holder,
-)
+from .drift import HolderDriftSpec, verify_mode_holder, verify_time_holder
 from .noise import NoiseLattice
 from .scheme import (
     InitialData,
@@ -49,8 +43,6 @@ __all__ = [
     "make_heat_operator",
     "make_power_law_operator",
     "HolderDriftSpec",
-    "drift_spec_from_dict",
-    "drift_spec_to_dict",
     "verify_mode_holder",
     "verify_time_holder",
     "NoiseLattice",

@@ -37,6 +37,7 @@ __all__ = [
     "RateParams",
     "HypothesisViolation",
     "rate_exponent",
+    "rate_hypotheses",
     "theoretical_nu",
     "fit_rate",
     "integrated_square_error",
@@ -91,21 +92,31 @@ def rate_exponent(p: RateParams) -> float:
     return (p.epsilon + min(2.0 * p.beta, p.alpha * p.epsilon**2)) / 2.0 + p.alpha - 1.0
 
 
-def theoretical_nu(p: RateParams) -> float:
-    """Gated rate exponent; raises HypothesisViolation unless 0 < nu < 1/2
-    and the drift-weight constraint 2*beta/(2-epsilon) >= 1-alpha holds."""
+def rate_hypotheses(p: RateParams) -> list[dict]:
+    """The rate theorem's hypotheses on the exponents, one row each: name,
+    computed value, verdict.  The drift-weight constraint 2*beta/(2-epsilon)
+    >= 1-alpha comes first, then 0 < nu and nu < 1/2."""
     constraint = 2.0 * p.beta / (2.0 - p.epsilon)
-    if constraint < 1.0 - p.alpha:
-        raise HypothesisViolation(
-            "drift_weight_constraint",
-            f"2*beta/(2-epsilon) = {constraint:.6g} < 1-alpha = {1.0 - p.alpha:.6g}",
-        )
+    target = 1.0 - p.alpha
     nu = rate_exponent(p)
-    if nu <= 0.0:
-        raise HypothesisViolation("nu_nonpositive", f"rate exponent nu = {nu:.6g} <= 0")
-    if nu >= 0.5:
-        raise HypothesisViolation("nu_too_large", f"rate exponent nu = {nu:.6g} >= 1/2")
-    return nu
+    return [
+        {
+            "name": "drift_weight_constraint",
+            "value": f"2*beta/(2-epsilon) = {constraint:.6g} vs 1-alpha = {target:.6g}",
+            "holds": constraint >= target,
+        },
+        {"name": "rate_exponent_positive", "value": f"nu = {nu:.6g}", "holds": nu > 0.0},
+        {"name": "rate_exponent_below_half", "value": f"nu = {nu:.6g}", "holds": nu < 0.5},
+    ]
+
+
+def theoretical_nu(p: RateParams) -> float:
+    """Gated rate exponent; raises HypothesisViolation for the first row of
+    `rate_hypotheses` that fails."""
+    for row in rate_hypotheses(p):
+        if not row["holds"]:
+            raise HypothesisViolation(row["name"], row["value"])
+    return rate_exponent(p)
 
 
 def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
@@ -213,7 +224,6 @@ class ConvergenceReport:
     r_squared: float
     nu_theory: float
     pass_flags: dict[str, bool]
-    offgrid_rule: str = OFFGRID_RULE
     slope_stderr: float | None = None
     slope_threshold: float | None = None
 
@@ -244,7 +254,7 @@ class ConvergenceReport:
             "nu_theory": self.nu_theory,
             "pass": self.passed,
             "pass_flags": dict(self.pass_flags),
-            "offgrid_rule": self.offgrid_rule,
+            "offgrid_rule": OFFGRID_RULE,
         }
         if self.slope_threshold is not None:
             out["slope_stderr"] = self.slope_stderr
@@ -480,10 +490,10 @@ def increment_statistic(
     levels,
     n_dim: int,
     m_paths: int,
+    alpha: float,
     sample_fractions=(0.5,),
     workers: int = 1,
     chunk_size: int = 25,
-    alpha: float | None = None,
 ) -> ConvergenceReport:
     """Worst off-grid mean-square displacement from the last grid point.
 
@@ -491,8 +501,8 @@ def increment_statistic(
     off-grid times of E||Y_t - Y_(grid point below t)||^2; its decay order
     in delta is the regularity the scheme inherits from the noise.
 
-    With ``alpha`` given, the flag ``slope_at_least_alpha_minus_margin``
-    checks the fitted log-log slope against what the scheme promises:
+    The flag ``slope_at_least_alpha_minus_margin`` checks the fitted
+    log-log slope against what the scheme promises:
 
     * An increment bound of the form sup_t E||Y_t - Y_(t_delta)||^2 <=
       C delta^alpha is an upper envelope.  (PAPER.md holds only the
@@ -543,11 +553,10 @@ def increment_statistic(
     deltas = np.array([r.delta for r in rows])
     stats = np.array([r.err2_mean for r in rows])
     slope, intercept, r2 = fit_rate(deltas, stats)
-    flags = {"finite": bool(np.all(np.isfinite(stats)))}
-    report = ConvergenceReport("increment", rows, slope, intercept, r2, float("nan"), flags)
-    if alpha is not None:
-        s0 = _driftless_increment_slope(operator, initial, lattice, levels, n_dim, sample_fractions)
-        report.slope_threshold = min(alpha, s0) - ALPHA_MARGIN
-        report.slope_stderr = _slope_stderr(deltas, np.stack(selected, axis=1))
-        flags["slope_at_least_alpha_minus_margin"] = slope >= report.slope_threshold
-    return report
+    s0 = _driftless_increment_slope(operator, initial, lattice, levels, n_dim, sample_fractions)
+    threshold = min(alpha, s0) - ALPHA_MARGIN
+    flags = {"finite": bool(np.all(np.isfinite(stats))), "slope_at_least_alpha_minus_margin": slope >= threshold}
+    return ConvergenceReport(
+        "increment", rows, slope, intercept, r2, float("nan"), flags,
+        slope_stderr=_slope_stderr(deltas, np.stack(selected, axis=1)), slope_threshold=threshold,
+    )

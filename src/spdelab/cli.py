@@ -1,13 +1,17 @@
 """Command line front end: JSON study configs in, CSV and JSON reports out.
 
 Every invocation loads one config document, checks the standing hypotheses
-of the rate theorem against it and runs the command `_COMMANDS` names.  The
-one writer `_emit` puts `report.csv`, `summary.json` (with the config and the
-hypothesis table) and `plot.gp` (plain plotting commands) into the output
-directory.  Study functions are looked up by their module-level names at each
-call, never kept in a table, so a tracer that rebinds them here sees every run.
+of the rate theorem against it and runs the command `_COMMANDS` names.  A
+config field the parser does not read for its section's kind is an error,
+as is `--workers` on a command with no worker pool.  The one writer `_emit`
+puts `report.csv`, `summary.json` (with the config and the hypothesis table)
+and `plot.gp` (plain plotting commands) into the output directory.  Study
+functions are looked up by their module-level names at each call, never kept
+in a table, so a tracer that rebinds them here sees every run.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
-3 hypothesis violated, 4 runtime failure.
+3 hypothesis violated (stderr `hypothesis violated [<row name>]: <row
+value>`, the first row of the hypothesis table that does not hold),
+4 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +32,8 @@ from .spectral import (
     make_heat_operator,
     make_power_law_operator,
 )
-from .drift import (
-    HolderDriftSpec,
-    drift_spec_from_dict,
-    drift_spec_to_dict,
-    verify_mode_holder,
-    verify_time_holder,
-)
-from .noise import NoiseLattice
+from .drift import HolderDriftSpec, verify_mode_holder, verify_time_holder
+from .noise import _MASK64, NoiseLattice
 from .scheme import (
     InitialData,
     SchemeConfig,
@@ -51,10 +49,9 @@ from .analysis import (
     RateParams,
     _check_sample_fractions,
     increment_statistic,
-    rate_exponent,
+    rate_hypotheses,
     spatial_study,
     temporal_study,
-    theoretical_nu,
 )
 from .kolmogorov import kolmogorov_suite
 
@@ -86,6 +83,7 @@ _COMMANDS = {
 }
 
 _STUDY_KINDS = tuple(kind for _, kind in _COMMANDS.values() if kind is not None)
+_POOLED_KINDS = ("temporal", "spatial", "increment")  # the studies that run path chunks in workers
 
 
 class ConfigError(ValueError):
@@ -106,11 +104,12 @@ class StudyConfig:
     output_dir: str
 
     def to_dict(self) -> dict:
+        power = self.operator.power
         op: dict = {"kind": "heat", "n_max": self.operator.n_max}
-        if self.operator.spectrum_kind == "power_law" and self.operator.power != 2.0:
-            op = {"kind": "power_law", "n_max": self.operator.n_max, "power": self.operator.power}
-        elif self.operator.spectrum_kind == "explicit":
+        if power is None:
             op = {"kind": "explicit", "eigenvalues": [float(v) for v in self.operator.eigenvalues]}
+        elif power != 2.0:
+            op = {"kind": "power_law", "n_max": self.operator.n_max, "power": power}
         initial: dict = {"profile": self.initial.profile}
         if self.initial.profile == "power_decay":
             initial["q"] = self.initial.q
@@ -118,7 +117,7 @@ class StudyConfig:
             initial["coeffs"] = list(self.initial.coeffs)
         return {
             "operator": op,
-            "drift": drift_spec_to_dict(self.drift),
+            "drift": asdict(self.drift),
             "rate_params": {
                 "alpha": self.rate.alpha,
                 "beta": self.rate.beta,
@@ -135,50 +134,62 @@ class StudyConfig:
             "output": {"directory": self.output_dir},
         }
 
-    def lattice(self, scale: float = 1.0) -> NoiseLattice:
-        return NoiseLattice(self.master_seed, self.horizon, self.levels, self.n_modes, scale)
+    def lattice(self) -> NoiseLattice:
+        return NoiseLattice(self.master_seed, self.horizon, self.levels, self.n_modes)
 
 
-def _section(doc: dict, name: str) -> dict:
-    if name not in doc:
-        raise ConfigError(f"missing section {name!r}")
-    value = doc[name]
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    return value
+class _Section(dict):
+    """One config section; it records the fields the parser reads from it,
+    so that parse_config can refuse every other field."""
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+        self.read: set[str] = set()
 
 
 _MISSING = object()
 
 
-def _get(section: dict, name: str, where: str, default=_MISSING):
+def _section(doc: dict, name: str, default=_MISSING) -> _Section:
+    value = doc.get(name, default)
+    if value is _MISSING:
+        raise ConfigError(f"missing section {name!r}")
+    if not isinstance(value, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    return _Section(name, value)
+
+
+def _get(section: _Section, name: str, default=_MISSING):
+    section.read.add(name)
     if name in section:
         return section[name]
     if default is _MISSING:
-        raise ConfigError(f"missing field {name!r} in section {where!r}")
+        raise ConfigError(f"missing field {name!r} in section {section.name!r}")
     return default
 
 
-def _int_field(section, name, where, minimum, maximum=None, default=_MISSING) -> int:
-    value = _get(section, name, where, default)
+def _int_field(section, name, minimum, maximum=None, default=_MISSING) -> int:
+    value = _get(section, name, default)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{name} must be an integer")
+        raise ConfigError(f"{section.name}.{name} must be an integer")
     if value < minimum or (maximum is not None and value > maximum):
-        raise ConfigError(f"{where}.{name} out of range")
+        raise ConfigError(f"{section.name}.{name} out of range")
     return value
 
 
-def _int_list_field(section, name, where, minimum, maximum=None, default=_MISSING) -> list[int]:
+def _int_list_field(section, name, minimum, maximum=None, default=_MISSING) -> list[int]:
     """A non-empty list of distinct integers in [minimum, maximum], sorted."""
-    values = _get(section, name, where, default)
+    values = _get(section, name, default)
+    where = f"{section.name}.{name}"
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}.{name} must be a non-empty list")
+        raise ConfigError(f"{where} must be a non-empty list")
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < minimum or (maximum is not None and v > maximum):
             bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-            raise ConfigError(f"{where}.{name} entries must be integers {bounds}")
+            raise ConfigError(f"{where} entries must be integers {bounds}")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{where}.{name} entries must be distinct")
+        raise ConfigError(f"{where} entries must be distinct")
     return sorted(values)
 
 
@@ -193,138 +204,143 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _float_field(section, name, where, default=_MISSING) -> float:
-    return _number(_get(section, name, where, default), f"{where}.{name}")
+def _float_field(section, name, default=_MISSING) -> float:
+    return _number(_get(section, name, default), f"{section.name}.{name}")
 
 
-def _float_list_field(section, name, where, default=_MISSING) -> list[float]:
+def _float_list_field(section, name, default=_MISSING) -> list[float]:
     """A non-empty list of finite numbers, in the given order."""
-    values = _get(section, name, where, default)
+    values = _get(section, name, default)
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}.{name} must be a non-empty list")
-    return [_number(v, f"{where}.{name} entries") for v in values]
+        raise ConfigError(f"{section.name}.{name} must be a non-empty list")
+    return [_number(v, f"{section.name}.{name} entries") for v in values]
 
 
-def _build_operator(section: dict) -> SpectralOperator:
-    kind = _get(section, "kind", "operator")
+def _build_operator(section: _Section) -> SpectralOperator:
+    kind = _get(section, "kind")
     if kind == "heat":
-        return make_heat_operator(_int_field(section, "n_max", "operator", 1))
+        return make_heat_operator(_int_field(section, "n_max", 1))
     if kind == "power_law":
-        power = _float_field(section, "power", "operator")
-        return make_power_law_operator(_int_field(section, "n_max", "operator", 1), power)
+        power = _float_field(section, "power")
+        return make_power_law_operator(_int_field(section, "n_max", 1), power)
     if kind == "explicit":
-        return SpectralOperator(np.asarray(_float_list_field(section, "eigenvalues", "operator")))
+        return SpectralOperator(np.asarray(_float_list_field(section, "eigenvalues")))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
-def _normalize_study(section: dict, cfg_levels: int, cfg_modes: int, op: SpectralOperator, rate: RateParams) -> dict:
-    kind = _get(section, "kind", "study")
+def _normalize_study(section: _Section, cfg_levels: int, cfg_modes: int, op: SpectralOperator, rate: RateParams) -> dict:
+    kind = _get(section, "kind")
     if kind not in _STUDY_KINDS:
         raise ConfigError(f"unknown study kind {kind!r}")
     out: dict = {"kind": kind}
-    if "M" in section and "m_paths" not in section and "m_samples" not in section:
-        section = dict(section)
-        section["m_samples" if kind == "kolmogorov" else "m_paths"] = section.pop("M")
-
     if kind == "temporal":
-        ladder = _int_list_field(section, "ladder", "study", 0)
-        ref = _int_field(section, "reference_level", "study", 0, cfg_levels)
+        ladder = _int_list_field(section, "ladder", 0)
+        ref = _int_field(section, "reference_level", 0, cfg_levels)
         if ladder[-1] >= ref:
             raise ConfigError("study.ladder must stay strictly below the reference level")
-        n_modes = _int_field(section, "n_modes", "study", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max))
+        n_modes = _int_field(section, "n_modes", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max))
         out.update(
             ladder=ladder,
             reference_level=ref,
             n_modes=n_modes,
-            m_paths=_int_field(section, "m_paths", "study", 2),
+            m_paths=_int_field(section, "m_paths", 2),
         )
     elif kind == "spatial":
-        ladder = _int_list_field(section, "ladder", "study", 0)
-        ref = _int_field(section, "reference_modes", "study", 1, min(cfg_modes, op.n_max))
+        ladder = _int_list_field(section, "ladder", 0)
+        ref = _int_field(section, "reference_modes", 1, min(cfg_modes, op.n_max))
         if ladder[0] < 1 or ladder[-1] >= ref:
             raise ConfigError("study.ladder must be mode counts strictly below reference_modes")
         out.update(
             ladder=ladder,
             reference_modes=ref,
-            level=_int_field(section, "level", "study", 0, cfg_levels),
-            m_paths=_int_field(section, "m_paths", "study", 2),
+            level=_int_field(section, "level", 0, cfg_levels),
+            m_paths=_int_field(section, "m_paths", 2),
         )
     elif kind == "increment":
-        ladder = _int_list_field(section, "ladder", "study", 0)
+        ladder = _int_list_field(section, "ladder", 0)
         if ladder[-1] >= cfg_levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
-        fractions = _float_list_field(section, "sample_fractions", "study", default=[0.5])
+        fractions = _float_list_field(section, "sample_fractions", default=[0.5])
         _check_sample_fractions(fractions, ladder[-1], cfg_levels)
         out.update(
             ladder=ladder,
-            n_modes=_int_field(section, "n_modes", "study", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max)),
-            m_paths=_int_field(section, "m_paths", "study", 2),
+            n_modes=_int_field(section, "n_modes", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max)),
+            m_paths=_int_field(section, "m_paths", 2),
             sample_fractions=fractions,
         )
     elif kind == "kolmogorov":
-        dims = _int_field(section, "dims", "study", 1, min(4, op.n_max), default=min(4, op.n_max))
-        decay_modes = _int_list_field(section, "decay_modes", "study", 1, op.n_max, default=[1, 4, 16])
-        lam_sweep = _float_list_field(section, "lam_sweep", "study", default=[1.0, 10.0, 100.0])
+        dims = _int_field(section, "dims", 1, min(4, op.n_max), default=min(4, op.n_max))
+        decay_modes = _int_list_field(section, "decay_modes", 1, op.n_max, default=[1, 4, 16])
+        lam_sweep = _float_list_field(section, "lam_sweep", default=[1.0, 10.0, 100.0])
         if any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
             raise ConfigError("study.lam_sweep must be positive and ascending")
-        t = _float_field(section, "t", "study", default=0.5)
+        t = _float_field(section, "t", default=0.5)
         if t <= 0.0:
             raise ConfigError("study.t must be positive")
-        theta = _float_field(section, "theta", "study", default=rate.alpha)
+        theta = _float_field(section, "theta", default=rate.alpha)
         if theta < 0.0:
             raise ConfigError("study.theta must be nonnegative")
         out.update(
-            m_samples=_int_field(section, "m_samples", "study", 2, default=20_000),
+            m_samples=_int_field(section, "m_samples", 2, default=20_000),
             dims=dims,
             t=t,
             decay_modes=decay_modes,
-            picard_dims=_int_field(section, "picard_dims", "study", 1, min(4, op.n_max), default=min(3, op.n_max)),
+            picard_dims=_int_field(section, "picard_dims", 1, min(4, op.n_max), default=min(3, op.n_max)),
             lam_sweep=lam_sweep,
             theta=theta,
         )
     else:
-        out.update(trials=_int_field(section, "trials", "study", 1, default=10_000))
+        out.update(trials=_int_field(section, "trials", 1, default=10_000))
     return out
+
+
+_SECTIONS = ("operator", "drift", "rate_params", "initial", "noise", "study")  # output is optional
 
 
 def parse_config(doc: dict) -> StudyConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {"operator", "drift", "rate_params", "initial", "noise", "study", "output"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {*_SECTIONS, "output"}
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
     try:
-        op = _build_operator(_section(doc, "operator"))
-        drift = drift_spec_from_dict(
-            {k: _number(v, f"drift.{k}") if k in _DRIFT_NUMBERS else v for k, v in _section(doc, "drift").items()}
+        sections = {name: _section(doc, name) for name in _SECTIONS}
+        sections["output"] = _section(doc, "output", default={"directory": "out"})
+        op = _build_operator(sections["operator"])
+        drift_section = sections["drift"]
+        drift = HolderDriftSpec(
+            **{
+                f.name: _float_field(drift_section, f.name) if f.name in _DRIFT_NUMBERS else _get(drift_section, f.name)
+                for f in fields(HolderDriftSpec)
+                if f.name in drift_section
+            }
         )
-        rate_section = _section(doc, "rate_params")
+        rate_section = sections["rate_params"]
         rate = RateParams(
-            alpha=_float_field(rate_section, "alpha", "rate_params"),
-            beta=_float_field(rate_section, "beta", "rate_params"),
-            epsilon=_float_field(rate_section, "epsilon", "rate_params"),
+            alpha=_float_field(rate_section, "alpha"),
+            beta=_float_field(rate_section, "beta"),
+            epsilon=_float_field(rate_section, "epsilon"),
         )
-        initial_section = _section(doc, "initial")
-        profile = _get(initial_section, "profile", "initial")
+        initial_section = sections["initial"]
+        profile = _get(initial_section, "profile")
         if profile == "power_decay":
-            initial = InitialData("power_decay", q=_float_field(initial_section, "q", "initial"))
+            initial = InitialData("power_decay", q=_float_field(initial_section, "q"))
         elif profile == "explicit":
-            initial = InitialData("explicit", coeffs=tuple(_float_list_field(initial_section, "coeffs", "initial")))
+            initial = InitialData("explicit", coeffs=tuple(_float_list_field(initial_section, "coeffs")))
         else:
             raise ConfigError(f"unknown initial profile {profile!r}")
-        noise = _section(doc, "noise")
-        seed = _int_field(noise, "seed", "noise", 0)
-        levels = _int_field(noise, "levels", "noise", 0, 30, default=noise.get("L"))
-        n_modes = _int_field(noise, "n_modes", "noise", 1, op.n_max)
-        horizon = _float_field(noise, "horizon", "noise", default=1.0)
+        noise = sections["noise"]
+        seed = _int_field(noise, "seed", 0, _MASK64)
+        levels = _int_field(noise, "levels", 0, 30)
+        n_modes = _int_field(noise, "n_modes", 1, op.n_max)
+        horizon = _float_field(noise, "horizon", default=1.0)
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
-        study = _normalize_study(_section(doc, "study"), levels, n_modes, op, rate)
-        output = doc.get("output", {"directory": "out"})
-        if isinstance(output, str):
-            output = {"directory": output}
-        out_dir = str(_get(output, "directory", "output"))
+        study = _normalize_study(sections["study"], levels, n_modes, op, rate)
+        out_dir = str(_get(sections["output"], "directory"))
+        for section in sections.values():
+            if unread := sorted(set(section) - section.read):
+                raise ConfigError(f"unknown fields in section {section.name!r}: {unread}")
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -367,7 +383,8 @@ def load_config(path, seed=None, paths=None, out=None) -> StudyConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = parse_config(doc)
     if seed is not None:
-        if not 0 <= seed <= (1 << 64) - 1:
+        # the same 64-bit bound as noise.seed: the lattice's master seed
+        if not 0 <= seed <= _MASK64:
             raise ConfigError("seed override must fit in 64 bits")
         cfg.master_seed = seed
     if paths is not None:
@@ -384,48 +401,28 @@ def load_config(path, seed=None, paths=None, out=None) -> StudyConfig:
 
 
 def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
-    """One row per standing hypothesis: name, computed value, verdict."""
-    rows = []
+    """One row per standing hypothesis (name, computed value, verdict): the
+    noise trace, the rate rows of `analysis.rate_hypotheses`, the initial datum."""
     trace = check_trace_condition(cfg.operator, cfg.rate.alpha)
-    rows.append(
+    in_domain, why = initial_domain_check(cfg.initial, cfg.operator)
+    return [
         {
             "name": "noise_trace_summable",
             "value": f"exponent {trace.exponent:.6g}, partial sum {trace.partial_sum:.6g}, "
             f"tail bound {trace.tail_bound:.6g}",
             "holds": trace.converges,
-        }
-    )
-    constraint = 2.0 * cfg.rate.beta / (2.0 - cfg.rate.epsilon)
-    target = 1.0 - cfg.rate.alpha
-    rows.append(
-        {
-            "name": "drift_weight_constraint",
-            "value": f"2*beta/(2-epsilon) = {constraint:.6g} vs 1-alpha = {target:.6g}",
-            "holds": constraint >= target,
-        }
-    )
-    nu = rate_exponent(cfg.rate)
-    rows.append({"name": "rate_exponent_positive", "value": f"nu = {nu:.6g}", "holds": nu > 0.0})
-    rows.append({"name": "rate_exponent_below_half", "value": f"nu = {nu:.6g}", "holds": nu < 0.5})
-    in_domain, why = initial_domain_check(cfg.initial, cfg.operator)
-    rows.append({"name": "initial_state_in_domain", "value": why, "holds": in_domain})
-    return rows
+        },
+        *rate_hypotheses(cfg.rate),
+        {"name": "initial_state_in_domain", "value": why, "holds": in_domain},
+    ]
 
 
-def enforce_hypotheses(cfg: StudyConfig) -> float:
-    """Gate a study run; returns nu or raises the named violation."""
-    trace = check_trace_condition(cfg.operator, cfg.rate.alpha)
-    if trace.converges is not True:
-        state = "diverges" if trace.converges is False else "cannot be certified"
-        raise HypothesisViolation(
-            "noise_trace_summable",
-            f"mode sum of lam**-(1-alpha) {state} (exponent {trace.exponent:.6g})",
-        )
-    nu = theoretical_nu(cfg.rate)
-    in_domain, why = initial_domain_check(cfg.initial, cfg.operator)
-    if in_domain is not True:
-        raise HypothesisViolation("initial_state_in_domain", why)
-    return nu
+def enforce_hypotheses(cfg: StudyConfig) -> None:
+    """Gate a run: raise the violation of the first row of the hypothesis
+    table whose verdict is not True."""
+    for row in hypothesis_rows(cfg):
+        if row["holds"] is not True:
+            raise HypothesisViolation(row["name"], row["value"])
 
 
 def _sanitize(value):
@@ -596,18 +593,10 @@ def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
 def _cmd_hypotheses(cfg: StudyConfig) -> int:
     rows = hypothesis_rows(cfg)
     width = max(len(r["name"]) for r in rows)
-    all_hold = True
+    verdicts = {True: "holds", False: "fails", None: "undetermined"}
     for row in rows:
-        if row["holds"] is True:
-            verdict = "holds"
-        elif row["holds"] is False:
-            verdict = "fails"
-        else:
-            verdict = "undetermined"
-        if row["holds"] is not True:
-            all_hold = False
-        print(f"{row['name']:<{width}}  {verdict:<12}  {row['value']}")
-    return EXIT_OK if all_hold else EXIT_HYPOTHESIS
+        print(f"{row['name']:<{width}}  {verdicts[row['holds']]:<12}  {row['value']}")
+    return EXIT_OK if all(row["holds"] is True for row in rows) else EXIT_HYPOTHESIS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--paths", type=int, default=None, help="override the Monte Carlo size")
         sp.add_argument("--out", default=None, help="override the output directory")
         sp.add_argument(
-            "--workers", type=int, default=None, help="path-chunk workers (default: cpu count)"
+            "--workers", type=int, default=None, help="path-chunk workers of a convergence study (default: cpu count)"
         )
         sp.add_argument(
             "--deterministic",
@@ -640,6 +629,8 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("worker count must be positive")
+        if args.workers is not None and wanted not in _POOLED_KINDS:
+            raise ConfigError(f"{args.command} has no worker pool, so it takes no --workers")
         # simulate reads --paths as a path count and hypotheses runs no study,
         # so only the commands with a study kind take it as a study size
         simulate = args.command == "simulate"

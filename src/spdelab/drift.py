@@ -9,7 +9,7 @@ validators below check both empirically against the analytic constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,8 @@ __all__ = [
     "time_weight",
     "time_weight_lipschitz",
     "mode_holder_constant",
-    "psi_holder_constant",
     "verify_mode_holder",
     "verify_time_holder",
-    "drift_spec_to_dict",
-    "drift_spec_from_dict",
 ]
 
 _KINDS = ("diagonal", "rank_one", "smooth_baseline")
@@ -133,19 +130,15 @@ def drift_bound(spec: HolderDriftSpec, op: SpectralOperator) -> float:
     return spec.amplitude * size
 
 
-def psi_holder_constant(epsilon: float) -> float:
-    """Holder constant of psi (and of tanh) in |u - v|**epsilon.
+def mode_holder_constant(spec: HolderDriftSpec) -> float:
+    """Constant c in the mode-wise Holder bound for this family: the
+    amplitude times the Holder constant 2**(1-e) of psi (and of tanh).
 
     For u, v >= 0, ||u|**e - |v|**e| <= |u - v|**e; a sign crossing costs at
     most the concavity factor 2**(1-e) (equality at v = -u); capping only
     shrinks differences.  min(d, 2) <= 2**(1-e) * d**e covers tanh as well.
     """
-    return 2.0 ** (1.0 - epsilon)
-
-
-def mode_holder_constant(spec: HolderDriftSpec) -> float:
-    """Constant c in the mode-wise Holder bound for this family."""
-    return spec.amplitude * psi_holder_constant(spec.epsilon)
+    return spec.amplitude * 2.0 ** (1.0 - spec.epsilon)
 
 
 @dataclass(frozen=True)
@@ -193,18 +186,17 @@ def verify_mode_holder(
     trials: int = 10_000,
     rng_seed: int = 0,
     horizon: float = 1.0,
-    constant_scale: float = 1.0,
 ) -> ValidationReport:
     """Sample the mode-wise Holder ratio against the analytic constant.
 
     A quarter of the samples are antisymmetric pairs near the origin, where
-    the sign-crossing constant 2**(1-epsilon) is attained; halving the
-    constant via constant_scale must therefore fail.
+    the sign-crossing constant 2**(1-epsilon) is attained; a halved
+    constant must therefore fail.
     """
     rng = np.random.default_rng(rng_seed)
     n = op.n_max
     lam = op.eigenvalues
-    c = constant_scale * mode_holder_constant(spec)
+    c = mode_holder_constant(spec)
     if c == 0.0:
         return ValidationReport("mode_holder", spec.amplitude == 0.0, trials, 0.0, c, {})
 
@@ -281,14 +273,3 @@ def verify_time_holder(
     worst = {} if j is None else {"s": float(s_times[j]), "t": float(t_times[j])}
     return ValidationReport("time_holder", max_ratio <= _PASS_TOL, trials, max_ratio, c_time, worst)
 
-
-def drift_spec_to_dict(spec: HolderDriftSpec) -> dict:
-    return asdict(spec)
-
-
-def drift_spec_from_dict(data: dict) -> HolderDriftSpec:
-    known = {"kind", "beta", "epsilon", "amplitude", "cap", "time_mod", "period"}
-    extra = set(data) - known
-    if extra:
-        raise ValueError(f"unknown drift fields: {sorted(extra)}")
-    return HolderDriftSpec(**data)

@@ -9,9 +9,11 @@ plain Monte Carlo with no discretization error.
 A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
 samplers take the operator itself and read as many modes as the state has.
-The quadrature and gate settings that no caller varies are the module
-constants `FD_STEP`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
-`SUMMABILITY_GROWTH_CAP`.
+The quadrature, budget and gate settings that no caller varies are the
+module constants `FD_STEP` (the step of both finite differences),
+`PICARD_SAMPLE_BUDGET`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
+`SUMMABILITY_GROWTH_CAP`; the Picard budget is read at each draw, so a test
+may lower it by rebinding the module constant.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ __all__ = [
 ]
 
 DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
-FD_STEP = 1e-3  # forward-difference step of the depth-2 Picard derivative term
+# step of finite_difference_gradient and of the depth-2 Picard derivative term
+FD_STEP = 1e-3
+PICARD_SAMPLE_BUDGET = 5_000_000  # transition draws one Picard evaluation may make
 SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
 SUMMABILITY_SAMPLES = 4096  # joint draws per node of the summability probe
 # the last half of the modes may add at most this factor to the first half's sum
@@ -177,26 +181,24 @@ def finite_difference_gradient(
     x: ModeVector,
     eta: ModeVector,
     m_samples: int,
-    h: float = 1e-3,
     seed: int = 0,
 ) -> tuple[ModeVector, np.ndarray]:
-    """Central finite difference of the semigroup with common random numbers.
+    """Central finite difference of the semigroup, step FD_STEP, with common
+    random numbers.
 
     The transition from x + c*eta shares its fluctuation with the one from x,
     so the two endpoints use literally the same draws and the difference
-    quotient stays finite-variance as h shrinks.
+    quotient stays finite-variance as the step shrinks.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if h <= 0.0:
-        raise ValueError("step must be positive")
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
     rng = np.random.default_rng(seed)
     lam = op.eigenvalues[: len(x)]
     states = ou_transition_sample(op, x.coeffs, t, rng, m_samples)
-    shift = decay_factor(lam, t) * (h * eta.coeffs)
-    quotients = (f.evaluate(states + shift, lam) - f.evaluate(states - shift, lam)) / (2.0 * h)
+    shift = decay_factor(lam, t) * (FD_STEP * eta.coeffs)
+    quotients = (f.evaluate(states + shift, lam) - f.evaluate(states - shift, lam)) / (2.0 * FD_STEP)
     mean, se = _mean_stderr(quotients)
     return ModeVector(mean), se
 
@@ -316,9 +318,9 @@ class PicardConfig:
     """Shape of the depth-limited Picard evaluation.
 
     Cost grows like (time_nodes*inner_samples)**depth, which is why depth is
-    capped at 2 and the dimension at 4; sample_budget is the hard stop on
-    total transition draws.  Depth 2 differentiates the first iterate by a
-    forward difference of step FD_STEP.
+    capped at 2 and the dimension at 4; PICARD_SAMPLE_BUDGET is the hard
+    stop on total transition draws.  Depth 2 differentiates the first
+    iterate by a forward difference of step FD_STEP.
     """
 
     lam: float
@@ -328,7 +330,6 @@ class PicardConfig:
     outer_samples: int = 512
     inner_samples: int = 128
     horizon: float = 1.0
-    sample_budget: int = 5_000_000
 
     def __post_init__(self):
         if self.lam <= 0.0:
@@ -343,16 +344,14 @@ class PicardConfig:
             raise ValueError("need at least two samples per level")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        if self.sample_budget < 1:
-            raise ValueError("budget must be positive")
 
 
 class _BudgetExhausted(RuntimeError):
     pass
 
 
-def _draw_transitions(op, z, dt, rng, m, cfg, budget) -> np.ndarray:
-    if budget["used"] + m > cfg.sample_budget:
+def _draw_transitions(op, z, dt, rng, m, budget) -> np.ndarray:
+    if budget["used"] + m > PICARD_SAMPLE_BUDGET:
         raise _BudgetExhausted
     budget["used"] += m
     return ou_transition_sample(op, z, dt, rng, m)
@@ -362,7 +361,7 @@ def _node_integrand(cfg, op, lam_d, spec, k, t, s, z, rng, budget) -> np.ndarray
     """Samples, one row per transition draw, of the k-th Picard integrand at
     the time node s for the iterate at (t, z)."""
     m = cfg.outer_samples if k == cfg.depth else cfg.inner_samples
-    states = _draw_transitions(op, z, s - t, rng, m, cfg, budget)
+    states = _draw_transitions(op, z, s - t, rng, m, budget)
     integrand = drift_array(spec, lam_d, s, states)
     if k >= 2:
         # directional derivative of the previous iterate along the drift,

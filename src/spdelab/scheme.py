@@ -100,7 +100,7 @@ def initial_domain_check(initial: InitialData, op: SpectralOperator) -> tuple[bo
     """
     if initial.profile == "explicit":
         return True, "finite mode expansion, trivially in the domain"
-    if op.spectrum_kind == "power_law":
+    if op.power is not None:
         exponent = 2.0 * op.power - 2.0 * initial.q
         if exponent < -1.0:
             return True, f"series exponent {exponent:g} < -1, sum lam_i^2 x_i^2 converges"

@@ -2,7 +2,9 @@
 
 Everything downstream works in the eigenbasis of the (negated) generator, so
 the operator is represented by its eigenvalue ladder alone and the basis is
-never materialized.
+never materialized.  A ladder that is exactly i**power also carries
+``power``; a set power is the only mark of a power law, and the trace and
+domain checks read it for their analytic tail verdicts.
 """
 
 from __future__ import annotations
@@ -50,13 +52,12 @@ class ModeVector:
 class SpectralOperator:
     """Eigenvalue ladder of the negated generator; ascending and positive.
 
-    ``spectrum_kind`` is "power_law" when eigenvalue i equals i**power (the
-    heat case is power 2), otherwise "explicit".  Tail bounds in the trace
-    check are only available for power-law ladders.
+    ``power`` is set exactly when eigenvalue i equals i**power (the heat
+    case is power 2); None marks an explicit ladder.  Tail bounds in the
+    trace check are only available for power-law ladders.
     """
 
     eigenvalues: np.ndarray
-    spectrum_kind: str = "explicit"
     power: float | None = None
 
     def __post_init__(self):
@@ -67,10 +68,8 @@ class SpectralOperator:
             raise ValueError("eigenvalues must be finite and strictly positive")
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be ascending")
-        if self.spectrum_kind not in ("power_law", "explicit"):
-            raise ValueError(f"unknown spectrum kind {self.spectrum_kind!r}")
-        if self.spectrum_kind == "power_law":
-            if self.power is None or self.power <= 0.0:
+        if self.power is not None:
+            if self.power <= 0.0:
                 raise ValueError("power_law spectrum needs a positive exponent")
             idx = np.arange(1, lam.size + 1, dtype=float)
             if not np.array_equal(lam, idx**self.power):
@@ -86,7 +85,7 @@ def make_power_law_operator(n_max: int, power: float) -> SpectralOperator:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     lam = np.arange(1, n_max + 1, dtype=float) ** power
-    return SpectralOperator(lam, spectrum_kind="power_law", power=power)
+    return SpectralOperator(lam, power=power)
 
 
 def make_heat_operator(n_max: int) -> SpectralOperator:
@@ -114,7 +113,7 @@ def check_trace_condition(op: SpectralOperator, alpha: float) -> TraceReport:
         raise ValueError("alpha must lie in (0, 1)")
     s = 1.0 - alpha
     partial = float(np.sum(op.eigenvalues**-s))
-    if op.spectrum_kind == "power_law":
+    if op.power is not None:
         exponent = op.power * s
         if exponent > 1.0:
             # integral test: sum_{i>n} i^-e <= n^(1-e)/(e-1)

@@ -59,10 +59,10 @@ def test_theoretical_nu_canonical():
 def test_theoretical_nu_rejections():
     with pytest.raises(HypothesisViolation) as exc:
         theoretical_nu(RateParams(alpha=0.49, beta=1.0, epsilon=0.7))
-    assert exc.value.hypothesis == "nu_nonpositive"
+    assert exc.value.hypothesis == "rate_exponent_positive"
     with pytest.raises(HypothesisViolation) as exc:
         theoretical_nu(RateParams(alpha=0.99, beta=1.0, epsilon=0.99))
-    assert exc.value.hypothesis == "nu_too_large"
+    assert exc.value.hypothesis == "rate_exponent_below_half"
     # both gates violated: the weight constraint is checked first
     weak = RateParams(alpha=0.1, beta=0.1, epsilon=0.5)
     assert rate_exponent(weak) < 0.0
@@ -90,7 +90,7 @@ def test_admissibility_boundary_in_epsilon():
     )
     with pytest.raises(HypothesisViolation) as exc:
         theoretical_nu(RateParams(alpha=0.48, beta=1.0, epsilon=0.75))
-    assert exc.value.hypothesis == "nu_nonpositive"
+    assert exc.value.hypothesis == "rate_exponent_positive"
 
 
 @given(
@@ -261,7 +261,7 @@ def test_temporal_study_report_shape():
         "r2_at_least_min",
     }
     assert report.passed == all(report.pass_flags.values())
-    assert report.offgrid_rule == OFFGRID_RULE
+    assert report.summary_dict()["offgrid_rule"] == OFFGRID_RULE
     text = report.csv_text()
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -669,7 +669,7 @@ def test_studies_check_configs_against_the_lattice():
     with pytest.raises(ValueError, match="more modes than the lattice"):
         spatial_study(op, DRIFT, INITIAL, lat, [2, 4], 8, 3, 2, CANONICAL)
     with pytest.raises(ValueError, match="more modes than the lattice"):
-        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2)
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2, alpha=0.45)
     # a reference finer than the lattice
     with pytest.raises(ValueError, match="finer than the lattice"):
         temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, CANONICAL)
@@ -681,13 +681,13 @@ def test_increment_statistic_validation():
     lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
     op = make_heat_operator(4)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [5], 4, 2)
+        increment_statistic(op, DRIFT, INITIAL, lat, [5], 4, 2, 0.45)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [], 4, 2)
+        increment_statistic(op, DRIFT, INITIAL, lat, [], 4, 2, 0.45)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, sample_fractions=(0.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(0.0,))
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, sample_fractions=(1.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(1.0,))
     with pytest.raises(ValueError):
         # 1/3 of a 4-substep block lands between lattice points
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, sample_fractions=(1.0 / 3.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(1.0 / 3.0,))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spdelab
-from spdelab import increment_statistic
+from spdelab import NoiseLattice, increment_statistic
 from spdelab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -19,6 +19,7 @@ from spdelab.cli import (
     EXIT_OK,
     ConfigError,
     _emit_convergence,
+    hypothesis_rows,
     load_config,
     main,
     parse_config,
@@ -97,10 +98,17 @@ def test_parse_rejections(tmp_path):
         parse_config(bad_op)
 
 
-def test_paths_alias_for_sample_size(tmp_path):
-    doc = canonical_doc({"kind": "temporal", "ladder": [2], "reference_level": 5, "M": 9})
-    cfg = parse_config(doc)
-    assert cfg.study["m_paths"] == 9
+def test_removed_aliases_are_config_errors(tmp_path):
+    # study.M, noise.L and an output directory given as a bare string were
+    # once accepted in place of m_paths, levels and output.directory
+    with pytest.raises(ConfigError, match=r"unknown fields in section 'study': \['M'\]"):
+        parse_config(canonical_doc({"kind": "temporal", "ladder": [2], "reference_level": 5, "m_paths": 4, "M": 9}))
+    doc = temporal_study_doc("out")
+    doc["noise"] = {"seed": 7, "L": 6, "n_modes": 8}
+    with pytest.raises(ConfigError, match="missing field 'levels' in section 'noise'"):
+        parse_config(doc)
+    with pytest.raises(ConfigError, match="section 'output' must be an object"):
+        parse_config(canonical_doc(temporal_study_doc("out")["study"], output="out"))
 
 
 def test_temporal_study_end_to_end(tmp_path, capsys):
@@ -262,6 +270,70 @@ def test_simulate_refuses_nonpositive_path_count(tmp_path, capsys, paths):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, study, section, field, value",
+    [
+        ("increment-study", {"kind": "increment", "ladder": [2, 3], "m_paths": 4}, "study", "sample_fraction", [0.25]),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "lam_swep", [1.0, 10.0]),
+        ("temporal-study", None, "operator", "power", 3.0),
+        ("temporal-study", None, "noise", "scale", 2.0),
+        ("temporal-study", None, "drift", "sigma", 2.0),
+        ("temporal-study", None, "rate_params", "gamma", 0.1),
+        ("temporal-study", None, "initial", "coeffs", [1.0]),
+        ("temporal-study", None, "output", "format", "csv"),
+        ("hypotheses", None, "study", "m_samples", 100),
+    ],
+)
+def test_unknown_config_fields_are_config_errors(tmp_path, capsys, command, study, section, field, value):
+    # a field the parser does not read for its section's kind would be
+    # silently ignored, so a typo would run with the default instead
+    out = tmp_path / "o"
+    doc = temporal_study_doc(str(out)) if study is None else canonical_doc(study, out=str(out))
+    doc[section][field] = value
+    assert run([command, "--config", write_doc(tmp_path, doc), "--deterministic"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: unknown fields in section {section!r}: [{field!r}]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])
+def test_seed_range_is_one_config_check(tmp_path, capsys, command):
+    # the config field and the --seed override share the lattice's 64-bit bound
+    doc = temporal_study_doc(str(tmp_path / "o"))
+    doc["noise"]["seed"] = 1 << 64
+    assert run([command, "--config", write_doc(tmp_path, doc, "big.json")]) == EXIT_CONFIG
+    assert "config error: noise.seed out of range" in capsys.readouterr().err
+    cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
+    assert run([command, "--config", cfg, "--seed", str(1 << 64)]) == EXIT_CONFIG
+    assert "config error: seed override must fit in 64 bits" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    doc["noise"]["seed"] = (1 << 64) - 1
+    assert parse_config(doc).master_seed == (1 << 64) - 1
+    assert load_config(cfg, seed=(1 << 64) - 1).master_seed == (1 << 64) - 1
+
+
+@pytest.mark.parametrize(
+    "command, study",
+    [
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}),
+        ("validate-drift", {"kind": "validate", "trials": 50}),
+        ("simulate", None),
+        ("hypotheses", None),
+    ],
+)
+def test_workers_on_a_command_without_a_pool_is_a_config_error(tmp_path, capsys, command, study):
+    out = tmp_path / "o"
+    doc = temporal_study_doc(str(out)) if study is None else canonical_doc(study, out=str(out))
+    cfg = write_doc(tmp_path, doc)
+    for flags in (["--workers", "2"], ["--workers", "1", "--deterministic"]):
+        assert run([command, "--config", cfg, *flags]) == EXIT_CONFIG
+        assert f"config error: {command} has no worker pool" in capsys.readouterr().err
+        assert not out.exists()
+    # --deterministic stays accepted by every command (a gate may still fail
+    # at this size)
+    assert run([command, "--config", cfg, "--deterministic"]) in (EXIT_OK, EXIT_ACCEPTANCE)
+
+
 @pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("deterministic", [[], ["--deterministic"]], ids=["pooled", "deterministic"])
@@ -347,7 +419,29 @@ def test_study_refuses_rough_drift_outside_admissible_range(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc)
     assert run(["temporal-study", "--config", cfg, "--deterministic"]) == EXIT_HYPOTHESIS
     err = capsys.readouterr().err
-    assert "nu_nonpositive" in err
+    assert "rate_exponent_positive" in err
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("rate_params", "alpha", 0.5), ("initial", "q", 2.0), ("epsilon", None, 0.7), ("epsilon", None, 0.2)],
+    ids=["trace", "domain", "nu-positive", "weight-constraint"],
+)
+def test_hypothesis_exit_names_the_table_row(tmp_path, capsys, section, field, value):
+    # a refused run names the first row of the hypotheses table that does
+    # not hold, with that row's value
+    doc = temporal_study_doc(str(tmp_path / "o"))
+    if section == "epsilon":
+        doc["drift"]["epsilon"] = doc["rate_params"]["epsilon"] = value
+    else:
+        doc[section][field] = value
+    cfg = write_doc(tmp_path, doc)
+    row = next(r for r in hypothesis_rows(load_config(cfg)) if r["holds"] is not True)
+    for command, extra in (("temporal-study", ["--deterministic"]), ("simulate", ["--paths", "1"])):
+        assert run([command, "--config", cfg, *extra]) == EXIT_HYPOTHESIS
+        assert capsys.readouterr().err == f"hypothesis violated [{row['name']}]: {row['value']}\n"
+    assert run(["hypotheses", "--config", cfg]) == EXIT_HYPOTHESIS
+    assert f"{row['value']}" in capsys.readouterr().out
 
 
 def test_study_refuses_bad_initial_datum(tmp_path, capsys):
@@ -470,7 +564,14 @@ def test_increment_verdict_line_shows_gate(tmp_path, capsys):
     doc = canonical_doc({"kind": "increment", "ladder": [2, 3], "m_paths": 2}, out=str(out))
     cfg = load_config(write_doc(tmp_path, doc))
     report = increment_statistic(
-        cfg.operator, cfg.drift, cfg.initial, cfg.lattice(scale=0.0), [2, 3], 8, 2, alpha=2.0
+        cfg.operator,
+        cfg.drift,
+        cfg.initial,
+        NoiseLattice(cfg.master_seed, cfg.horizon, cfg.levels, cfg.n_modes, scale=0.0),
+        [2, 3],
+        8,
+        2,
+        alpha=2.0,
     )
     assert _emit_convergence(cfg, report, xcol=2, xlabel="step size") == EXIT_ACCEPTANCE
     stdout = capsys.readouterr().out

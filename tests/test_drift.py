@@ -1,6 +1,7 @@
 """Tests for the Holder drift families and their validators."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,10 +14,7 @@ from spdelab.drift import (
     _worst_trial,
     drift_array,
     drift_bound,
-    drift_spec_from_dict,
-    drift_spec_to_dict,
     mode_holder_constant,
-    psi_holder_constant,
     time_weight,
     time_weight_lipschitz,
     verify_mode_holder,
@@ -102,8 +100,10 @@ def test_mode_holder_validator_passes(heat16, rough_drift):
     assert type(report.max_ratio) is float and type(report.constant) is float
 
 
-def test_mode_holder_validator_rejects_halved_constant(heat16, rough_drift):
-    report = verify_mode_holder(rough_drift, heat16, trials=2000, constant_scale=0.5)
+def test_mode_holder_validator_rejects_halved_constant(heat16, rough_drift, monkeypatch):
+    full = drift.mode_holder_constant
+    monkeypatch.setattr(drift, "mode_holder_constant", lambda spec: 0.5 * full(spec))
+    report = verify_mode_holder(rough_drift, heat16, trials=2000)
     assert not report.passed
     assert 1.9 < report.max_ratio < 2.1
     assert report.worst  # worst offender is recorded
@@ -179,8 +179,8 @@ def test_holder_constant_grid_matches_analytic():
         psi = lambda u, e=eps: np.sign(u) * np.minimum(np.abs(u) ** e, 1.0)
         grid = holder_constant_grid(psi, eps)
         assert grid == pytest.approx(frozen, rel=1e-12)
-        assert grid <= psi_holder_constant(eps) * (1.0 + 1e-9)
-    assert holder_constant_grid(np.tanh, 0.9) <= psi_holder_constant(0.9) * (1.0 + 1e-9)
+        assert grid <= mode_holder_constant(_diag(eps)) * (1.0 + 1e-9)
+    assert holder_constant_grid(np.tanh, 0.9) <= mode_holder_constant(_diag(0.9)) * (1.0 + 1e-9)
 
 
 def test_spec_validation():
@@ -203,10 +203,8 @@ def test_spec_validation():
 
 
 def test_spec_serialization_round_trip(rough_drift):
-    data = drift_spec_to_dict(rough_drift)
-    assert drift_spec_from_dict(data) == rough_drift
-    with pytest.raises(ValueError, match="unknown drift fields"):
-        drift_spec_from_dict({**data, "sigma": 2.0})
+    data = asdict(rough_drift)
+    assert HolderDriftSpec(**data) == rough_drift
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "rank_one", "smooth_baseline"])

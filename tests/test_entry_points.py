@@ -5,11 +5,15 @@ with these positional counts and keywords.  A probe that can no longer make
 its call is reported there as unavailable, not failed, so a refactor that
 drops a name or renames a keyword must fail here instead.  Likewise the
 benchmark's tracer (bench/tracer.py) wraps the module bindings below and
-silently records no span for one that is gone.
+silently records no span for one that is gone.  The benchmark's pinned
+configs (bench/workloads.py) must parse and satisfy every hypothesis.
 """
 
 import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,38 @@ def test_tracer_targets_resolve(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file without importing bench."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["temporal-fine", "spatial-wide", "increment-multi", "kolmogorov-probe"])
+def test_benchmark_configs_parse_and_hold(name):
+    # the benchmark times these configs; a config schema change that refuses
+    # one, or a hypothesis that no longer holds for it, must fail here
+    from spdelab.cli import _COMMANDS, hypothesis_rows, parse_config
+
+    workload = _bench_workloads()[name]
+    cfg = parse_config(workload.doc)
+    assert cfg.study["kind"] == _COMMANDS[workload.command][1]
+    assert [(row["name"], row["holds"]) for row in hypothesis_rows(cfg)] == [
+        (n, True)
+        for n in (
+            "noise_trace_summable",
+            "drift_weight_constraint",
+            "rate_exponent_positive",
+            "rate_exponent_below_half",
+            "initial_state_in_domain",
+        )
+    ]

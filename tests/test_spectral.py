@@ -27,7 +27,6 @@ finite_coeffs = st.lists(
 def test_heat_ladder_small():
     op = make_heat_operator(3)
     assert np.array_equal(op.eigenvalues, [1.0, 4.0, 9.0])
-    assert op.spectrum_kind == "power_law"
     assert op.power == 2.0
     assert op.n_max == 3
 
@@ -50,10 +49,10 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         SpectralOperator(np.array([]))
     with pytest.raises(ValueError):
-        SpectralOperator(np.array([1.0, 2.0]), spectrum_kind="diag")
-    with pytest.raises(ValueError):
         # power_law ladders must be literally i**power
-        SpectralOperator(np.array([1.0, 3.0]), spectrum_kind="power_law", power=2.0)
+        SpectralOperator(np.array([1.0, 3.0]), power=2.0)
+    with pytest.raises(ValueError):
+        SpectralOperator(np.array([1.0, 4.0]), power=0.0)
 
 
 def test_mode_vector_basics():
