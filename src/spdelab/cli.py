@@ -3,9 +3,12 @@
 Every invocation loads one config document, checks the standing hypotheses
 of the rate theorem against it and runs the command `_COMMANDS` names.  A
 config field the parser does not read for its section's kind is an error,
-as is `--workers` on a command with no worker pool.  The one writer `_emit`
-puts `report.csv`, `summary.json` (with the config and the hypothesis table)
-and `plot.gp` (plain plotting commands) into the output directory.  Study
+as is `--workers` on a command with no worker pool.  An override is the
+field it sets, checked by that field's rule: `--seed` sets noise.seed,
+`--out` output.directory and, on a study command, `--paths` the study's size
+field.  The one writer `_emit` puts `report.csv`, `summary.json` (with the
+parser's record of the config and the hypothesis table) and `plot.gp`
+(plain plotting commands) into the output directory.  Study
 functions are looked up by their module-level names at each call, never kept
 in a table, so a tracer that rebinds them here sees every run.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
@@ -21,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,8 @@ _COMMANDS = {
 
 _STUDY_KINDS = tuple(kind for _, kind in _COMMANDS.values() if kind is not None)
 _POOLED_KINDS = ("temporal", "spatial", "increment")  # the studies that run path chunks in workers
+# the study field that --paths sets: the pooled studies' path count, else the sample size
+_SIZE_FIELDS = {**dict.fromkeys(_POOLED_KINDS, "m_paths"), "kolmogorov": "m_samples", "validate": "trials"}
 
 
 class ConfigError(ValueError):
@@ -92,96 +97,76 @@ class ConfigError(ValueError):
 
 @dataclass
 class StudyConfig:
+    """A parsed config: the objects the commands run on and `doc`, the
+    parser's record of the document.
+
+    `doc` holds every field the parser read, converted, with its default
+    filled in and any override applied; it is the `config` of summary.json
+    and parses back to itself.  `lattice` is built from the noise section.
+    """
+
     operator: SpectralOperator
     drift: HolderDriftSpec
     rate: RateParams
     initial: InitialData
-    master_seed: int
-    levels: int
-    n_modes: int
-    horizon: float
-    study: dict
-    output_dir: str
+    lattice: NoiseLattice
+    doc: dict
 
-    def to_dict(self) -> dict:
-        power = self.operator.power
-        op: dict = {"kind": "heat", "n_max": self.operator.n_max}
-        if power is None:
-            op = {"kind": "explicit", "eigenvalues": [float(v) for v in self.operator.eigenvalues]}
-        elif power != 2.0:
-            op = {"kind": "power_law", "n_max": self.operator.n_max, "power": power}
-        initial: dict = {"profile": self.initial.profile}
-        if self.initial.profile == "power_decay":
-            initial["q"] = self.initial.q
-        else:
-            initial["coeffs"] = list(self.initial.coeffs)
-        return {
-            "operator": op,
-            "drift": asdict(self.drift),
-            "rate_params": {
-                "alpha": self.rate.alpha,
-                "beta": self.rate.beta,
-                "epsilon": self.rate.epsilon,
-            },
-            "initial": initial,
-            "noise": {
-                "seed": self.master_seed,
-                "levels": self.levels,
-                "n_modes": self.n_modes,
-                "horizon": self.horizon,
-            },
-            "study": dict(self.study),
-            "output": {"directory": self.output_dir},
-        }
+    @property
+    def study(self) -> dict:
+        return self.doc["study"]
 
-    def lattice(self) -> NoiseLattice:
-        return NoiseLattice(self.master_seed, self.horizon, self.levels, self.n_modes)
+    @property
+    def output_dir(self) -> str:
+        return self.doc["output"]["directory"]
 
 
-class _Section(dict):
-    """One config section; it records the fields the parser reads from it,
-    so that parse_config can refuse every other field."""
+class _Section:
+    """One config section: the document's values and the record of the
+    fields the parser read from it, so that parse_config can refuse every
+    other field."""
 
     def __init__(self, name: str, values: dict):
-        super().__init__(values)
         self.name = name
-        self.read: set[str] = set()
+        self.values = dict(values)
+        self.record: dict = {}
 
 
-_MISSING = object()
-
-
-def _section(doc: dict, name: str, default=_MISSING) -> _Section:
+def _section(doc: dict, name: str, default=MISSING) -> _Section:
     value = doc.get(name, default)
-    if value is _MISSING:
+    if value is MISSING:
         raise ConfigError(f"missing section {name!r}")
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be an object")
     return _Section(name, value)
 
 
-def _get(section: _Section, name: str, default=_MISSING):
-    section.read.add(name)
-    if name in section:
-        return section[name]
-    if default is _MISSING:
+def _get(section: _Section, name: str, default=MISSING, convert=None):
+    """Read one field, or its default, pass it through `convert(value,
+    "<section>.<name>")` and record the result."""
+    value = section.values.get(name, default)
+    if value is MISSING:
         raise ConfigError(f"missing field {name!r} in section {section.name!r}")
-    return default
-
-
-def _int_field(section, name, minimum, maximum=None, default=_MISSING) -> int:
-    value = _get(section, name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{section.name}.{name} must be an integer")
-    if value < minimum or (maximum is not None and value > maximum):
-        raise ConfigError(f"{section.name}.{name} out of range")
+    if convert is not None:
+        value = convert(value, f"{section.name}.{name}")
+    section.record[name] = value
     return value
 
 
-def _int_list_field(section, name, minimum, maximum=None, default=_MISSING) -> list[int]:
+def _integer(value, where: str, minimum: int, maximum: int | None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer")
+    if value < minimum or (maximum is not None and value > maximum):
+        raise ConfigError(f"{where} out of range")
+    return value
+
+
+def _int_field(section, name, minimum, maximum=None, default=MISSING) -> int:
+    return _get(section, name, default, lambda v, where: _integer(v, where, minimum, maximum))
+
+
+def _int_list(values, where: str, minimum: int, maximum: int | None) -> list[int]:
     """A non-empty list of distinct integers in [minimum, maximum], sorted."""
-    values = _get(section, name, default)
-    where = f"{section.name}.{name}"
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{where} must be a non-empty list")
     for v in values:
@@ -191,6 +176,10 @@ def _int_list_field(section, name, minimum, maximum=None, default=_MISSING) -> l
     if len(set(values)) != len(values):
         raise ConfigError(f"{where} entries must be distinct")
     return sorted(values)
+
+
+def _int_list_field(section, name, minimum, maximum=None, default=MISSING) -> list[int]:
+    return _get(section, name, default, lambda v, where: _int_list(v, where, minimum, maximum))
 
 
 _DRIFT_NUMBERS = ("beta", "epsilon", "amplitude", "cap", "period")
@@ -204,16 +193,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _float_field(section, name, default=_MISSING) -> float:
-    return _number(_get(section, name, default), f"{section.name}.{name}")
+def _float_field(section, name, default=MISSING) -> float:
+    return _get(section, name, default, _number)
 
 
-def _float_list_field(section, name, default=_MISSING) -> list[float]:
+def _numbers(values, where: str) -> list[float]:
     """A non-empty list of finite numbers, in the given order."""
-    values = _get(section, name, default)
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"{section.name}.{name} must be a non-empty list")
-    return [_number(v, f"{section.name}.{name} entries") for v in values]
+        raise ConfigError(f"{where} must be a non-empty list")
+    return [_number(v, f"{where} entries") for v in values]
+
+
+def _float_list_field(section, name, default=MISSING) -> list[float]:
+    return _get(section, name, default, _numbers)
 
 
 def _build_operator(section: _Section) -> SpectralOperator:
@@ -228,76 +220,60 @@ def _build_operator(section: _Section) -> SpectralOperator:
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
-def _normalize_study(section: _Section, cfg_levels: int, cfg_modes: int, op: SpectralOperator, rate: RateParams) -> dict:
+def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator, rate: RateParams):
+    """Read the study section for its kind; `wanted` is the kind the
+    command runs (None for any) and `paths` sets the kind's size field."""
     kind = _get(section, "kind")
     if kind not in _STUDY_KINDS:
         raise ConfigError(f"unknown study kind {kind!r}")
-    out: dict = {"kind": kind}
+    if wanted is not None and kind != wanted:
+        raise ConfigError(f"config describes a {kind!r} study, not {wanted!r}")
+    if paths is not None:
+        section.values[_SIZE_FIELDS[kind]] = paths
+    levels, modes = lattice.levels, lattice.n_modes
     if kind == "temporal":
         ladder = _int_list_field(section, "ladder", 0)
-        ref = _int_field(section, "reference_level", 0, cfg_levels)
-        if ladder[-1] >= ref:
+        if ladder[-1] >= _int_field(section, "reference_level", 0, levels):
             raise ConfigError("study.ladder must stay strictly below the reference level")
-        n_modes = _int_field(section, "n_modes", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max))
-        out.update(
-            ladder=ladder,
-            reference_level=ref,
-            n_modes=n_modes,
-            m_paths=_int_field(section, "m_paths", 2),
-        )
+        _int_field(section, "n_modes", 1, modes, default=modes)
+        _int_field(section, "m_paths", 2)
     elif kind == "spatial":
         ladder = _int_list_field(section, "ladder", 0)
-        ref = _int_field(section, "reference_modes", 1, min(cfg_modes, op.n_max))
-        if ladder[0] < 1 or ladder[-1] >= ref:
+        if ladder[0] < 1 or ladder[-1] >= _int_field(section, "reference_modes", 1, modes):
             raise ConfigError("study.ladder must be mode counts strictly below reference_modes")
-        out.update(
-            ladder=ladder,
-            reference_modes=ref,
-            level=_int_field(section, "level", 0, cfg_levels),
-            m_paths=_int_field(section, "m_paths", 2),
-        )
+        _int_field(section, "level", 0, levels)
+        _int_field(section, "m_paths", 2)
     elif kind == "increment":
         ladder = _int_list_field(section, "ladder", 0)
-        if ladder[-1] >= cfg_levels:
+        if ladder[-1] >= levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
-        fractions = _float_list_field(section, "sample_fractions", default=[0.5])
-        _check_sample_fractions(fractions, ladder[-1], cfg_levels)
-        out.update(
-            ladder=ladder,
-            n_modes=_int_field(section, "n_modes", 1, min(cfg_modes, op.n_max), default=min(cfg_modes, op.n_max)),
-            m_paths=_int_field(section, "m_paths", 2),
-            sample_fractions=fractions,
-        )
+        _check_sample_fractions(_float_list_field(section, "sample_fractions", default=[0.5]), ladder[-1], levels)
+        _int_field(section, "n_modes", 1, modes, default=modes)
+        _int_field(section, "m_paths", 2)
     elif kind == "kolmogorov":
-        dims = _int_field(section, "dims", 1, min(4, op.n_max), default=min(4, op.n_max))
-        decay_modes = _int_list_field(section, "decay_modes", 1, op.n_max, default=[1, 4, 16])
+        _int_field(section, "dims", 1, min(4, op.n_max), default=min(4, op.n_max))
+        _int_list_field(section, "decay_modes", 1, op.n_max, default=[1, 4, 16])
         lam_sweep = _float_list_field(section, "lam_sweep", default=[1.0, 10.0, 100.0])
         if any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
             raise ConfigError("study.lam_sweep must be positive and ascending")
-        t = _float_field(section, "t", default=0.5)
-        if t <= 0.0:
+        if _float_field(section, "t", default=0.5) <= 0.0:
             raise ConfigError("study.t must be positive")
-        theta = _float_field(section, "theta", default=rate.alpha)
-        if theta < 0.0:
+        if _float_field(section, "theta", default=rate.alpha) < 0.0:
             raise ConfigError("study.theta must be nonnegative")
-        out.update(
-            m_samples=_int_field(section, "m_samples", 2, default=20_000),
-            dims=dims,
-            t=t,
-            decay_modes=decay_modes,
-            picard_dims=_int_field(section, "picard_dims", 1, min(4, op.n_max), default=min(3, op.n_max)),
-            lam_sweep=lam_sweep,
-            theta=theta,
-        )
+        _int_field(section, "m_samples", 2, default=20_000)
+        _int_field(section, "picard_dims", 1, min(4, op.n_max), default=min(3, op.n_max))
     else:
-        out.update(trials=_int_field(section, "trials", 1, default=10_000))
-    return out
+        _int_field(section, "trials", 1, default=10_000)
 
 
 _SECTIONS = ("operator", "drift", "rate_params", "initial", "noise", "study")  # output is optional
 
 
-def parse_config(doc: dict) -> StudyConfig:
+def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> StudyConfig:
+    """Parse a config document for a command that runs study `kind` (None
+    for any).  The overrides set their fields before any field is read:
+    `seed` noise.seed, `out` output.directory and `paths` the study's size
+    field (`_SIZE_FIELDS`); each then passes that field's rule."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = set(doc) - {*_SECTIONS, "output"}
@@ -306,13 +282,15 @@ def parse_config(doc: dict) -> StudyConfig:
     try:
         sections = {name: _section(doc, name) for name in _SECTIONS}
         sections["output"] = _section(doc, "output", default={"directory": "out"})
+        for name, field, value in (("noise", "seed", seed), ("output", "directory", out)):
+            if value is not None:
+                sections[name].values[field] = value
         op = _build_operator(sections["operator"])
         drift_section = sections["drift"]
         drift = HolderDriftSpec(
             **{
-                f.name: _float_field(drift_section, f.name) if f.name in _DRIFT_NUMBERS else _get(drift_section, f.name)
+                f.name: _get(drift_section, f.name, f.default, _number if f.name in _DRIFT_NUMBERS else None)
                 for f in fields(HolderDriftSpec)
-                if f.name in drift_section
             }
         )
         rate_section = sections["rate_params"]
@@ -336,10 +314,11 @@ def parse_config(doc: dict) -> StudyConfig:
         horizon = _float_field(noise, "horizon", default=1.0)
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
-        study = _normalize_study(sections["study"], levels, n_modes, op, rate)
-        out_dir = str(_get(sections["output"], "directory"))
+        lattice = NoiseLattice(seed, horizon, levels, n_modes)
+        _normalize_study(sections["study"], kind, paths, lattice, op, rate)
+        _get(sections["output"], "directory", convert=lambda v, _: str(v))
         for section in sections.values():
-            if unread := sorted(set(section) - section.read):
+            if unread := sorted(set(section.values) - set(section.record)):
                 raise ConfigError(f"unknown fields in section {section.name!r}: {unread}")
     except ConfigError:
         raise
@@ -347,18 +326,8 @@ def parse_config(doc: dict) -> StudyConfig:
         raise ConfigError(str(exc)) from exc
     if drift.beta != rate.beta or drift.epsilon != rate.epsilon:
         raise ConfigError("rate_params must repeat the drift's beta and epsilon")
-    return StudyConfig(
-        operator=op,
-        drift=drift,
-        rate=rate,
-        initial=initial,
-        master_seed=seed,
-        levels=levels,
-        n_modes=n_modes,
-        horizon=horizon,
-        study=study,
-        output_dir=out_dir,
-    )
+    doc = {name: section.record for name, section in sections.items()}
+    return StudyConfig(op, drift, rate, initial, lattice, doc)
 
 
 def _reject_constant(name: str):
@@ -372,7 +341,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load_config(path, seed=None, paths=None, out=None) -> StudyConfig:
+def load_config(path, kind=None, seed=None, paths=None, out=None) -> StudyConfig:
+    """Read and parse a config file; the arguments are those of parse_config."""
     try:
         # json accepts NaN, Infinity and overflowing literals such as 1e400;
         # none of them is a valid setting, so they are refused here
@@ -381,23 +351,7 @@ def load_config(path, seed=None, paths=None, out=None) -> StudyConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = parse_config(doc)
-    if seed is not None:
-        # the same 64-bit bound as noise.seed: the lattice's master seed
-        if not 0 <= seed <= _MASK64:
-            raise ConfigError("seed override must fit in 64 bits")
-        cfg.master_seed = seed
-    if paths is not None:
-        if paths < 1:
-            raise ConfigError("path override must be positive")
-        if paths < 2 and any(k in cfg.study for k in ("m_paths", "m_samples")):
-            raise ConfigError("this study needs at least 2 paths")
-        for key in ("m_paths", "m_samples", "trials"):
-            if key in cfg.study:
-                cfg.study[key] = paths
-    if out is not None:
-        cfg.output_dir = str(out)
-    return cfg
+    return parse_config(doc, kind, seed, paths, out)
 
 
 def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
@@ -455,7 +409,7 @@ def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = N
     outdir.mkdir(parents=True, exist_ok=True)
     if report_csv is not None:
         (outdir / "report.csv").write_text(report_csv)
-    summary["config"] = cfg.to_dict()
+    summary["config"] = cfg.doc
     summary["hypotheses"] = hypothesis_rows(cfg)
     (outdir / "summary.json").write_text(json.dumps(_sanitize(summary), indent=2, sort_keys=True) + "\n")
     (outdir / "plot.gp").write_text(plot)
@@ -501,7 +455,7 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xl
 
 def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
     st = cfg.study
-    common = (cfg.operator, cfg.drift, cfg.initial, cfg.lattice(), st["ladder"])
+    common = (cfg.operator, cfg.drift, cfg.initial, cfg.lattice, st["ladder"])
     if st["kind"] == "spatial":
         report = spatial_study(*common, st["reference_modes"], st["level"], st["m_paths"], cfg.rate, workers=workers)
         return _emit_convergence(cfg, report, xcol=3, xlabel="retained modes")
@@ -520,20 +474,10 @@ def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
 
 
 def _cmd_kolmogorov(cfg: StudyConfig) -> int:
-    st = cfg.study
-    suite = kolmogorov_suite(
-        cfg.operator,
-        cfg.drift,
-        t=st["t"],
-        dims=st["dims"],
-        m_samples=st["m_samples"],
-        decay_modes=st["decay_modes"],
-        picard_dims=st["picard_dims"],
-        lam_sweep=st["lam_sweep"],
-        horizon=cfg.horizon,
-        theta=st["theta"],
-        seed=cfg.master_seed,
-    )
+    # the kolmogorov study's fields are kolmogorov_suite's keywords
+    settings = {k: v for k, v in cfg.study.items() if k != "kind"}
+    lattice = cfg.lattice
+    suite = kolmogorov_suite(cfg.operator, cfg.drift, horizon=lattice.horizon, seed=lattice.master_seed, **settings)
     report_csv = suite.pop("decay_csv")
     plot = _plot(
         "set logscale y",
@@ -550,10 +494,10 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
 
 
 def _cmd_validate(cfg: StudyConfig) -> int:
-    trials = cfg.study["trials"]
+    lattice, trials = cfg.lattice, cfg.study["trials"]
     reports = [
-        verify_mode_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
-        verify_time_holder(cfg.drift, cfg.operator, trials=trials, rng_seed=cfg.master_seed, horizon=cfg.horizon),
+        verify(cfg.drift, cfg.operator, trials=trials, rng_seed=lattice.master_seed, horizon=lattice.horizon)
+        for verify in (verify_mode_holder, verify_time_holder)
     ]
     lines = ["name,passed,trials,max_ratio,constant"]
     for rep in reports:
@@ -569,17 +513,15 @@ def _cmd_validate(cfg: StudyConfig) -> int:
 def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    scheme = SchemeConfig(
-        cfg.operator, cfg.drift, cfg.initial, cfg.horizon, cfg.levels, cfg.n_modes
-    )
-    lattice = cfg.lattice()
+    lattice = cfg.lattice
+    scheme = SchemeConfig(cfg.operator, cfg.drift, cfg.initial, lattice.horizon, lattice.levels, lattice.n_modes)
     files = []
     for pid in range(n_paths):
         traj = simulate_path(scheme, lattice, pid)
         target = outdir / f"trajectory_{pid}.csv"
         write_trajectory_csv(traj, target)
         files.append(target.name)
-    summary = {"paths": n_paths, "level": cfg.levels, "n_modes": cfg.n_modes, "files": files}
+    summary = {"paths": n_paths, "level": lattice.levels, "n_modes": lattice.n_modes, "files": files}
     plot = _plot(
         "set xlabel 't'",
         "set ylabel 'first mode'",
@@ -636,9 +578,7 @@ def main(argv=None) -> int:
         simulate = args.command == "simulate"
         if simulate and args.paths is not None and args.paths < 1:
             raise ConfigError("path override must be positive")
-        cfg = load_config(args.config, seed=args.seed, paths=None if wanted is None else args.paths, out=args.out)
-        if wanted is not None and cfg.study["kind"] != wanted:
-            raise ConfigError(f"config describes a {cfg.study['kind']!r} study, not {wanted!r}")
+        cfg = load_config(args.config, wanted, args.seed, None if wanted is None else args.paths, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

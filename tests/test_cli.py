@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in process."""
 
 import importlib.metadata
+import inspect
 import json
 import os
 import shutil
@@ -12,11 +13,14 @@ import pytest
 
 import spdelab
 from spdelab import NoiseLattice, increment_statistic
+from spdelab.kolmogorov import kolmogorov_suite
 from spdelab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_OK,
+    _SIZE_FIELDS,
+    _STUDY_KINDS,
     ConfigError,
     _emit_convergence,
     hypothesis_rows,
@@ -65,8 +69,8 @@ def run(args):
 
 def test_config_round_trip_is_idempotent(tmp_path):
     cfg = parse_config(temporal_study_doc(str(tmp_path / "out")))
-    once = cfg.to_dict()
-    again = parse_config(once).to_dict()
+    once = cfg.doc
+    again = parse_config(once).doc
     assert again == once
 
 
@@ -305,11 +309,11 @@ def test_seed_range_is_one_config_check(tmp_path, capsys, command):
     assert "config error: noise.seed out of range" in capsys.readouterr().err
     cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
     assert run([command, "--config", cfg, "--seed", str(1 << 64)]) == EXIT_CONFIG
-    assert "config error: seed override must fit in 64 bits" in capsys.readouterr().err
+    assert "config error: noise.seed out of range" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     doc["noise"]["seed"] = (1 << 64) - 1
-    assert parse_config(doc).master_seed == (1 << 64) - 1
-    assert load_config(cfg, seed=(1 << 64) - 1).master_seed == (1 << 64) - 1
+    assert parse_config(doc).lattice.master_seed == (1 << 64) - 1
+    assert load_config(cfg, seed=(1 << 64) - 1).lattice.master_seed == (1 << 64) - 1
 
 
 @pytest.mark.parametrize(
@@ -550,11 +554,76 @@ def test_decay_modes_validated_like_ladder(tmp_path, modes):
 def test_load_config_overrides(tmp_path):
     cfg_path = write_doc(tmp_path, temporal_study_doc("out"))
     cfg = load_config(cfg_path, seed=55, paths=6, out="elsewhere")
-    assert cfg.master_seed == 55
+    assert cfg.lattice.master_seed == 55
     assert cfg.study["m_paths"] == 6
     assert cfg.output_dir == "elsewhere"
     with pytest.raises(ConfigError):
         load_config(cfg_path, seed=-2)
+
+
+@pytest.mark.parametrize(
+    "command, study, paths, field",
+    [
+        ("temporal-study", {"kind": "temporal", "ladder": [2, 3], "reference_level": 5, "m_paths": 12}, "1", "m_paths"),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "1", "m_samples"),
+        ("validate-drift", {"kind": "validate", "trials": 50}, "0", "trials"),
+    ],
+)
+def test_paths_override_passes_the_size_field_rule(tmp_path, capsys, command, study, paths, field):
+    # --paths sets the study's size field, so the field's own range check
+    # refuses it and names the field
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, canonical_doc(study, out=str(out)))
+    assert run([command, "--config", cfg, "--paths", paths]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: study.{field} out of range\n"
+    assert not out.exists()
+
+
+def test_paths_override_replaces_the_field_before_its_check(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc(str(out), m_paths=1))
+    assert run(["temporal-study", "--config", cfg, "--paths", "4", "--deterministic"]) == EXIT_OK
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert [row["m_paths"] for row in summary["rows"]] == [4, 4]
+    assert summary["config"]["study"]["m_paths"] == 4
+
+
+def test_summary_config_is_the_parsed_record(tmp_path, capsys):
+    # a power_law operator with power 2 is recorded as given, not as heat
+    out = tmp_path / "o"
+    doc = temporal_study_doc(str(out))
+    doc["operator"] = {"kind": "power_law", "n_max": 64, "power": 2}
+    assert run(["temporal-study", "--config", write_doc(tmp_path, doc), "--deterministic"]) == EXIT_OK
+    capsys.readouterr()
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["operator"] == {"kind": "power_law", "n_max": 64, "power": 2.0}
+    assert config == parse_config(doc).doc
+
+
+_MINIMAL_STUDIES = {
+    "temporal": {"kind": "temporal", "ladder": [2], "reference_level": 5, "m_paths": 4},
+    "spatial": {"kind": "spatial", "ladder": [2], "reference_modes": 8, "level": 3, "m_paths": 4},
+    "increment": {"kind": "increment", "ladder": [2], "m_paths": 4},
+    "kolmogorov": {"kind": "kolmogorov"},
+    "validate": {"kind": "validate"},
+}
+
+
+def test_size_fields_cover_every_study_kind():
+    # --paths looks the size field up by kind; a kind without one, or a
+    # size field its parser does not read, would be refused as unknown
+    assert set(_SIZE_FIELDS) == set(_STUDY_KINDS) == set(_MINIMAL_STUDIES)
+    for kind, size in _SIZE_FIELDS.items():
+        assert size in parse_config(canonical_doc(_MINIMAL_STUDIES[kind])).study
+
+
+def test_kolmogorov_study_fields_are_suite_keywords():
+    # kolmogorov-check passes the study's fields to kolmogorov_suite by name,
+    # so a field the suite does not take would fail at run time (exit 4)
+    settings = set(parse_config(canonical_doc(_MINIMAL_STUDIES["kolmogorov"])).study) - {"kind"}
+    keywords = set(inspect.signature(kolmogorov_suite).parameters) - {"op", "spec", "horizon", "seed"}
+    assert settings <= keywords
 
 
 def test_increment_verdict_line_shows_gate(tmp_path, capsys):
@@ -567,7 +636,7 @@ def test_increment_verdict_line_shows_gate(tmp_path, capsys):
         cfg.operator,
         cfg.drift,
         cfg.initial,
-        NoiseLattice(cfg.master_seed, cfg.horizon, cfg.levels, cfg.n_modes, scale=0.0),
+        NoiseLattice(cfg.lattice.master_seed, cfg.lattice.horizon, cfg.lattice.levels, cfg.lattice.n_modes, scale=0.0),
         [2, 3],
         8,
         2,

@@ -6,7 +6,9 @@ it writes (`report.csv`, `summary.json`, `plot.gp` and trajectory files).
 The output directory differs from run to run, so it is replaced by `<out>`
 in stdout and in the files; that leaves `summary.json` pinned whole except
 for `config.output`.  The goldens in `cli_golden.json` were recorded at
-662d93e, before the CLI's output writers and command list were merged.
+662d93e, before the CLI's output writers and command list were merged; the
+kolmogorov-check `bismut_matches_finite_difference` detail was re-recorded
+when a comparison of no coordinates got its own wording.
 """
 
 import json

@@ -108,6 +108,7 @@ def test_benchmark_configs_parse_and_hold(name):
     workload = _bench_workloads()[name]
     cfg = parse_config(workload.doc)
     assert cfg.study["kind"] == _COMMANDS[workload.command][1]
+    assert parse_config(cfg.doc).doc == cfg.doc
     assert [(row["name"], row["holds"]) for row in hypothesis_rows(cfg)] == [
         (n, True)
         for n in (
