@@ -8,9 +8,9 @@ sub-step closed form (exponential interpolation with frozen drift and the
 exact partial noise), and that convention is stamped into every report.
 The sub-step values come from the scheme's own step (`scheme._advance`),
 which gives them with the grid from one kernel call per step; this module
-has no copy of the formula.  The temporal and spatial studies are one
-coupled ladder driver (`_ladder_rows`) that differs only in the config
-field that varies down the ladder.
+has no copy of the formula.  All three studies, temporal, spatial and
+increment, run through one ladder driver (`_ladder_rows`): a chunk gives
+per-path cells for every rung, and a rung's row is its largest-mean cell.
 
 The study chunks and `integrated_square_error` consume the scheme's window
 pass (`scheme._coupled_pass`) one config at a time: a chunk holds one noise
@@ -137,17 +137,12 @@ def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _pair_modes(ref_cfg: SchemeConfig, approx_cfg: SchemeConfig, n_limit: int | None = None) -> tuple[int, int]:
-    """Check that ref_cfg can serve as reference for approx_cfg -> (n_ap,
-    n_ref): the modes compared and the reference modes counted."""
+def _check_reference(ref_cfg: SchemeConfig, approx_cfg: SchemeConfig) -> None:
+    """Refuse a reference coarser in time or with fewer modes than approx_cfg."""
     if approx_cfg.level > ref_cfg.level:
         raise ValueError("reference must be at least as fine in time")
     if approx_cfg.n_dim > ref_cfg.n_dim:
         raise ValueError("reference must carry at least as many modes")
-    n_ref = ref_cfg.n_dim if n_limit is None else n_limit
-    if not 0 < n_ref <= ref_cfg.n_dim:
-        raise ValueError("mode limit out of range")
-    return min(approx_cfg.n_dim, n_ref), n_ref
 
 
 def _substep_stops(lattice: NoiseLattice, ref_cfg: SchemeConfig, approx_cfg: SchemeConfig):
@@ -159,28 +154,27 @@ def _substep_stops(lattice: NoiseLattice, ref_cfg: SchemeConfig, approx_cfg: Sch
     return (lattice.fine_steps >> ref_cfg.level) * np.arange(ratio) if ratio > 1 else None
 
 
-def _err2_batch(ref_grid: np.ndarray, values: np.ndarray, n_ap: int, n_ref: int, err2: np.ndarray) -> None:
+def _err2_batch(ref_grid: np.ndarray, values: np.ndarray, err2: np.ndarray) -> None:
     """Add to err2, per path, the squared error summed over the reference
     steps inside a run of approximation steps.
 
     values holds the approximation's values at the reference times of each
     step, shape (s, ratio, C, n); ref_grid holds the reference rows from the
-    time of the first step on.  Steps are added one at a time in order, and
-    the integral is err2 * ref_cfg.delta once every step has been added.
+    time of the first step on, whose modes past n count in full.  Steps are
+    added one at a time in order, and the integral is err2 * ref_cfg.delta
+    once every step has been added.
     """
-    ratio = values.shape[1]
+    ratio, n = values.shape[1], values.shape[-1]
     for j, stack in enumerate(values):
         ref_slice = ref_grid[j * ratio : (j + 1) * ratio]
-        diff = ref_slice[:, :, :n_ap] - stack[:, :, :n_ap]
+        diff = ref_slice[:, :, :n] - stack
         err2 += np.einsum("rpn,rpn->p", diff, diff)
-        if n_ref > n_ap:
-            tail = ref_slice[:, :, n_ap:n_ref]
+        if ref_slice.shape[-1] > n:
+            tail = ref_slice[:, :, n:]
             err2 += np.einsum("rpn,rpn->p", tail, tail)
 
 
-def integrated_square_error(
-    ref: Trajectory, approx: Trajectory, lattice: NoiseLattice, n_limit: int | None = None
-) -> float:
+def integrated_square_error(ref: Trajectory, approx: Trajectory, lattice: NoiseLattice) -> float:
     """Integral over [0, T] of the squared H-distance along one path.
 
     approx must be the scheme's path on the lattice (`simulate_path`
@@ -194,14 +188,14 @@ def integrated_square_error(
     if ref.config.level > lattice.levels:
         raise ValueError("reference is finer than the lattice")
     ref_cfg, ap_cfg = ref.config, approx.config
-    n_ap, n_ref = _pair_modes(ref_cfg, ap_cfg, n_limit)
+    _check_reference(ref_cfg, ap_cfg)
     ratio = 1 << (ref_cfg.level - ap_cfg.level)
     stops = [_substep_stops(lattice, ref_cfg, ap_cfg)]
     err2 = np.zeros(1)
     for _, k0, grid, values in _coupled_pass([ap_cfg], lattice, [approx.path_id], stops):
         if not np.array_equal(grid[:, 0], approx.grid[k0 : k0 + len(grid)]):
             raise ValueError("approximation is not the scheme's path on this lattice")
-        _err2_batch(ref.grid[k0 * ratio :, None], values, n_ap, n_ref, err2)
+        _err2_batch(ref.grid[k0 * ratio :, None], values, err2)
     return float(err2[0] * ref_cfg.delta)
 
 
@@ -280,7 +274,6 @@ def _run_chunks(worker, payloads, workers: int):
 def _ladder_chunk(payload):
     """Per-path err2 of every ladder config against the reference, one chunk."""
     ref_cfg, configs, lattice, path_ids = payload
-    modes = [_pair_modes(ref_cfg, cfg) for cfg in configs]
     stops = [None] + [_substep_stops(lattice, ref_cfg, cfg) for cfg in configs]
     err2 = np.zeros((len(configs), len(path_ids)))
     for i, _, grid, values in _coupled_pass([ref_cfg] + configs, lattice, path_ids, stops):
@@ -288,34 +281,26 @@ def _ladder_chunk(payload):
         if i == 0:
             ref_grid = grid
         else:
-            _err2_batch(ref_grid, values, *modes[i - 1], err2[i - 1])
+            _err2_batch(ref_grid, values, err2[i - 1])
         del grid, values
     return err2 * ref_cfg.delta
 
 
-def _row(resolution: int, delta: float, n_modes: int, vals: np.ndarray, mean: float | None = None) -> ReportRow:
-    """A report row over per-path values: their mean (unless given) and its
-    standard error."""
-    m = len(vals)
-    return ReportRow(
-        resolution=resolution,
-        delta=delta,
-        n_modes=n_modes,
-        m_paths=m,
-        err2_mean=float(np.mean(vals)) if mean is None else mean,
-        err2_stderr=float(np.std(vals, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
-    )
-
-
-def _ladder_rows(ref_cfg, configs, resolutions, lattice, m_paths, workers, chunk_size) -> list[ReportRow]:
-    """One row per ladder config: the integrated squared error against the
-    coupled reference ref_cfg, over m_paths paths run chunk by chunk."""
-    payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
-    results = _run_chunks(_ladder_chunk, payloads, workers)
-    return [
-        _row(res, cfg.delta, cfg.n_dim, np.concatenate([r[i] for r in results]))
-        for i, (res, cfg) in enumerate(zip(resolutions, configs))
-    ]
+def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tuple[list[ReportRow], np.ndarray]:
+    """Run the chunks -> (one row per ladder config, the per-path values
+    behind the rows, shape (paths, rungs)).  A chunk gives each rung's cells
+    per path, one for err2 and one per (fraction, step) for an increment; a
+    row is the cell with the largest mean, with that mean's standard error."""
+    results = _run_chunks(worker, payloads, workers)
+    rows, values = [], np.empty((m_paths, len(configs)))
+    for i, (res, cfg) in enumerate(zip(resolutions, configs)):
+        cells = np.concatenate([r[i] for r in results]).reshape(m_paths, -1)
+        means = cells.mean(axis=0)
+        flat = int(np.argmax(means))
+        vals = values[:, i] = cells[:, flat]
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
+        rows.append(ReportRow(res, cfg.delta, cfg.n_dim, m_paths, float(means[flat]), stderr))
+    return rows, values
 
 
 def _decreasing_beyond_noise(means: np.ndarray, stderrs: np.ndarray) -> bool:
@@ -346,9 +331,9 @@ def temporal_study(
     drift_spec,
     initial,
     lattice: NoiseLattice,
-    levels,
-    ref_level: int,
-    n_dim: int,
+    ladder,
+    reference_level: int,
+    n_modes: int,
     m_paths: int,
     rate: RateParams,
     workers: int = 1,
@@ -356,19 +341,21 @@ def temporal_study(
 ) -> ConvergenceReport:
     """Self-convergence in the step size at fixed mode count.
 
-    Every ladder level is coupled to the ref_level reference through the
-    shared lattice, so the spatial truncation error cancels exactly and the
-    fitted slope isolates the temporal rate.  The slope must reach
-    nu - SLOPE_MARGIN; the r2_at_least_min flag (R^2 >= R2_MIN) is set only
-    on ladders of at least R2_MIN_POINTS rungs.
+    The config fields `ladder` (levels), `reference_level`, `n_modes` and
+    `m_paths` are keywords here.  Every level is coupled to the reference
+    through the shared lattice, so the spatial truncation error cancels
+    exactly and the fitted slope isolates the temporal rate.  The slope must
+    reach nu - SLOPE_MARGIN; the r2_at_least_min flag (R^2 >= R2_MIN) is
+    set only on ladders of at least R2_MIN_POINTS rungs.
     """
-    levels = sorted(levels)
-    if not levels or levels[-1] >= ref_level:
+    ladder = sorted(ladder)
+    if not ladder or ladder[-1] >= reference_level:
         raise ValueError("ladder levels must be coarser than the reference")
     nu = theoretical_nu(rate)
-    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, ref_level, n_dim)
-    configs = [replace(ref_cfg, level=lev) for lev in levels]
-    rows = _ladder_rows(ref_cfg, configs, levels, lattice, m_paths, workers, chunk_size)
+    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
+    configs = [replace(ref_cfg, level=lev) for lev in ladder]
+    payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
+    rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
     means = np.array([r.err2_mean for r in rows])
     stderrs = np.array([r.err2_stderr for r in rows])
     deltas = np.array([r.delta for r in rows])
@@ -387,8 +374,8 @@ def spatial_study(
     drift_spec,
     initial,
     lattice: NoiseLattice,
-    mode_ladder,
-    ref_modes: int,
+    ladder,
+    reference_modes: int,
     level: int,
     m_paths: int,
     rate: RateParams,
@@ -396,16 +383,19 @@ def spatial_study(
     chunk_size: int = 25,
 ) -> ConvergenceReport:
     """Galerkin truncation error at fixed step size, fitted against the
-    largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN)."""
-    mode_ladder = sorted(mode_ladder)
-    if not mode_ladder or mode_ladder[-1] >= ref_modes:
+    largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN).
+    The config fields `ladder` (mode counts), `reference_modes`, `level` and
+    `m_paths` are keywords here."""
+    ladder = sorted(ladder)
+    if not ladder or ladder[-1] >= reference_modes:
         raise ValueError("mode ladder must stay below the reference mode count")
     nu = theoretical_nu(rate)
-    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, ref_modes)
-    configs = [replace(ref_cfg, n_dim=n) for n in mode_ladder]
-    rows = _ladder_rows(ref_cfg, configs, mode_ladder, lattice, m_paths, workers, chunk_size)
+    ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
+    configs = [replace(ref_cfg, n_dim=n) for n in ladder]
+    payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
+    rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
     means = np.array([r.err2_mean for r in rows])
-    top_eigs = np.array([operator.eigenvalues[n - 1] for n in mode_ladder])
+    top_eigs = np.array([operator.eigenvalues[n - 1] for n in ladder])
     slope, intercept, r2 = fit_rate(top_eigs, means)
     flags = {
         "err2_strictly_decreasing": bool(np.all(np.diff(means) < 0.0)),
@@ -434,16 +424,16 @@ def _check_sample_fractions(fractions, finest_level: int, lattice_levels: int) -
 
 
 def _increment_chunk(payload):
-    operator, spec, initial, lattice, levels, n_dim, fractions, path_ids = payload
-    configs = [SchemeConfig(operator, spec, initial, lattice.horizon, lev, n_dim) for lev in levels]
-    stops = [_substep_offsets(lattice, lev, fractions) for lev in levels]
-    out = [np.empty((len(path_ids), len(fractions), cfg.steps)) for cfg in configs]
+    """Per-path ||Y_t - Y_(k delta)||^2 of every ladder config, one chunk:
+    rung i gives shape (paths, fractions, steps), t at offsets stops[i]."""
+    configs, stops, lattice, path_ids = payload
+    out = [np.empty((len(path_ids), len(s), cfg.steps)) for cfg, s in zip(configs, stops)]
     for i, k0, grid, values in _coupled_pass(configs, lattice, path_ids, stops):
         for j in range(len(values)):
             diff = values[j] - grid[j]
             out[i][:, :, k0 + j] = np.einsum("fpn,fpn->fp", diff, diff).T
         del grid, values
-    return dict(zip(levels, out))
+    return out
 
 
 def _driftless_increment_means(
@@ -487,8 +477,8 @@ def increment_statistic(
     drift_spec,
     initial,
     lattice: NoiseLattice,
-    levels,
-    n_dim: int,
+    ladder,
+    n_modes: int,
     m_paths: int,
     alpha: float,
     sample_fractions=(0.5,),
@@ -497,9 +487,11 @@ def increment_statistic(
 ) -> ConvergenceReport:
     """Worst off-grid mean-square displacement from the last grid point.
 
-    For each level the statistic S(delta) is the maximum over the sampled
-    off-grid times of E||Y_t - Y_(grid point below t)||^2; its decay order
-    in delta is the regularity the scheme inherits from the noise.
+    For each level of the `ladder` the statistic S(delta) is the maximum
+    over the sampled off-grid times of E||Y_t - Y_(grid point below t)||^2;
+    its decay order in delta is the regularity the scheme inherits from the
+    noise.  The config fields `ladder` (levels), `n_modes`, `m_paths` and
+    `sample_fractions` are keywords here; alpha is the noise regularity.
 
     The flag ``slope_at_least_alpha_minus_margin`` checks the fitted
     log-log slope against what the scheme promises:
@@ -532,31 +524,21 @@ def increment_statistic(
 
     The report carries ``slope_stderr`` and ``slope_threshold``.
     """
-    levels = sorted(levels)
-    if not levels or levels[-1] >= lattice.levels:
+    ladder = sorted(ladder)
+    if not ladder or ladder[-1] >= lattice.levels:
         raise ValueError("levels must be strictly coarser than the lattice")
-    _check_sample_fractions(sample_fractions, levels[-1], lattice.levels)
-    payloads = [
-        (operator, drift_spec, initial, lattice, levels, n_dim, tuple(sample_fractions), ids)
-        for ids in _chunked(m_paths, chunk_size)
-    ]
-    results = _run_chunks(_increment_chunk, payloads, workers)
-
-    rows = []
-    selected = []
-    for lev in levels:
-        per_path = np.concatenate([r[lev] for r in results], axis=0)
-        means = per_path.mean(axis=0)
-        flat = int(np.argmax(means))
-        selected.append(per_path.reshape(m_paths, -1)[:, flat])
-        rows.append(_row(lev, lattice.horizon / (1 << lev), n_dim, selected[-1], float(means.reshape(-1)[flat])))
+    _check_sample_fractions(sample_fractions, ladder[-1], lattice.levels)
+    configs = [SchemeConfig(operator, drift_spec, initial, lattice.horizon, lev, n_modes) for lev in ladder]
+    stops = [_substep_offsets(lattice, lev, sample_fractions) for lev in ladder]
+    payloads = [(configs, stops, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
+    rows, values = _ladder_rows(_increment_chunk, payloads, configs, ladder, m_paths, workers)
     deltas = np.array([r.delta for r in rows])
     stats = np.array([r.err2_mean for r in rows])
     slope, intercept, r2 = fit_rate(deltas, stats)
-    s0 = _driftless_increment_slope(operator, initial, lattice, levels, n_dim, sample_fractions)
+    s0 = _driftless_increment_slope(operator, initial, lattice, ladder, n_modes, sample_fractions)
     threshold = min(alpha, s0) - ALPHA_MARGIN
     flags = {"finite": bool(np.all(np.isfinite(stats))), "slope_at_least_alpha_minus_margin": slope >= threshold}
     return ConvergenceReport(
         "increment", rows, slope, intercept, r2, float("nan"), flags,
-        slope_stderr=_slope_stderr(deltas, np.stack(selected, axis=1)), slope_threshold=threshold,
+        slope_stderr=_slope_stderr(deltas, values), slope_threshold=threshold,
     )

@@ -8,9 +8,9 @@ field it sets, checked by that field's rule: `--seed` sets noise.seed,
 `--out` output.directory and, on a study command, `--paths` the study's size
 field.  The one writer `_emit` puts `report.csv`, `summary.json` (with the
 parser's record of the config and the hypothesis table) and `plot.gp`
-(plain plotting commands) into the output directory.  Study
-functions are looked up by their module-level names at each call, never kept
-in a table, so a tracer that rebinds them here sees every run.
+(plain plotting commands) into the output directory.  A study's fields,
+`kind` aside, are keywords of its function, which is looked up by its
+module-level name at each call, so a tracer that rebinds it here sees every run.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
 3 hypothesis violated (stderr `hypothesis violated [<row name>]: <row
 value>`, the first row of the hypothesis table that does not hold),
@@ -86,9 +86,10 @@ _COMMANDS = {
 }
 
 _STUDY_KINDS = tuple(kind for _, kind in _COMMANDS.values() if kind is not None)
-_POOLED_KINDS = ("temporal", "spatial", "increment")  # the studies that run path chunks in workers
+# the studies that run path chunks in workers -> the name of their function here
+_POOLED_STUDIES = {"temporal": "temporal_study", "spatial": "spatial_study", "increment": "increment_statistic"}
 # the study field that --paths sets: the pooled studies' path count, else the sample size
-_SIZE_FIELDS = {**dict.fromkeys(_POOLED_KINDS, "m_paths"), "kolmogorov": "m_samples", "validate": "trials"}
+_SIZE_FIELDS = {**dict.fromkeys(_POOLED_STUDIES, "m_paths"), "kolmogorov": "m_samples", "validate": "trials"}
 
 
 class ConfigError(ValueError):
@@ -416,7 +417,8 @@ def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = N
     return outdir
 
 
-def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xlabel: str) -> int:
+def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
+    xcol, xlabel = (3, "retained modes") if report.study == "spatial" else (2, "step size")
     summary = report.summary_dict()
     summary["rows"] = [asdict(r) for r in report.rows]
     plot = _plot(
@@ -454,23 +456,12 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport, xcol: int, xl
 
 
 def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
-    st = cfg.study
-    common = (cfg.operator, cfg.drift, cfg.initial, cfg.lattice, st["ladder"])
-    if st["kind"] == "spatial":
-        report = spatial_study(*common, st["reference_modes"], st["level"], st["m_paths"], cfg.rate, workers=workers)
-        return _emit_convergence(cfg, report, xcol=3, xlabel="retained modes")
-    if st["kind"] == "temporal":
-        report = temporal_study(*common, st["reference_level"], st["n_modes"], st["m_paths"], cfg.rate, workers=workers)
-    else:
-        report = increment_statistic(
-            *common,
-            st["n_modes"],
-            st["m_paths"],
-            sample_fractions=st["sample_fractions"],
-            workers=workers,
-            alpha=cfg.rate.alpha,
-        )
-    return _emit_convergence(cfg, report, xcol=2, xlabel="step size")
+    fields = {k: v for k, v in cfg.study.items() if k != "kind"}
+    # the increment statistic is gated by the noise regularity alone
+    rate = {"alpha": cfg.rate.alpha} if cfg.study["kind"] == "increment" else {"rate": cfg.rate}
+    study = globals()[_POOLED_STUDIES[cfg.study["kind"]]]
+    report = study(cfg.operator, cfg.drift, cfg.initial, cfg.lattice, **fields, **rate, workers=workers)
+    return _emit_convergence(cfg, report)
 
 
 def _cmd_kolmogorov(cfg: StudyConfig) -> int:
@@ -571,8 +562,10 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("worker count must be positive")
-        if args.workers is not None and wanted not in _POOLED_KINDS:
+        if args.workers is not None and wanted not in _POOLED_STUDIES:
             raise ConfigError(f"{args.command} has no worker pool, so it takes no --workers")
+        if args.workers is not None and args.deterministic:
+            raise ConfigError("--deterministic runs in-process, so it takes no --workers")
         # simulate reads --paths as a path count and hypotheses runs no study,
         # so only the commands with a study kind take it as a study size
         simulate = args.command == "simulate"

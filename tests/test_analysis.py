@@ -30,6 +30,7 @@ from spdelab.analysis import (
     _increment_chunk,
     _ladder_chunk,
     _slope_stderr,
+    _substep_offsets,
     fit_rate,
     integrated_square_error,
 )
@@ -178,15 +179,6 @@ def test_integrated_error_constant_offset():
     assert flipped == pytest.approx(got, rel=1e-12)
 
 
-def test_integrated_error_mode_limit_monotone():
-    lat = _lattice(levels=4)
-    ref = simulate_path(_config(4, 8), lat, 1)
-    approx = simulate_path(_config(2, 4), lat, 1)
-    vals = [integrated_square_error(ref, approx, lat, n_limit=n) for n in range(4, 9)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == integrated_square_error(ref, approx, lat)
-
-
 def test_integrated_error_validation():
     lat = _lattice(levels=4)
     ref = simulate_path(_config(4, 8), lat, 1)
@@ -196,10 +188,6 @@ def test_integrated_error_validation():
         integrated_square_error(ref, other, lat)
     with pytest.raises(ValueError):
         integrated_square_error(approx, ref, lat)
-    with pytest.raises(ValueError):
-        integrated_square_error(ref, approx, lat, n_limit=0)
-    with pytest.raises(ValueError):
-        integrated_square_error(ref, approx, lat, n_limit=9)
     with pytest.raises(ValueError):
         integrated_square_error(ref, approx, _lattice(levels=3))
     # the approximation's sub-step values come from the lattice, so a grid
@@ -227,7 +215,8 @@ def test_one_drift_evaluation_per_step(monkeypatch):
     assert sum(states) == len(path_ids) * sum(cfg.steps for cfg in [ref_cfg, *configs])
     states.clear()
     levels = [2, 3, 4]
-    _increment_chunk((make_heat_operator(8), DRIFT, INITIAL, lat, levels, 8, (0.25, 0.5), path_ids))
+    stops = [_substep_offsets(lat, lev, (0.25, 0.5)) for lev in levels]
+    _increment_chunk(([_config(lev, 8) for lev in levels], stops, lat, path_ids))
     assert sum(states) == len(path_ids) * sum(1 << lev for lev in levels)
 
 
@@ -238,9 +227,9 @@ def _temporal(workers=1):
         DRIFT,
         INITIAL,
         lat,
-        levels=[3, 4, 5],
-        ref_level=7,
-        n_dim=8,
+        ladder=[3, 4, 5],
+        reference_level=7,
+        n_modes=8,
         m_paths=40,
         rate=CANONICAL,
         workers=workers,
@@ -338,8 +327,8 @@ def _spatial(seed=5, m_paths=30, drift=DRIFT):
         drift,
         INITIAL,
         lat,
-        mode_ladder=[2, 4, 8],
-        ref_modes=16,
+        ladder=[2, 4, 8],
+        reference_modes=16,
         level=3,
         m_paths=m_paths,
         rate=CANONICAL,
@@ -365,8 +354,8 @@ def test_increment_statistic_golden():
         DRIFT,
         INITIAL,
         lat,
-        levels=[2, 3, 4],
-        n_dim=8,
+        ladder=[2, 3, 4],
+        n_modes=8,
         m_paths=30,
         sample_fractions=(0.25, 0.5),
         chunk_size=7,
@@ -404,8 +393,8 @@ GOLDEN_SPATIAL_WINDOWS_CSV = (
 def test_temporal_study_golden_across_windows():
     lat = NoiseLattice(master_seed=43, horizon=1.0, levels=10, n_modes=16)
     report = temporal_study(
-        make_heat_operator(16), DRIFT, INITIAL, lat, levels=[3, 4, 5, 6], ref_level=8,
-        n_dim=16, m_paths=13, rate=CANONICAL, chunk_size=5,
+        make_heat_operator(16), DRIFT, INITIAL, lat, ladder=[3, 4, 5, 6], reference_level=8,
+        n_modes=16, m_paths=13, rate=CANONICAL, chunk_size=5,
     )
     assert report.csv_text() == GOLDEN_TEMPORAL_WINDOWS_CSV
     assert repr(report.slope) == "1.0958590131862938"
@@ -414,7 +403,7 @@ def test_temporal_study_golden_across_windows():
 def test_increment_statistic_golden_across_windows():
     lat = NoiseLattice(master_seed=47, horizon=1.0, levels=10, n_modes=8)
     report = increment_statistic(
-        make_heat_operator(8), DRIFT, INITIAL, lat, levels=[3, 4, 5], n_dim=8, m_paths=12,
+        make_heat_operator(8), DRIFT, INITIAL, lat, ladder=[3, 4, 5], n_modes=8, m_paths=12,
         sample_fractions=(0.25, 0.5), chunk_size=5, alpha=0.45,
     )
     assert report.csv_text() == GOLDEN_INCREMENT_WINDOWS_CSV
@@ -425,7 +414,7 @@ def test_increment_statistic_golden_across_windows():
 def test_spatial_study_golden_across_windows():
     lat = NoiseLattice(master_seed=53, horizon=1.0, levels=9, n_modes=16)
     report = spatial_study(
-        make_heat_operator(16), DRIFT, INITIAL, lat, mode_ladder=[2, 4, 8], ref_modes=16,
+        make_heat_operator(16), DRIFT, INITIAL, lat, ladder=[2, 4, 8], reference_modes=16,
         level=9, m_paths=12, rate=CANONICAL, chunk_size=5,
     )
     assert report.csv_text() == GOLDEN_SPATIAL_WINDOWS_CSV
@@ -436,8 +425,6 @@ def test_integrated_error_golden_across_windows():
     lat = NoiseLattice(master_seed=59, horizon=1.0, levels=10, n_modes=8)
     ref = simulate_path(_config(10, 8), lat, 6)
     assert repr(integrated_square_error(ref, simulate_path(_config(3, 5), lat, 6), lat)) == "0.08898852650178339"
-    coarse = simulate_path(_config(5, 5), lat, 6)
-    assert repr(integrated_square_error(ref, coarse, lat, n_limit=6)) == "0.01976430377043229"
     # a reference coarser than the lattice: four fine rows per reference step
     mid = simulate_path(_config(8, 8), lat, 6)
     assert repr(integrated_square_error(mid, simulate_path(_config(3, 5), lat, 6), lat)) == "0.08086959951173064"
@@ -469,6 +456,19 @@ def test_spatial_study_report_shape():
     assert means[0] > means[1] > means[2]
 
 
+def test_spatial_rungs_past_the_damping_see_only_the_initial_tail():
+    # on the heat ladder at level 7, exp(-2 * lam_(n+1) * delta) is below
+    # rounding for n >= 64: the retained modes equal the reference's and its
+    # further modes are damped to nothing after one step, drift and noise
+    # included, so err2 is the t = 0 row alone, delta * sum_{i>n} x_i^2
+    lat = NoiseLattice(master_seed=1, horizon=1.0, levels=7, n_modes=128)
+    report = spatial_study(make_heat_operator(128), DRIFT, INITIAL, lat, [64, 96], 128, 7, 4, CANONICAL)
+    x2 = INITIAL.mode_coefficients(128) ** 2
+    for row in report.rows:
+        assert row.err2_mean == pytest.approx(row.delta * x2[row.n_modes :].sum(), rel=1e-12, abs=0.0)
+        assert row.err2_stderr <= 1e-12 * row.err2_mean
+
+
 def test_spatial_study_ladder_validation():
     lat = NoiseLattice(master_seed=5, horizon=1.0, levels=3, n_modes=16)
     with pytest.raises(ValueError):
@@ -489,8 +489,8 @@ def test_increment_statistic_zero_noise_closed_form():
         DRIFT,
         INITIAL,
         lat,
-        levels=[2, 3],
-        n_dim=4,
+        ladder=[2, 3],
+        n_modes=4,
         m_paths=2,
         sample_fractions=(0.5,),
         alpha=0.45,
@@ -549,9 +549,11 @@ def test_driftless_increment_monte_carlo_matches_closed_form():
     # statistic is an unbiased estimate of the closed form
     lat = NoiseLattice(master_seed=7, horizon=1.0, levels=6, n_modes=8)
     m = 3000
-    out = _increment_chunk((make_heat_operator(8), DRIFTLESS, INITIAL, lat, [2, 3], 8, (0.5,), list(range(m))))
-    for lev in (2, 3):
-        per_path = out[lev][:, 0, :]
+    configs = [SchemeConfig(make_heat_operator(8), DRIFTLESS, INITIAL, 1.0, lev, 8) for lev in (2, 3)]
+    stops = [_substep_offsets(lat, lev, (0.5,)) for lev in (2, 3)]
+    out = _increment_chunk((configs, stops, lat, list(range(m))))
+    for i, lev in enumerate((2, 3)):
+        per_path = out[i][:, 0, :]
         means = per_path.mean(axis=0)
         stderrs = per_path.std(axis=0, ddof=1) / math.sqrt(m)
         exact = np.array(_driftless_increment_oracle(lev, 8, 0.5, 6))
@@ -642,7 +644,7 @@ def test_increment_gate_passes_and_fails():
     s0 = _driftless_increment_slope(op, INITIAL, lat, [2, 3], 4, (0.5,))
 
     def gate(alpha):
-        return increment_statistic(op, DRIFT, INITIAL, lat, levels=[2, 3], n_dim=4, m_paths=2, alpha=alpha)
+        return increment_statistic(op, DRIFT, INITIAL, lat, ladder=[2, 3], n_modes=4, m_paths=2, alpha=alpha)
 
     coarse = gate(0.45)
     assert coarse.slope_threshold == pytest.approx(0.35)

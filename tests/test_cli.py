@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spdelab
-from spdelab import NoiseLattice, increment_statistic
+from spdelab import NoiseLattice, cli, increment_statistic, spatial_study, temporal_study
 from spdelab.kolmogorov import kolmogorov_suite
 from spdelab.cli import (
     EXIT_ACCEPTANCE,
@@ -338,6 +338,18 @@ def test_workers_on_a_command_without_a_pool_is_a_config_error(tmp_path, capsys,
     assert run([command, "--config", cfg, "--deterministic"]) in (EXIT_OK, EXIT_ACCEPTANCE)
 
 
+@pytest.mark.parametrize("command", ["temporal-study", "spatial-study", "increment-study"])
+def test_workers_with_deterministic_is_a_config_error(tmp_path, capsys, command):
+    # --deterministic runs in-process, so a worker count beside it would be
+    # silently dropped
+    out = tmp_path / "o"
+    kind = command.split("-")[0]
+    cfg = write_doc(tmp_path, canonical_doc(_MINIMAL_STUDIES[kind], out=str(out)))
+    assert run([command, "--config", cfg, "--workers", "2", "--deterministic"]) == EXIT_CONFIG
+    assert "config error: --deterministic runs in-process, so it takes no --workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("deterministic", [[], ["--deterministic"]], ids=["pooled", "deterministic"])
@@ -618,12 +630,27 @@ def test_size_fields_cover_every_study_kind():
         assert size in parse_config(canonical_doc(_MINIMAL_STUDIES[kind])).study
 
 
-def test_kolmogorov_study_fields_are_suite_keywords():
-    # kolmogorov-check passes the study's fields to kolmogorov_suite by name,
-    # so a field the suite does not take would fail at run time (exit 4)
-    settings = set(parse_config(canonical_doc(_MINIMAL_STUDIES["kolmogorov"])).study) - {"kind"}
-    keywords = set(inspect.signature(kolmogorov_suite).parameters) - {"op", "spec", "horizon", "seed"}
-    assert settings <= keywords
+@pytest.mark.parametrize(
+    "kind, study",
+    [
+        ("temporal", temporal_study),
+        ("spatial", spatial_study),
+        ("increment", increment_statistic),
+        ("kolmogorov", kolmogorov_suite),
+    ],
+)
+def test_study_fields_are_keywords_of_the_called_function(kind, study):
+    # the CLI passes a study's fields to its function by name, beside the
+    # arguments it fills itself, so a field the function does not take, or
+    # one of those, would fail at run time (exit 4)
+    settings = set(parse_config(canonical_doc(_MINIMAL_STUDIES[kind])).study) - {"kind"}
+    if kind == "kolmogorov":
+        filled = {"op", "spec", "horizon", "seed"}
+    else:
+        filled = {"operator", "drift_spec", "initial", "lattice", "rate", "alpha", "workers"}
+    assert settings <= set(inspect.signature(study).parameters) - filled
+    if kind != "kolmogorov":
+        assert cli._POOLED_STUDIES[kind] == study.__name__
 
 
 def test_increment_verdict_line_shows_gate(tmp_path, capsys):
@@ -642,7 +669,7 @@ def test_increment_verdict_line_shows_gate(tmp_path, capsys):
         2,
         alpha=2.0,
     )
-    assert _emit_convergence(cfg, report, xcol=2, xlabel="step size") == EXIT_ACCEPTANCE
+    assert _emit_convergence(cfg, report) == EXIT_ACCEPTANCE
     stdout = capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["slope_stderr"] == 0.0
