@@ -165,9 +165,11 @@ def _err2_batch(ref_grid: np.ndarray, values: np.ndarray, err2: np.ndarray) -> N
     once every step has been added.
     """
     ratio, n = values.shape[1], values.shape[-1]
+    # a buffer of its own: values may view the grid that carries the state
+    diff = np.empty(values.shape[1:])
     for j, stack in enumerate(values):
         ref_slice = ref_grid[j * ratio : (j + 1) * ratio]
-        diff = ref_slice[:, :, :n] - stack
+        np.subtract(ref_slice[:, :, :n], stack, out=diff)
         err2 += np.einsum("rpn,rpn->p", diff, diff)
         if ref_slice.shape[-1] > n:
             tail = ref_slice[:, :, n:]
@@ -349,8 +351,8 @@ def temporal_study(
     set only on ladders of at least R2_MIN_POINTS rungs.
     """
     ladder = sorted(ladder)
-    if not ladder or ladder[-1] >= reference_level:
-        raise ValueError("ladder levels must be coarser than the reference")
+    if len(ladder) < 2 or ladder[-1] >= reference_level:
+        raise ValueError("need at least two ladder levels, all coarser than the reference")
     nu = theoretical_nu(rate)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
@@ -387,8 +389,8 @@ def spatial_study(
     The config fields `ladder` (mode counts), `reference_modes`, `level` and
     `m_paths` are keywords here."""
     ladder = sorted(ladder)
-    if not ladder or ladder[-1] >= reference_modes:
-        raise ValueError("mode ladder must stay below the reference mode count")
+    if len(ladder) < 2 or ladder[-1] >= reference_modes:
+        raise ValueError("need at least two ladder mode counts, all below the reference's")
     nu = theoretical_nu(rate)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
     configs = [replace(ref_cfg, n_dim=n) for n in ladder]
@@ -429,8 +431,9 @@ def _increment_chunk(payload):
     configs, stops, lattice, path_ids = payload
     out = [np.empty((len(path_ids), len(s), cfg.steps)) for cfg, s in zip(configs, stops)]
     for i, k0, grid, values in _coupled_pass(configs, lattice, path_ids, stops):
+        diff = np.empty(values.shape[1:])
         for j in range(len(values)):
-            diff = values[j] - grid[j]
+            np.subtract(values[j], grid[j], out=diff)
             out[i][:, :, k0 + j] = np.einsum("fpn,fpn->fp", diff, diff).T
         del grid, values
     return out
@@ -525,8 +528,8 @@ def increment_statistic(
     The report carries ``slope_stderr`` and ``slope_threshold``.
     """
     ladder = sorted(ladder)
-    if not ladder or ladder[-1] >= lattice.levels:
-        raise ValueError("levels must be strictly coarser than the lattice")
+    if len(ladder) < 2 or ladder[-1] >= lattice.levels:
+        raise ValueError("need at least two ladder levels, all coarser than the lattice")
     _check_sample_fractions(sample_fractions, ladder[-1], lattice.levels)
     configs = [SchemeConfig(operator, drift_spec, initial, lattice.horizon, lev, n_modes) for lev in ladder]
     stops = [_substep_offsets(lattice, lev, sample_fractions) for lev in ladder]

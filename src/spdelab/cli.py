@@ -232,20 +232,22 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
     if paths is not None:
         section.values[_SIZE_FIELDS[kind]] = paths
     levels, modes = lattice.levels, lattice.n_modes
-    if kind == "temporal":
+    if kind in _POOLED_STUDIES:
         ladder = _int_list_field(section, "ladder", 0)
+        # the study fits a rate through the rungs; simulate and hypotheses run none
+        if wanted is not None and len(ladder) < 2:
+            raise ConfigError("study.ladder needs at least two rungs to fit a rate")
+    if kind == "temporal":
         if ladder[-1] >= _int_field(section, "reference_level", 0, levels):
             raise ConfigError("study.ladder must stay strictly below the reference level")
         _int_field(section, "n_modes", 1, modes, default=modes)
         _int_field(section, "m_paths", 2)
     elif kind == "spatial":
-        ladder = _int_list_field(section, "ladder", 0)
         if ladder[0] < 1 or ladder[-1] >= _int_field(section, "reference_modes", 1, modes):
             raise ConfigError("study.ladder must be mode counts strictly below reference_modes")
         _int_field(section, "level", 0, levels)
         _int_field(section, "m_paths", 2)
     elif kind == "increment":
-        ladder = _int_list_field(section, "ladder", 0)
         if ladder[-1] >= levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
         _check_sample_fractions(_float_list_field(section, "sample_fractions", default=[0.5]), ladder[-1], levels)

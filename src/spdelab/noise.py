@@ -6,11 +6,13 @@ the high counter word packs the mode, so streams are separated by 2**192
 counter blocks and never overlap.  A value at step k is the k-th draw of its
 substream, which makes every increment reproducible from
 (master_seed, path_id, mode, step) regardless of query order, worker count,
-or how many modes and levels any particular run consumes.
+or how many modes and levels any particular run consumes.  A path's
+substreams are opened together from its key, and no open reads OS entropy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +29,23 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+
+@functools.cache
+def _philox():
+    """(KeySequence, Philox, Generator), numpy.random imported on first use.
+    Philox seeded with a KeySequence takes its key without drawing OS entropy."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its two uint64 key words
+
+    return KeySequence, Philox, Generator
 
 
 @dataclass(frozen=True)
@@ -63,11 +82,12 @@ class NoiseLattice:
     def fine_dt(self) -> float:
         return self.horizon / self.fine_steps
 
-    def _substream(self, path_id: int, mode: int) -> np.random.Generator:
+    def _substreams(self, path_id: int, modes) -> list[np.random.Generator]:
         if not 0 <= path_id <= _MASK64:
             raise ValueError("path_id must fit in 64 bits")
-        bits = np.random.Philox(key=[self.master_seed, path_id], counter=[0, 0, 0, mode])
-        return np.random.Generator(bits)
+        key_seq, philox, generator = _philox()
+        key = key_seq(np.array([self.master_seed, path_id], dtype=np.uint64))
+        return [generator(philox(key, counter=[0, 0, 0, m])) for m in modes]
 
     def mode_increments(self, path_id: int, mode: int, count: int | None = None) -> np.ndarray:
         """First ``count`` fine increments of one (path, mode) substream."""
@@ -78,7 +98,7 @@ class NoiseLattice:
         if not 0 <= count <= self.fine_steps:
             raise ValueError("count out of range")
         sd = self.scale * math.sqrt(self.fine_dt)
-        return sd * self._substream(path_id, mode).standard_normal(count)
+        return sd * self._substreams(path_id, [mode])[0].standard_normal(count)
 
     def fine_increments(self, path_id: int, n_modes: int | None = None) -> np.ndarray:
         """Full fine array, shape (fine_steps, n_modes)."""

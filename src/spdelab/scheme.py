@@ -9,11 +9,13 @@ and one call of it per step (`_advance`) gives both: the step's end is one
 more sub-step stop, so the drift is evaluated once per step and a sub-step
 value at tau = delta is the next grid value bit for bit.  The partial noise
 of every stop is a running sum of the step's fine rows, read off the one
-fold that also gives the step's increment (`noise.left_fold_blocks`).
+fold that also gives the step's increment (`noise.left_fold_blocks`); the
+kernel writes each step's sub-step values over that stack in place, and the
+error integral (`analysis._err2_batch`) reads them from there.
 
 Every consumer reads the noise in one forward pass over time windows
-(`_coupled_pass` over `_noise_windows`).  Each (path, mode) substream of
-a path batch is opened once and fills the next W fine rows of one reused
+(`_coupled_pass` over `_noise_windows`).  A path's substreams are opened
+together, once, and each fills the next W fine rows of one reused
 (W, C, n) buffer, so a batch holds one window instead of all 2**levels
 fine rows.  W is one step of the coarsest level in the pass, at least 256
 fine rows and at most the whole lattice.  Being a power of two no smaller
@@ -156,15 +158,18 @@ class Trajectory:
         return k * self.config.delta
 
 
-def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial) -> np.ndarray:
-    """decay * (y + b(k*delta, y)*tau + partial) with decay = exp(-lam*tau).
+def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial, scratch) -> np.ndarray:
+    """decay * ((y + b(k*delta, y)*tau) + partial) with decay = exp(-lam*tau),
+    written over partial, which is returned; scratch holds y + b*tau.
 
-    y is a state or a (C, n) batch of states.  A stack of R sub-steps passes
-    tau with shape (R, 1, 1), decay (R, 1, n) and partial (R, C, n); the
+    y is a (C, n) batch of states.  A stack of R sub-steps passes tau with
+    shape (R, 1, 1), decay (R, 1, n), and partial and scratch (R, C, n); the
     drift is evaluated once on y and broadcast over the stack.
     """
     b = drift_array(cfg.drift, cfg.operator.eigenvalues[: cfg.n_dim], k * cfg.delta, y)
-    return decay * (y + b * tau + partial)
+    np.add(y, np.multiply(b, tau, out=scratch), out=scratch)
+    np.add(scratch, partial, out=partial)
+    return np.multiply(decay, partial, out=partial)
 
 
 def _check_lattice(cfg: SchemeConfig, lattice: NoiseLattice):
@@ -182,24 +187,24 @@ def _noise_windows(lattice: NoiseLattice, path_ids, n_dim: int, levels):
 
     W is one step of the coarsest of `levels`, at least _MIN_WINDOW rows and
     at most the whole lattice, so every level's steps tile each window.
-    Each (path, mode) substream is opened once and read forward; the draws
-    are those of `NoiseLattice.mode_increments`, scaled by the same factor.
+    A path's substreams are opened together, once, and read forward; the
+    draws are those of `NoiseLattice.mode_increments`, scaled by the same factor.
     """
     rows = min(lattice.fine_steps, max(_MIN_WINDOW, 1 << (lattice.levels - min(levels))))
-    streams = [[None] * n_dim for _ in path_ids]
+    streams = [None] * len(path_ids)
     sd = lattice.scale * math.sqrt(lattice.fine_dt)
     draws = np.empty((n_dim, rows))
+    draw_rows = list(draws)
     window = np.empty((rows, len(path_ids), n_dim))
     for start in range(0, lattice.fine_steps, rows):
         more = start + rows < lattice.fine_steps
         for c, pid in enumerate(path_ids):
-            row = streams[c]
-            for m in range(n_dim):
-                gen = row[m] if row[m] is not None else lattice._substream(pid, m)
-                # a draw fills a contiguous row; a stream (~1 kB) is held
-                # open only while it has windows left to fill
-                gen.standard_normal(out=draws[m])
-                row[m] = gen if more else None
+            streams[c] = streams[c] or lattice._substreams(pid, range(n_dim))
+            # a draw fills a contiguous row; a stream (~0.6 kB) is held
+            # open only while it has windows left to fill
+            for gen, out in zip(streams[c], draw_rows):
+                gen.standard_normal(out=out)
+            streams[c] = streams[c] if more else None
             # one path's draws land in the window, scaled as mode_increments scales them
             np.multiply(sd, draws.T, out=window[:, c])
         yield start, window
@@ -231,10 +236,10 @@ def _advance(cfg: SchemeConfig, lattice: NoiseLattice, window: np.ndarray, y: np
     decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])
     grid = np.empty((len(partial) + 1, *y.shape))
     grid[0] = y
+    scratch = np.empty(partial.shape[1:])
     for j, stack in enumerate(partial):
-        # the stack is overwritten by its own sub-step values
-        stack[...] = _ei_substep(cfg, k0 + j, y, decay, tau, stack)
-        y = stack[-1]
+        # the fold's stack takes its sub-step values; window and y are only read
+        y = _ei_substep(cfg, k0 + j, y, decay, tau, stack, scratch)[-1]
         bad = ~np.isfinite(y)
         if bad.any():
             c, m = np.argwhere(bad)[0]

@@ -27,6 +27,7 @@ from spdelab.analysis import (
     OFFGRID_RULE,
     _driftless_increment_means,
     _driftless_increment_slope,
+    _err2_batch,
     _increment_chunk,
     _ladder_chunk,
     _slope_stderr,
@@ -34,9 +35,9 @@ from spdelab.analysis import (
     fit_rate,
     integrated_square_error,
 )
-from spdelab import scheme
+from spdelab import analysis, scheme
 from spdelab.drift import drift_array
-from spdelab.scheme import Trajectory
+from spdelab.scheme import Trajectory, _coupled_pass
 
 CANONICAL = RateParams(alpha=0.45, beta=0.5, epsilon=0.9)
 
@@ -218,6 +219,51 @@ def test_one_drift_evaluation_per_step(monkeypatch):
     stops = [_substep_offsets(lat, lev, (0.25, 0.5)) for lev in levels]
     _increment_chunk(([_config(lev, 8) for lev in levels], stops, lat, path_ids))
     assert sum(states) == len(path_ids) * sum(1 << lev for lev in levels)
+
+
+def test_ratio_one_pass_keeps_the_carried_state():
+    # a rung at the reference's level (every spatial rung) has values that
+    # are a view of its own grid, whose last row carries the state into the
+    # next window; the error integral reads them without writing there, so
+    # over several windows the grids stay the single-path ones
+    lat = _lattice(levels=10)
+    ref_cfg, rung = _config(10, 8), _config(10, 3)
+    path_ids = [0, 1]
+    grids = [np.empty((cfg.steps + 1, len(path_ids), cfg.n_dim)) for cfg in (ref_cfg, rung)]
+    err2 = np.zeros(len(path_ids))
+    for i, k0, grid, values in _coupled_pass([ref_cfg, rung], lat, path_ids, [None, None]):
+        if i == 0:
+            ref_grid = grid
+        else:
+            _err2_batch(ref_grid, values, err2)
+        grids[i][k0 : k0 + len(grid)] = grid
+    ref, approx = grids
+    for c, pid in enumerate(path_ids):
+        assert np.array_equal(ref[:, c], simulate_path(ref_cfg, lat, pid).grid)
+        assert np.array_equal(approx[:, c], simulate_path(rung, lat, pid).grid)
+    want = ((ref[:-1, :, :3] - approx[:-1]) ** 2).sum(axis=(0, 2)) + (ref[:-1, :, 3:] ** 2).sum(axis=(0, 2))
+    assert err2 == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "study, args",
+    [
+        (temporal_study, ([3], 5, 4, 4, CANONICAL)),
+        (spatial_study, ([2], 4, 3, 4, CANONICAL)),
+        (increment_statistic, ([3], 4, 4, 0.45)),
+    ],
+    ids=["temporal", "spatial", "increment"],
+)
+def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
+    # a rate is fitted through the rungs, so one rung used to fail in the
+    # fit, after every path had been simulated
+    def no_run(*_):
+        raise AssertionError("a one-rung ladder was simulated")
+
+    monkeypatch.setattr(analysis, "_run_chunks", no_run)
+    lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
+    with pytest.raises(ValueError, match="at least two ladder"):
+        study(make_heat_operator(4), DRIFT, INITIAL, lat, *args)
 
 
 def _temporal(workers=1):
@@ -676,20 +722,20 @@ def test_studies_check_configs_against_the_lattice():
     with pytest.raises(ValueError, match="finer than the lattice"):
         temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, CANONICAL)
     with pytest.raises(ValueError, match="finer than the lattice"):
-        spatial_study(op, DRIFT, INITIAL, lat, [2], 4, 6, 2, CANONICAL)
+        spatial_study(op, DRIFT, INITIAL, lat, [2, 3], 4, 6, 2, CANONICAL)
 
 
 def test_increment_statistic_validation():
     lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
     op = make_heat_operator(4)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [5], 4, 2, 0.45)
+        increment_statistic(op, DRIFT, INITIAL, lat, [4, 5], 4, 2, 0.45)
     with pytest.raises(ValueError):
         increment_statistic(op, DRIFT, INITIAL, lat, [], 4, 2, 0.45)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(0.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 4, 2, 0.45, sample_fractions=(0.0,))
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(1.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 4, 2, 0.45, sample_fractions=(1.0,))
     with pytest.raises(ValueError):
         # 1/3 of a 4-substep block lands between lattice points
-        increment_statistic(op, DRIFT, INITIAL, lat, [3], 4, 2, 0.45, sample_fractions=(1.0 / 3.0,))
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 4, 2, 0.45, sample_fractions=(1.0 / 3.0,))

@@ -350,6 +350,36 @@ def test_workers_with_deterministic_is_a_config_error(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["temporal-study", "spatial-study", "increment-study"])
+def test_one_rung_ladder_is_a_config_error(tmp_path, capsys, command):
+    # the study fits a rate through its rungs; one rung used to fail in the
+    # fit after the run (exit 4)
+    out = tmp_path / "o"
+    kind = command.split("-")[0]
+    cfg = write_doc(tmp_path, canonical_doc(_MINIMAL_STUDIES[kind], out=str(out)))
+    assert run([command, "--config", cfg, "--deterministic"]) == EXIT_CONFIG
+    assert "config error: study.ladder needs at least two rungs to fit a rate" in capsys.readouterr().err
+    assert not out.exists()
+    # hypotheses fits nothing, so the same config serves it
+    assert run(["hypotheses", "--config", cfg]) == EXIT_OK
+
+
+def test_commands_without_noise_leave_numpy_random_unimported(tmp_path):
+    # numpy.random is imported on the first noise draw; importing the
+    # package and the CLI, or running hypotheses, must not pay for it
+    cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
+    script = (
+        "import sys, spdelab, spdelab.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by import'\n"
+        f"assert spdelab.cli.main(['hypotheses', '--config', {cfg!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by hypotheses'\n"
+    )
+    src = str(Path(spdelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("deterministic", [[], ["--deterministic"]], ids=["pooled", "deterministic"])

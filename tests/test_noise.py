@@ -46,6 +46,34 @@ def test_streams_are_distinct():
     assert np.array_equal(base, small_lattice().mode_increments(0, 0))
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("path", [0, 2**64 - 1])
+def test_substreams_are_the_keyed_philox_streams(seed, path):
+    # a substream is the Philox stream keyed by (seed, path) with the mode in
+    # the high counter word, whether opened with other modes of its path or
+    # alone, and read in one call or in window-sized pieces
+    lat = NoiseLattice(master_seed=seed, horizon=1.0, levels=10, n_modes=5)
+    modes = [0, lat.n_modes - 1]
+    key = np.array([seed, path], dtype=np.uint64)
+    for gen, mode in zip(lat._substreams(path, modes), modes):
+        want = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, mode]))
+        want = want.standard_normal(lat.fine_steps)
+        pieces = np.empty((4, lat.fine_steps // 4))
+        for row in pieces:
+            gen.standard_normal(out=row)
+        assert np.array_equal(pieces.ravel(), want)
+        assert np.array_equal(lat._substreams(path, [mode])[0].standard_normal(lat.fine_steps), want)
+
+
+def test_seeds_from_2_63_are_distinct_streams():
+    # numpy reads a key list that mixes a word >= 2**63 with a small one
+    # through float64, which once mapped seed 2**64 - 1 onto seed 0 and
+    # seeds 2**63 and 2**63 + 1 onto one stream
+    rows = {seed: small_lattice(master_seed=seed).mode_increments(0, 0) for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+    for a, b in [(0, 2**64 - 1), (2**63, 2**63 + 1), (0, 2**63)]:
+        assert not np.array_equal(rows[a], rows[b])
+
+
 def test_fine_increments_block():
     lat = small_lattice()
     block = lat.fine_increments(3)

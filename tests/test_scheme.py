@@ -188,6 +188,23 @@ def test_substep_reader_matches_oracle():
     assert np.array_equal(values, grid_b[:-1, None])
 
 
+def test_advance_writes_only_what_it_owns():
+    # the kernel writes each step's sub-step values over the fold's stack; the
+    # noise window and the incoming state, a read-only view at the start of
+    # a pass and a carried grid row later, are only read
+    cfg = make_config(level=3, n_dim=4)
+    lat = NoiseLattice(master_seed=5, horizon=1.0, levels=6, n_modes=4)
+    window = np.stack([lat.fine_increments(pid) for pid in (0, 1)], axis=1)
+    start = np.broadcast_to(cfg.initial_coefficients(), (2, 4))
+    carried = start + 0.5
+    for stops in (None, [0, 3, 8, 5]):
+        for y in (start, carried):
+            window_before, y_before = window.copy(), y.copy()
+            _advance(cfg, lat, window, y, 0, stops, [0, 1])
+            assert np.array_equal(window, window_before)
+            assert np.array_equal(y, y_before)
+
+
 def test_interpolate_substep_validation():
     cfg = make_config(level=2, n_dim=2)
     y = ModeVector([1.0, 1.0])
