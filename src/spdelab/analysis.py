@@ -25,7 +25,6 @@ computation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -266,6 +265,10 @@ def _chunked(m_paths: int, chunk_size: int) -> list[list[int]]:
 def _run_chunks(worker, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
+    # imported where the pool starts: commands without one never load
+    # multiprocessing, and forked workers inherit numpy.random from here
+    import numpy.random  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
     # the executor may start all max_workers processes at once, so ask for no
     # more than there are chunks
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:

@@ -229,17 +229,19 @@ class GradientDecayReport:
         return asdict(self)
 
 
-_DECAY_CHUNK_ROWS = 4096  # sample rows per chunk of the streamed gradient-decay check
+_DECAY_CHUNK_ROWS = 512  # sample rows per block of the gradient-decay check's draws and sums
 
 
-def _streamed_sum(blocks, values, weight, center=None) -> np.ndarray:
-    """Column sums of values * weight[:, None], or of its squared deviations
-    from center, bitwise equal to one axis-0 sum: numpy sums a C-contiguous
-    (m, n >= 2) array row by row, so the running sum is added into each
-    block's first row (-0.0 is the exact identity of IEEE addition)."""
+def _mode_sums(blocks, values, pulls, center=None) -> np.ndarray:
+    """(k, n) column sums of values * pulls[:, j, None] for every column j of
+    pulls, or of their squared deviations from center, each bitwise one
+    axis-0 sum: numpy sums a C-contiguous (rows, k, n >= 2) array row by row,
+    so the running sums are added into each block's first row (-0.0 is the
+    exact identity of IEEE addition)."""
     total = -0.0
+    buf = np.empty((blocks[0].stop, pulls.shape[1], values.shape[1]))
     for b in blocks:
-        rows = values[b] * weight[b, None]
+        rows = np.multiply(values[b, None], pulls[b, :, None], out=buf[: b.stop - b.start])
         if center is not None:
             rows -= center
             np.square(rows, out=rows)
@@ -264,12 +266,15 @@ def gradient_decay_check(
     One joint draw and one evaluation of f serve every mode: the gradient
     along e_i contracts the shared values of f with weights[:, i-1] / t.
     The draw keeps the joint sampler's order, all z1 rows then all z2 rows
-    from default_rng(seed), in blocks of _DECAY_CHUNK_ROWS rows; only the
-    (m, n) values of f and the selected weight columns are held whole, and
-    _streamed_sum reduces each mode block by block.  So every row is bitwise
-    bismut_gradient along e_i with the same seed (the other terms of
-    weights @ e_i are exact zeros), and the decay trend is not blurred by
-    independent noise.
+    from default_rng(seed), in blocks of _DECAY_CHUNK_ROWS rows, and f is
+    evaluated block by block.  One fused pass of _mode_sums then sums every
+    mode's products block by block, and a second its squared deviations.
+    With a one-mode state numpy sums an (m, 1) column pairwise, so each mode
+    is summed alone over one block.  The check holds the (m, n) values of f,
+    the (m, k) selected weight columns and block-sized buffers.  So every
+    row is bitwise bismut_gradient along e_i with the same seed (the other
+    terms of weights @ e_i are exact zeros), and the decay trend is not
+    blurred by independent noise.
     """
     if f.bound is None:
         raise ValueError("gradient decay check needs an observable with a declared bound")
@@ -280,9 +285,9 @@ def gradient_decay_check(
         raise ValueError("need at least two samples")
     sd, mean_x, cov_sd, resid_sd = _joint_law(op, x.coeffs, t)
     lam, n, cols = op.eigenvalues[: len(x)], len(x), [i - 1 for i in modes]
-    # numpy sums an (m, 1) column pairwise, not row by row, so it is never split
     step = m_samples if n == 1 else _DECAY_CHUNK_ROWS
     blocks = [slice(r, min(r + step, m_samples)) for r in range(0, m_samples, step)]
+    groups = [slice(k, k + 1) for k in range(len(cols))] if n == 1 else [slice(None)]
     rng = np.random.default_rng(seed)
     buf = np.empty((min(step, m_samples), n))
     values = np.empty((m_samples, n))
@@ -296,13 +301,13 @@ def gradient_decay_check(
     for b in blocks:
         z = rng.standard_normal(out=buf[: b.stop - b.start])
         pulls[b] = (z[:, cols] * resid_sd[cols] + cov_sd[cols] * pulls[b]) / t
+    mean = np.vstack([_mode_sums(blocks, values, pulls[:, g]) for g in groups]) / m_samples
+    var = np.vstack([_mode_sums(blocks, values, pulls[:, g], mean[g]) for g in groups]) / (m_samples - 1)
     rows = []
     bounded = True
     for k, i in enumerate(modes):
-        mean = _streamed_sum(blocks, values, pulls[:, k]) / m_samples
-        var = _streamed_sum(blocks, values, pulls[:, k], mean) / (m_samples - 1)
-        size = ModeVector(mean).norm()
-        se_size = float(np.linalg.norm(np.sqrt(var) / math.sqrt(m_samples)))
+        size = ModeVector(mean[k]).norm()
+        se_size = float(np.linalg.norm(np.sqrt(var[k]) / math.sqrt(m_samples)))
         lam_i = float(op.eigenvalues[i - 1])
         theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         ratio = size / theory

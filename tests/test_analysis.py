@@ -322,7 +322,9 @@ def test_temporal_study_worker_count_invariance():
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (4, 4), (8, 4)])
 def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, workers, pool_size):
     # an executor may start all max_workers processes at its first submit, so
-    # a pool larger than the 4 chunks of _temporal would fork idle processes
+    # a pool larger than the 4 chunks of _temporal would fork idle processes;
+    # _run_chunks imports the executor when it starts the pool, so the patch
+    # goes where that import resolves
     sizes = []
 
     class InProcessPool:
@@ -338,7 +340,7 @@ def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, workers, pool_size)
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr("spdelab.analysis.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     assert _temporal(workers=workers).csv_text() == _temporal(workers=1).csv_text()
     assert sizes == [pool_size]
 

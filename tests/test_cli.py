@@ -364,20 +364,57 @@ def test_one_rung_ladder_is_a_config_error(tmp_path, capsys, command):
     assert run(["hypotheses", "--config", cfg]) == EXIT_OK
 
 
-def test_commands_without_noise_leave_numpy_random_unimported(tmp_path):
-    # numpy.random is imported on the first noise draw; importing the
-    # package and the CLI, or running hypotheses, must not pay for it
-    cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
-    script = (
-        "import sys, spdelab, spdelab.cli\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by import'\n"
-        f"assert spdelab.cli.main(['hypotheses', '--config', {cfg!r}]) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by hypotheses'\n"
-    )
+def _run_script(script):
     src = str(Path(spdelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_commands_without_noise_leave_numpy_random_unimported(tmp_path):
+    # numpy.random is imported on the first noise draw, and the process pool
+    # where a pool starts; importing the package and the CLI, or running
+    # hypotheses or kolmogorov-check, which start no pool, must not pay for
+    # what they never use
+    cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
+    doc = canonical_doc({"kind": "kolmogorov", "m_samples": 4000}, out=str(tmp_path / "k"))
+    doc["operator"] = {"kind": "heat", "n_max": 16}
+    doc["noise"] = {"seed": 2024, "levels": 4, "n_modes": 16, "horizon": 1.0}
+    kcfg = write_doc(tmp_path, doc, name="kolmogorov.json")
+    pool = "assert not {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules), "
+    _run_script(
+        "import sys, spdelab, spdelab.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by import'\n"
+        f"{pool}'imported by import'\n"
+        f"assert spdelab.cli.main(['hypotheses', '--config', {cfg!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by hypotheses'\n"
+        f"{pool}'imported by hypotheses'\n"
+        f"assert spdelab.cli.main(['kolmogorov-check', '--config', {kcfg!r}]) == 0\n"
+        f"{pool}'imported by kolmogorov-check'\n"
+    )
+
+
+def test_pool_workers_are_forked_with_numpy_random_loaded(tmp_path):
+    # the pooled run's parent draws no noise, so unless numpy.random is
+    # imported before the pool forks, every worker imports it again
+    cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o"), m_paths=30))
+    _run_script(
+        "import sys, concurrent.futures\n"
+        "seen = []\n"
+        "class RecordingPool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append('numpy.random' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def map(self, fn, payloads):\n"
+        "        return map(fn, payloads)\n"
+        "concurrent.futures.ProcessPoolExecutor = RecordingPool\n"
+        "import spdelab.cli\n"
+        f"assert spdelab.cli.main(['temporal-study', '--config', {cfg!r}, '--workers', '2']) == 0\n"
+        "assert seen == [True], seen\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["temporal-study", "simulate", "hypotheses"])

@@ -211,11 +211,22 @@ def test_gradient_decay_report(heat16):
 
 def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
     # oracle: one bismut_gradient call per mode along e_i with the shared seed.
-    # 300-row chunks split m = 2000 into six full chunks and a short last one,
-    # so the carried sums are exercised; the one-mode state checks that an
-    # (m, 1) column, which numpy sums pairwise, is still reduced exactly.
+    # 300-row blocks split m = 2000 into six full blocks and a short last one,
+    # and 1999-row blocks leave a one-row last block, so the carried sums are
+    # exercised; the one-mode states check that an (m, 1) column, which numpy
+    # sums pairwise, is still reduced exactly, also for a repeated mode, where
+    # a fused (m, 2, 1) sum would go row by row; a repeated mode on a 16-mode
+    # state gives two equal rows of one fused pass.
     t, m, seed = 0.5, 2000, 2024
-    cases = [(16, (1, 2, 4, 16), None), (16, (1, 2, 4, 16), 300), (1, (1,), 300), (2, (2, 1), 300)]
+    cases = [
+        (16, (1, 2, 4, 16), None),
+        (16, (1, 2, 4, 16), 300),
+        (1, (1,), 300),
+        (1, (1, 1), 300),
+        (2, (2, 1), 300),
+        (16, (3, 3, 1), 300),
+        (16, (5, 2), 1999),
+    ]
     for n, modes, chunk_rows in cases:
         if chunk_rows is not None:
             monkeypatch.setattr(kolmogorov, "_DECAY_CHUNK_ROWS", chunk_rows)
@@ -252,6 +263,22 @@ def test_gradient_decay_memory_is_one_values_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * m * n * 8
+
+
+def test_gradient_decay_memory_is_values_and_selected_columns():
+    # beyond the (m, n) values of f and the (m, k) selected weight columns the
+    # check holds only block-sized buffers
+    op = make_heat_operator(64)
+    m, n, modes = 50_000, 64, (1, 4, 16, 64)
+    f = drift_test_function(DRIFT, op, n, time=0.25)
+    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
+    tracemalloc.start()
+    try:
+        gradient_decay_check(op, f, 0.5, x, modes, m, seed=2024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (m * n + m * len(modes)) * 8 + 4e6
 
 
 def test_gradient_decay_vanishes_at_large_time(heat16):
