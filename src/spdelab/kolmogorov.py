@@ -6,6 +6,12 @@ an integral weight, the per-mode gradient decay, and a depth-limited Picard
 evaluation of the resolvent-type integral equation can all be checked by
 plain Monte Carlo with no discretization error.
 
+Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
+one seed share their leading normals and are not independent samples.  It
+draws in blocks of `_BLOCK_NUMBERS` numbers (512 rows at 64 modes) that one
+reducer, `_stream_mean_stderr`, folds into a mean and standard error, so
+memory does not depend on the sample count.
+
 A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
 samplers take the operator itself and read as many modes as the state has.
@@ -26,7 +32,7 @@ import numpy as np
 
 from .spectral import ModeVector, SpectralOperator, decay_factor
 from .drift import HolderDriftSpec, drift_array, drift_bound
-from .noise import _joint_law, _mode_eigenvalues, ou_joint_modes_batch, ou_transition_sample
+from .noise import _mode_eigenvalues, ou_joint_modes_batch, ou_transition_sample
 
 __all__ = [
     "TestFunction",
@@ -129,9 +135,48 @@ def _drift_sup(spec: HolderDriftSpec, op: SpectralOperator, n: int) -> float:
     return drift_bound(spec, SpectralOperator(_mode_eigenvalues(op, n)))
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = samples.shape[0]
-    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(m)
+_BLOCK_NUMBERS = 32_768  # numbers per block of draws: 512 rows at 64 modes, 8192 at 4
+
+
+def _block_rows(m_samples: int, n: int):
+    """Row counts of the blocks in which m_samples draws of an n-mode state are made."""
+    step = max(1, _BLOCK_NUMBERS // n)
+    return (min(step, m_samples - start) for start in range(0, m_samples, step))
+
+
+def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of m_samples samples drawn block by block.
+
+    ``block_values(rng, rows)`` returns the values of the next ``rows`` draws
+    from rng = default_rng(seed), samples along axis -2, as a new array that
+    this function overwrites.  The mean is the running row-by-row sum over the
+    count, bitwise numpy's axis-0 mean of an (m, n >= 2) array.  Each block,
+    centred on the running mean, gives its mean and sum of squares by the
+    corrected two-pass formula, and blocks merge by the update of Chan, Golub
+    and LeVeque (Amer. Stat. 37, 1983).  Means are kept less the first
+    sample, so a mean far above the spread costs the spread no digits.
+    """
+    if m_samples < 2:
+        raise ValueError("need at least two samples")
+    rng, count, total, mean, m2 = np.random.default_rng(seed), 0, -0.0, 0.0, 0.0
+    for rows in _block_rows(m_samples, n):
+        block = block_values(rng, rows)
+        if count == 0:
+            shift = block[..., 0, :].copy()
+        first = block[..., 0, :].copy()
+        block[..., 0, :] += total
+        total = block.sum(axis=-2)
+        block[..., 0, :] = first
+        center = shift + mean
+        block -= center[..., None, :]
+        offset = block.sum(axis=-2) / rows
+        np.square(block, out=block)
+        delta = ((center - shift) - mean) + offset
+        count += rows
+        mean += delta * (rows / count)
+        m2 += (block.sum(axis=-2) - rows * offset * offset) + delta * delta * ((count - rows) * rows / count)
+        del block  # before the next block is drawn
+    return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
 
 
 def ou_semigroup_estimate(
@@ -140,13 +185,24 @@ def ou_semigroup_estimate(
     """Plain Monte Carlo for the driftless semigroup applied to f at x."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if m_samples < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
     lam = op.eigenvalues[: len(x)]
-    states = ou_transition_sample(op, x.coeffs, t, rng, m_samples)
-    mean, se = _mean_stderr(f.evaluate(states, lam))
+    mean, se = _stream_mean_stderr(
+        m_samples, len(x), seed, lambda rng, rows: f.evaluate(ou_transition_sample(op, x.coeffs, t, rng, rows), lam)
+    )
     return ModeVector(mean), se
+
+
+def _bismut_moments(op, f, t, x, directions, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) means and standard errors of f(Z_t) * (weights @ d) / t for the
+    k rows d of directions, from one joint draw per sample."""
+    lam = op.eigenvalues[: len(x)]
+
+    def products(rng, rows):
+        states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows)
+        pulls = (directions @ weights.T) / t
+        return pulls[:, :, None] * f.evaluate(states, lam)
+
+    return _stream_mean_stderr(m_samples, len(x), seed, products)
 
 
 def bismut_gradient(
@@ -166,12 +222,8 @@ def bismut_gradient(
     """
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
-    if m_samples < 2:
-        raise ValueError("need at least two samples")
-    states, weights = ou_joint_modes_batch(op, x.coeffs, t, np.random.default_rng(seed), m_samples)
-    pulls = (weights @ eta.coeffs) / t
-    mean, se = _mean_stderr(f.evaluate(states, op.eigenvalues[: len(x)]) * pulls[:, None])
-    return ModeVector(mean), se
+    mean, se = _bismut_moments(op, f, t, x, eta.coeffs[None], m_samples, seed)
+    return ModeVector(mean[0]), se[0]
 
 
 def finite_difference_gradient(
@@ -194,12 +246,14 @@ def finite_difference_gradient(
         raise ValueError("t must be positive")
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
-    rng = np.random.default_rng(seed)
     lam = op.eigenvalues[: len(x)]
-    states = ou_transition_sample(op, x.coeffs, t, rng, m_samples)
     shift = decay_factor(lam, t) * (FD_STEP * eta.coeffs)
-    quotients = (f.evaluate(states + shift, lam) - f.evaluate(states - shift, lam)) / (2.0 * FD_STEP)
-    mean, se = _mean_stderr(quotients)
+
+    def quotients(rng, rows):
+        states = ou_transition_sample(op, x.coeffs, t, rng, rows)
+        return (f.evaluate(states + shift, lam) - f.evaluate(states - shift, lam)) / (2.0 * FD_STEP)
+
+    mean, se = _stream_mean_stderr(m_samples, len(x), seed, quotients)
     return ModeVector(mean), se
 
 
@@ -229,27 +283,6 @@ class GradientDecayReport:
         return asdict(self)
 
 
-_DECAY_CHUNK_ROWS = 512  # sample rows per block of the gradient-decay check's draws and sums
-
-
-def _mode_sums(blocks, values, pulls, center=None) -> np.ndarray:
-    """(k, n) column sums of values * pulls[:, j, None] for every column j of
-    pulls, or of their squared deviations from center, each bitwise one
-    axis-0 sum: numpy sums a C-contiguous (rows, k, n >= 2) array row by row,
-    so the running sums are added into each block's first row (-0.0 is the
-    exact identity of IEEE addition)."""
-    total = -0.0
-    buf = np.empty((blocks[0].stop, pulls.shape[1], values.shape[1]))
-    for b in blocks:
-        rows = np.multiply(values[b, None], pulls[b, :, None], out=buf[: b.stop - b.start])
-        if center is not None:
-            rows -= center
-            np.square(rows, out=rows)
-        rows[0] += total
-        total = rows.sum(axis=0)
-    return total
-
-
 def gradient_decay_check(
     op: SpectralOperator,
     f: TestFunction,
@@ -262,18 +295,12 @@ def gradient_decay_check(
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
     The report is bounded when no mode's size exceeds that bound by more
-    than three standard errors.
-    One joint draw and one evaluation of f serve every mode: the gradient
-    along e_i contracts the shared values of f with weights[:, i-1] / t.
-    The draw keeps the joint sampler's order, all z1 rows then all z2 rows
-    from default_rng(seed), in blocks of _DECAY_CHUNK_ROWS rows, and f is
-    evaluated block by block.  One fused pass of _mode_sums then sums every
-    mode's products block by block, and a second its squared deviations.
-    With a one-mode state numpy sums an (m, 1) column pairwise, so each mode
-    is summed alone over one block.  The check holds the (m, n) values of f,
-    the (m, k) selected weight columns and block-sized buffers.  So every
-    row is bitwise bismut_gradient along e_i with the same seed (the other
-    terms of weights @ e_i are exact zeros), and the decay trend is not
+    than three standard errors.  One joint draw and one evaluation of f per
+    sample serve every mode through the estimator of bismut_gradient, so
+    each row is bitwise bismut_gradient along e_i with the same seed (the
+    other terms of weights @ e_i are exact zeros).  Its blocks of
+    _BLOCK_NUMBERS numbers keep memory independent of m_samples.  Every mode
+    shares the draws from default_rng(seed), so the decay trend is not
     blurred by independent noise.
     """
     if f.bound is None:
@@ -281,33 +308,12 @@ def gradient_decay_check(
     modes = list(modes)
     if not all(1 <= i <= len(x) for i in modes):
         raise ValueError("mode index beyond the state dimension")
-    if m_samples < 2:
-        raise ValueError("need at least two samples")
-    sd, mean_x, cov_sd, resid_sd = _joint_law(op, x.coeffs, t)
-    lam, n, cols = op.eigenvalues[: len(x)], len(x), [i - 1 for i in modes]
-    step = m_samples if n == 1 else _DECAY_CHUNK_ROWS
-    blocks = [slice(r, min(r + step, m_samples)) for r in range(0, m_samples, step)]
-    groups = [slice(k, k + 1) for k in range(len(cols))] if n == 1 else [slice(None)]
-    rng = np.random.default_rng(seed)
-    buf = np.empty((min(step, m_samples), n))
-    values = np.empty((m_samples, n))
-    pulls = np.empty((m_samples, len(cols)))  # z1 columns, then weight columns / t
-    for b in blocks:
-        z = rng.standard_normal(out=buf[: b.stop - b.start])
-        pulls[b] = z[:, cols]
-        z *= sd
-        z += mean_x
-        values[b] = f.evaluate(z, lam)
-    for b in blocks:
-        z = rng.standard_normal(out=buf[: b.stop - b.start])
-        pulls[b] = (z[:, cols] * resid_sd[cols] + cov_sd[cols] * pulls[b]) / t
-    mean = np.vstack([_mode_sums(blocks, values, pulls[:, g]) for g in groups]) / m_samples
-    var = np.vstack([_mode_sums(blocks, values, pulls[:, g], mean[g]) for g in groups]) / (m_samples - 1)
+    mean, se = _bismut_moments(op, f, t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)
     rows = []
     bounded = True
     for k, i in enumerate(modes):
         size = ModeVector(mean[k]).norm()
-        se_size = float(np.linalg.norm(np.sqrt(var[k]) / math.sqrt(m_samples)))
+        se_size = float(np.linalg.norm(se[k]))
         lam_i = float(op.eigenvalues[i - 1])
         theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         ratio = size / theory
@@ -502,10 +508,11 @@ def gradient_summability_probe(
     for j in range(SUMMABILITY_NODES):
         s = t + (j + 0.5) * ds
         tau = s - t
-        states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, SUMMABILITY_SAMPLES)
-        values = drift_array(spec, lam, s, states)
-        node_grad = (weights.T @ values) / (SUMMABILITY_SAMPLES * tau)
-        grad += math.exp(-lam_picard * tau) * ds * node_grad
+        node_sum = np.zeros((n, n))
+        for rows in _block_rows(SUMMABILITY_SAMPLES, n):
+            states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, rows)
+            node_sum += weights.T @ drift_array(spec, lam, s, states)
+        grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
     partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
     growth_ratio = float(partial_sums[-1] / partial_sums[max(1, n // 2) - 1])
     return SummabilityReport(theta, partial_sums.tolist(), growth_ratio, growth_ratio <= SUMMABILITY_GROWTH_CAP)

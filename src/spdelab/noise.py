@@ -178,21 +178,6 @@ def ou_cross_covariance(lam, t):
     return np.asarray(t, dtype=float) * np.exp(-np.asarray(lam, dtype=float) * t)
 
 
-def _joint_law(op: SpectralOperator, x: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
-    """Per-mode (sd, decay*x, cov/sd, resid_sd) of the joint OU law: normals z1,
-    z2 give the state decay*x + sd*z1 and the weight (cov/sd)*z1 + resid_sd*z2."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    lam = _mode_eigenvalues(op, x.shape[-1])
-    var = convolution_variance(lam, t)
-    cov = ou_cross_covariance(lam, t)
-    u = lam * t
-    # the residual variance cancels to O(u^2) as u -> 0; switch to its series there
-    resid = np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var)
-    sd = np.sqrt(var)
-    return sd, decay_factor(lam, t) * x, cov / sd, np.sqrt(np.maximum(resid, 0.0))
-
-
 def ou_joint_modes_batch(
     op: SpectralOperator, x: np.ndarray, t: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,17 +188,25 @@ def ou_joint_modes_batch(
     convolution_variance(lam, t) and covariance t*exp(-lam*t); weights for a
     direction eta are obtained by contracting the weight array with eta.
 
-    The two outputs are built in the buffers of the two normal draws (z1
-    then z2), so at most three (size, n) arrays are alive at once.  The
-    values are bitwise those of decay*x + sd*z1 and (cov/sd)*z1 + resid*z2,
-    since IEEE + and * are commutative.
+    Each sample draws its normals z1 and then z2, as one (size, 2, n) draw,
+    so calls of sizes a and b on one generator give exactly the rows of one
+    call of size a + b.  The outputs are strided views of that draw,
+    rewritten in place to bitwise decay*x + sd*z1 and (cov/sd)*z1 +
+    resid*z2 (IEEE + and * are commutative).
     """
-    sd, mean, cov_sd, resid_sd = _joint_law(op, x, t)
-    states = rng.standard_normal((size, sd.size))
-    weights = rng.standard_normal((size, sd.size))
-    weights *= resid_sd
-    weights += cov_sd * states
-    states *= sd
-    states += mean
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    lam = _mode_eigenvalues(op, x.shape[-1])
+    var = convolution_variance(lam, t)
+    cov = ou_cross_covariance(lam, t)
+    u = lam * t
+    # the residual variance cancels to O(u^2) as u -> 0; switch to its series there
+    resid = np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var)
+    sd = np.sqrt(var)
+    z = rng.standard_normal((size, 2, lam.size))
+    pull = (cov / sd) * z[:, 0]
+    z *= np.stack([sd, np.sqrt(np.maximum(resid, 0.0))])
+    states, weights = z[:, 0], z[:, 1]
+    states += decay_factor(lam, t) * x
+    weights += pull
     return states, weights
-

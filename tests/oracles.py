@@ -5,6 +5,8 @@ kernel with the code they check, so a fault in a library kernel cannot hide
 by appearing on both sides of a comparison.
 """
 
+import math
+
 import numpy as np
 
 from spdelab.drift import drift_array, drift_bound, mode_holder_constant, time_weight_lipschitz
@@ -105,3 +107,18 @@ def holder_ratio_at(spec, op, which, trials, seed, worst, horizon=1.0):
     d = drift_array(spec, lam, times[j], x[j]) - drift_array(spec, lam, times[j], moved)
     denom = mode_holder_constant(spec) * lam[i] ** (-spec.beta) * abs(x[j, i] - y_val[j]) ** spec.epsilon
     return float(np.linalg.norm(d)) / denom
+
+
+def mean_stderr(samples):
+    """Mean and standard error of each column of an (m, n) sample, two passes
+    of exactly rounded sums (math.fsum), one column at a time."""
+    m = samples.shape[0]
+    if m < 2:
+        raise ValueError("need at least two samples")
+    means, stderrs = [], []
+    for column in samples.T:
+        mean = math.fsum(column) / m
+        var = math.fsum((v - mean) ** 2 for v in column) / (m - 1)
+        means.append(mean)
+        stderrs.append(math.sqrt(var / m))
+    return np.array(means), np.array(stderrs)

@@ -442,10 +442,12 @@ def test_kolmogorov_check_end_to_end(tmp_path, capsys):
     assert len(summary["checks"]) == 8
 
 
-def test_kolmogorov_check_reports_measured_failure(tmp_path, capsys):
-    # at 4000 samples the 5 percent finite-difference tolerance is tighter
-    # than the Monte Carlo noise for this seed; the command must exit with
-    # the acceptance code, not a config or runtime code
+def test_kolmogorov_check_reports_measured_failure(tmp_path, capsys, monkeypatch):
+    # a Picard budget of 1500 draws stops each evaluation after two of its
+    # eight 512-sample nodes, whatever the draws; the unfinished sum fails the
+    # norm bound, and the command must exit with the acceptance code, not a
+    # config or runtime code
+    monkeypatch.setattr(spdelab.kolmogorov, "PICARD_SAMPLE_BUDGET", 1500)
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "kolmogorov", "m_samples": 4000}, out=str(out))
     doc["operator"] = {"kind": "heat", "n_max": 16}
@@ -456,6 +458,8 @@ def test_kolmogorov_check_reports_measured_failure(tmp_path, capsys):
     assert "FAIL" in stdout
     summary = json.loads((out / "summary.json").read_text())
     assert summary["passed"] is False
+    failed = {c["name"] for c in summary["checks"] if not c["passed"]}
+    assert {"picard_norm_bound", "picard_smallness_trend"} <= failed
 
 
 def test_hypotheses_canonical_table(tmp_path, capsys):

@@ -3,9 +3,12 @@ Picard iterates, and the bundled diagnostic suite."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spdelab import kolmogorov
 from spdelab.drift import HolderDriftSpec, drift_bound
@@ -25,6 +28,8 @@ from spdelab.kolmogorov import (
     picard_u_lambda,
 )
 from spdelab.spectral import ModeVector, make_heat_operator
+
+from oracles import mean_stderr
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 
@@ -178,6 +183,48 @@ def test_finite_difference_agrees_with_bismut():
     assert max(gaps) < 0.05
 
 
+def test_finite_difference_validation(heat16):
+    f = bounded_smooth_function(np.ones(16), np.eye(16)[0])
+    x, eta = ModeVector(np.zeros(16)), ModeVector(np.ones(16))
+    with pytest.raises(ValueError):
+        finite_difference_gradient(heat16, f, 0.0, x, eta, 100)
+    with pytest.raises(ValueError):
+        finite_difference_gradient(heat16, f, 0.5, x, ModeVector(np.ones(4)), 100)
+    # one sample has no standard error and none has no mean
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            finite_difference_gradient(heat16, f, 0.5, x, eta, m)
+
+
+@example(m=300, block_rows=1, lead=(2,), n=3, offset=1e6, seed=0)
+@given(
+    m=st.integers(2, 300),
+    block_rows=st.integers(1, 64),
+    lead=st.sampled_from([(), (2,)]),
+    n=st.sampled_from([1, 3]),
+    offset=st.sampled_from([0.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_reducer_matches_two_pass_oracle(m, block_rows, lead, n, offset, seed):
+    # any split into blocks, one-row blocks included, and a mean 10^6 times
+    # the spread, against exactly rounded two-pass sums
+    samples = offset + np.random.default_rng(seed).standard_normal((*lead, m, n))
+    taken = []
+
+    def block_values(rng, rows):
+        start = sum(taken)
+        taken.append(rows)
+        return samples[..., start : start + rows, :].copy()
+
+    with mock.patch.object(kolmogorov, "_BLOCK_NUMBERS", block_rows * n):
+        mean, se = kolmogorov._stream_mean_stderr(m, n, 0, block_values)
+    assert sum(taken) == m and max(taken) == min(block_rows, m)
+    for j in np.ndindex(*lead):
+        want_mean, want_se = mean_stderr(samples[j])
+        assert np.all(np.abs(mean[j] - want_mean) <= 1e-12 * (np.abs(want_mean) + want_se * math.sqrt(m)))
+        np.testing.assert_allclose(se[j], want_se, rtol=1e-12, atol=0.0)
+
+
 def test_gradient_decay_rejects_unbounded_observable(heat16):
     f = coordinate_function(1, np.eye(16)[0])
     with pytest.raises(ValueError):
@@ -214,22 +261,23 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
     # 300-row blocks split m = 2000 into six full blocks and a short last one,
     # and 1999-row blocks leave a one-row last block, so the carried sums are
     # exercised; the one-mode states check that an (m, 1) column, which numpy
-    # sums pairwise, is still reduced exactly, also for a repeated mode, where
-    # a fused (m, 2, 1) sum would go row by row; a repeated mode on a 16-mode
-    # state gives two equal rows of one fused pass.
+    # sums pairwise, is reduced the same way for one mode and for several,
+    # also for a repeated mode; a repeated mode on a 16-mode state gives two
+    # equal rows.
     t, m, seed = 0.5, 2000, 2024
     cases = [
         (16, (1, 2, 4, 16), None),
         (16, (1, 2, 4, 16), 300),
         (1, (1,), 300),
         (1, (1, 1), 300),
+        (1, (1, 1), None),
         (2, (2, 1), 300),
         (16, (3, 3, 1), 300),
         (16, (5, 2), 1999),
     ]
-    for n, modes, chunk_rows in cases:
-        if chunk_rows is not None:
-            monkeypatch.setattr(kolmogorov, "_DECAY_CHUNK_ROWS", chunk_rows)
+    for n, modes, block_rows in cases:
+        if block_rows is not None:
+            monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
         f = drift_test_function(DRIFT, heat16, n, time=0.25)
         x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
         report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
@@ -249,36 +297,72 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
         assert report.bounded is bounded
 
 
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gradient_decay_memory_is_one_values_array():
-    # the streamed check holds the (m, n) values of f and chunk-sized buffers,
-    # not the whole joint draw and a per-mode (m, n) product
+    # the only values array of f that the check holds is one block's, not
+    # the (m, n) array: at m = 100,000 and n = 64 it peaks below 4 MB,
+    # under a twelfth of that array
     op = make_heat_operator(64)
-    m, n = 50_000, 64
+    m, n = 100_000, 64
     f = drift_test_function(DRIFT, op, n, time=0.25)
     x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-    tracemalloc.start()
-    try:
-        gradient_decay_check(op, f, 0.5, x, (1, 4, 16, 64), m, seed=2024)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * m * n * 8
+    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 0.5, x, (1, 4, 16, 64), m, seed=2024))
+    assert peak <= 4e6
+    assert peak <= m * n * 8 / 12
 
 
-def test_gradient_decay_memory_is_values_and_selected_columns():
-    # beyond the (m, n) values of f and the (m, k) selected weight columns the
-    # check holds only block-sized buffers
+def test_gradient_decay_memory_is_values_and_selected_columns(monkeypatch):
+    # beyond one block's values of f, their (k, rows, n) products with the k
+    # selected weight columns and the (k, rows) pulls, the check holds only
+    # buffers of the same block size; a four-times block is checked so the
+    # block, not m or the fixed overhead, sets the bound; that is under a
+    # quarter of the (m, n) values and (m, k) columns at m = 100,000
+    monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", 4 * kolmogorov._BLOCK_NUMBERS)
     op = make_heat_operator(64)
-    m, n, modes = 50_000, 64, (1, 4, 16, 64)
+    m, n, modes = 100_000, 64, (1, 4, 16, 64)
+    rows, k = kolmogorov._BLOCK_NUMBERS // n, len(modes)
     f = drift_test_function(DRIFT, op, n, time=0.25)
     x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-    tracemalloc.start()
-    try:
-        gradient_decay_check(op, f, 0.5, x, modes, m, seed=2024)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= (m * n + m * len(modes)) * 8 + 4e6
+    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 0.5, x, modes, m, seed=2024))
+    assert peak <= 1.5 * (rows * n + k * rows * n + k * rows) * 8 + 1e6
+    assert peak <= (m * n + m * k) * 8 / 4
+
+
+def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
+    # every Monte Carlo estimator draws and reduces fixed-size blocks, so its
+    # peak at 50,000 samples is within 0.5 MB of its peak at 5,000; the
+    # summability probe's samples per node are the module constant, and one
+    # node is enough
+    op, n = make_heat_operator(64), 64
+    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
+    eta = ModeVector(np.linspace(1.0, 0.25, n))
+    f_lin = coordinate_function(1, np.eye(n)[0])
+    f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, n), np.eye(n)[0])
+    f_drift = drift_test_function(DRIFT, op, n, time=0.25)
+    monkeypatch.setattr(kolmogorov, "SUMMABILITY_NODES", 1)
+
+    def summability(m):
+        monkeypatch.setattr(kolmogorov, "SUMMABILITY_SAMPLES", m)
+        gradient_summability_probe(op, DRIFT, 1.0, 0.0, x, theta=0.45, seed=3)
+
+    estimators = {
+        "semigroup": lambda m: ou_semigroup_estimate(op, f_lin, 0.5, x, m, seed=3),
+        "bismut": lambda m: bismut_gradient(op, f_smooth, 0.5, x, eta, m, seed=3),
+        "finite_difference": lambda m: finite_difference_gradient(op, f_smooth, 0.5, x, eta, m, seed=3),
+        "decay": lambda m: gradient_decay_check(op, f_drift, 0.5, x, (1, 4, 16, 64), m, seed=3),
+        "summability": summability,
+    }
+    for name, run in estimators.items():
+        small, large = (_peak_bytes(lambda: run(m)) for m in (5_000, 50_000))
+        assert abs(large - small) <= 0.5e6, (name, small, large)
 
 
 def test_gradient_decay_vanishes_at_large_time(heat16):
@@ -426,24 +510,56 @@ def test_kolmogorov_suite_passes(heat16):
     assert len(result["picard"]["norms"]) == 3
 
 
-# recorded with the per-mode loop of earlier releases (one joint draw and one
-# drift evaluation per decay mode); the suite must reproduce it byte for byte
+def _suite_draws(m_samples, dims, n_decay, picard: PicardConfig) -> int:
+    """States the suite draws: semigroup, two Bismut gradients and the finite
+    difference at dims modes, the decay check at n_decay modes, three depth-1
+    Picard evaluations and the summability probe at n_decay modes."""
+    return (
+        4 * m_samples * dims
+        + m_samples * n_decay
+        + 3 * picard.time_nodes * picard.outer_samples * picard.dims
+        + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * n_decay
+    )
+
+
+def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
+    # every state is drawn through the module's bindings of the two samplers,
+    # the names the benchmark's tracer counts at, so the count has a closed
+    # form; 3000 samples at 16 modes take two blocks
+    drawn = []
+    for name in ("ou_joint_modes_batch", "ou_transition_sample"):
+
+        def counted(*args, _sampler=getattr(kolmogorov, name), **kwargs):
+            result = _sampler(*args, **kwargs)
+            drawn.append((result[0] if isinstance(result, tuple) else result).size)
+            return result
+
+        monkeypatch.setattr(kolmogorov, name, counted)
+    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=(1, 4, 16))
+    picard = PicardConfig(lam=1.0, dims=3)
+    assert sum(drawn) == _suite_draws(3000, 4, 16, picard)
+    # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64
+    assert _suite_draws(100_000, 4, 64, picard) == 10_134_016
+
+
+# re-recorded when each joint draw began to take a sample's z1 and z2
+# together; the suite must reproduce it byte for byte
 GOLDEN_DECAY_CSV = (
     "i,estimate,stderr,bound_ratio\n"
-    "1,0.43872675580090975,0.01634588992647181,0.2161455240337169\n"
-    "4,0.008207499843969209,0.005643805460917406,0.012859467418444633\n"
-    "16,0.0012179861945164256,0.0013749328194287952,0.007633336924012661\n"
-    "64,8.0763117895624e-05,0.000357617518791521,0.0020246275128785636\n"
+    "1,0.4458412689818409,0.01648888404917244,0.21965059902493758\n"
+    "4,0.008998326943672454,0.005477144505719316,0.014098531142549296\n"
+    "16,0.0007189286791057589,0.0014129451539034985,0.0045056543798745255\n"
+    "64,0.0003367194925398295,0.0003429267544860302,0.008441124692581804\n"
 )
 GOLDEN_DETAILS = [
     ("semigroup_linear_closed_form", "|0.596154 - 0.606531| vs 3*stderr = 0.0366", True),
-    ("bismut_linear_closed_form", "|0.55661 - 0.606531| vs 3*stderr = 0.0763", True),
-    ("bismut_matches_finite_difference", "max relative gap 0.0722 over 1 significant coordinates", False),
-    ("gradient_decay_bounded", "max bound ratio 0.2161 over modes (1, 4, 16, 64)", True),
+    ("bismut_linear_closed_form", "|0.552888 - 0.606531| vs 3*stderr = 0.0769", True),
+    ("bismut_matches_finite_difference", "max relative gap 0.0754 over 1 significant coordinates", False),
+    ("gradient_decay_bounded", "max bound ratio 0.2197 over modes (1, 4, 16, 64)", True),
     ("picard_terminal_zero", "value at t = horizon", True),
     ("picard_norm_bound", "norms 0.3654 <= 0.7375, 0.07972 <= 0.1167, 0.0002187 <= 0.01167", True),
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
-    ("summability_non_exploding", "partial sum growth ratio 1.0021 at theta = 0.45", True),
+    ("summability_non_exploding", "partial sum growth ratio 1.0016 at theta = 0.45", True),
 ]
 
 

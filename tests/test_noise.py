@@ -300,8 +300,10 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("t", [1e-6, 0.5])
 def test_joint_batch_matches_expression_form(heat16, t):
-    # the in-place sampler against its expression form, bit for bit; at
-    # t = 1e-6 modes 1..9 take the small-u series and modes 10..16 do not
+    # the in-place sampler against its per-row expression form, bit for bit:
+    # each sample draws z1 and then z2; at t = 1e-6 modes 1..9 take the
+    # small-u series and modes 10..16 do not; 2100 rows are more than one
+    # 2048-row block of a 16-mode state in the Kolmogorov estimators
     lam = heat16.eigenvalues
     u = lam * t
     if t < 1e-3:
@@ -310,15 +312,30 @@ def test_joint_batch_matches_expression_form(heat16, t):
         assert np.all(u >= 1e-4)
     x = np.linspace(-1.0, 2.0, 16)
     x_before = x.copy()
-    states, weights = ou_joint_modes_batch(heat16, x, t, np.random.default_rng(41), 300)
-    assert _same_bits(x, x_before)
-
-    rng = np.random.default_rng(41)
-    z1 = rng.standard_normal((300, 16))
-    z2 = rng.standard_normal((300, 16))
     var = convolution_variance(lam, t)
     cov = ou_cross_covariance(lam, t)
     sd = np.sqrt(var)
     resid = np.sqrt(np.maximum(np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var), 0.0))
-    assert _same_bits(states, decay_factor(lam, t) * x + sd * z1)
-    assert _same_bits(weights, (cov / sd) * z1 + resid * z2)
+    for size in (300, 2100):
+        states, weights = ou_joint_modes_batch(heat16, x, t, np.random.default_rng(41), size)
+        assert _same_bits(x, x_before)
+        z = np.random.default_rng(41).standard_normal((size, 2, 16))
+        z1, z2 = z[:, 0], z[:, 1]
+        assert _same_bits(states, decay_factor(lam, t) * x + sd * z1)
+        assert _same_bits(weights, (cov / sd) * z1 + resid * z2)
+
+
+PIECES = (1, 511, 512, 513, 463)  # around a 512-row block of a 64-mode state, then the rest
+
+
+def test_samplers_called_in_pieces_equal_one_call():
+    op = make_heat_operator(64)
+    x = 1.0 / np.arange(1.0, 65.0)
+    whole = ou_joint_modes_batch(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
+    rng = np.random.default_rng(17)
+    parts = [ou_joint_modes_batch(op, x, 0.5, rng, rows) for rows in PIECES]
+    for k in range(2):
+        assert _same_bits(whole[k], np.concatenate([p[k] for p in parts]))
+    whole = ou_transition_sample(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
+    rng = np.random.default_rng(17)
+    assert _same_bits(whole, np.concatenate([ou_transition_sample(op, x, 0.5, rng, rows) for rows in PIECES]))
