@@ -258,6 +258,10 @@ class ConvergenceReport:
 
 
 def _chunked(m_paths: int, chunk_size: int) -> list[list[int]]:
+    # every study reports a standard error per rung, which needs two paths;
+    # the studies split their paths here, before any chunk runs
+    if m_paths < 2:
+        raise ValueError("need at least two paths")
     ids = list(range(m_paths))
     return [ids[i : i + chunk_size] for i in range(0, m_paths, chunk_size)]
 
@@ -303,7 +307,7 @@ def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tu
         means = cells.mean(axis=0)
         flat = int(np.argmax(means))
         vals = values[:, i] = cells[:, flat]
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(m_paths))
         rows.append(ReportRow(res, cfg.delta, cfg.n_dim, m_paths, float(means[flat]), stderr))
     return rows, values
 
@@ -324,8 +328,6 @@ def _slope_stderr(h: np.ndarray, samples: np.ndarray) -> float:
     path.
     """
     n = samples.shape[0]
-    if n < 2:
-        return 0.0
     x = np.log(h) - np.mean(np.log(h))
     z = samples @ (x / np.sum(x**2) / samples.mean(axis=0))
     return float(np.std(z, ddof=1) / math.sqrt(n))

@@ -2,9 +2,9 @@
 
 The driftless mild solution is an Ornstein-Uhlenbeck process whose transition
 is sampled exactly, so its Markov semigroup, the gradient representation with
-an integral weight, the per-mode gradient decay, and a depth-limited Picard
-evaluation of the resolvent-type integral equation can all be checked by
-plain Monte Carlo with no discretization error.
+an integral weight, the per-mode gradient decay, and the first Picard
+iterate of the resolvent-type integral equation can all be checked by plain
+Monte Carlo with no discretization error.
 
 Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
 one seed share their leading normals and are not independent samples.  It
@@ -16,9 +16,9 @@ A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
 samplers take the operator itself and read as many modes as the state has.
 The quadrature, budget and gate settings that no caller varies are the
-module constants `FD_STEP` (the step of both finite differences),
+module constants `FD_STEP` (the finite-difference step),
 `PICARD_SAMPLE_BUDGET`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
-`SUMMABILITY_GROWTH_CAP`; the Picard budget is read at each draw, so a test
+`SUMMABILITY_GROWTH_CAP`; the Picard budget is read at each call, so a test
 may lower it by rebinding the module constant.
 """
 
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
-# step of finite_difference_gradient and of the depth-2 Picard derivative term
+# step of finite_difference_gradient
 FD_STEP = 1e-3
 PICARD_SAMPLE_BUDGET = 5_000_000  # transition draws one Picard evaluation may make
 SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
@@ -316,7 +316,8 @@ def gradient_decay_check(
         se_size = float(np.linalg.norm(se[k]))
         lam_i = float(op.eigenvalues[i - 1])
         theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
-        ratio = size / theory
+        # a zero drift has a zero bound and a zero estimate, which sit at ratio 0
+        ratio = size / theory if size else 0.0
         rows.append(GradientDecayRow(mode=int(i), estimate=size, stderr=se_size, bound_ratio=ratio))
         if size > theory + 3.0 * se_size:
             bounded = False
@@ -326,76 +327,30 @@ def gradient_decay_check(
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Shape of the depth-limited Picard evaluation.
+    """Shape of the first Picard iterate's evaluation: time_nodes midpoint
+    nodes in time, outer_samples exact transition draws per node.
 
-    Cost grows like (time_nodes*inner_samples)**depth, which is why depth is
-    capped at 2 and the dimension at 4; PICARD_SAMPLE_BUDGET is the hard
-    stop on total transition draws.  Depth 2 differentiates the first
-    iterate by a forward difference of step FD_STEP.
+    The dimension is capped at 4, and PICARD_SAMPLE_BUDGET is the hard stop
+    on total transition draws.
     """
 
     lam: float
-    depth: int = 1
     dims: int = 3
     time_nodes: int = 8
     outer_samples: int = 512
-    inner_samples: int = 128
     horizon: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
-        if not 1 <= self.depth <= 2:
-            raise ValueError("depth must be 1 or 2")
         if not 1 <= self.dims <= 4:
             raise ValueError("dims must lie in 1..4")
         if self.time_nodes < 1:
             raise ValueError("need at least one time node")
-        if self.outer_samples < 2 or self.inner_samples < 2:
-            raise ValueError("need at least two samples per level")
+        if self.outer_samples < 2:
+            raise ValueError("need at least two samples per node")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-
-
-class _BudgetExhausted(RuntimeError):
-    pass
-
-
-def _draw_transitions(op, z, dt, rng, m, budget) -> np.ndarray:
-    if budget["used"] + m > PICARD_SAMPLE_BUDGET:
-        raise _BudgetExhausted
-    budget["used"] += m
-    return ou_transition_sample(op, z, dt, rng, m)
-
-
-def _node_integrand(cfg, op, lam_d, spec, k, t, s, z, rng, budget) -> np.ndarray:
-    """Samples, one row per transition draw, of the k-th Picard integrand at
-    the time node s for the iterate at (t, z)."""
-    m = cfg.outer_samples if k == cfg.depth else cfg.inner_samples
-    states = _draw_transitions(op, z, s - t, rng, m, budget)
-    integrand = drift_array(spec, lam_d, s, states)
-    if k >= 2:
-        # directional derivative of the previous iterate along the drift,
-        # one forward difference per outer sample
-        rows = []
-        for r in range(m):
-            moved = states[r] + FD_STEP * integrand[r]
-            up = _picard_level(cfg, op, lam_d, spec, k - 1, s, moved, rng, budget)
-            u0 = _picard_level(cfg, op, lam_d, spec, k - 1, s, states[r], rng, budget)
-            rows.append((up - u0) / FD_STEP)
-        integrand = integrand + np.stack(rows)
-    return integrand
-
-
-def _picard_level(cfg, op, lam_d, spec, k, t, z, rng, budget) -> np.ndarray:
-    """Value of the k-th Picard iterate, k >= 1, at (t, z) with t < T."""
-    ds = (cfg.horizon - t) / cfg.time_nodes
-    acc = np.zeros(cfg.dims)
-    for j in range(cfg.time_nodes):
-        s = t + (j + 0.5) * ds
-        integrand = _node_integrand(cfg, op, lam_d, spec, k, t, s, z, rng, budget)
-        acc += math.exp(-cfg.lam * (s - t)) * integrand.mean(axis=0) * ds
-    return acc
 
 
 def picard_u_lambda(
@@ -406,13 +361,13 @@ def picard_u_lambda(
     x: ModeVector,
     seed: int = 0,
 ) -> tuple[ModeVector, dict]:
-    """Depth-limited Picard iterate of the integral equation at one point.
+    """First Picard iterate of the integral equation at one point.
 
-    Midpoint rule in time, exact transitions underneath, nested Monte Carlo
-    for the derivative term at depth 2.  At depth 1 the per-coordinate
-    standard error is exact (nodes are independent) and lands in the
-    diagnostics; budget exhaustion returns the partial node sum with
-    completed False.
+    Midpoint rule in time with exact transitions underneath.  The nodes are
+    independent, so the per-coordinate standard error is exact and lands in
+    the diagnostics.  A node whose draws would pass PICARD_SAMPLE_BUDGET is
+    not drawn: budget exhaustion returns the partial node sum with completed
+    False.
     """
     if len(x) != cfg.dims:
         raise ValueError("state dimension must match the configuration")
@@ -425,36 +380,26 @@ def picard_u_lambda(
             "samples_used": 0,
             "nodes_done": 0,
             "nodes_total": cfg.time_nodes,
-            "depth": cfg.depth,
         }
     rng = np.random.default_rng(seed)
-    budget = {"used": 0}
+    nodes_done = min(cfg.time_nodes, PICARD_SAMPLE_BUDGET // cfg.outer_samples)
     ds = (cfg.horizon - t) / cfg.time_nodes
     acc = np.zeros(cfg.dims)
     var_acc = np.zeros(cfg.dims)
-    nodes_done = 0
-    completed = True
-    for j in range(cfg.time_nodes):
+    for j in range(nodes_done):
         s = t + (j + 0.5) * ds
-        try:
-            integrand = _node_integrand(cfg, op, lam_d, spec, cfg.depth, t, s, x.coeffs, rng, budget)
-        except _BudgetExhausted:
-            completed = False
-            break
+        states = ou_transition_sample(op, x.coeffs, s - t, rng, cfg.outer_samples)
+        integrand = drift_array(spec, lam_d, s, states)
         weight = math.exp(-cfg.lam * (s - t)) * ds
         acc += weight * integrand.mean(axis=0)
         var_acc += weight**2 * integrand.var(axis=0, ddof=1) / cfg.outer_samples
-        nodes_done += 1
-    diagnostics = {
-        "completed": completed,
-        "samples_used": budget["used"],
+    return ModeVector(acc), {
+        "completed": nodes_done == cfg.time_nodes,
+        "samples_used": nodes_done * cfg.outer_samples,
         "nodes_done": nodes_done,
         "nodes_total": cfg.time_nodes,
-        "depth": cfg.depth,
+        "stderr": np.sqrt(var_acc),
     }
-    if cfg.depth == 1:
-        diagnostics["stderr"] = np.sqrt(var_acc)
-    return ModeVector(acc), diagnostics
 
 
 def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> float:
@@ -514,7 +459,9 @@ def gradient_summability_probe(
             node_sum += weights.T @ drift_array(spec, lam, s, states)
         grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
     partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
-    growth_ratio = float(partial_sums[-1] / partial_sums[max(1, n // 2) - 1])
+    half, full = partial_sums[max(1, n // 2) - 1], partial_sums[-1]
+    # sums that never grow, all zeros under a zero drift among them, have ratio 1
+    growth_ratio = 1.0 if full == half else float(full / half)
     return SummabilityReport(theta, partial_sums.tolist(), growth_ratio, growth_ratio <= SUMMABILITY_GROWTH_CAP)
 
 

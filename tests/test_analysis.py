@@ -266,6 +266,28 @@ def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
         study(make_heat_operator(4), DRIFT, INITIAL, lat, *args)
 
 
+@pytest.mark.parametrize("m_paths", [0, 1])
+@pytest.mark.parametrize(
+    "study, kwargs",
+    [
+        (temporal_study, {"ladder": [2, 3], "reference_level": 5, "n_modes": 4, "rate": CANONICAL}),
+        (spatial_study, {"ladder": [2, 3], "reference_modes": 4, "level": 3, "rate": CANONICAL}),
+        (increment_statistic, {"ladder": [2, 3], "n_modes": 4, "alpha": 0.45}),
+    ],
+    ids=["temporal", "spatial", "increment"],
+)
+def test_fewer_than_two_paths_are_refused_before_simulating(monkeypatch, study, kwargs, m_paths):
+    # one path used to report every standard error as 0, so the decrease gate
+    # lost its noise allowance; zero paths failed in numpy's concatenate
+    def no_run(*_):
+        raise AssertionError(f"{m_paths} paths were simulated")
+
+    monkeypatch.setattr(analysis, "_run_chunks", no_run)
+    lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
+    with pytest.raises(ValueError, match="at least two paths"):
+        study(make_heat_operator(4), DRIFT, INITIAL, lat, m_paths=m_paths, **kwargs)
+
+
 def _temporal(workers=1):
     lat = NoiseLattice(master_seed=31, horizon=1.0, levels=7, n_modes=8)
     return temporal_study(
@@ -681,7 +703,6 @@ def test_slope_stderr_paired_delta_method():
     expected = np.std(z, ddof=1) / math.sqrt(400)
     assert _slope_stderr(h, samples) == pytest.approx(expected, rel=1e-12)
     assert _slope_stderr(h, np.broadcast_to(h**0.4, (5, 2))) == 0.0
-    assert _slope_stderr(h, samples[:1]) == 0.0
 
 
 def test_increment_gate_passes_and_fails():

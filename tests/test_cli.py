@@ -462,6 +462,27 @@ def test_kolmogorov_check_reports_measured_failure(tmp_path, capsys, monkeypatch
     assert {"picard_norm_bound", "picard_smallness_trend"} <= failed
 
 
+def test_kolmogorov_check_with_zero_drift(tmp_path, capsys):
+    # amplitude 0 switches the drift off: the decay bound and estimate are
+    # both exact zeros, as is every summability partial sum, and they must
+    # report ratio 0 and growth 1, not a runtime failure or a null.  The
+    # shape is the benchmark's kolmogorov-probe; the finite-difference check
+    # may fail at this sample count, so only the drift's checks are asserted.
+    out = tmp_path / "o"
+    doc = canonical_doc({"kind": "kolmogorov", "m_samples": 100_000, "decay_modes": [1, 4, 16, 64]}, out=str(out))
+    doc["drift"]["amplitude"] = 0.0
+    cfg = write_doc(tmp_path, doc)
+    assert run(["kolmogorov-check", "--config", cfg, "--paths", "500"]) in (EXIT_OK, EXIT_ACCEPTANCE)
+    capsys.readouterr()
+    text = (out / "summary.json").read_text()
+    assert "null" not in text and "NaN" not in text
+    summary = json.loads(text)
+    passed = {c["name"]: c["passed"] for c in summary["checks"]}
+    assert passed["gradient_decay_bounded"] and passed["summability_non_exploding"]
+    assert summary["decay"]["max_ratio"] == 0.0
+    assert summary["summability"]["growth_ratio"] == 1.0
+
+
 def test_hypotheses_canonical_table(tmp_path, capsys):
     cfg = write_doc(tmp_path, temporal_study_doc("out"))
     assert run(["hypotheses", "--config", cfg]) == EXIT_OK

@@ -41,12 +41,7 @@ PROBE_CALLS = [
     ("spdelab.drift", "verify_mode_holder", 2, ("trials", "rng_seed")),
     ("spdelab.drift", "verify_time_holder", 2, ("trials", "rng_seed")),
     ("spdelab.kolmogorov", "picard_u_lambda", 5, ("seed",)),
-    (
-        "spdelab.kolmogorov",
-        "PicardConfig",
-        0,
-        ("lam", "depth", "dims", "time_nodes", "outer_samples", "inner_samples"),
-    ),
+    ("spdelab.kolmogorov", "PicardConfig", 0, ("lam", "dims", "time_nodes", "outer_samples")),
 ]
 
 

@@ -388,7 +388,6 @@ def test_picard_first_iterate_respects_bound(heat16):
     sup_b = drift_bound(DRIFT, make_heat_operator(3))
     bound = picard_norm_bound(sup_b, 2.0, 0.3, 1.0)
     assert value.norm() <= bound + 3.0 * float(np.linalg.norm(diag["stderr"]))
-    assert diag["depth"] == 1
     assert diag["nodes_done"] == diag["nodes_total"] == 8
 
 
@@ -415,48 +414,18 @@ def test_picard_budget_exhaustion(heat16, monkeypatch):
     assert np.all(np.isfinite(value.coeffs))
 
 
-def test_picard_depth_two_smoke(heat16):
-    cfg = PicardConfig(lam=1.0, depth=2, dims=2, time_nodes=2, outer_samples=4, inner_samples=4)
-    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.0, ModeVector([1.0, 0.5]), seed=2)
-    assert diag["depth"] == 2
-    assert diag["completed"] is True
-    assert "stderr" not in diag
-    assert np.all(np.isfinite(value.coeffs))
-
-
-def test_picard_golden(heat16, monkeypatch):
-    # recorded when picard_u_lambda and _picard_level each carried their own
-    # node loop; the values, the draw order and the budget accounting must
-    # not move.  The 380-sample budget runs out inside the third node's
-    # inner loop, after six of its twelve-sample inner draws.
-    depth1 = PicardConfig(lam=2.0, dims=3, time_nodes=4, outer_samples=64)
-    value, diag = picard_u_lambda(depth1, heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
+def test_picard_golden(heat16):
+    # the value, its standard error and the draw order must not move
+    cfg = PicardConfig(lam=2.0, dims=3, time_nodes=4, outer_samples=64)
+    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
     assert value.coeffs.tolist() == [0.21512874556359815, 0.040588905823528525, 0.010166208548707747]
     assert diag.pop("stderr").tolist() == [0.006231320171272336, 0.003394402893084424, 0.0017339315351508902]
-    assert diag == {"completed": True, "samples_used": 256, "nodes_done": 4, "nodes_total": 4, "depth": 1}
-    expected = {
-        5_000_000: ([0.3535129575428056, -0.14639362257981947], True, 450, 3),
-        380: ([0.2577554253061074, -0.16471926087533656], False, 378, 2),
-    }
-    for budget, (coeffs, completed, used, nodes) in expected.items():
-        monkeypatch.setattr(kolmogorov, "PICARD_SAMPLE_BUDGET", budget)
-        cfg = PicardConfig(lam=1.0, depth=2, dims=2, time_nodes=3, outer_samples=6, inner_samples=4)
-        value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.25, ModeVector([1.0, 0.5]), seed=5)
-        assert value.coeffs.tolist() == coeffs
-        assert diag == {
-            "completed": completed,
-            "samples_used": used,
-            "nodes_done": nodes,
-            "nodes_total": 3,
-            "depth": 2,
-        }
+    assert diag == {"completed": True, "samples_used": 256, "nodes_done": 4, "nodes_total": 4}
 
 
 def test_picard_validation(heat16):
     with pytest.raises(ValueError):
         PicardConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        PicardConfig(lam=1.0, depth=3)
     with pytest.raises(ValueError):
         PicardConfig(lam=1.0, dims=5)
     with pytest.raises(ValueError):
