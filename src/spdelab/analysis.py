@@ -33,7 +33,6 @@ from .noise import NoiseLattice
 from .scheme import SchemeConfig, Trajectory, _coupled_pass
 
 __all__ = [
-    "RateParams",
     "HypothesisViolation",
     "rate_exponent",
     "rate_hypotheses",
@@ -59,24 +58,6 @@ ALPHA_MARGIN = 0.1  # how far the increment slope may fall below min(alpha, s0)
 CSV_HEADER = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Exponents entering the theoretical strong rate: noise regularity
-    alpha, drift mode-weight beta, drift Holder exponent epsilon."""
-
-    alpha: float
-    beta: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
 class HypothesisViolation(ValueError):
     """A standing hypothesis of the convergence theorem fails."""
 
@@ -85,19 +66,27 @@ class HypothesisViolation(ValueError):
         self.hypothesis = hypothesis
 
 
-def rate_exponent(p: RateParams) -> float:
+def rate_exponent(alpha: float, drift) -> float:
     """The raw rate exponent (epsilon + min(2*beta, alpha*epsilon**2))/2
-    + alpha - 1, with no admissibility gating."""
-    return (p.epsilon + min(2.0 * p.beta, p.alpha * p.epsilon**2)) / 2.0 + p.alpha - 1.0
+    + alpha - 1, with no admissibility gating.
+
+    alpha is the noise regularity and must lie in (0, 1); beta and epsilon
+    are read from the drift (a `HolderDriftSpec`), which owns them.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    beta, epsilon = drift.beta, drift.epsilon
+    return (epsilon + min(2.0 * beta, alpha * epsilon**2)) / 2.0 + alpha - 1.0
 
 
-def rate_hypotheses(p: RateParams) -> list[dict]:
-    """The rate theorem's hypotheses on the exponents, one row each: name,
-    computed value, verdict.  The drift-weight constraint 2*beta/(2-epsilon)
-    >= 1-alpha comes first, then 0 < nu and nu < 1/2."""
-    constraint = 2.0 * p.beta / (2.0 - p.epsilon)
-    target = 1.0 - p.alpha
-    nu = rate_exponent(p)
+def rate_hypotheses(alpha: float, drift) -> list[dict]:
+    """The rate theorem's hypotheses on the exponents of `rate_exponent`,
+    one row each: name, computed value, verdict.  The drift-weight
+    constraint 2*beta/(2-epsilon) >= 1-alpha comes first, then 0 < nu and
+    nu < 1/2."""
+    nu = rate_exponent(alpha, drift)
+    constraint = 2.0 * drift.beta / (2.0 - drift.epsilon)
+    target = 1.0 - alpha
     return [
         {
             "name": "drift_weight_constraint",
@@ -109,13 +98,13 @@ def rate_hypotheses(p: RateParams) -> list[dict]:
     ]
 
 
-def theoretical_nu(p: RateParams) -> float:
+def theoretical_nu(alpha: float, drift) -> float:
     """Gated rate exponent; raises HypothesisViolation for the first row of
     `rate_hypotheses` that fails."""
-    for row in rate_hypotheses(p):
+    for row in rate_hypotheses(alpha, drift):
         if not row["holds"]:
             raise HypothesisViolation(row["name"], row["value"])
-    return rate_exponent(p)
+    return rate_exponent(alpha, drift)
 
 
 def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
@@ -342,23 +331,25 @@ def temporal_study(
     reference_level: int,
     n_modes: int,
     m_paths: int,
-    rate: RateParams,
+    alpha: float,
     workers: int = 1,
     chunk_size: int = 25,
 ) -> ConvergenceReport:
     """Self-convergence in the step size at fixed mode count.
 
     The config fields `ladder` (levels), `reference_level`, `n_modes` and
-    `m_paths` are keywords here.  Every level is coupled to the reference
-    through the shared lattice, so the spatial truncation error cancels
-    exactly and the fitted slope isolates the temporal rate.  The slope must
-    reach nu - SLOPE_MARGIN; the r2_at_least_min flag (R^2 >= R2_MIN) is
-    set only on ladders of at least R2_MIN_POINTS rungs.
+    `m_paths` are keywords here; alpha is the noise regularity, which with
+    the drift's beta and epsilon gives nu (`theoretical_nu`).  Every level
+    is coupled to the reference through the shared lattice, so the spatial
+    truncation error cancels exactly and the fitted slope isolates the
+    temporal rate.  The slope must reach nu - SLOPE_MARGIN; the
+    r2_at_least_min flag (R^2 >= R2_MIN) is set only on ladders of at least
+    R2_MIN_POINTS rungs.
     """
     ladder = sorted(ladder)
     if len(ladder) < 2 or ladder[-1] >= reference_level:
         raise ValueError("need at least two ladder levels, all coarser than the reference")
-    nu = theoretical_nu(rate)
+    nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
@@ -385,18 +376,19 @@ def spatial_study(
     reference_modes: int,
     level: int,
     m_paths: int,
-    rate: RateParams,
+    alpha: float,
     workers: int = 1,
     chunk_size: int = 25,
 ) -> ConvergenceReport:
     """Galerkin truncation error at fixed step size, fitted against the
     largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN).
     The config fields `ladder` (mode counts), `reference_modes`, `level` and
-    `m_paths` are keywords here."""
+    `m_paths` are keywords here; alpha is the noise regularity, as in
+    `temporal_study`."""
     ladder = sorted(ladder)
     if len(ladder) < 2 or ladder[-1] >= reference_modes:
         raise ValueError("need at least two ladder mode counts, all below the reference's")
-    nu = theoretical_nu(rate)
+    nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
     configs = [replace(ref_cfg, n_dim=n) for n in ladder]
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]

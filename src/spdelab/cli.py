@@ -49,9 +49,9 @@ from .analysis import (
     R2_MIN_POINTS,
     ConvergenceReport,
     HypothesisViolation,
-    RateParams,
     _check_sample_fractions,
     increment_statistic,
+    rate_exponent,
     rate_hypotheses,
     spatial_study,
     temporal_study,
@@ -103,12 +103,13 @@ class StudyConfig:
 
     `doc` holds every field the parser read, converted, with its default
     filled in and any override applied; it is the `config` of summary.json
-    and parses back to itself.  `lattice` is built from the noise section.
+    and parses back to itself.  `lattice` is built from the noise section;
+    `alpha`, the noise regularity, is the one rate exponent not the drift's.
     """
 
     operator: SpectralOperator
     drift: HolderDriftSpec
-    rate: RateParams
+    alpha: float
     initial: InitialData
     lattice: NoiseLattice
     doc: dict
@@ -221,7 +222,7 @@ def _build_operator(section: _Section) -> SpectralOperator:
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
-def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator, rate: RateParams):
+def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator, alpha: float):
     """Read the study section for its kind; `wanted` is the kind the
     command runs (None for any) and `paths` sets the kind's size field."""
     kind = _get(section, "kind")
@@ -261,12 +262,19 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
             raise ConfigError("study.lam_sweep must be positive and ascending")
         if _float_field(section, "t", default=0.5) <= 0.0:
             raise ConfigError("study.t must be positive")
-        if _float_field(section, "theta", default=rate.alpha) < 0.0:
+        if _float_field(section, "theta", default=alpha) < 0.0:
             raise ConfigError("study.theta must be nonnegative")
         _int_field(section, "m_samples", 2, default=20_000)
         _int_field(section, "picard_dims", 1, min(4, op.n_max), default=min(3, op.n_max))
     else:
         _int_field(section, "trials", 1, default=10_000)
+
+
+def _directory(value, where: str) -> str:
+    # str() would turn null into the directory ./None, and "" is the working directory
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string")
+    return value
 
 
 _SECTIONS = ("operator", "drift", "rate_params", "initial", "noise", "study")  # output is optional
@@ -297,11 +305,10 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
             }
         )
         rate_section = sections["rate_params"]
-        rate = RateParams(
-            alpha=_float_field(rate_section, "alpha"),
-            beta=_float_field(rate_section, "beta"),
-            epsilon=_float_field(rate_section, "epsilon"),
-        )
+        alpha = _float_field(rate_section, "alpha")
+        # the drift owns beta and epsilon; the section repeats them, checked below
+        repeated = (_float_field(rate_section, "beta"), _float_field(rate_section, "epsilon"))
+        rate_exponent(alpha, drift)  # refuses an alpha outside (0, 1)
         initial_section = sections["initial"]
         profile = _get(initial_section, "profile")
         if profile == "power_decay":
@@ -318,8 +325,8 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
         lattice = NoiseLattice(seed, horizon, levels, n_modes)
-        _normalize_study(sections["study"], kind, paths, lattice, op, rate)
-        _get(sections["output"], "directory", convert=lambda v, _: str(v))
+        _normalize_study(sections["study"], kind, paths, lattice, op, alpha)
+        _get(sections["output"], "directory", convert=_directory)
         for section in sections.values():
             if unread := sorted(set(section.values) - set(section.record)):
                 raise ConfigError(f"unknown fields in section {section.name!r}: {unread}")
@@ -327,10 +334,10 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    if drift.beta != rate.beta or drift.epsilon != rate.epsilon:
+    if repeated != (drift.beta, drift.epsilon):
         raise ConfigError("rate_params must repeat the drift's beta and epsilon")
     doc = {name: section.record for name, section in sections.items()}
-    return StudyConfig(op, drift, rate, initial, lattice, doc)
+    return StudyConfig(op, drift, alpha, initial, lattice, doc)
 
 
 def _reject_constant(name: str):
@@ -360,7 +367,7 @@ def load_config(path, kind=None, seed=None, paths=None, out=None) -> StudyConfig
 def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
     """One row per standing hypothesis (name, computed value, verdict): the
     noise trace, the rate rows of `analysis.rate_hypotheses`, the initial datum."""
-    trace = check_trace_condition(cfg.operator, cfg.rate.alpha)
+    trace = check_trace_condition(cfg.operator, cfg.alpha)
     in_domain, why = initial_domain_check(cfg.initial, cfg.operator)
     return [
         {
@@ -369,7 +376,7 @@ def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
             f"tail bound {trace.tail_bound:.6g}",
             "holds": trace.converges,
         },
-        *rate_hypotheses(cfg.rate),
+        *rate_hypotheses(cfg.alpha, cfg.drift),
         {"name": "initial_state_in_domain", "value": why, "holds": in_domain},
     ]
 
@@ -459,10 +466,8 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
 
 def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
     fields = {k: v for k, v in cfg.study.items() if k != "kind"}
-    # the increment statistic is gated by the noise regularity alone
-    rate = {"alpha": cfg.rate.alpha} if cfg.study["kind"] == "increment" else {"rate": cfg.rate}
     study = globals()[_POOLED_STUDIES[cfg.study["kind"]]]
-    report = study(cfg.operator, cfg.drift, cfg.initial, cfg.lattice, **fields, **rate, workers=workers)
+    report = study(cfg.operator, cfg.drift, cfg.initial, cfg.lattice, **fields, alpha=cfg.alpha, workers=workers)
     return _emit_convergence(cfg, report)
 
 

@@ -121,7 +121,7 @@ def left_fold_blocks(arr: np.ndarray, block: int, stops=None):
     the only place that sums fine increments, so it owns that order.
 
     With ``stops`` (row counts in [0, block], in any order) it returns
-    ``(sums, running)``: ``running[:, i]`` is the fold of the first
+    ``running`` alone: ``running[:, i]`` is the fold of the first
     ``stops[i]`` rows of each block, read off the same fold, so stop 0 gives
     zeros and stop ``block`` gives the block sum.
     """
@@ -144,9 +144,7 @@ def left_fold_blocks(arr: np.ndarray, block: int, stops=None):
         done = max(done, stops[i])
         if stops[i]:
             running[:, i] = out
-    for m in range(done, block):
-        out += shaped[:, m]
-    return out, running
+    return running
 
 
 def _mode_eigenvalues(op: SpectralOperator, n: int) -> np.ndarray:

@@ -230,7 +230,7 @@ def _advance(cfg: SchemeConfig, lattice: NoiseLattice, window: np.ndarray, y: np
     if stops is None:
         partial, taus = left_fold_blocks(rows, block)[:, None], [cfg.delta]
     else:
-        partial = left_fold_blocks(rows, block, [*stops, block])[1]
+        partial = left_fold_blocks(rows, block, [*stops, block])
         taus = [*(np.asarray(stops) * lattice.fine_dt), cfg.delta]
     tau = np.array(taus)[:, None, None]
     decay = np.exp(-tau * cfg.operator.eigenvalues[: cfg.n_dim])

@@ -129,17 +129,10 @@ def decay_factor(lam, t):
 
 
 def convolution_variance(lam, t):
-    """Exact value of the integral of exp(-2*lam*s) over s in [0, t].
+    """Exact value of the integral of exp(-2*lam*s) over s in [0, t], for
+    positive eigenvalues lam.
 
     Equals (1 - exp(-2*lam*t)) / (2*lam); expm1 keeps the numerator accurate
-    when lam*t is tiny, and lam == 0 falls back to the limit t.
+    when lam*t is tiny.
     """
-    lam = np.asarray(lam, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.expm1(-2.0 * lam * t_arr) / (2.0 * lam)
-    result = np.where(lam == 0.0, t_arr, out)
-    if result.ndim == 0:
-        return float(result)
-    return result
-
+    return -np.expm1(-2.0 * lam * t) / (2.0 * lam)

@@ -1,7 +1,9 @@
 import hypothesis
 import pytest
 
-from spdelab import HolderDriftSpec, InitialData, make_heat_operator
+from spdelab.drift import HolderDriftSpec
+from spdelab.scheme import InitialData
+from spdelab.spectral import make_heat_operator
 
 hypothesis.settings.register_profile("suite", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("suite")

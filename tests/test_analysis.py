@@ -7,24 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spdelab import (
-    HolderDriftSpec,
-    HypothesisViolation,
-    InitialData,
-    NoiseLattice,
-    RateParams,
-    SchemeConfig,
-    increment_statistic,
-    make_heat_operator,
-    rate_exponent,
-    simulate_path,
-    spatial_study,
-    temporal_study,
-    theoretical_nu,
-)
 from spdelab.analysis import (
     CSV_HEADER,
     OFFGRID_RULE,
+    HypothesisViolation,
     _driftless_increment_means,
     _driftless_increment_slope,
     _err2_batch,
@@ -33,50 +19,64 @@ from spdelab.analysis import (
     _slope_stderr,
     _substep_offsets,
     fit_rate,
+    increment_statistic,
     integrated_square_error,
+    rate_exponent,
+    rate_hypotheses,
+    spatial_study,
+    temporal_study,
+    theoretical_nu,
 )
 from spdelab import analysis, scheme
-from spdelab.drift import drift_array
-from spdelab.scheme import Trajectory, _coupled_pass
+from spdelab.drift import HolderDriftSpec, drift_array
+from spdelab.noise import NoiseLattice
+from spdelab.scheme import InitialData, SchemeConfig, Trajectory, _coupled_pass, simulate_path
+from spdelab.spectral import make_heat_operator
 
-CANONICAL = RateParams(alpha=0.45, beta=0.5, epsilon=0.9)
+ALPHA = 0.45  # the canonical noise regularity
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 DRIFTLESS = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=0.0)
 INITIAL = InitialData(profile="power_decay", q=3.0)
 
 
+def _drift(beta, epsilon):
+    return HolderDriftSpec(kind="diagonal", beta=beta, epsilon=epsilon)
+
+
 def test_rate_params_validation():
-    for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(beta=0.0), dict(epsilon=0.0), dict(epsilon=1.0)):
-        args = dict(alpha=0.45, beta=0.5, epsilon=0.9)
-        args.update(bad)
+    # the rate functions refuse an alpha outside (0, 1); the drift refuses
+    # a beta or an epsilon outside its range
+    for alpha in (0.0, 1.0, 1.5):
+        for rate_fn in (rate_exponent, rate_hypotheses, theoretical_nu):
+            with pytest.raises(ValueError, match="alpha"):
+                rate_fn(alpha, DRIFT)
+    for bad in (dict(beta=0.0), dict(epsilon=0.0), dict(epsilon=1.0)):
         with pytest.raises(ValueError):
-            RateParams(**args)
+            _drift(**{"beta": 0.5, "epsilon": 0.9, **bad})
 
 
 def test_theoretical_nu_canonical():
-    assert theoretical_nu(CANONICAL) == pytest.approx(0.08225, rel=1e-12)
+    assert theoretical_nu(ALPHA, DRIFT) == pytest.approx(0.08225, rel=1e-12)
 
 
 def test_theoretical_nu_rejections():
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(RateParams(alpha=0.49, beta=1.0, epsilon=0.7))
+        theoretical_nu(0.49, _drift(1.0, 0.7))
     assert exc.value.hypothesis == "rate_exponent_positive"
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(RateParams(alpha=0.99, beta=1.0, epsilon=0.99))
+        theoretical_nu(0.99, _drift(1.0, 0.99))
     assert exc.value.hypothesis == "rate_exponent_below_half"
     # both gates violated: the weight constraint is checked first
-    weak = RateParams(alpha=0.1, beta=0.1, epsilon=0.5)
-    assert rate_exponent(weak) < 0.0
+    weak = _drift(0.1, 0.5)
+    assert rate_exponent(0.1, weak) < 0.0
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(weak)
+        theoretical_nu(0.1, weak)
     assert exc.value.hypothesis == "drift_weight_constraint"
 
 
 def test_rate_exponent_is_ungated():
-    assert rate_exponent(RateParams(alpha=0.49, beta=1.0, epsilon=0.7)) == pytest.approx(
-        -0.03995, rel=1e-12
-    )
+    assert rate_exponent(0.49, _drift(1.0, 0.7)) == pytest.approx(-0.03995, rel=1e-12)
 
 
 def test_admissibility_boundary_in_epsilon():
@@ -87,11 +87,9 @@ def test_admissibility_boundary_in_epsilon():
     assert crossing == pytest.approx(0.7320508075688772, rel=1e-15)
     assert (2.0 - crossing) / (2.0 + crossing**2) >= 0.5
     assert (2.0 - 0.75) / (2.0 + 0.75**2) == pytest.approx(0.4878048780487805, rel=1e-12)
-    assert theoretical_nu(RateParams(alpha=0.49, beta=1.0, epsilon=0.75)) == pytest.approx(
-        0.0028125, abs=1e-12
-    )
+    assert theoretical_nu(0.49, _drift(1.0, 0.75)) == pytest.approx(0.0028125, abs=1e-12)
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(RateParams(alpha=0.48, beta=1.0, epsilon=0.75))
+        theoretical_nu(0.48, _drift(1.0, 0.75))
     assert exc.value.hypothesis == "rate_exponent_positive"
 
 
@@ -103,9 +101,9 @@ def test_admissibility_boundary_in_epsilon():
 def test_rate_exponent_monotone_on_smooth_branch(alpha, eps, bump):
     # with beta = 1 the min() always picks alpha*eps^2, and the exponent
     # grows in both alpha and eps
-    base = rate_exponent(RateParams(alpha=alpha, beta=1.0, epsilon=eps))
-    assert rate_exponent(RateParams(alpha=alpha + bump, beta=1.0, epsilon=eps)) > base
-    assert rate_exponent(RateParams(alpha=alpha, beta=1.0, epsilon=eps + bump)) > base
+    base = rate_exponent(alpha, _drift(1.0, eps))
+    assert rate_exponent(alpha + bump, _drift(1.0, eps)) > base
+    assert rate_exponent(alpha, _drift(1.0, eps + bump)) > base
 
 
 def test_fit_rate_exact_half_power():
@@ -248,8 +246,8 @@ def test_ratio_one_pass_keeps_the_carried_state():
 @pytest.mark.parametrize(
     "study, args",
     [
-        (temporal_study, ([3], 5, 4, 4, CANONICAL)),
-        (spatial_study, ([2], 4, 3, 4, CANONICAL)),
+        (temporal_study, ([3], 5, 4, 4, ALPHA)),
+        (spatial_study, ([2], 4, 3, 4, ALPHA)),
         (increment_statistic, ([3], 4, 4, 0.45)),
     ],
     ids=["temporal", "spatial", "increment"],
@@ -270,8 +268,8 @@ def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
 @pytest.mark.parametrize(
     "study, kwargs",
     [
-        (temporal_study, {"ladder": [2, 3], "reference_level": 5, "n_modes": 4, "rate": CANONICAL}),
-        (spatial_study, {"ladder": [2, 3], "reference_modes": 4, "level": 3, "rate": CANONICAL}),
+        (temporal_study, {"ladder": [2, 3], "reference_level": 5, "n_modes": 4, "alpha": ALPHA}),
+        (spatial_study, {"ladder": [2, 3], "reference_modes": 4, "level": 3, "alpha": ALPHA}),
         (increment_statistic, {"ladder": [2, 3], "n_modes": 4, "alpha": 0.45}),
     ],
     ids=["temporal", "spatial", "increment"],
@@ -299,7 +297,7 @@ def _temporal(workers=1):
         reference_level=7,
         n_modes=8,
         m_paths=40,
-        rate=CANONICAL,
+        alpha=ALPHA,
         workers=workers,
         chunk_size=10,
     )
@@ -401,7 +399,7 @@ def _spatial(seed=5, m_paths=30, drift=DRIFT):
         reference_modes=16,
         level=3,
         m_paths=m_paths,
-        rate=CANONICAL,
+        alpha=ALPHA,
     )
 
 
@@ -464,7 +462,7 @@ def test_temporal_study_golden_across_windows():
     lat = NoiseLattice(master_seed=43, horizon=1.0, levels=10, n_modes=16)
     report = temporal_study(
         make_heat_operator(16), DRIFT, INITIAL, lat, ladder=[3, 4, 5, 6], reference_level=8,
-        n_modes=16, m_paths=13, rate=CANONICAL, chunk_size=5,
+        n_modes=16, m_paths=13, alpha=ALPHA, chunk_size=5,
     )
     assert report.csv_text() == GOLDEN_TEMPORAL_WINDOWS_CSV
     assert repr(report.slope) == "1.0958590131862938"
@@ -485,7 +483,7 @@ def test_spatial_study_golden_across_windows():
     lat = NoiseLattice(master_seed=53, horizon=1.0, levels=9, n_modes=16)
     report = spatial_study(
         make_heat_operator(16), DRIFT, INITIAL, lat, ladder=[2, 4, 8], reference_modes=16,
-        level=9, m_paths=12, rate=CANONICAL, chunk_size=5,
+        level=9, m_paths=12, alpha=ALPHA, chunk_size=5,
     )
     assert report.csv_text() == GOLDEN_SPATIAL_WINDOWS_CSV
     assert repr(report.slope) == "-0.691265920270509"
@@ -504,11 +502,11 @@ def test_temporal_study_ladder_validation():
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
     with pytest.raises(ValueError):
         temporal_study(
-            make_heat_operator(4), DRIFT, INITIAL, lat, [], 5, 4, 4, CANONICAL
+            make_heat_operator(4), DRIFT, INITIAL, lat, [], 5, 4, 4, ALPHA
         )
     with pytest.raises(ValueError):
         temporal_study(
-            make_heat_operator(4), DRIFT, INITIAL, lat, [3, 5], 5, 4, 4, CANONICAL
+            make_heat_operator(4), DRIFT, INITIAL, lat, [3, 5], 5, 4, 4, ALPHA
         )
 
 
@@ -532,7 +530,7 @@ def test_spatial_rungs_past_the_damping_see_only_the_initial_tail():
     # further modes are damped to nothing after one step, drift and noise
     # included, so err2 is the t = 0 row alone, delta * sum_{i>n} x_i^2
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=7, n_modes=128)
-    report = spatial_study(make_heat_operator(128), DRIFT, INITIAL, lat, [64, 96], 128, 7, 4, CANONICAL)
+    report = spatial_study(make_heat_operator(128), DRIFT, INITIAL, lat, [64, 96], 128, 7, 4, ALPHA)
     x2 = INITIAL.mode_coefficients(128) ** 2
     for row in report.rows:
         assert row.err2_mean == pytest.approx(row.delta * x2[row.n_modes :].sum(), rel=1e-12, abs=0.0)
@@ -543,11 +541,11 @@ def test_spatial_study_ladder_validation():
     lat = NoiseLattice(master_seed=5, horizon=1.0, levels=3, n_modes=16)
     with pytest.raises(ValueError):
         spatial_study(
-            make_heat_operator(16), DRIFT, INITIAL, lat, [], 16, 3, 4, CANONICAL
+            make_heat_operator(16), DRIFT, INITIAL, lat, [], 16, 3, 4, ALPHA
         )
     with pytest.raises(ValueError):
         spatial_study(
-            make_heat_operator(16), DRIFT, INITIAL, lat, [4, 16], 16, 3, 4, CANONICAL
+            make_heat_operator(16), DRIFT, INITIAL, lat, [4, 16], 16, 3, 4, ALPHA
         )
 
 
@@ -679,7 +677,7 @@ def _assert_rungs_match(report, exact):
 def test_driftless_temporal_study_matches_oracle():
     lat = NoiseLattice(master_seed=11, horizon=1.0, levels=7, n_modes=8)
     report = temporal_study(
-        make_heat_operator(8), DRIFTLESS, INITIAL, lat, [2, 3, 4], 6, 8, 2000, CANONICAL, chunk_size=250
+        make_heat_operator(8), DRIFTLESS, INITIAL, lat, [2, 3, 4], 6, 8, 2000, ALPHA, chunk_size=250
     )
     _assert_rungs_match(report, _driftless_temporal_oracle([2, 3, 4], 6, 8))
 
@@ -736,16 +734,16 @@ def test_studies_check_configs_against_the_lattice():
     op = make_heat_operator(8)
     # more modes than the lattice stores
     with pytest.raises(ValueError, match="more modes than the lattice"):
-        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 5, 8, 2, CANONICAL)
+        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 5, 8, 2, ALPHA)
     with pytest.raises(ValueError, match="more modes than the lattice"):
-        spatial_study(op, DRIFT, INITIAL, lat, [2, 4], 8, 3, 2, CANONICAL)
+        spatial_study(op, DRIFT, INITIAL, lat, [2, 4], 8, 3, 2, ALPHA)
     with pytest.raises(ValueError, match="more modes than the lattice"):
         increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2, alpha=0.45)
     # a reference finer than the lattice
     with pytest.raises(ValueError, match="finer than the lattice"):
-        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, CANONICAL)
+        temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, ALPHA)
     with pytest.raises(ValueError, match="finer than the lattice"):
-        spatial_study(op, DRIFT, INITIAL, lat, [2, 3], 4, 6, 2, CANONICAL)
+        spatial_study(op, DRIFT, INITIAL, lat, [2, 3], 4, 6, 2, ALPHA)
 
 
 def test_increment_statistic_validation():

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import spdelab
-from spdelab import NoiseLattice, cli, increment_statistic, spatial_study, temporal_study
+from spdelab import cli
+from spdelab.analysis import increment_statistic, spatial_study, temporal_study
 from spdelab.kolmogorov import kolmogorov_suite
+from spdelab.noise import NoiseLattice
 from spdelab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -84,6 +86,16 @@ def test_parse_rejections(tmp_path):
         parse_config("not a dict")
     with pytest.raises(ConfigError, match="repeat the drift"):
         parse_config({**good, "rate_params": {"alpha": 0.45, "beta": 0.6, "epsilon": 0.9}})
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            parse_config({**good, "rate_params": {"alpha": alpha, "beta": 0.5, "epsilon": 0.9}})
+    # any other JSON value used to be stringified: null wrote into ./None and
+    # "" into the working directory
+    for directory in (None, 5, True, [1], {"a": 1}, ""):
+        with pytest.raises(ConfigError, match="output.directory must be a non-empty string"):
+            parse_config({**good, "output": {"directory": directory}})
+    with pytest.raises(ConfigError, match="output.directory"):
+        parse_config(good, out="")
     with pytest.raises(ConfigError, match="ladder"):
         parse_config(canonical_doc({"kind": "temporal", "ladder": [], "reference_level": 5, "m_paths": 4}))
     with pytest.raises(ConfigError, match="ladder"):
@@ -739,7 +751,7 @@ def test_study_fields_are_keywords_of_the_called_function(kind, study):
     if kind == "kolmogorov":
         filled = {"op", "spec", "horizon", "seed"}
     else:
-        filled = {"operator", "drift_spec", "initial", "lattice", "rate", "alpha", "workers"}
+        filled = {"operator", "drift_spec", "initial", "lattice", "alpha", "workers"}
     assert settings <= set(inspect.signature(study).parameters) - filled
     if kind != "kolmogorov":
         assert cli._POOLED_STUDIES[kind] == study.__name__

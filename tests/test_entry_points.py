@@ -9,6 +9,7 @@ silently records no span for one that is gone.  The benchmark's pinned
 configs (bench/workloads.py) must parse and satisfy every hypothesis.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -20,7 +21,7 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    ["spdelab", "spdelab.spectral", "spdelab.drift", "spdelab.noise", "spdelab.scheme",
+    ["spdelab.spectral", "spdelab.drift", "spdelab.noise", "spdelab.scheme",
      "spdelab.analysis", "spdelab.kolmogorov", "spdelab.cli"],
 )
 def test_every_exported_name_resolves(module):
@@ -28,6 +29,21 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in target.__all__ if not hasattr(target, name)]
     assert missing == []
     assert len(set(target.__all__)) == len(target.__all__)
+    # each name has one import path: a module exports only what it defines
+    borrowed = [
+        name
+        for name in target.__all__
+        if (inspect.isclass(getattr(target, name)) or inspect.isfunction(getattr(target, name)))
+        and getattr(target, name).__module__ != module
+    ]
+    assert borrowed == []
+
+
+def test_package_imports_nothing():
+    # the package is no second import path: every name comes from its module
+    spec = importlib.util.find_spec("spdelab")
+    tree = ast.parse(Path(spec.origin).read_text())
+    assert [type(node).__name__ for node in tree.body[1:]] == []
 
 
 # (module, attribute path, positional arguments, keywords), as the probes call them

@@ -145,8 +145,7 @@ def test_left_fold_blocks_matches_scalar_fold(values, block, fractions):
     arr = np.array(values)
     folded = left_fold_blocks(arr, block)
     stops = [round(f * block) for f in fractions] + [0, block]
-    sums, running = left_fold_blocks(arr, block, stops)
-    assert np.array_equal(sums, folded)
+    running = left_fold_blocks(arr, block, stops)
     for j in range(arr.size // block):
         acc = arr[j * block]
         for k in range(1, block):

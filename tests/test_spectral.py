@@ -158,7 +158,6 @@ def test_exp_difference_holder_bound():
 
 def test_convolution_variance_values():
     assert convolution_variance(1.0, 1.0) == pytest.approx(0.43233235838169365, rel=1e-15)
-    assert convolution_variance(0.0, 0.7) == 0.7
     tiny = convolution_variance(1e-9, 1.0)
     assert 0.0 < 1.0 - tiny < 3e-9
     arr = convolution_variance(np.array([1.0, 4.0]), 0.5)
