@@ -10,7 +10,14 @@ Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
 one seed share their leading normals and are not independent samples.  It
 draws in blocks of `_BLOCK_NUMBERS` numbers (512 rows at 64 modes) that one
 reducer, `_stream_mean_stderr`, folds into a mean and standard error, so
-memory does not depend on the sample count.
+memory does not depend on the sample count.  The blocked estimators read
+their normals through `_NormalsAhead`, which draws the next block on one
+helper thread while the caller transforms, evaluates and reduces the current
+one (numpy draws without holding the GIL).  A normal stream read in pieces
+gives the normals of one read, so every output is bitwise the in-line
+draw's; the cost is one more block of normals in flight.  The samplers and
+the observables still run on the calling thread, and the helper is joined
+before the estimator returns or raises.  Picard's few draws stay in line.
 
 A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
@@ -25,6 +32,7 @@ may lower it by rebinding the module constant.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -144,38 +152,119 @@ def _block_rows(m_samples: int, n: int):
     return (min(step, m_samples - start) for start in range(0, m_samples, step))
 
 
+class _NormalsAhead:
+    """Stands in for default_rng(seed) as a sampler's rng, drawing one block ahead.
+
+    ``standard_normal(size)`` serves the next normals of default_rng(seed)'s
+    stream in order and, if no draw is in flight, orders as many again from
+    one helper thread, which draws them while the caller works on what it
+    was served.  A smaller request takes a prefix of what was drawn ahead and
+    leaves the rest to be served first on the following call; a larger one
+    draws the rest in line once the helper is done.  Every call therefore
+    returns the bits an in-line draw of that size would.  The caller owns
+    what it is served: neither the helper nor this object keeps a reference
+    to it.  Each order is allocated on the caller's thread and only filled
+    by the helper, so the blocks come from the caller's heap and reuse its
+    freed memory.  The helper runs from entering the ``with`` block to
+    leaving it.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._left = np.empty(0)  # normals drawn but not yet served, in stream order
+        self._ahead = None  # the order in flight, filled by the helper; None stops it
+        self._error = None  # what the helper's draw raised
+        # held while nothing is ordered / nothing is ready; released by the other thread
+        self._ordered, self._ready = threading.Lock(), threading.Lock()
+        self._ordered.acquire()
+        self._ready.acquire()
+        self._helper = threading.Thread(target=self._serve, name="spdelab-normals")
+
+    def __enter__(self) -> "_NormalsAhead":
+        self._helper.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._ahead is not None:
+            self._ready.acquire()
+            self._ahead = None
+        self._ordered.release()
+        self._helper.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._ordered.acquire()
+            if self._ahead is None:
+                return
+            try:
+                self._rng.standard_normal(out=self._ahead)
+            except Exception as error:  # raised again on the caller's thread
+                self._error = error
+            self._ready.release()
+
+    def _collect(self) -> np.ndarray:
+        self._ready.acquire()
+        drawn, self._ahead = self._ahead, None
+        if self._error is not None:
+            raise self._error
+        return drawn
+
+    def standard_normal(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        out = self._left
+        if out.size < count and self._ahead is not None:
+            out = _joined(out, self._collect())
+        if out.size < count:
+            out = _joined(out, self._rng.standard_normal(count - out.size))
+        # a copy, so no view keeps the served block alive here
+        self._left = out[count:].copy()
+        if self._ahead is None and count:
+            self._ahead = np.empty(count)
+            self._ordered.release()
+        return out[:count].reshape(size)
+
+
+def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    return np.concatenate((head, tail)) if head.size else tail
+
+
 def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of m_samples samples drawn block by block.
 
     ``block_values(rng, rows)`` returns the values of the next ``rows`` draws
-    from rng = default_rng(seed), samples along axis -2, as a new array that
-    this function overwrites.  The mean is the running row-by-row sum over the
-    count, bitwise numpy's axis-0 mean of an (m, n >= 2) array.  Each block,
-    centred on the running mean, gives its mean and sum of squares by the
-    corrected two-pass formula, and blocks merge by the update of Chan, Golub
-    and LeVeque (Amer. Stat. 37, 1983).  Means are kept less the first
-    sample, so a mean far above the spread costs the spread no digits.
+    from rng, samples along axis -2, as a new array that this function
+    overwrites.  rng is a `_NormalsAhead` of seed: it serves the normals of
+    default_rng(seed) bit for bit, and while a block is evaluated and reduced
+    here it draws the next one on a helper thread, so one more block of
+    normals is in flight; the helper is joined before this returns or
+    raises.  The mean is the running row-by-row sum over the count, bitwise
+    numpy's axis-0 mean of an (m, n >= 2) array.  Each block, centred on the
+    running mean, gives its mean and sum of squares by the corrected two-pass
+    formula, and blocks merge by the update of Chan, Golub and LeVeque (Amer.
+    Stat. 37, 1983).  Means are kept less the first sample, so a mean far
+    above the spread costs the spread no digits.
     """
     if m_samples < 2:
         raise ValueError("need at least two samples")
-    rng, count, total, mean, m2 = np.random.default_rng(seed), 0, -0.0, 0.0, 0.0
-    for rows in _block_rows(m_samples, n):
-        block = block_values(rng, rows)
-        if count == 0:
-            shift = block[..., 0, :].copy()
-        first = block[..., 0, :].copy()
-        block[..., 0, :] += total
-        total = block.sum(axis=-2)
-        block[..., 0, :] = first
-        center = shift + mean
-        block -= center[..., None, :]
-        offset = block.sum(axis=-2) / rows
-        np.square(block, out=block)
-        delta = ((center - shift) - mean) + offset
-        count += rows
-        mean += delta * (rows / count)
-        m2 += (block.sum(axis=-2) - rows * offset * offset) + delta * delta * ((count - rows) * rows / count)
-        del block  # before the next block is drawn
+    count, total, mean, m2 = 0, -0.0, 0.0, 0.0
+    with _NormalsAhead(seed) as rng:
+        for rows in _block_rows(m_samples, n):
+            block = block_values(rng, rows)
+            if count == 0:
+                shift = block[..., 0, :].copy()
+            first = block[..., 0, :].copy()
+            block[..., 0, :] += total
+            total = block.sum(axis=-2)
+            block[..., 0, :] = first
+            center = shift + mean
+            block -= center[..., None, :]
+            offset = block.sum(axis=-2) / rows
+            np.square(block, out=block)
+            delta = ((center - shift) - mean) + offset
+            count += rows
+            mean += delta * (rows / count)
+            m2 += (block.sum(axis=-2) - rows * offset * offset) + delta * delta * ((count - rows) * rows / count)
+            del block  # before the next block's values are formed
     return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
 
 
@@ -200,7 +289,9 @@ def _bismut_moments(op, f, t, x, directions, m_samples, seed) -> tuple[np.ndarra
     def products(rng, rows):
         states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows)
         pulls = (directions @ weights.T) / t
-        return pulls[:, :, None] * f.evaluate(states, lam)
+        values = f.evaluate(states, lam)
+        del states, weights  # the joint draw, freed before the (k, rows, n) products
+        return pulls[:, :, None] * values
 
     return _stream_mean_stderr(m_samples, len(x), seed, products)
 
@@ -445,19 +536,19 @@ def gradient_summability_probe(
         raise ValueError("theta must be nonnegative")
     if not 0.0 <= t < horizon:
         raise ValueError("t must lie in [0, horizon)")
-    rng = np.random.default_rng(seed)
     n = len(x)
     lam = op.eigenvalues[:n]
     ds = (horizon - t) / SUMMABILITY_NODES
     grad = np.zeros((n, n))
-    for j in range(SUMMABILITY_NODES):
-        s = t + (j + 0.5) * ds
-        tau = s - t
-        node_sum = np.zeros((n, n))
-        for rows in _block_rows(SUMMABILITY_SAMPLES, n):
-            states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, rows)
-            node_sum += weights.T @ drift_array(spec, lam, s, states)
-        grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
+    with _NormalsAhead(seed) as rng:
+        for j in range(SUMMABILITY_NODES):
+            s = t + (j + 0.5) * ds
+            tau = s - t
+            node_sum = np.zeros((n, n))
+            for rows in _block_rows(SUMMABILITY_SAMPLES, n):
+                states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, rows)
+                node_sum += weights.T @ drift_array(spec, lam, s, states)
+            grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
     partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
     half, full = partial_sums[max(1, n // 2) - 1], partial_sums[-1]
     # sums that never grow, all zeros under a zero drift among them, have ratio 1

@@ -2,7 +2,9 @@
 Picard iterates, and the bundled diagnostic suite."""
 
 import math
+import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from spdelab.drift import HolderDriftSpec, drift_bound
 from spdelab.kolmogorov import (
     DECAY_CSV_HEADER,
     PicardConfig,
+    TestFunction,
     bismut_gradient,
     bounded_smooth_function,
     coordinate_function,
@@ -223,6 +226,122 @@ def test_stream_reducer_matches_two_pass_oracle(m, block_rows, lead, n, offset, 
         want_mean, want_se = mean_stderr(samples[j])
         assert np.all(np.abs(mean[j] - want_mean) <= 1e-12 * (np.abs(want_mean) + want_se * math.sqrt(m)))
         np.testing.assert_allclose(se[j], want_se, rtol=1e-12, atol=0.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [(512, 2, 64)] * 3,  # each request the size drawn ahead
+        [1000, 300, 700, 1500, 1000],  # a prefix, then the remainder and more
+        [10, (100, 2, 5), 5, 0, 7],  # more than was drawn ahead, and an empty request
+    ],
+)
+def test_normals_ahead_serve_the_generators_stream(sizes):
+    rng = np.random.default_rng(11)
+    with kolmogorov._NormalsAhead(11) as source:
+        for size in sizes:
+            assert _same_bits(source.standard_normal(size), rng.standard_normal(size))
+
+
+def test_normals_ahead_keep_no_served_block():
+    # once the caller drops what it was served, the block is freed, also the
+    # block whose remainder is kept for the next request
+    with kolmogorov._NormalsAhead(3) as source:
+        for size in (4096, 4096, 1000, 4096):
+            served = source.standard_normal(size)
+            owner = weakref.ref(served if served.base is None else served.base)
+            del served
+            assert owner() is None
+
+
+def test_normals_ahead_raise_the_helpers_error_on_the_caller():
+    error = MemoryError("drawn ahead")
+
+    class FailingSecondDraw:
+        def __init__(self):
+            self.calls = 0
+
+        def standard_normal(self, size=None, out=None):
+            self.calls += 1
+            if self.calls == 2:
+                raise error
+            return np.zeros(size)
+
+    before = threading.active_count()
+    with kolmogorov._NormalsAhead(0) as source:
+        source._rng = FailingSecondDraw()
+        source.standard_normal(8)  # drawn in line; the helper draws the next 8
+        with pytest.raises(MemoryError) as raised:
+            source.standard_normal(8)
+        assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
+    # an observable, or for the summability probe the drift, that raises in
+    # the second block: the error reaches the caller as raised, after the
+    # helper drawing ahead was joined
+    class Stop(Exception):
+        pass
+
+    error = Stop()
+    monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", 100 * 16)
+    x, eta = ModeVector(1.0 / np.arange(1.0, 17.0)), ModeVector(np.linspace(1.0, 0.25, 16))
+
+    def raising_on_call(k):
+        calls = []
+
+        def evaluate(states, lam):
+            calls.append(None)
+            if len(calls) == k:
+                raise error
+            return states
+
+        return TestFunction(evaluate, 1.0)
+
+    def summability():
+        raising = raising_on_call(2).evaluate
+        monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, states: raising(states, lam))
+        gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45)
+
+    runs = {
+        "semigroup": lambda: ou_semigroup_estimate(heat16, raising_on_call(2), 0.5, x, 1000),
+        "bismut": lambda: bismut_gradient(heat16, raising_on_call(2), 0.5, x, eta, 1000),
+        # two evaluations per block
+        "finite_difference": lambda: finite_difference_gradient(heat16, raising_on_call(3), 0.5, x, eta, 1000),
+        "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 0.5, x, (1, 16), 1000),
+        "summability": summability,
+    }
+    before = threading.active_count()
+    for name, run in runs.items():
+        with pytest.raises(Stop) as raised:
+            run()
+        assert raised.value is error, name
+        assert threading.active_count() == before, name
+
+
+def test_suite_samples_and_evaluates_on_the_calling_thread(heat16, monkeypatch):
+    # the helper only draws normals: every sampler and drift call runs on the
+    # caller's thread, where a tracer keeps its one span stack, and the suite
+    # leaves no thread behind for a process pool forked after it
+    threads, counts = set(), []
+    for name in ("ou_joint_modes_batch", "ou_transition_sample", "drift_array"):
+
+        def on_caller(*args, _inner=getattr(kolmogorov, name), **kwargs):
+            threads.add(threading.get_ident())
+            counts.append(threading.active_count())
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(kolmogorov, name, on_caller)
+    before = threading.active_count()
+    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=(1, 4, 16))
+    assert threads == {threading.get_ident()}
+    assert max(counts) == before + 1  # a helper was drawing meanwhile
+    assert threading.active_count() == before
 
 
 def test_gradient_decay_rejects_unbounded_observable(heat16):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spdelab.kolmogorov import _NormalsAhead
 from spdelab.noise import (
     NoiseLattice,
     left_fold_blocks,
@@ -328,13 +329,20 @@ PIECES = (1, 511, 512, 513, 463)  # around a 512-row block of a 64-mode state, t
 
 
 def test_samplers_called_in_pieces_equal_one_call():
+    # on one generator, and through the Kolmogorov estimators' source that
+    # draws each next piece ahead on a helper thread: PIECES ask it for
+    # more than it drew ahead three times, then for less
     op = make_heat_operator(64)
     x = 1.0 / np.arange(1.0, 65.0)
-    whole = ou_joint_modes_batch(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
-    rng = np.random.default_rng(17)
-    parts = [ou_joint_modes_batch(op, x, 0.5, rng, rows) for rows in PIECES]
-    for k in range(2):
-        assert _same_bits(whole[k], np.concatenate([p[k] for p in parts]))
-    whole = ou_transition_sample(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
-    rng = np.random.default_rng(17)
-    assert _same_bits(whole, np.concatenate([ou_transition_sample(op, x, 0.5, rng, rows) for rows in PIECES]))
+    for sampler in (ou_joint_modes_batch, ou_transition_sample):
+        whole = sampler(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
+        rng = np.random.default_rng(17)
+        in_line = [sampler(op, x, 0.5, rng, rows) for rows in PIECES]
+        with _NormalsAhead(17) as ahead:
+            drawn_ahead = [sampler(op, x, 0.5, ahead, rows) for rows in PIECES]
+        for parts in (in_line, drawn_ahead):
+            if sampler is ou_transition_sample:
+                assert _same_bits(whole, np.concatenate(parts))
+                continue
+            for k in range(2):
+                assert _same_bits(whole[k], np.concatenate([p[k] for p in parts]))
