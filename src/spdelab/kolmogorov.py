@@ -7,10 +7,12 @@ iterate of the resolvent-type integral equation can all be checked by plain
 Monte Carlo with no discretization error.
 
 Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
-one seed share their leading normals and are not independent samples.  It
-draws in blocks of `_BLOCK_NUMBERS` numbers (512 rows at 64 modes) that one
-reducer, `_stream_mean_stderr`, folds into a mean and standard error, so
-memory does not depend on the sample count.  The blocked estimators read
+one seed share their leading normals and are not independent samples.  Only
+normals that are read are drawn: weights on the modes the directions touch,
+and one pass for estimates that share their draws.  Blocks of
+`_BLOCK_NUMBERS` state numbers (512 rows at 64 modes) are folded by one
+reducer, `_stream_mean_stderr`, into a mean and standard error, so memory
+does not depend on the sample count.  The blocked estimators read
 their normals through `_NormalsAhead`, which draws the next block on one
 helper thread while the caller transforms, evaluates and reduces the current
 one (numpy draws without holding the GIL).  A normal stream read in pieces
@@ -143,7 +145,7 @@ def _drift_sup(spec: HolderDriftSpec, op: SpectralOperator, n: int) -> float:
     return drift_bound(spec, SpectralOperator(_mode_eigenvalues(op, n)))
 
 
-_BLOCK_NUMBERS = 32_768  # numbers per block of draws: 512 rows at 64 modes, 8192 at 4
+_BLOCK_NUMBERS = 32_768  # state numbers per block: 512 rows at 64 modes, 8192 at 4
 
 
 def _block_rows(m_samples: int, n: int):
@@ -268,30 +270,39 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
     return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
 
 
+def _semigroup_moments(op, fs, t, x, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) means and standard errors of the k observables fs of one time-t transition draw per sample."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    lam = op.eigenvalues[: len(x)]
+
+    def values(rng, rows):
+        states = ou_transition_sample(op, x.coeffs, t, rng, rows)
+        return np.stack([f.evaluate(states, lam) for f in fs])
+
+    return _stream_mean_stderr(m_samples, len(x), seed, values)
+
+
 def ou_semigroup_estimate(
     op: SpectralOperator, f: TestFunction, t: float, x: ModeVector, m_samples: int, seed: int = 0
 ) -> tuple[ModeVector, np.ndarray]:
     """Plain Monte Carlo for the driftless semigroup applied to f at x."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    lam = op.eigenvalues[: len(x)]
-    mean, se = _stream_mean_stderr(
-        m_samples, len(x), seed, lambda rng, rows: f.evaluate(ou_transition_sample(op, x.coeffs, t, rng, rows), lam)
-    )
-    return ModeVector(mean), se
+    mean, se = _semigroup_moments(op, [f], t, x, m_samples, seed)
+    return ModeVector(mean[0]), se[0]
 
 
-def _bismut_moments(op, f, t, x, directions, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n) means and standard errors of f(Z_t) * (weights @ d) / t for the
-    k rows d of directions, from one joint draw per sample."""
+def _bismut_moments(op, fs, t, x, directions, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(j*k, n) means and standard errors of f(Z_t) * (weights @ d) / t, row j*k + i for fs[j] and
+    directions[i], from one joint draw per sample with weights where a direction is nonzero."""
     lam = op.eigenvalues[: len(x)]
+    support = np.flatnonzero(np.any(directions != 0.0, axis=0))
 
     def products(rng, rows):
-        states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows)
-        pulls = (directions @ weights.T) / t
-        values = f.evaluate(states, lam)
-        del states, weights  # the joint draw, freed before the (k, rows, n) products
-        return pulls[:, :, None] * values
+        states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows, support)
+        pulls = (directions[:, support] @ weights.T) / t
+        values = np.stack([f.evaluate(states, lam) for f in fs])
+        del states, weights  # the joint draw, freed before the (j, k, rows, n) products
+        return (values[:, None] * pulls[:, :, None]).reshape(-1, rows, len(x))
 
     return _stream_mean_stderr(m_samples, len(x), seed, products)
 
@@ -313,8 +324,16 @@ def bismut_gradient(
     """
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
-    mean, se = _bismut_moments(op, f, t, x, eta.coeffs[None], m_samples, seed)
+    mean, se = _bismut_moments(op, [f], t, x, eta.coeffs[None], m_samples, seed)
     return ModeVector(mean[0]), se[0]
+
+
+def _difference_quotient(op, f, t, x, eta) -> TestFunction:
+    """The difference quotient of finite_difference_gradient, an observable of the transition from x."""
+    if len(eta) != len(x):
+        raise ValueError("direction and state must have the same mode count")
+    dz = decay_factor(op.eigenvalues[: len(x)], t) * (FD_STEP * eta.coeffs)  # shift of the transition
+    return TestFunction(lambda z, lam: (f.evaluate(z + dz, lam) - f.evaluate(z - dz, lam)) / (2.0 * FD_STEP), None)
 
 
 def finite_difference_gradient(
@@ -333,19 +352,8 @@ def finite_difference_gradient(
     so the two endpoints use literally the same draws and the difference
     quotient stays finite-variance as the step shrinks.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if len(eta) != len(x):
-        raise ValueError("direction and state must have the same mode count")
-    lam = op.eigenvalues[: len(x)]
-    shift = decay_factor(lam, t) * (FD_STEP * eta.coeffs)
-
-    def quotients(rng, rows):
-        states = ou_transition_sample(op, x.coeffs, t, rng, rows)
-        return (f.evaluate(states + shift, lam) - f.evaluate(states - shift, lam)) / (2.0 * FD_STEP)
-
-    mean, se = _stream_mean_stderr(m_samples, len(x), seed, quotients)
-    return ModeVector(mean), se
+    mean, se = _semigroup_moments(op, [_difference_quotient(op, f, t, x, eta)], t, x, m_samples, seed)
+    return ModeVector(mean[0]), se[0]
 
 
 @dataclass(frozen=True)
@@ -386,10 +394,10 @@ def gradient_decay_check(
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
     The report is bounded when no mode's size exceeds that bound by more
-    than three standard errors.  One joint draw and one evaluation of f per
-    sample serve every mode through the estimator of bismut_gradient, so
-    each row is bitwise bismut_gradient along e_i with the same seed (the
-    other terms of weights @ e_i are exact zeros).  Its blocks of
+    than three standard errors.  One joint draw, with weights on the checked
+    modes only, and one evaluation of f per sample serve every mode through
+    the estimator of bismut_gradient, so with one distinct mode i a row is
+    bitwise bismut_gradient along e_i with the same seed.  Its blocks of
     _BLOCK_NUMBERS numbers keep memory independent of m_samples.  Every mode
     shares the draws from default_rng(seed), so the decay trend is not
     blurred by independent noise.
@@ -399,7 +407,7 @@ def gradient_decay_check(
     modes = list(modes)
     if not all(1 <= i <= len(x) for i in modes):
         raise ValueError("mode index beyond the state dimension")
-    mean, se = _bismut_moments(op, f, t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)
+    mean, se = _bismut_moments(op, [f], t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)
     rows = []
     bounded = True
     for k, i in enumerate(modes):
@@ -587,32 +595,33 @@ def kolmogorov_suite(
     lam1 = float(op.eigenvalues[0])
 
     f_lin = coordinate_function(1, np.eye(dims)[0])
-    est, se = ou_semigroup_estimate(op, f_lin, t, x, m_samples, seed=seed)
+    f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, dims), np.eye(dims)[0])
+    eta = ModeVector(np.linspace(1.0, 0.25, dims))
+    # two passes, each estimate bitwise its own estimator's: one transition pass, one joint pass
+    quotient = _difference_quotient(op, f_smooth, t, x, eta)
+    (est, fd), (se, _fd_se) = _semigroup_moments(op, [f_lin, quotient], t, x, m_samples, seed)
+    (best, bis), (bse, bis_se) = _bismut_moments(op, [f_lin, f_smooth], t, x, eta.coeffs[None], m_samples, seed)
+
     expected = math.exp(-lam1 * t) * x.coeffs[0]
-    gap = abs(est.coeffs[0] - expected)
+    gap = abs(est[0] - expected)
     record(
         "semigroup_linear_closed_form",
         gap <= 3.0 * se[0] + 1e-12,
-        f"|{est.coeffs[0]:.6g} - {expected:.6g}| vs 3*stderr = {3.0 * se[0]:.3g}",
+        f"|{est[0]:.6g} - {expected:.6g}| vs 3*stderr = {3.0 * se[0]:.3g}",
     )
 
-    eta = ModeVector(np.linspace(1.0, 0.25, dims))
-    best, bse = bismut_gradient(op, f_lin, t, x, eta, m_samples, seed=seed)
     expected_grad = math.exp(-lam1 * t) * eta.coeffs[0]
-    gap = abs(best.coeffs[0] - expected_grad)
+    gap = abs(best[0] - expected_grad)
     record(
         "bismut_linear_closed_form",
         gap <= 3.0 * bse[0] + 1e-12,
-        f"|{best.coeffs[0]:.6g} - {expected_grad:.6g}| vs 3*stderr = {3.0 * bse[0]:.3g}",
+        f"|{best[0]:.6g} - {expected_grad:.6g}| vs 3*stderr = {3.0 * bse[0]:.3g}",
     )
 
-    f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, dims), np.eye(dims)[0])
-    bis, bis_se = bismut_gradient(op, f_smooth, t, x, eta, m_samples, seed=seed)
-    fd, _fd_se = finite_difference_gradient(op, f_smooth, t, x, eta, m_samples, seed=seed)
     rel = [
-        abs(bis.coeffs[i] - fd.coeffs[i]) / abs(bis.coeffs[i])
+        abs(bis[i] - fd[i]) / abs(bis[i])
         for i in range(dims)
-        if abs(bis.coeffs[i]) > 10.0 * bis_se[i]
+        if abs(bis[i]) > 10.0 * bis_se[i]
     ]
     # with no coordinate above the noise nothing was compared, and the check fails
     if rel:

@@ -156,13 +156,8 @@ def _mode_eigenvalues(op: SpectralOperator, n: int) -> np.ndarray:
 def ou_transition_sample(
     op: SpectralOperator, x: np.ndarray, t: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Batch of exact time-t transition samples from x, shape (size, n)."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    lam = _mode_eigenvalues(op, x.shape[-1])
-    mean = decay_factor(lam, t) * x
-    sd = np.sqrt(convolution_variance(lam, t))
-    return mean + sd * rng.standard_normal((size, lam.size))
+    """Exact time-t transition samples from x, (size, n): joint draws with no weight modes; t may be 0."""
+    return ou_joint_modes_batch(op, x, t, rng, size, ())[0]
 
 
 def ou_cross_covariance(lam, t):
@@ -177,34 +172,41 @@ def ou_cross_covariance(lam, t):
 
 
 def ou_joint_modes_batch(
-    op: SpectralOperator, x: np.ndarray, t: float, rng: np.random.Generator, size: int
+    op: SpectralOperator, x: np.ndarray, t: float, rng: np.random.Generator, size: int, weight_modes=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint draws of transition states and per-mode gradient weights.
+    """Transition states (size, n) and the gradient weights (size, |S|) of the
+    0-based weight modes S, by default every mode in order.
 
-    Returns (states, weights), both (size, n).  Per mode the pair
-    (fluctuation, weight) is bivariate normal with equal variances
-    convolution_variance(lam, t) and covariance t*exp(-lam*t); weights for a
-    direction eta are obtained by contracting the weight array with eta.
-
-    Each sample draws its normals z1 and then z2, as one (size, 2, n) draw,
-    so calls of sizes a and b on one generator give exactly the rows of one
-    call of size a + b.  The outputs are strided views of that draw,
-    rewritten in place to bitwise decay*x + sd*z1 and (cov/sd)*z1 +
-    resid*z2 (IEEE + and * are commutative).
+    Per mode (fluctuation, weight) is bivariate normal with variances
+    convolution_variance(lam, t) and covariance t*exp(-lam*t); a direction's
+    weight contracts the weights with it, so S need only cover its support.
+    A sample's normals are z1 on every mode, then z2 on S: one (size, n + |S|)
+    draw ((size, 2, n) for every mode), so calls of sizes a and b on one
+    generator give the rows of one call of size a + b.  The outputs are views
+    of it rewritten in place to bitwise decay*x + sd*z1 and (cov/sd)*z1 +
+    resid*z2 (IEEE + and * commute).  Subnormal decay*x and cov/sd are set to
+    0: they slow the arithmetic, and beside sd*z, sd > 0, change no bit.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    lam = _mode_eigenvalues(op, x.shape[-1])
+    n = x.shape[-1]
+    modes = np.arange(n) if weight_modes is None else np.asarray(weight_modes, dtype=int)
+    if t < 0.0 or (t == 0.0 and modes.size):
+        raise ValueError("t must be positive, or zero with no weight modes")
+    lam = _mode_eigenvalues(op, n)
     var = convolution_variance(lam, t)
+    sd = np.sqrt(var)
+    mean = decay_factor(lam, t) * x
+    mean[(np.abs(mean) < np.finfo(float).tiny) & (sd > 0.0)] = 0.0
+    lam, var = lam[modes], var[modes]
     cov = ou_cross_covariance(lam, t)
     u = lam * t
     # the residual variance cancels to O(u^2) as u -> 0; switch to its series there
     resid = np.where(u < 1e-4, t * u * u / 3.0 * (1.0 - u), var - cov * cov / var)
-    sd = np.sqrt(var)
-    z = rng.standard_normal((size, 2, lam.size))
-    pull = (cov / sd) * z[:, 0]
-    z *= np.stack([sd, np.sqrt(np.maximum(resid, 0.0))])
-    states, weights = z[:, 0], z[:, 1]
-    states += decay_factor(lam, t) * x
+    pull = cov / sd[modes]
+    pull[np.abs(pull) < np.finfo(float).tiny] = 0.0
+    z = rng.standard_normal((size, n + modes.size))
+    pull = pull * z[:, modes]
+    z *= np.concatenate((sd, np.sqrt(np.maximum(resid, 0.0))))
+    states, weights = z[:, :n], z[:, n:]
+    states += mean
     weights += pull
     return states, weights

@@ -8,7 +8,8 @@ in stdout and in the files; that leaves `summary.json` pinned whole except
 for `config.output`.  The goldens in `cli_golden.json` were recorded at
 662d93e, before the CLI's output writers and command list were merged; the
 kolmogorov-check `bismut_matches_finite_difference` detail was re-recorded
-when a comparison of no coordinates got its own wording.
+when a comparison of no coordinates got its own wording, and its decay rows
+when the decay check began to draw weight normals only on the checked modes.
 """
 
 import json

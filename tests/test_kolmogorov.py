@@ -30,7 +30,8 @@ from spdelab.kolmogorov import (
     picard_norm_bound,
     picard_u_lambda,
 )
-from spdelab.spectral import ModeVector, make_heat_operator
+from spdelab.noise import ou_cross_covariance
+from spdelab.spectral import ModeVector, convolution_variance, decay_factor, make_heat_operator
 
 from oracles import mean_stderr
 
@@ -375,21 +376,72 @@ def test_gradient_decay_report(heat16):
         gradient_decay_check(heat16, f, 0.5, x, (1,), 1)
 
 
+def _expected_decay_rows(op, f, t, x, modes, mean, se):
+    """(rows, max ratio, bounded) of gradient_decay_check from the per-mode
+    means and standard errors of its gradient estimates."""
+    rows, bounded = [], True
+    for i, mean_i, se_i in zip(modes, mean, se):
+        size = ModeVector(mean_i).norm()
+        lam_i = float(op.eigenvalues[i - 1])
+        theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
+        rows.append((i, size, float(np.linalg.norm(se_i)), size / theory))
+        bounded = bounded and not size > theory + 3.0 * rows[-1][2]
+    return rows, max(row[3] for row in rows), bounded
+
+
+def _report_rows(report):
+    return [(row.mode, row.estimate, row.stderr, row.bound_ratio) for row in report.rows]
+
+
 def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
-    # oracle: one bismut_gradient call per mode along e_i with the shared seed.
-    # 300-row blocks split m = 2000 into six full blocks and a short last one,
-    # and 1999-row blocks leave a one-row last block, so the carried sums are
-    # exercised; the one-mode states check that an (m, 1) column, which numpy
-    # sums pairwise, is reduced the same way for one mode and for several,
-    # also for a repeated mode; a repeated mode on a 16-mode state gives two
-    # equal rows.
+    # with one distinct mode i the joint draw has weights on mode i alone,
+    # as bismut_gradient's along e_i does, so every row is bitwise that
+    # call; 300-row blocks split m = 2000 into six full blocks and a short
+    # last one, so the carried sums are exercised; the one-mode states check
+    # that an (m, 1) column, which numpy sums pairwise, is reduced the same
+    # way for one row and for two; a repeated mode gives equal rows
+    t, m, seed = 0.5, 2000, 2024
+    for n, modes, block_rows in [(1, (1,), 300), (1, (1, 1), 300), (1, (1, 1), None), (16, (5, 5), 300)]:
+        if block_rows is not None:
+            monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
+        f = drift_test_function(DRIFT, heat16, n, time=0.25)
+        x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
+        report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
+        est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(n)[modes[0] - 1]), m, seed=seed)
+        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, [est.coeffs] * 2, [se] * 2)
+        assert _report_rows(report) == rows
+        assert report.max_ratio == max_ratio
+        assert report.bounded is bounded
+
+
+def _decay_oracle_moments(op, f, t, x, modes, m, seed):
+    """Per checked mode, numpy's mean and standard error of the gradient
+    products from the check's stated draw: per sample z1 on every mode, then
+    z2 on the distinct checked modes in ascending order."""
+    n = len(x)
+    support = sorted({i - 1 for i in modes})
+    lam = op.eigenvalues[:n]
+    var = convolution_variance(lam, t)
+    sd, cov = np.sqrt(var), ou_cross_covariance(lam, t)
+    resid = np.sqrt(var - cov * cov / var)
+    z = np.random.default_rng(seed).standard_normal((m, n + len(support)))
+    states = decay_factor(lam, t) * x.coeffs + sd * z[:, :n]
+    weights = (cov / sd)[support] * z[:, support] + resid[support] * z[:, n:]
+    values = f.evaluate(states, lam)
+    products = np.stack([(weights[:, support.index(i - 1)] / t)[:, None] * values for i in modes])
+    return products.mean(axis=1), products.std(axis=1, ddof=1) / math.sqrt(m)
+
+
+def test_gradient_decay_matches_its_stated_draw(heat16, monkeypatch):
+    # several distinct modes share one joint draw with weights on those
+    # modes only: each row's estimate is bitwise the oracle's (the reducer's
+    # mean is bitwise numpy's for n >= 2) and its standard error agrees to
+    # 1e-12; 300- and 1999-row blocks leave a short and a one-row last block,
+    # and repeated or unsorted modes must not change the draw
     t, m, seed = 0.5, 2000, 2024
     cases = [
         (16, (1, 2, 4, 16), None),
         (16, (1, 2, 4, 16), 300),
-        (1, (1,), 300),
-        (1, (1, 1), 300),
-        (1, (1, 1), None),
         (2, (2, 1), 300),
         (16, (3, 3, 1), 300),
         (16, (5, 2), 1999),
@@ -400,20 +452,14 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
         f = drift_test_function(DRIFT, heat16, n, time=0.25)
         x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
         report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
-        bounded = True
-        assert [row.mode for row in report.rows] == list(modes)
-        for row, i in zip(report.rows, modes):
-            est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(n)[i - 1]), m, seed=seed)
-            size = est.norm()
-            se_size = float(np.linalg.norm(se))
-            lam_i = float(heat16.eigenvalues[i - 1])
-            theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
-            assert row.estimate == size
-            assert row.stderr == se_size
-            assert row.bound_ratio == size / theory
-            bounded = bounded and not size > theory + 3.0 * se_size
-        assert report.max_ratio == max(row.bound_ratio for row in report.rows)
+        mean, se = _decay_oracle_moments(heat16, f, t, x, modes, m, seed)
+        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, mean, se)
+        got = _report_rows(report)
+        assert [(i, size, ratio) for i, size, _, ratio in got] == [(i, size, ratio) for i, size, _, ratio in rows]
+        np.testing.assert_allclose([r[2] for r in got], [r[2] for r in rows], rtol=1e-12, atol=0.0)
+        assert report.max_ratio == max_ratio
         assert report.bounded is bounded
+        assert len({row[1] for row in got}) == len(set(modes))  # a repeated mode repeats its row
 
 
 def _peak_bytes(run) -> int:
@@ -599,11 +645,12 @@ def test_kolmogorov_suite_passes(heat16):
 
 
 def _suite_draws(m_samples, dims, n_decay, picard: PicardConfig) -> int:
-    """States the suite draws: semigroup, two Bismut gradients and the finite
-    difference at dims modes, the decay check at n_decay modes, three depth-1
-    Picard evaluations and the summability probe at n_decay modes."""
+    """States the suite draws: one transition pass for the semigroup and the
+    finite difference and one joint pass for both Bismut gradients at dims
+    modes, the decay check at n_decay modes, three depth-1 Picard
+    evaluations and the summability probe at n_decay modes."""
     return (
-        4 * m_samples * dims
+        2 * m_samples * dims
         + m_samples * n_decay
         + 3 * picard.time_nodes * picard.outer_samples * picard.dims
         + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * n_decay
@@ -627,23 +674,68 @@ def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
     picard = PicardConfig(lam=1.0, dims=3)
     assert sum(drawn) == _suite_draws(3000, 4, 16, picard)
     # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64
-    assert _suite_draws(100_000, 4, 64, picard) == 10_134_016
+    assert _suite_draws(100_000, 4, 64, picard) == 9_334_016
+
+
+def _suite_normals(m_samples, dims, decay_modes, picard: PicardConfig) -> int:
+    """Normals the suite draws: a state's per mode, and a joint draw's weight
+    normals on the modes its directions touch, every mode for the suite's
+    dense direction and the summability probe, the distinct checked modes
+    for the decay check."""
+    n_decay = max(decay_modes)
+    return (
+        m_samples * dims
+        + 2 * m_samples * dims
+        + m_samples * (n_decay + len(set(decay_modes)))
+        + 3 * picard.time_nodes * picard.outer_samples * picard.dims
+        + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * 2 * n_decay
+    )
+
+
+def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
+    # every normal a sampler asks its rng for, counted at the module's
+    # sampler bindings; the repeated decay mode adds no weight normals
+    requested = []
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, size):
+            requested.append(math.prod(size))
+            return self._rng.standard_normal(size)
+
+    for name in ("ou_joint_modes_batch", "ou_transition_sample"):
+
+        def counted(op, x, t, rng, *args, _sampler=getattr(kolmogorov, name)):
+            return _sampler(op, x, t, Counting(rng), *args)
+
+        monkeypatch.setattr(kolmogorov, name, counted)
+    decay_modes = (1, 4, 16, 16)
+    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=decay_modes)
+    picard = PicardConfig(lam=1.0, dims=3)
+    assert sum(requested) == _suite_normals(3000, 4, decay_modes, picard)
+    # the kolmogorov-probe benchmark workload, against 19,431,168 when every
+    # estimator drew weights on all modes and the shared passes were drawn twice
+    assert _suite_normals(100_000, 4, (1, 4, 16, 64), picard) == 12_231_168
 
 
 # re-recorded when each joint draw began to take a sample's z1 and z2
-# together; the suite must reproduce it byte for byte
+# together, and the decay rows again when the decay check's joint draw began
+# to take weight normals only on the checked modes; the suite must
+# reproduce it byte for byte
 GOLDEN_DECAY_CSV = (
     "i,estimate,stderr,bound_ratio\n"
-    "1,0.4458412689818409,0.01648888404917244,0.21965059902493758\n"
-    "4,0.008998326943672454,0.005477144505719316,0.014098531142549296\n"
-    "16,0.0007189286791057589,0.0014129451539034985,0.0045056543798745255\n"
-    "64,0.0003367194925398295,0.0003429267544860302,0.008441124692581804\n"
+    "1,0.45873708432748894,0.017087607311921816,0.22600392197338348\n"
+    "4,0.010249344196308522,0.005886517137100088,0.016058618368381718\n"
+    "16,0.00022230985093658892,0.0014058020076506063,0.0013932555240494802\n"
+    "64,0.00010322071170614664,0.0003537269126614411,0.002587610511635464\n"
 )
 GOLDEN_DETAILS = [
     ("semigroup_linear_closed_form", "|0.596154 - 0.606531| vs 3*stderr = 0.0366", True),
     ("bismut_linear_closed_form", "|0.552888 - 0.606531| vs 3*stderr = 0.0769", True),
     ("bismut_matches_finite_difference", "max relative gap 0.0754 over 1 significant coordinates", False),
-    ("gradient_decay_bounded", "max bound ratio 0.2197 over modes (1, 4, 16, 64)", True),
+    ("gradient_decay_bounded", "max bound ratio 0.2260 over modes (1, 4, 16, 64)", True),
     ("picard_terminal_zero", "value at t = horizon", True),
     ("picard_norm_bound", "norms 0.3654 <= 0.7375, 0.07972 <= 0.1167, 0.0002187 <= 0.01167", True),
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),

@@ -1,5 +1,6 @@
 """Tests for the counter-based noise lattice and the exact O-U samplers."""
 
+import functools
 import math
 
 import numpy as np
@@ -234,7 +235,9 @@ def test_ou_one_step_statistics():
 
 
 def test_transition_sample_at_zero_time(heat16):
+    # with no fluctuation a subnormal coefficient is the state, and stays
     x = np.linspace(0.1, 1.6, 16)
+    x[3] = 5e-324
     draws = ou_transition_sample(heat16, x, 0.0, np.random.default_rng(1), 5)
     assert np.array_equal(draws, np.broadcast_to(x, (5, 16)))
 
@@ -331,10 +334,12 @@ PIECES = (1, 511, 512, 513, 463)  # around a 512-row block of a 64-mode state, t
 def test_samplers_called_in_pieces_equal_one_call():
     # on one generator, and through the Kolmogorov estimators' source that
     # draws each next piece ahead on a helper thread: PIECES ask it for
-    # more than it drew ahead three times, then for less
+    # more than it drew ahead three times, then for less; also with weights
+    # on a few modes only
     op = make_heat_operator(64)
     x = 1.0 / np.arange(1.0, 65.0)
-    for sampler in (ou_joint_modes_batch, ou_transition_sample):
+    few_weights = functools.partial(ou_joint_modes_batch, weight_modes=[0, 3, 37, 63])
+    for sampler in (ou_joint_modes_batch, few_weights, ou_transition_sample):
         whole = sampler(op, x, 0.5, np.random.default_rng(17), sum(PIECES))
         rng = np.random.default_rng(17)
         in_line = [sampler(op, x, 0.5, rng, rows) for rows in PIECES]
@@ -346,3 +351,73 @@ def test_samplers_called_in_pieces_equal_one_call():
                 continue
             for k in range(2):
                 assert _same_bits(whole[k], np.concatenate([p[k] for p in parts]))
+
+
+def _unflushed_joint(op, x, t, z, modes):
+    """The joint sampler's outputs from its draw z, by the stated formula
+    with no coefficient flushed to zero."""
+    n = len(x)
+    lam = op.eigenvalues[:n]
+    var = convolution_variance(lam, t)
+    sd, cov = np.sqrt(var), ou_cross_covariance(lam, t)
+    resid = np.sqrt(np.maximum(var - cov * cov / var, 0.0))
+    states = decay_factor(lam, t) * x + sd * z[:, :n]
+    return states, (cov / sd)[modes] * z[:, modes] + resid[modes] * z[:, n:]
+
+
+def test_subnormal_coefficients_leave_the_bits_unchanged():
+    # at t = 0.5 on 64 heat modes, mode 38's decay factor exp(-722) and its
+    # cov/sd are subnormal, and the samplers set them to zero: beside sd*z
+    # they cannot change a bit, so the outputs are the unflushed formula's
+    op, t = make_heat_operator(64), 0.5
+    x = 1.0 / np.arange(1.0, 65.0)
+    lam = op.eigenvalues
+    tiny = np.finfo(float).tiny
+    for lane in (decay_factor(lam, t) * x, ou_cross_covariance(lam, t) / np.sqrt(convolution_variance(lam, t))):
+        assert np.flatnonzero((lane != 0.0) & (np.abs(lane) < tiny)).tolist() == [37]
+    for modes in (np.arange(64), np.array([0, 37, 63]), np.array([], dtype=int)):
+        states, weights = ou_joint_modes_batch(op, x, t, np.random.default_rng(6), 700, modes)
+        z = np.random.default_rng(6).standard_normal((700, 64 + modes.size))
+        want_states, want_weights = _unflushed_joint(op, x, t, z, modes)
+        assert _same_bits(states, want_states)
+        assert _same_bits(weights, want_weights)
+    z = np.random.default_rng(6).standard_normal((700, 64))
+    assert _same_bits(ou_transition_sample(op, x, t, np.random.default_rng(6), 700), _unflushed_joint(op, x, t, z, [])[0])
+
+
+def test_transition_sample_is_the_joint_sampler_with_no_weights(heat16):
+    x = np.linspace(-1.0, 2.0, 16)
+    for t in (0.0, 1e-14, 0.7):
+        states, weights = ou_joint_modes_batch(heat16, x, t, np.random.default_rng(8), 300, [])
+        assert weights.shape == (300, 0)
+        assert _same_bits(ou_transition_sample(heat16, x, t, np.random.default_rng(8), 300), states)
+    with pytest.raises(ValueError):
+        ou_joint_modes_batch(heat16, x, 0.0, np.random.default_rng(8), 3, [0])
+
+
+def test_joint_weights_on_every_mode_in_order_are_the_default(heat16):
+    x = np.linspace(-1.0, 2.0, 16)
+    default = ou_joint_modes_batch(heat16, x, 0.5, np.random.default_rng(9), 600)
+    chosen = ou_joint_modes_batch(heat16, x, 0.5, np.random.default_rng(9), 600, list(range(16)))
+    for got, want in zip(chosen, default):
+        assert _same_bits(got, want)
+
+
+def test_joint_weights_on_chosen_modes_have_the_stated_law():
+    # weights on modes 3 and 1 of a 3-mode state, in that order: each has
+    # variance v and covariance cov with its mode's fluctuation, and its
+    # residual after regressing on the fluctuation has variance v - cov^2/v,
+    # all within 3 standard errors
+    op = make_heat_operator(3)
+    m, t = 200_000, 0.3
+    states, weights = ou_joint_modes_batch(op, np.zeros(3), t, np.random.default_rng(12), m, [2, 0])
+    assert weights.shape == (m, 2)
+    for col, j in enumerate((2, 0)):
+        f, w = states[:, j], weights[:, col]
+        v = convolution_variance(op.eigenvalues[j], t)
+        cov_true = ou_cross_covariance(op.eigenvalues[j], t)
+        r2 = v - cov_true**2 / v
+        assert abs(w.var() - v) <= 3.0 * v * math.sqrt(2.0 / m)
+        cov = np.mean(f * w) - f.mean() * w.mean()
+        assert abs(cov - cov_true) <= 3.0 * math.sqrt((v * v + cov_true**2) / m)
+        assert abs((w - (cov_true / v) * f).var() - r2) <= 3.0 * r2 * math.sqrt(2.0 / m)
