@@ -586,6 +586,10 @@ def test_picard_golden(heat16):
     assert value.coeffs.tolist() == [0.21512874556359815, 0.040588905823528525, 0.010166208548707747]
     assert diag.pop("stderr").tolist() == [0.006231320171272336, 0.003394402893084424, 0.0017339315351508902]
     assert diag == {"completed": True, "samples_used": 256, "nodes_done": 4, "nodes_total": 4}
+    # the shape the suite runs: 8 nodes of 512 draws
+    value, diag = picard_u_lambda(PicardConfig(lam=2.0, dims=3), heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
+    assert value.coeffs.tolist() == [0.22530727595000155, 0.03866758474099669, 0.010354927421232599]
+    assert diag["stderr"].tolist() == [0.0014788152737012289, 0.0007995889700161969, 0.0004296839680449389]
 
 
 def test_picard_validation(heat16):
