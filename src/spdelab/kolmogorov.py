@@ -24,11 +24,10 @@ before the estimator returns or raises.  Picard's few draws stay in line.
 A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
 samplers take the operator itself and read as many modes as the state has.
-The quadrature, budget and gate settings that no caller varies are the
-module constants `FD_STEP` (the finite-difference step),
-`PICARD_SAMPLE_BUDGET`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
-`SUMMABILITY_GROWTH_CAP`; the Picard budget is read at each call, so a test
-may lower it by rebinding the module constant.
+The quadrature and gate settings that no caller varies are the module
+constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
+`PICARD_SAMPLES`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
+`SUMMABILITY_GROWTH_CAP`.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "GradientDecayRow",
     "GradientDecayReport",
     "gradient_decay_check",
-    "PicardConfig",
     "picard_u_lambda",
     "picard_norm_bound",
     "SummabilityReport",
@@ -66,7 +64,8 @@ __all__ = [
 DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
 # step of finite_difference_gradient
 FD_STEP = 1e-3
-PICARD_SAMPLE_BUDGET = 5_000_000  # transition draws one Picard evaluation may make
+PICARD_NODES = 8  # midpoint nodes in time of the first Picard iterate
+PICARD_SAMPLES = 512  # transition draws per node of the first Picard iterate
 SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
 SUMMABILITY_SAMPLES = 4096  # joint draws per node of the summability probe
 # the last half of the modes may add at most this factor to the first half's sum
@@ -424,81 +423,43 @@ def gradient_decay_check(
     return GradientDecayReport(t=t, sup_bound=f.bound, rows=rows, max_ratio=max_ratio, bounded=bounded)
 
 
-@dataclass(frozen=True)
-class PicardConfig:
-    """Shape of the first Picard iterate's evaluation: time_nodes midpoint
-    nodes in time, outer_samples exact transition draws per node.
-
-    The dimension is capped at 4, and PICARD_SAMPLE_BUDGET is the hard stop
-    on total transition draws.
-    """
-
-    lam: float
-    dims: int = 3
-    time_nodes: int = 8
-    outer_samples: int = 512
-    horizon: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if not 1 <= self.dims <= 4:
-            raise ValueError("dims must lie in 1..4")
-        if self.time_nodes < 1:
-            raise ValueError("need at least one time node")
-        if self.outer_samples < 2:
-            raise ValueError("need at least two samples per node")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-
-
 def picard_u_lambda(
-    cfg: PicardConfig,
+    lam: float,
     op: SpectralOperator,
     spec: HolderDriftSpec,
     t: float,
     x: ModeVector,
+    horizon: float = 1.0,
     seed: int = 0,
-) -> tuple[ModeVector, dict]:
-    """First Picard iterate of the integral equation at one point.
+) -> tuple[ModeVector, np.ndarray]:
+    """First Picard iterate of the integral equation at one point of 1 to 4
+    modes, and its per-coordinate standard error.
 
-    Midpoint rule in time with exact transitions underneath.  The nodes are
-    independent, so the per-coordinate standard error is exact and lands in
-    the diagnostics.  A node whose draws would pass PICARD_SAMPLE_BUDGET is
-    not drawn: budget exhaustion returns the partial node sum with completed
-    False.
+    Midpoint rule in time over PICARD_NODES nodes, each of PICARD_SAMPLES
+    exact transition draws.  The nodes are independent, so the standard
+    error is exact.  At t = horizon the iterate is zero and nothing is drawn.
     """
-    if len(x) != cfg.dims:
-        raise ValueError("state dimension must match the configuration")
-    if not 0.0 <= t <= cfg.horizon:
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if not 1 <= len(x) <= 4:
+        raise ValueError("state dimension must lie in 1..4")
+    if not 0.0 <= t <= horizon:
         raise ValueError("t must lie in [0, horizon]")
-    lam_d = _mode_eigenvalues(op, cfg.dims)
-    if t >= cfg.horizon:
-        return ModeVector(np.zeros(cfg.dims)), {
-            "completed": True,
-            "samples_used": 0,
-            "nodes_done": 0,
-            "nodes_total": cfg.time_nodes,
-        }
+    lam_d = _mode_eigenvalues(op, len(x))
+    acc = np.zeros(len(x))
+    var_acc = np.zeros(len(x))
+    if t >= horizon:
+        return ModeVector(acc), var_acc
     rng = np.random.default_rng(seed)
-    nodes_done = min(cfg.time_nodes, PICARD_SAMPLE_BUDGET // cfg.outer_samples)
-    ds = (cfg.horizon - t) / cfg.time_nodes
-    acc = np.zeros(cfg.dims)
-    var_acc = np.zeros(cfg.dims)
-    for j in range(nodes_done):
+    ds = (horizon - t) / PICARD_NODES
+    for j in range(PICARD_NODES):
         s = t + (j + 0.5) * ds
-        states = ou_transition_sample(op, x.coeffs, s - t, rng, cfg.outer_samples)
+        states = ou_transition_sample(op, x.coeffs, s - t, rng, PICARD_SAMPLES)
         integrand = drift_array(spec, lam_d, s, states)
-        weight = math.exp(-cfg.lam * (s - t)) * ds
+        weight = math.exp(-lam * (s - t)) * ds
         acc += weight * integrand.mean(axis=0)
-        var_acc += weight**2 * integrand.var(axis=0, ddof=1) / cfg.outer_samples
-    return ModeVector(acc), {
-        "completed": nodes_done == cfg.time_nodes,
-        "samples_used": nodes_done * cfg.outer_samples,
-        "nodes_done": nodes_done,
-        "nodes_total": cfg.time_nodes,
-        "stderr": np.sqrt(var_acc),
-    }
+        var_acc += weight**2 * integrand.var(axis=0, ddof=1) / PICARD_SAMPLES
+    return ModeVector(acc), np.sqrt(var_acc)
 
 
 def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> float:
@@ -583,8 +544,9 @@ def kolmogorov_suite(
     estimators, the finite-difference cross-check, per-mode gradient decay,
     the Picard terminal condition, the first-iterate norm bound with its
     large-lam smallness trend, and the weighted gradient summability probe.
-    The summability probe always uses SUMMABILITY_NODES (8) nodes times
-    SUMMABILITY_SAMPLES (4096) draws, whatever m_samples is.
+    Whatever m_samples is, each Picard evaluation uses PICARD_NODES (8)
+    nodes times PICARD_SAMPLES (512) draws and the summability probe
+    SUMMABILITY_NODES (8) nodes times SUMMABILITY_SAMPLES (4096) draws.
     """
     checks = []
 
@@ -640,40 +602,27 @@ def kolmogorov_suite(
         f"max bound ratio {decay.max_ratio:.4f} over modes {tuple(decay_modes)}",
     )
 
-    base = PicardConfig(lam=lam_sweep[0], dims=picard_dims, horizon=horizon)
     x_pic = ModeVector(1.0 / np.arange(1, picard_dims + 1))
-    terminal, _ = picard_u_lambda(base, op, spec, horizon, x_pic, seed=seed)
+    terminal, _ = picard_u_lambda(lam_sweep[0], op, spec, horizon, x_pic, horizon, seed=seed)
     record("picard_terminal_zero", terminal.norm() == 0.0, "value at t = horizon")
 
     sup_b = _drift_sup(spec, op, picard_dims)
-    norms, bounds, slacks, partial = [], [], [], []
-    within = True
+    norms, bounds, slacks = [], [], []
     for lam_value in lam_sweep:
-        cfg = PicardConfig(lam=lam_value, dims=picard_dims, horizon=horizon)
-        value, diag = picard_u_lambda(cfg, op, spec, 0.0, x_pic, seed=seed)
-        se_norm = float(np.linalg.norm(diag["stderr"]))
-        bound = picard_norm_bound(sup_b, lam_value, 0.0, horizon)
+        value, value_se = picard_u_lambda(lam_value, op, spec, 0.0, x_pic, horizon, seed=seed)
         norms.append(value.norm())
-        bounds.append(bound)
-        slacks.append(se_norm)
-        if not diag["completed"]:
-            # a partial node sum is smaller, so it must pass neither the bound nor the trend
-            partial.append(f"; lam {lam_value:g} stopped at {diag['nodes_done']}/{diag['nodes_total']} nodes")
-        if value.norm() > bound + 3.0 * se_norm or not diag["completed"]:
-            within = False
+        bounds.append(picard_norm_bound(sup_b, lam_value, 0.0, horizon))
+        slacks.append(float(np.linalg.norm(value_se)))
+    within = all(v <= b + 3.0 * slack for v, b, slack in zip(norms, bounds, slacks))
     monotone = all(
         norms[i + 1] <= norms[i] + 3.0 * (slacks[i] + slacks[i + 1]) for i in range(len(norms) - 1)
     )
     record(
         "picard_norm_bound",
         within,
-        "norms " + ", ".join(f"{v:.4g} <= {b:.4g}" for v, b in zip(norms, bounds)) + "".join(partial),
+        "norms " + ", ".join(f"{v:.4g} <= {b:.4g}" for v, b in zip(norms, bounds)),
     )
-    record(
-        "picard_smallness_trend",
-        monotone and not partial,
-        "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms) + "".join(partial),
-    )
+    record("picard_smallness_trend", monotone, "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms))
 
     n_sum = max(decay_modes)
     summ = gradient_summability_probe(

@@ -184,8 +184,8 @@ def ou_joint_modes_batch(
     draw ((size, 2, n) for every mode), so calls of sizes a and b on one
     generator give the rows of one call of size a + b.  The outputs are views
     of it rewritten in place to bitwise decay*x + sd*z1 and (cov/sd)*z1 +
-    resid*z2 (IEEE + and * commute).  Subnormal decay*x and cov/sd are set to
-    0: they slow the arithmetic, and beside sd*z, sd > 0, change no bit.
+    resid*z2 (IEEE + and * commute).  Subnormal cov/sd are set to 0: they
+    slow the multiply, and beside resid*z2 their product changes no bit.
     """
     n = x.shape[-1]
     modes = np.arange(n) if weight_modes is None else np.asarray(weight_modes, dtype=int)
@@ -195,7 +195,6 @@ def ou_joint_modes_batch(
     var = convolution_variance(lam, t)
     sd = np.sqrt(var)
     mean = decay_factor(lam, t) * x
-    mean[(np.abs(mean) < np.finfo(float).tiny) & (sd > 0.0)] = 0.0
     lam, var = lam[modes], var[modes]
     cov = ou_cross_covariance(lam, t)
     u = lam * t

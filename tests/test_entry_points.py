@@ -56,8 +56,11 @@ PROBE_CALLS = [
     ("spdelab.noise", "ou_joint_modes_batch", 5, ()),
     ("spdelab.drift", "verify_mode_holder", 2, ("trials", "rng_seed")),
     ("spdelab.drift", "verify_time_holder", 2, ("trials", "rng_seed")),
+    # the probe kolmogorov.picard_depth2_s has not bound since the nested
+    # depth-2 Picard path was deleted: it passes depth=2 to a config type
+    # that is now gone too; the call to time is
+    # picard_u_lambda(lam, op, spec, t, x, horizon, seed)
     ("spdelab.kolmogorov", "picard_u_lambda", 5, ("seed",)),
-    ("spdelab.kolmogorov", "PicardConfig", 0, ("lam", "dims", "time_nodes", "outer_samples")),
 ]
 
 

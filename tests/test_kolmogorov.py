@@ -16,7 +16,8 @@ from spdelab import kolmogorov
 from spdelab.drift import HolderDriftSpec, drift_bound
 from spdelab.kolmogorov import (
     DECAY_CSV_HEADER,
-    PicardConfig,
+    PICARD_NODES,
+    PICARD_SAMPLES,
     TestFunction,
     bismut_gradient,
     bounded_smooth_function,
@@ -539,21 +540,34 @@ def test_gradient_decay_vanishes_at_large_time(heat16):
 
 
 def test_picard_terminal_condition(heat16):
-    cfg = PicardConfig(lam=1.0, dims=3)
-    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 1.0, ModeVector([1.0, 0.5, 0.25]))
+    value, _ = picard_u_lambda(1.0, heat16, DRIFT, 1.0, ModeVector([1.0, 0.5, 0.25]))
     assert np.array_equal(value.coeffs, np.zeros(3))
-    assert diag["completed"] is True
-    assert diag["samples_used"] == 0
+
+
+def test_picard_draws_its_nodes_through_the_transition_binding(heat16, monkeypatch):
+    # one call of PICARD_SAMPLES rows per node before the horizon, none at it
+    rows = []
+
+    def counted(op, x, t, rng, size, _sampler=kolmogorov.ou_transition_sample):
+        rows.append(size)
+        return _sampler(op, x, t, rng, size)
+
+    monkeypatch.setattr(kolmogorov, "ou_transition_sample", counted)
+    x = ModeVector([1.0, 0.5, 0.25])
+    picard_u_lambda(1.0, heat16, DRIFT, 0.0, x, seed=1)
+    assert rows == [PICARD_SAMPLES] * PICARD_NODES
+    rows.clear()
+    _, se = picard_u_lambda(1.0, heat16, DRIFT, 2.0, x, horizon=2.0, seed=1)
+    assert rows == []
+    assert np.array_equal(se, np.zeros(3))
 
 
 def test_picard_first_iterate_respects_bound(heat16):
-    cfg = PicardConfig(lam=2.0, dims=3)
     x = ModeVector([1.0, 0.5, 1.0 / 3.0])
-    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.3, x, seed=9)
+    value, se = picard_u_lambda(2.0, heat16, DRIFT, 0.3, x, seed=9)
     sup_b = drift_bound(DRIFT, make_heat_operator(3))
     bound = picard_norm_bound(sup_b, 2.0, 0.3, 1.0)
-    assert value.norm() <= bound + 3.0 * float(np.linalg.norm(diag["stderr"]))
-    assert diag["nodes_done"] == diag["nodes_total"] == 8
+    assert value.norm() <= bound + 3.0 * float(np.linalg.norm(se))
 
 
 def test_picard_lambda_sweep_monotone(heat16):
@@ -561,49 +575,30 @@ def test_picard_lambda_sweep_monotone(heat16):
     sup_b = drift_bound(DRIFT, make_heat_operator(3))
     norms = []
     for lam in (1.0, 10.0, 100.0):
-        cfg = PicardConfig(lam=lam, dims=3)
-        value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.0, x, seed=13)
+        value, se = picard_u_lambda(lam, heat16, DRIFT, 0.0, x, seed=13)
         bound = picard_norm_bound(sup_b, lam, 0.0, 1.0)
-        assert value.norm() <= bound + 3.0 * float(np.linalg.norm(diag["stderr"]))
+        assert value.norm() <= bound + 3.0 * float(np.linalg.norm(se))
         norms.append(value.norm())
     assert norms[0] > norms[1] > norms[2]
 
 
-def test_picard_budget_exhaustion(heat16, monkeypatch):
-    monkeypatch.setattr(kolmogorov, "PICARD_SAMPLE_BUDGET", 1500)
-    cfg = PicardConfig(lam=1.0, dims=3)
-    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.0, ModeVector([1.0, 0.5, 0.25]), seed=1)
-    assert diag["completed"] is False
-    assert diag["nodes_done"] == 2
-    assert diag["samples_used"] == 1024
-    assert np.all(np.isfinite(value.coeffs))
-
-
 def test_picard_golden(heat16):
     # the value, its standard error and the draw order must not move
-    cfg = PicardConfig(lam=2.0, dims=3, time_nodes=4, outer_samples=64)
-    value, diag = picard_u_lambda(cfg, heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
-    assert value.coeffs.tolist() == [0.21512874556359815, 0.040588905823528525, 0.010166208548707747]
-    assert diag.pop("stderr").tolist() == [0.006231320171272336, 0.003394402893084424, 0.0017339315351508902]
-    assert diag == {"completed": True, "samples_used": 256, "nodes_done": 4, "nodes_total": 4}
-    # the shape the suite runs: 8 nodes of 512 draws
-    value, diag = picard_u_lambda(PicardConfig(lam=2.0, dims=3), heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
+    value, se = picard_u_lambda(2.0, heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
     assert value.coeffs.tolist() == [0.22530727595000155, 0.03866758474099669, 0.010354927421232599]
-    assert diag["stderr"].tolist() == [0.0014788152737012289, 0.0007995889700161969, 0.0004296839680449389]
+    assert se.tolist() == [0.0014788152737012289, 0.0007995889700161969, 0.0004296839680449389]
 
 
 def test_picard_validation(heat16):
+    x = ModeVector([1.0, 0.5, 0.25])
     with pytest.raises(ValueError):
-        PicardConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        PicardConfig(lam=1.0, dims=5)
-    with pytest.raises(ValueError):
-        PicardConfig(lam=1.0, outer_samples=1)
-    cfg = PicardConfig(lam=1.0, dims=3)
-    with pytest.raises(ValueError):
-        picard_u_lambda(cfg, heat16, DRIFT, 0.0, ModeVector([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        picard_u_lambda(cfg, heat16, DRIFT, 1.5, ModeVector([1.0, 0.5, 0.25]))
+        picard_u_lambda(0.0, heat16, DRIFT, 0.0, x)
+    for dims in (0, 5):
+        with pytest.raises(ValueError):
+            picard_u_lambda(1.0, heat16, DRIFT, 0.0, ModeVector(np.ones(dims)))
+    for t in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            picard_u_lambda(1.0, heat16, DRIFT, t, x)
 
 
 def test_picard_norm_bound_values():
@@ -648,15 +643,15 @@ def test_kolmogorov_suite_passes(heat16):
     assert len(result["picard"]["norms"]) == 3
 
 
-def _suite_draws(m_samples, dims, n_decay, picard: PicardConfig) -> int:
+def _suite_draws(m_samples, dims, n_decay) -> int:
     """States the suite draws: one transition pass for the semigroup and the
     finite difference and one joint pass for both Bismut gradients at dims
-    modes, the decay check at n_decay modes, three depth-1 Picard
-    evaluations and the summability probe at n_decay modes."""
+    modes, the decay check at n_decay modes, the three Picard evaluations of
+    the lam sweep at 3 modes and the summability probe at n_decay modes."""
     return (
         2 * m_samples * dims
         + m_samples * n_decay
-        + 3 * picard.time_nodes * picard.outer_samples * picard.dims
+        + 3 * PICARD_NODES * PICARD_SAMPLES * 3
         + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * n_decay
     )
 
@@ -675,13 +670,12 @@ def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
 
         monkeypatch.setattr(kolmogorov, name, counted)
     kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=(1, 4, 16))
-    picard = PicardConfig(lam=1.0, dims=3)
-    assert sum(drawn) == _suite_draws(3000, 4, 16, picard)
+    assert sum(drawn) == _suite_draws(3000, 4, 16)
     # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64
-    assert _suite_draws(100_000, 4, 64, picard) == 9_334_016
+    assert _suite_draws(100_000, 4, 64) == 9_334_016
 
 
-def _suite_normals(m_samples, dims, decay_modes, picard: PicardConfig) -> int:
+def _suite_normals(m_samples, dims, decay_modes) -> int:
     """Normals the suite draws: a state's per mode, and a joint draw's weight
     normals on the modes its directions touch, every mode for the suite's
     dense direction and the summability probe, the distinct checked modes
@@ -691,7 +685,7 @@ def _suite_normals(m_samples, dims, decay_modes, picard: PicardConfig) -> int:
         m_samples * dims
         + 2 * m_samples * dims
         + m_samples * (n_decay + len(set(decay_modes)))
-        + 3 * picard.time_nodes * picard.outer_samples * picard.dims
+        + 3 * PICARD_NODES * PICARD_SAMPLES * 3
         + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * 2 * n_decay
     )
 
@@ -717,11 +711,10 @@ def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
         monkeypatch.setattr(kolmogorov, name, counted)
     decay_modes = (1, 4, 16, 16)
     kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=decay_modes)
-    picard = PicardConfig(lam=1.0, dims=3)
-    assert sum(requested) == _suite_normals(3000, 4, decay_modes, picard)
+    assert sum(requested) == _suite_normals(3000, 4, decay_modes)
     # the kolmogorov-probe benchmark workload, against 19,431,168 when every
     # estimator drew weights on all modes and the shared passes were drawn twice
-    assert _suite_normals(100_000, 4, (1, 4, 16, 64), picard) == 12_231_168
+    assert _suite_normals(100_000, 4, (1, 4, 16, 64)) == 12_231_168
 
 
 # re-recorded when each joint draw began to take a sample's z1 and z2
@@ -745,20 +738,6 @@ GOLDEN_DETAILS = [
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
     ("summability_non_exploding", "partial sum growth ratio 1.0016 at theta = 0.45", True),
 ]
-
-
-def test_kolmogorov_suite_fails_unfinished_picard(heat16, monkeypatch):
-    # 1500 samples cover two 512-sample nodes of eight; the partial sum is
-    # smaller than the full one, so it must pass neither the norm bound nor
-    # the smallness trend
-    monkeypatch.setattr(kolmogorov, "PICARD_SAMPLE_BUDGET", 1500)
-    result = kolmogorov_suite(heat16, DRIFT, m_samples=4000)
-    for name in ("picard_norm_bound", "picard_smallness_trend"):
-        check = next(c for c in result["checks"] if c["name"] == name)
-        assert check["passed"] is False
-        for lam in (1, 10, 100):
-            assert f"; lam {lam} stopped at 2/8 nodes" in check["detail"]
-    assert result["passed"] is False
 
 
 def test_kolmogorov_suite_golden():

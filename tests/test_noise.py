@@ -367,8 +367,8 @@ def _unflushed_joint(op, x, t, z, modes):
 
 def test_subnormal_coefficients_leave_the_bits_unchanged():
     # at t = 0.5 on 64 heat modes, mode 38's decay factor exp(-722) and its
-    # cov/sd are subnormal, and the samplers set them to zero: beside sd*z
-    # they cannot change a bit, so the outputs are the unflushed formula's
+    # cov/sd are subnormal, and the samplers set cov/sd to zero: beside
+    # resid*z2 it cannot change a bit, so the outputs are the unflushed formula's
     op, t = make_heat_operator(64), 0.5
     x = 1.0 / np.arange(1.0, 65.0)
     lam = op.eigenvalues
