@@ -55,16 +55,17 @@ class HolderDriftSpec:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.cap <= 0.0:
-            raise ValueError("cap must be positive")
+        # written so that a NaN fails each range check
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
+        if not 0.0 < self.cap < math.inf:
+            raise ValueError("cap must be positive and finite")
         if self.time_mod not in _TIME_MODS:
             raise ValueError(f"unknown time modulation {self.time_mod!r}")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError("period must be positive and finite")
 
 
 def time_weight(spec: HolderDriftSpec, t):

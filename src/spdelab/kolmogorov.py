@@ -13,13 +13,15 @@ and one pass for estimates that share their draws.  Blocks of
 `_BLOCK_NUMBERS` state numbers (512 rows at 64 modes) are folded by one
 reducer, `_stream_mean_stderr`, into a mean and standard error, so memory
 does not depend on the sample count.  The blocked estimators read
-their normals through `_NormalsAhead`, which draws the next block on one
-helper thread while the caller transforms, evaluates and reduces the current
-one (numpy draws without holding the GIL).  A normal stream read in pieces
-gives the normals of one read, so every output is bitwise the in-line
-draw's; the cost is one more block of normals in flight.  The samplers and
-the observables still run on the calling thread, and the helper is joined
-before the estimator returns or raises.  Picard's few draws stay in line.
+their normals through `_NormalsAhead`, which submits the next block's draw
+to a one-thread `concurrent.futures` executor while the caller transforms,
+evaluates and reduces the current one (numpy draws without holding the
+GIL), and reads the block, or the draw's error, from its Future.  A normal
+stream read in pieces gives the normals of one read, so every output is
+bitwise the in-line draw's; the cost is one more block of normals in
+flight.  The samplers and the observables still run on the calling thread,
+and the executor is shut down before the estimator returns or raises.
+Picard's few draws stay in line.
 
 A test observable is a `TestFunction`: a function of a batch of states and
 the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
@@ -33,7 +35,6 @@ constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -158,70 +159,48 @@ class _NormalsAhead:
 
     ``standard_normal(size)`` serves the next normals of default_rng(seed)'s
     stream in order and, if no draw is in flight, orders as many again from
-    one helper thread, which draws them while the caller works on what it
-    was served.  A smaller request takes a prefix of what was drawn ahead and
-    leaves the rest to be served first on the following call; a larger one
-    draws the rest in line once the helper is done.  Every call therefore
-    returns the bits an in-line draw of that size would.  The caller owns
-    what it is served: neither the helper nor this object keeps a reference
-    to it.  Each order is allocated on the caller's thread and only filled
-    by the helper, so the blocks come from the caller's heap and reuse its
-    freed memory.  The helper runs from entering the ``with`` block to
-    leaving it.
+    a one-thread executor, which draws them while the caller works on what
+    it was served.  The order's Future carries the block, and reading its
+    result raises on the caller's thread what the helper's draw raised.  A
+    smaller request takes a prefix of what was drawn ahead and leaves the
+    rest to be served first on the following call; a larger one draws the
+    rest in line once the helper is done.  Every call therefore returns the
+    bits an in-line draw of that size would.  The caller owns what it is
+    served: this object keeps no reference to it.  Each order is allocated
+    on the caller's thread and only filled by the helper, so the blocks come
+    from the caller's heap and reuse its freed memory.  The executor lives
+    from entering the ``with`` block to leaving it, which waits for an order
+    still in flight and drops it unread.
     """
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self._left = np.empty(0)  # normals drawn but not yet served, in stream order
-        self._ahead = None  # the order in flight, filled by the helper; None stops it
-        self._error = None  # what the helper's draw raised
-        # held while nothing is ordered / nothing is ready; released by the other thread
-        self._ordered, self._ready = threading.Lock(), threading.Lock()
-        self._ordered.acquire()
-        self._ready.acquire()
-        self._helper = threading.Thread(target=self._serve, name="spdelab-normals")
+        self._ahead = None  # the Future of the order in flight
 
     def __enter__(self) -> "_NormalsAhead":
-        self._helper.start()
+        # imported where the helper starts: import and hypotheses never load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spdelab-normals")
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._ahead is not None:
-            self._ready.acquire()
-            self._ahead = None
-        self._ordered.release()
-        self._helper.join()
-
-    def _serve(self) -> None:
-        while True:
-            self._ordered.acquire()
-            if self._ahead is None:
-                return
-            try:
-                self._rng.standard_normal(out=self._ahead)
-            except Exception as error:  # raised again on the caller's thread
-                self._error = error
-            self._ready.release()
-
-    def _collect(self) -> np.ndarray:
-        self._ready.acquire()
-        drawn, self._ahead = self._ahead, None
-        if self._error is not None:
-            raise self._error
-        return drawn
+        self._helper.shutdown()
+        self._ahead = None
 
     def standard_normal(self, size) -> np.ndarray:
         count = math.prod(size) if isinstance(size, tuple) else size
         out = self._left
         if out.size < count and self._ahead is not None:
-            out = _joined(out, self._collect())
+            ahead, self._ahead = self._ahead, None
+            out = _joined(out, ahead.result())
         if out.size < count:
             out = _joined(out, self._rng.standard_normal(count - out.size))
         # a copy, so no view keeps the served block alive here
         self._left = out[count:].copy()
         if self._ahead is None and count:
-            self._ahead = np.empty(count)
-            self._ordered.release()
+            self._ahead = self._helper.submit(self._rng.standard_normal, out=np.empty(count))
         return out[:count].reshape(size)
 
 
@@ -236,14 +215,14 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
     from rng, samples along axis -2, as a new array that this function
     overwrites.  rng is a `_NormalsAhead` of seed: it serves the normals of
     default_rng(seed) bit for bit, and while a block is evaluated and reduced
-    here it draws the next one on a helper thread, so one more block of
-    normals is in flight; the helper is joined before this returns or
-    raises.  The mean is the running row-by-row sum over the count, bitwise
-    numpy's axis-0 mean of an (m, n >= 2) array.  Each block, centred on the
-    running mean, gives its mean and sum of squares by the corrected two-pass
-    formula, and blocks merge by the update of Chan, Golub and LeVeque (Amer.
-    Stat. 37, 1983).  Means are kept less the first sample, so a mean far
-    above the spread costs the spread no digits.
+    here a Future draws the next one on its executor's thread, so one more
+    block of normals is in flight; the executor is shut down before this
+    returns or raises.  The mean is the running row-by-row sum over the
+    count, bitwise numpy's axis-0 mean of an (m, n >= 2) array.  Each block,
+    centred on the running mean, gives its mean and sum of squares by the
+    corrected two-pass formula, and blocks merge by the update of Chan, Golub
+    and LeVeque (Amer. Stat. 37, 1983).  Means are kept less the first
+    sample, so a mean far above the spread costs the spread no digits.
     """
     if m_samples < 2:
         raise ValueError("need at least two samples")
@@ -404,6 +383,8 @@ def gradient_decay_check(
     if f.bound is None:
         raise ValueError("gradient decay check needs an observable with a declared bound")
     modes = list(modes)
+    if not modes:
+        raise ValueError("gradient decay check needs at least one mode")
     if not all(1 <= i <= len(x) for i in modes):
         raise ValueError("mode index beyond the state dimension")
     mean, se = _bismut_moments(op, [f], t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)

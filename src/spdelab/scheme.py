@@ -72,8 +72,8 @@ class InitialData:
 
     def __post_init__(self):
         if self.profile == "power_decay":
-            if self.q is None:
-                raise ValueError("power_decay initial data needs a decay exponent q")
+            if self.q is None or not math.isfinite(self.q):
+                raise ValueError("power_decay initial data needs a finite decay exponent q")
         elif self.profile == "explicit":
             if not self.coeffs:
                 raise ValueError("explicit initial data needs coefficients")
@@ -122,8 +122,8 @@ class SchemeConfig:
     n_dim: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if not 0 <= self.level <= 30:
             raise ValueError("level must lie in [0, 30]")
         if not 1 <= self.n_dim <= self.operator.n_max:

@@ -384,8 +384,9 @@ def _run_script(script):
 
 
 def test_commands_without_noise_leave_numpy_random_unimported(tmp_path):
-    # numpy.random is imported on the first noise draw, and the process pool
-    # where a pool starts; importing the package and the CLI, or running
+    # numpy.random is imported on the first noise draw, the process pool
+    # where a pool starts and the thread executor where kolmogorov-check
+    # starts its helper; importing the package and the CLI, or running
     # hypotheses or kolmogorov-check, which start no pool, must not pay for
     # what they never use
     cfg = write_doc(tmp_path, temporal_study_doc(str(tmp_path / "o")))
@@ -394,12 +395,13 @@ def test_commands_without_noise_leave_numpy_random_unimported(tmp_path):
     doc["noise"] = {"seed": 2024, "levels": 4, "n_modes": 16, "horizon": 1.0}
     kcfg = write_doc(tmp_path, doc, name="kolmogorov.json")
     pool = "assert not {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules), "
+    unused = "assert not {'numpy.random', 'concurrent.futures'} & set(sys.modules), "
     _run_script(
         "import sys, spdelab, spdelab.cli\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by import'\n"
+        f"{unused}'imported by import'\n"
         f"{pool}'imported by import'\n"
         f"assert spdelab.cli.main(['hypotheses', '--config', {cfg!r}]) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by hypotheses'\n"
+        f"{unused}'imported by hypotheses'\n"
         f"{pool}'imported by hypotheses'\n"
         f"assert spdelab.cli.main(['kolmogorov-check', '--config', {kcfg!r}]) == 0\n"
         f"{pool}'imported by kolmogorov-check'\n"

@@ -1,11 +1,15 @@
-"""Every constant a `spdelab` docstring names exists in its module.
+"""Every constant, private name and module-qualified name that a `spdelab`
+docstring names exists.
 
 Docstrings name the module constants that fix a quadrature, a budget or a
-gate.  A constant that is deleted or renamed while a docstring still names
-it leaves the docstring describing code that is gone, so each such name
-must resolve as an attribute of the module whose docstring names it.  A
-name counts as a constant when it is an ALL_CAPS word in backticks, or an
-ALL_CAPS word with an underscore anywhere in the text.
+gate, the private helpers that carry a design, and names in a sibling module
+as `<module>.<name>`.  A name that is deleted or renamed while a docstring
+still names it leaves the docstring describing code that is gone, so each
+must resolve: a plain name as an attribute of the module whose docstring
+names it, a qualified one as an attribute of the module it names.  A name
+counts when it is an ALL_CAPS word or a `_private` identifier in backticks,
+an ALL_CAPS word with an underscore anywhere in the text, or a `spdelab`
+module, a dot and an identifier in backticks.
 """
 
 import ast
@@ -16,26 +20,36 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
-BACKTICKED = re.compile(r"`+(_?[A-Z][A-Z0-9_]*)`+")
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+BACKTICKED = re.compile(r"`+(_\w+|[A-Z][A-Z0-9_]*)`+")
 UNDERSCORED = re.compile(r"\b(_?[A-Z][A-Z0-9]*_[A-Z0-9_]+)\b")
+QUALIFIED = re.compile(rf"`+((?:{'|'.join(MODULES)})\.\w+)`+")
 
 
-def _named_constants(path: Path) -> set[str]:
+def _named(path: Path) -> set[str]:
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             doc = ast.get_docstring(node) or ""
-            names |= set(BACKTICKED.findall(doc)) | set(UNDERSCORED.findall(doc))
+            for pattern in (BACKTICKED, UNDERSCORED, QUALIFIED):
+                names |= set(pattern.findall(doc))
     return names
+
+
+def _resolves(module, name: str) -> bool:
+    owner, _, attribute = name.rpartition(".")
+    if owner:
+        module = importlib.import_module(f"spdelab.{owner}")
+    return hasattr(module, attribute)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_docstring_constants_resolve(path):
     module = importlib.import_module(f"spdelab.{path.stem}")
-    missing = sorted(name for name in _named_constants(path) if not hasattr(module, name))
+    missing = sorted(name for name in _named(path) if not _resolves(module, name))
     assert missing == []
 
 
 def test_the_pattern_sees_both_forms():
-    path = SRC / "kolmogorov.py"
-    assert {"FD_STEP", "PICARD_NODES", "_BLOCK_NUMBERS"} <= _named_constants(path)
+    assert {"FD_STEP", "PICARD_NODES", "_BLOCK_NUMBERS", "_NormalsAhead"} <= _named(SRC / "kolmogorov.py")
+    assert {"_advance", "noise.left_fold_blocks"} <= _named(SRC / "scheme.py")

@@ -283,6 +283,30 @@ def test_normals_ahead_raise_the_helpers_error_on_the_caller():
     assert threading.active_count() == before
 
 
+def test_normals_ahead_leave_a_failed_order_uncollected():
+    # the block ordered last is never asked for and its draw failed: leaving
+    # the with block waits for it, drops it unread and leaves no thread
+    class FailingThirdDraw:
+        def __init__(self):
+            self.inner, self.calls = np.random.default_rng(5), 0
+
+        def standard_normal(self, size=None, out=None):
+            self.calls += 1
+            if self.calls == 3:
+                raise MemoryError("drawn ahead")
+            return self.inner.standard_normal(size, out=out)
+
+    rng, failing = np.random.default_rng(5), FailingThirdDraw()
+    before = threading.active_count()
+    with kolmogorov._NormalsAhead(5) as source:
+        source._rng = failing
+        # in line, then the helper's first order; its second order fails
+        for size in (8, (2, 4)):
+            assert _same_bits(source.standard_normal(size), rng.standard_normal(size))
+    assert failing.calls == 3
+    assert threading.active_count() == before
+
+
 def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
     # an observable, or for the summability probe the drift, that raises in
     # the second block: the error reaches the caller as raised, after the
@@ -350,6 +374,13 @@ def test_gradient_decay_rejects_unbounded_observable(heat16):
     f = coordinate_function(1, np.eye(16)[0])
     with pytest.raises(ValueError):
         gradient_decay_check(heat16, f, 0.5, ModeVector(np.ones(16)), (1, 2), 100)
+
+
+def test_gradient_decay_refuses_no_modes_before_drawing(heat16, monkeypatch):
+    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
+    monkeypatch.setattr(kolmogorov, "ou_joint_modes_batch", mock.Mock(side_effect=AssertionError("drew")))
+    with pytest.raises(ValueError, match="at least one mode"):
+        gradient_decay_check(heat16, f, 0.5, ModeVector(np.ones(16)), (), 1000)
 
 
 def test_gradient_decay_report(heat16):

@@ -91,6 +91,28 @@ def test_scheme_config_validation():
         make_config(n_dim=5, n_op=4)
 
 
+_DRIFT = {"kind": "diagonal", "beta": 0.5, "epsilon": 0.9}
+# each model type's number fields, built with one value replaced
+_WITH_FIELD = {
+    "beta": lambda v: HolderDriftSpec(**{**_DRIFT, "beta": v}),
+    "epsilon": lambda v: HolderDriftSpec(**{**_DRIFT, "epsilon": v}),
+    "amplitude": lambda v: HolderDriftSpec(**_DRIFT, amplitude=v),
+    "cap": lambda v: HolderDriftSpec(**_DRIFT, cap=v),
+    "period": lambda v: HolderDriftSpec(**_DRIFT, time_mod="cosine", period=v),
+    "q": lambda v: InitialData(profile="power_decay", q=v),
+    "horizon": lambda v: make_config(horizon=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", list(_WITH_FIELD))
+def test_model_types_refuse_non_finite_numbers(field, value):
+    # a NaN passes a bare `x <= 0` check, and drift_bound or the initial
+    # coefficients would carry it into every result
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        _WITH_FIELD[field](value)
+
+
 def test_ei_step_pure_decay():
     drift = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=0.0)
     cfg = make_config(level=2, n_dim=3, drift=drift)
