@@ -115,6 +115,8 @@ def fit_rate(h: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
         raise ValueError("need two matching 1-d arrays of at least 2 points")
     if np.any(h <= 0.0) or np.any(err2 <= 0.0) or not np.all(np.isfinite(h) & np.isfinite(err2)):
         raise ValueError("rate fitting needs positive finite inputs")
+    if h.min() == h.max():
+        raise ValueError("rate fitting needs at least two distinct h values")
     x = np.log(h)
     y = np.log(err2)
     slope, intercept = np.polyfit(x, y, 1)
@@ -391,10 +393,12 @@ def spatial_study(
     nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
     configs = [replace(ref_cfg, n_dim=n) for n in ladder]
+    top_eigs = np.array([operator.eigenvalues[n - 1] for n in ladder])
+    if top_eigs.min() == top_eigs.max():
+        raise ValueError("the ladder's largest retained eigenvalues must take at least two values to fit a rate")
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
     rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
     means = np.array([r.err2_mean for r in rows])
-    top_eigs = np.array([operator.eigenvalues[n - 1] for n in ladder])
     slope, intercept, r2 = fit_rate(top_eigs, means)
     flags = {
         "err2_strictly_decreasing": bool(np.all(np.diff(means) < 0.0)),
@@ -481,7 +485,7 @@ def increment_statistic(
     n_modes: int,
     m_paths: int,
     alpha: float,
-    sample_fractions=(0.5,),
+    sample_fractions,
     workers: int = 1,
     chunk_size: int = 25,
 ) -> ConvergenceReport:

@@ -3,14 +3,16 @@
 Every invocation loads one config document, checks the standing hypotheses
 of the rate theorem against it and runs the command `_COMMANDS` names.  A
 config field the parser does not read for its section's kind is an error,
-as is `--workers` on a command with no worker pool.  An override is the
-field it sets, checked by that field's rule: `--seed` sets noise.seed,
-`--out` output.directory and, on a study command, `--paths` the study's size
-field.  The one writer `_emit` puts `report.csv`, `summary.json` (with the
-parser's record of the config and the hypothesis table) and `plot.gp`
-(plain plotting commands) into the output directory.  A study's fields,
-`kind` aside, are keywords of its function, which is looked up by its
-module-level name at each call, so a tracer that rebinds it here sees every run.
+as are a key repeated in one object and `--workers` on a command with no
+worker pool.  An override is the field it sets, checked by that field's
+rule: `--seed` sets noise.seed, `--out` output.directory and, on a study
+command, `--paths` the study's size field.  A command that writes refuses
+an output directory over an existing non-directory before it runs.  The one
+writer `_emit` puts `report.csv`, `summary.json` (with the parser's record
+of the config and the hypothesis table) and `plot.gp` (plain plotting
+commands) into the output directory.  A study's fields, `kind` aside, are
+keywords of its function, which is looked up by its module-level name at
+each call, so a tracer that rebinds it here sees every run.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
 3 hypothesis violated (stderr `hypothesis violated [<row name>]: <row
 value>`, the first row of the hypothesis table that does not hold),
@@ -222,7 +224,7 @@ def _build_operator(section: _Section) -> SpectralOperator:
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
-def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator, alpha: float):
+def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator):
     """Read the study section for its kind; `wanted` is the kind the
     command runs (None for any) and `paths` sets the kind's size field."""
     kind = _get(section, "kind")
@@ -255,17 +257,8 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
         _int_field(section, "n_modes", 1, modes, default=modes)
         _int_field(section, "m_paths", 2)
     elif kind == "kolmogorov":
-        _int_field(section, "dims", 1, min(4, op.n_max), default=min(4, op.n_max))
         _int_list_field(section, "decay_modes", 1, op.n_max, default=[1, 4, 16])
-        lam_sweep = _float_list_field(section, "lam_sweep", default=[1.0, 10.0, 100.0])
-        if any(v <= 0.0 for v in lam_sweep) or sorted(lam_sweep) != lam_sweep:
-            raise ConfigError("study.lam_sweep must be positive and ascending")
-        if _float_field(section, "t", default=0.5) <= 0.0:
-            raise ConfigError("study.t must be positive")
-        if _float_field(section, "theta", default=alpha) < 0.0:
-            raise ConfigError("study.theta must be nonnegative")
         _int_field(section, "m_samples", 2, default=20_000)
-        _int_field(section, "picard_dims", 1, min(4, op.n_max), default=min(3, op.n_max))
     else:
         _int_field(section, "trials", 1, default=10_000)
 
@@ -325,7 +318,7 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
         lattice = NoiseLattice(seed, horizon, levels, n_modes)
-        _normalize_study(sections["study"], kind, paths, lattice, op, alpha)
+        _normalize_study(sections["study"], kind, paths, lattice, op)
         _get(sections["output"], "directory", convert=_directory)
         for section in sections.values():
             if unread := sorted(set(section.values) - set(section.record)):
@@ -351,12 +344,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path, kind=None, seed=None, paths=None, out=None) -> StudyConfig:
     """Read and parse a config file; the arguments are those of parse_config."""
     try:
-        # json accepts NaN, Infinity and overflowing literals such as 1e400;
-        # none of them is a valid setting, so they are refused here
-        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant, parse_float=_finite_float)
+        # json accepts NaN, Infinity and overflowing literals such as 1e400,
+        # and keeps the last of repeated keys; none of them is a valid
+        # setting, so they are refused here
+        doc = json.loads(
+            Path(path).read_text(), object_pairs_hook=_unique_keys,
+            parse_constant=_reject_constant, parse_float=_finite_float,
+        )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -407,6 +413,16 @@ def _sanitize(value):
 def _plot(*lines: str) -> str:
     """plot.gp text: the shared header, then the given gnuplot commands."""
     return "\n".join(["# plotting commands for a gnuplot-compatible tool", "set datafile separator ','", *lines, ""])
+
+
+def _check_output_dir(directory: str) -> None:
+    """Refuse an output directory that is, or lies under, an existing non-directory."""
+    path = Path(directory)
+    for part in (path, *path.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"output.directory {directory!r}: {part} exists and is not a directory")
+            return
 
 
 def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = None) -> Path:
@@ -472,10 +488,10 @@ def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
 
 
 def _cmd_kolmogorov(cfg: StudyConfig) -> int:
-    # the kolmogorov study's fields are kolmogorov_suite's keywords
+    # the kolmogorov study's fields are kolmogorov_suite's keywords; its theta is alpha
     settings = {k: v for k, v in cfg.study.items() if k != "kind"}
-    lattice = cfg.lattice
-    suite = kolmogorov_suite(cfg.operator, cfg.drift, horizon=lattice.horizon, seed=lattice.master_seed, **settings)
+    lat = cfg.lattice
+    suite = kolmogorov_suite(cfg.operator, cfg.drift, cfg.alpha, horizon=lat.horizon, seed=lat.master_seed, **settings)
     report_csv = suite.pop("decay_csv")
     plot = _plot(
         "set logscale y",
@@ -579,6 +595,9 @@ def main(argv=None) -> int:
         if simulate and args.paths is not None and args.paths < 1:
             raise ConfigError("path override must be positive")
         cfg = load_config(args.config, wanted, args.seed, None if wanted is None else args.paths, args.out)
+        # checked before any study runs, and here so that parsing reads no file system
+        if args.command != "hypotheses":
+            _check_output_dir(cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

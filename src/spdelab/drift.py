@@ -184,7 +184,7 @@ def _worst_trial(trials: int, block_ratios) -> tuple[float, int | None]:
 def verify_mode_holder(
     spec: HolderDriftSpec,
     op: SpectralOperator,
-    trials: int = 10_000,
+    trials: int,
     rng_seed: int = 0,
     horizon: float = 1.0,
 ) -> ValidationReport:
@@ -240,7 +240,7 @@ def verify_mode_holder(
 def verify_time_holder(
     spec: HolderDriftSpec,
     op: SpectralOperator,
-    trials: int = 10_000,
+    trials: int,
     rng_seed: int = 0,
     horizon: float = 1.0,
 ) -> ValidationReport:

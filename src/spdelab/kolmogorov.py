@@ -29,7 +29,10 @@ samplers take the operator itself and read as many modes as the state has.
 The quadrature and gate settings that no caller varies are the module
 constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
 `PICARD_SAMPLES`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
-`SUMMABILITY_GROWTH_CAP`.
+`SUMMABILITY_GROWTH_CAP`, and the suite's fixed shape is `SUITE_T` (the
+time of its point and decay checks), `SUITE_DIMS` and `PICARD_DIMS` (the
+modes of its point and Picard checks, capped at the operator's) and
+`LAM_SWEEP` (Picard's lam values).
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
 SUMMABILITY_SAMPLES = 4096  # joint draws per node of the summability probe
 # the last half of the modes may add at most this factor to the first half's sum
 SUMMABILITY_GROWTH_CAP = 1.5
+SUITE_T = 0.5  # time of the suite's point and decay checks
+SUITE_DIMS = 4  # modes of the suite's point checks, at most the operator's
+PICARD_DIMS = 3  # modes of the suite's Picard checks, at most the operator's
+LAM_SWEEP = (1.0, 10.0, 100.0)  # the suite's Picard lam values, ascending
 
 
 class TestFunction(NamedTuple):
@@ -509,14 +516,10 @@ def gradient_summability_probe(
 def kolmogorov_suite(
     op: SpectralOperator,
     spec: HolderDriftSpec,
-    t: float = 0.5,
-    dims: int = 4,
-    m_samples: int = 20_000,
-    decay_modes=(1, 4, 16),
-    picard_dims: int = 3,
-    lam_sweep=(1.0, 10.0, 100.0),
+    theta: float,
+    m_samples: int,
+    decay_modes,
     horizon: float = 1.0,
-    theta: float = 0.45,
     seed: int = 2024,
 ) -> dict:
     """Bundle of checks used by the command-line front end.
@@ -524,16 +527,21 @@ def kolmogorov_suite(
     Covers the closed-form agreements of the semigroup and gradient
     estimators, the finite-difference cross-check, per-mode gradient decay,
     the Picard terminal condition, the first-iterate norm bound with its
-    large-lam smallness trend, and the weighted gradient summability probe.
-    Whatever m_samples is, each Picard evaluation uses PICARD_NODES (8)
-    nodes times PICARD_SAMPLES (512) draws and the summability probe
-    SUMMABILITY_NODES (8) nodes times SUMMABILITY_SAMPLES (4096) draws.
+    large-lam smallness trend over LAM_SWEEP, and the summability probe
+    weighted by lam_i**theta.  Whatever m_samples is, each Picard evaluation
+    uses PICARD_NODES (8) nodes times PICARD_SAMPLES (512) draws and the
+    summability probe SUMMABILITY_NODES (8) nodes times SUMMABILITY_SAMPLES
+    (4096) draws.  The decay modes are checked before anything is drawn.
     """
+    decay_modes = tuple(decay_modes)
+    if not decay_modes or not all(1 <= i <= op.n_max for i in decay_modes):
+        raise ValueError(f"decay modes must be a non-empty list of indices in 1..{op.n_max}")
     checks = []
 
     def record(name: str, passed: bool, detail: str):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
+    t, dims, picard_dims = SUITE_T, min(SUITE_DIMS, op.n_max), min(PICARD_DIMS, op.n_max)
     x = ModeVector(1.0 / np.arange(1, dims + 1))
     lam1 = float(op.eigenvalues[0])
 
@@ -580,16 +588,16 @@ def kolmogorov_suite(
     record(
         "gradient_decay_bounded",
         decay.bounded,
-        f"max bound ratio {decay.max_ratio:.4f} over modes {tuple(decay_modes)}",
+        f"max bound ratio {decay.max_ratio:.4f} over modes {decay_modes}",
     )
 
     x_pic = ModeVector(1.0 / np.arange(1, picard_dims + 1))
-    terminal, _ = picard_u_lambda(lam_sweep[0], op, spec, horizon, x_pic, horizon, seed=seed)
+    terminal, _ = picard_u_lambda(LAM_SWEEP[0], op, spec, horizon, x_pic, horizon, seed=seed)
     record("picard_terminal_zero", terminal.norm() == 0.0, "value at t = horizon")
 
     sup_b = _drift_sup(spec, op, picard_dims)
     norms, bounds, slacks = [], [], []
-    for lam_value in lam_sweep:
+    for lam_value in LAM_SWEEP:
         value, value_se = picard_u_lambda(lam_value, op, spec, 0.0, x_pic, horizon, seed=seed)
         norms.append(value.norm())
         bounds.append(picard_norm_bound(sup_b, lam_value, 0.0, horizon))
@@ -605,11 +613,7 @@ def kolmogorov_suite(
     )
     record("picard_smallness_trend", monotone, "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms))
 
-    n_sum = max(decay_modes)
-    summ = gradient_summability_probe(
-        op, spec, lam_sweep[0], 0.0, ModeVector(1.0 / np.arange(1, n_sum + 1)), theta,
-        horizon=horizon, seed=seed,
-    )
+    summ = gradient_summability_probe(op, spec, LAM_SWEEP[0], 0.0, x_decay, theta, horizon=horizon, seed=seed)
     record(
         "summability_non_exploding",
         summ.bounded,
@@ -621,7 +625,7 @@ def kolmogorov_suite(
         "checks": checks,
         "decay": decay.summary_dict(),
         "picard": {
-            "lam_sweep": [float(v) for v in lam_sweep],
+            "lam_sweep": list(LAM_SWEEP),
             "norms": norms,
             "bounds": bounds,
             "stderrs": slacks,

@@ -31,7 +31,7 @@ from spdelab import analysis, scheme
 from spdelab.drift import HolderDriftSpec, drift_array
 from spdelab.noise import NoiseLattice
 from spdelab.scheme import InitialData, SchemeConfig, Trajectory, _coupled_pass, simulate_path
-from spdelab.spectral import make_heat_operator
+from spdelab.spectral import SpectralOperator, make_heat_operator
 
 ALPHA = 0.45  # the canonical noise regularity
 
@@ -147,6 +147,9 @@ def test_fit_rate_validation():
         fit_rate(np.array([1.0, 0.5]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         fit_rate(np.array([1.0, 0.5]), np.array([1.0, math.nan]))
+    # a fit through one abscissa used to print LAPACK messages and raise LinAlgError
+    with pytest.raises(ValueError, match="two distinct h"):
+        fit_rate(np.array([2.0, 2.0]), np.array([1.0, 0.5]))
 
 
 def _lattice(levels=4, n_modes=8, seed=3, scale=1.0):
@@ -248,7 +251,7 @@ def test_ratio_one_pass_keeps_the_carried_state():
     [
         (temporal_study, ([3], 5, 4, 4, ALPHA)),
         (spatial_study, ([2], 4, 3, 4, ALPHA)),
-        (increment_statistic, ([3], 4, 4, 0.45)),
+        (increment_statistic, ([3], 4, 4, 0.45, (0.5,))),
     ],
     ids=["temporal", "spatial", "increment"],
 )
@@ -270,7 +273,7 @@ def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
     [
         (temporal_study, {"ladder": [2, 3], "reference_level": 5, "n_modes": 4, "alpha": ALPHA}),
         (spatial_study, {"ladder": [2, 3], "reference_modes": 4, "level": 3, "alpha": ALPHA}),
-        (increment_statistic, {"ladder": [2, 3], "n_modes": 4, "alpha": 0.45}),
+        (increment_statistic, {"ladder": [2, 3], "n_modes": 4, "alpha": 0.45, "sample_fractions": (0.5,)}),
     ],
     ids=["temporal", "spatial", "increment"],
 )
@@ -401,6 +404,19 @@ def _spatial(seed=5, m_paths=30, drift=DRIFT):
         m_paths=m_paths,
         alpha=ALPHA,
     )
+
+
+def test_spatial_ladder_with_tied_eigenvalues_is_refused_before_simulating(monkeypatch):
+    # mode counts 1 and 2 retain the same largest eigenvalue, so no rate can
+    # be fitted; every path used to be simulated before the fit failed
+    def no_run(*_):
+        raise AssertionError("the ladder was simulated")
+
+    monkeypatch.setattr(analysis, "_run_chunks", no_run)
+    op = SpectralOperator(np.array([1.0, 1.0, 4.0, 4.0]))
+    lat = NoiseLattice(master_seed=1, horizon=1.0, levels=3, n_modes=4)
+    with pytest.raises(ValueError, match="largest retained eigenvalues"):
+        spatial_study(op, DRIFT, INITIAL, lat, [1, 2], 4, 3, 4, ALPHA)
 
 
 def test_temporal_study_golden():
@@ -711,7 +727,9 @@ def test_increment_gate_passes_and_fails():
     s0 = _driftless_increment_slope(op, INITIAL, lat, [2, 3], 4, (0.5,))
 
     def gate(alpha):
-        return increment_statistic(op, DRIFT, INITIAL, lat, ladder=[2, 3], n_modes=4, m_paths=2, alpha=alpha)
+        return increment_statistic(
+            op, DRIFT, INITIAL, lat, ladder=[2, 3], n_modes=4, m_paths=2, alpha=alpha, sample_fractions=(0.5,)
+        )
 
     coarse = gate(0.45)
     assert coarse.slope_threshold == pytest.approx(0.35)
@@ -738,7 +756,7 @@ def test_studies_check_configs_against_the_lattice():
     with pytest.raises(ValueError, match="more modes than the lattice"):
         spatial_study(op, DRIFT, INITIAL, lat, [2, 4], 8, 3, 2, ALPHA)
     with pytest.raises(ValueError, match="more modes than the lattice"):
-        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2, alpha=0.45)
+        increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 8, 2, 0.45, (0.5,))
     # a reference finer than the lattice
     with pytest.raises(ValueError, match="finer than the lattice"):
         temporal_study(op, DRIFT, INITIAL, lat, [2, 3], 6, 4, 2, ALPHA)
@@ -750,9 +768,9 @@ def test_increment_statistic_validation():
     lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
     op = make_heat_operator(4)
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [4, 5], 4, 2, 0.45)
+        increment_statistic(op, DRIFT, INITIAL, lat, [4, 5], 4, 2, 0.45, (0.5,))
     with pytest.raises(ValueError):
-        increment_statistic(op, DRIFT, INITIAL, lat, [], 4, 2, 0.45)
+        increment_statistic(op, DRIFT, INITIAL, lat, [], 4, 2, 0.45, (0.5,))
     with pytest.raises(ValueError):
         increment_statistic(op, DRIFT, INITIAL, lat, [2, 3], 4, 2, 0.45, sample_fractions=(0.0,))
     with pytest.raises(ValueError):

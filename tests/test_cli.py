@@ -298,6 +298,12 @@ def test_simulate_refuses_nonpositive_path_count(tmp_path, capsys, paths):
         ("temporal-study", None, "initial", "coeffs", [1.0]),
         ("temporal-study", None, "output", "format", "csv"),
         ("hypotheses", None, "study", "m_samples", 100),
+        # the suite's fixed shape, once study fields that no config varied
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "t", 0.5),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "dims", 4),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "picard_dims", 3),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "lam_sweep", [1.0, 10.0, 100.0]),
+        ("kolmogorov-check", {"kind": "kolmogorov", "m_samples": 200}, "study", "theta", 0.45),
     ],
 )
 def test_unknown_config_fields_are_config_errors(tmp_path, capsys, command, study, section, field, value):
@@ -599,6 +605,48 @@ def test_config_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, repeated, key",
+    [
+        ('"m_paths": 12', '"m_paths": 50, "m_paths": 3', "m_paths"),
+        ('"study": {', '"study": {"kind": "spatial"}, "study": {', "study"),
+    ],
+    ids=["field", "section"],
+)
+def test_repeated_config_keys_are_config_errors(tmp_path, capsys, text, repeated, key):
+    # json keeps the last of repeated keys, so a document that sets a field
+    # twice used to run with whichever came last
+    out = tmp_path / "o"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(temporal_study_doc(str(out))).replace(text, repeated, 1))
+    assert run(["temporal-study", "--config", str(path), "--deterministic"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config repeats the key {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["kolmogorov-check", "temporal-study", "simulate"])
+def test_output_directory_over_a_file_is_refused_before_running(tmp_path, capsys, monkeypatch, command, below):
+    # the study used to run in full and then fail to create the directory (exit 4)
+    def no_run(*_, **__):
+        raise AssertionError("a study ran")
+
+    for name in ("kolmogorov_suite", "temporal_study", "_cmd_simulate"):
+        monkeypatch.setattr(cli, name, no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    doc = _kolmogorov_doc("out") if command == "kolmogorov-check" else temporal_study_doc("out")
+    cfg = write_doc(tmp_path, doc)
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: output.directory {str(out)!r}: {blocker} exists and is not a directory\n"
+    )
+    # hypotheses writes nothing, so it does not look at the directory
+    assert run(["hypotheses", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+
 def _kolmogorov_doc(out, **study):
     doc = canonical_doc({"kind": "kolmogorov", "m_samples": 200, **study}, out=out)
     doc["operator"] = {"kind": "heat", "n_max": 16}
@@ -614,18 +662,18 @@ def _kolmogorov_doc(out, **study):
         ("temporal-study", "drift", "amplitude", "1e400"),
         ("temporal-study", "rate_params", "alpha", "-Infinity"),
         ("temporal-study", "noise", "horizon", "1" + "0" * 400),
-        ("kolmogorov-check", "study", "theta", "NaN"),
+        ("kolmogorov-check", "study", "m_samples", "1e400"),
         # numbers written as JSON strings
         ("temporal-study", "rate_params", "alpha", '"0.45"'),
         ("temporal-study", "noise", "horizon", '"nan"'),
         ("temporal-study", "initial", "q", '"nan"'),
-        ("kolmogorov-check", "study", "t", '"nan"'),
-        ("kolmogorov-check", "study", "lam_sweep", '[1.0, "10", 100.0]'),
+        ("kolmogorov-check", "study", "decay_modes", '["1"]'),
         # JSON booleans, which Python reads as 1 and 0
         ("temporal-study", "drift", "amplitude", "true"),
         ("temporal-study", "drift", "cap", "true"),
         ("temporal-study", "initial", "coeffs", "[true, 0.5]"),
         ("kolmogorov-check", "noise", "levels", "true"),
+        ("kolmogorov-check", "study", "m_samples", "true"),
     ],
     ids=[
         "horizon-nan",
@@ -633,16 +681,16 @@ def _kolmogorov_doc(out, **study):
         "amplitude-1e400",
         "alpha-neg-inf",
         "horizon-huge-int",
-        "theta-nan",
+        "m-samples-1e400",
         "alpha-string",
         "horizon-nan-string",
         "q-nan-string",
-        "t-nan-string",
-        "lam-sweep-string-entry",
+        "decay-modes-string-entry",
         "amplitude-bool",
         "cap-bool",
         "coeffs-bool-entry",
         "levels-bool",
+        "m-samples-bool",
     ],
 )
 def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, section, field, literal):
@@ -750,7 +798,7 @@ def test_study_fields_are_keywords_of_the_called_function(kind, study):
     # one of those, would fail at run time (exit 4)
     settings = set(parse_config(canonical_doc(_MINIMAL_STUDIES[kind])).study) - {"kind"}
     if kind == "kolmogorov":
-        filled = {"op", "spec", "horizon", "seed"}
+        filled = {"op", "spec", "theta", "horizon", "seed"}
     else:
         filled = {"operator", "drift_spec", "initial", "lattice", "alpha", "workers"}
     assert settings <= set(inspect.signature(study).parameters) - filled
@@ -773,6 +821,7 @@ def test_increment_verdict_line_shows_gate(tmp_path, capsys):
         8,
         2,
         alpha=2.0,
+        sample_fractions=(0.5,),
     )
     assert _emit_convergence(cfg, report) == EXIT_ACCEPTANCE
     stdout = capsys.readouterr().out

@@ -88,7 +88,7 @@ def test_time_weight_cosine_default_period(rough_drift):
 
 
 def test_mode_holder_validator_passes(heat16, rough_drift):
-    report = verify_mode_holder(rough_drift, heat16)
+    report = verify_mode_holder(rough_drift, heat16, trials=10_000)
     assert report.passed
     assert report.trials == 10_000
     # the antisymmetric pairs drive the ratio against the constant
@@ -116,7 +116,7 @@ def test_mode_holder_validator_zero_amplitude(heat16):
 
 
 def test_time_holder_validator(heat16, rough_drift):
-    report = verify_time_holder(rough_drift, heat16)
+    report = verify_time_holder(rough_drift, heat16, trials=10_000)
     assert report.passed
     assert 0.0 < report.max_ratio <= 1.0 + 1e-9
     flat = verify_time_holder(_diag(0.9), heat16, trials=500)

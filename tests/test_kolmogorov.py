@@ -364,7 +364,7 @@ def test_suite_samples_and_evaluates_on_the_calling_thread(heat16, monkeypatch):
 
         monkeypatch.setattr(kolmogorov, name, on_caller)
     before = threading.active_count()
-    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=(1, 4, 16))
+    kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=(1, 4, 16))
     assert threads == {threading.get_ident()}
     assert max(counts) == before + 1  # a helper was drawing meanwhile
     assert threading.active_count() == before
@@ -381,6 +381,15 @@ def test_gradient_decay_refuses_no_modes_before_drawing(heat16, monkeypatch):
     monkeypatch.setattr(kolmogorov, "ou_joint_modes_batch", mock.Mock(side_effect=AssertionError("drew")))
     with pytest.raises(ValueError, match="at least one mode"):
         gradient_decay_check(heat16, f, 0.5, ModeVector(np.ones(16)), (), 1000)
+
+
+@pytest.mark.parametrize("decay_modes", [(), (0, 4), (1, 17)], ids=["none", "zero", "beyond-n-max"])
+def test_suite_refuses_decay_modes_before_drawing(heat16, monkeypatch, decay_modes):
+    # no modes used to fail in max() after both point-check passes had drawn
+    for name in ("ou_joint_modes_batch", "ou_transition_sample"):
+        monkeypatch.setattr(kolmogorov, name, mock.Mock(side_effect=AssertionError("drew")))
+    with pytest.raises(ValueError, match=r"decay modes must be a non-empty list of indices in 1\.\.16"):
+        kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=100_000, decay_modes=decay_modes)
 
 
 def test_gradient_decay_report(heat16):
@@ -657,7 +666,7 @@ def test_summability_probe(heat16):
 
 
 def test_kolmogorov_suite_passes(heat16):
-    result = kolmogorov_suite(heat16, DRIFT, m_samples=4000)
+    result = kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=4000, decay_modes=(1, 4, 16))
     assert result["passed"] is True
     assert [c["name"] for c in result["checks"]] == [
         "semigroup_linear_closed_form",
@@ -700,7 +709,7 @@ def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
             return result
 
         monkeypatch.setattr(kolmogorov, name, counted)
-    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=(1, 4, 16))
+    kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=(1, 4, 16))
     assert sum(drawn) == _suite_draws(3000, 4, 16)
     # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64
     assert _suite_draws(100_000, 4, 64) == 9_334_016
@@ -741,7 +750,7 @@ def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
 
         monkeypatch.setattr(kolmogorov, name, counted)
     decay_modes = (1, 4, 16, 16)
-    kolmogorov_suite(heat16, DRIFT, m_samples=3000, dims=4, decay_modes=decay_modes)
+    kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=decay_modes)
     assert sum(requested) == _suite_normals(3000, 4, decay_modes)
     # the kolmogorov-probe benchmark workload, against 19,431,168 when every
     # estimator drew weights on all modes and the shared passes were drawn twice
@@ -772,6 +781,6 @@ GOLDEN_DETAILS = [
 
 
 def test_kolmogorov_suite_golden():
-    result = kolmogorov_suite(make_heat_operator(64), DRIFT, m_samples=2000, decay_modes=(1, 4, 16, 64))
+    result = kolmogorov_suite(make_heat_operator(64), DRIFT, 0.45, m_samples=2000, decay_modes=(1, 4, 16, 64))
     assert result["decay_csv"] == GOLDEN_DECAY_CSV
     assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_DETAILS
