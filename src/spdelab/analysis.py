@@ -349,8 +349,8 @@ def temporal_study(
     R2_MIN_POINTS rungs.
     """
     ladder = sorted(ladder)
-    if len(ladder) < 2 or ladder[-1] >= reference_level:
-        raise ValueError("need at least two ladder levels, all coarser than the reference")
+    if len(set(ladder)) < 2 or ladder[-1] >= reference_level:
+        raise ValueError("need at least two ladder levels, distinct and all coarser than the reference")
     nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
@@ -529,8 +529,8 @@ def increment_statistic(
     The report carries ``slope_stderr`` and ``slope_threshold``.
     """
     ladder = sorted(ladder)
-    if len(ladder) < 2 or ladder[-1] >= lattice.levels:
-        raise ValueError("need at least two ladder levels, all coarser than the lattice")
+    if len(set(ladder)) < 2 or ladder[-1] >= lattice.levels:
+        raise ValueError("need at least two ladder levels, distinct and all coarser than the lattice")
     _check_sample_fractions(sample_fractions, ladder[-1], lattice.levels)
     configs = [SchemeConfig(operator, drift_spec, initial, lattice.horizon, lev, n_modes) for lev in ladder]
     stops = [_substep_offsets(lattice, lev, sample_fractions) for lev in ladder]

@@ -219,8 +219,6 @@ def _build_operator(section: _Section) -> SpectralOperator:
     if kind == "power_law":
         power = _float_field(section, "power")
         return make_power_law_operator(_int_field(section, "n_max", 1), power)
-    if kind == "explicit":
-        return SpectralOperator(np.asarray(_float_list_field(section, "eigenvalues")))
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -257,7 +255,8 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
         _int_field(section, "n_modes", 1, modes, default=modes)
         _int_field(section, "m_paths", 2)
     elif kind == "kolmogorov":
-        _int_list_field(section, "decay_modes", 1, op.n_max, default=[1, 4, 16])
+        # the default keeps the modes the operator has, as the suite caps its dimensions
+        _int_list_field(section, "decay_modes", 1, op.n_max, default=[i for i in (1, 4, 16) if i <= op.n_max])
         _int_field(section, "m_samples", 2, default=20_000)
     else:
         _int_field(section, "trials", 1, default=10_000)

@@ -6,6 +6,16 @@ an integral weight, the per-mode gradient decay, and the first Picard
 iterate of the resolvent-type integral equation can all be checked by plain
 Monte Carlo with no discretization error.
 
+There is one estimator per representation, and each takes a list of
+observables that share its draws.  `ou_semigroup_estimate(op, fs, t, x,
+m_samples, seed)` gives the (k, n) means and standard errors of P_t f(x)
+for the k observables fs; `bismut_gradient(op, fs, t, x, directions,
+m_samples, seed)` gives the (j*k, n) means and standard errors of the
+gradients of the j observables fs along the k rows of directions, through
+the Bismut-Elworthy-Li weight.  `gradient_decay_check` is one pass of the
+second, and the suite's finite-difference cross-check runs
+`_difference_quotient` through the first.
+
 Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
 one seed share their leading normals and are not independent samples.  Only
 normals that are read are drawn: weights on the modes the directions touch,
@@ -23,9 +33,10 @@ flight.  The samplers and the observables still run on the calling thread,
 and the executor is shut down before the estimator returns or raises.
 Picard's few draws stay in line.
 
-A test observable is a `TestFunction`: a function of a batch of states and
-the eigenvalues, paired with its sup-norm bound (None when unbounded).  The
-samplers take the operator itself and read as many modes as the state has.
+A test observable is a `TestFunction`: a function of a batch of states
+alone, paired with its sup-norm bound (None when unbounded); the drift
+observable reads the eigenvalues from its operator.  The samplers take the
+operator itself and read as many modes as the state has.
 The quadrature and gate settings that no caller varies are the module
 constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
 `PICARD_SAMPLES`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
@@ -54,7 +65,6 @@ __all__ = [
     "drift_test_function",
     "ou_semigroup_estimate",
     "bismut_gradient",
-    "finite_difference_gradient",
     "GradientDecayRow",
     "GradientDecayReport",
     "gradient_decay_check",
@@ -66,8 +76,7 @@ __all__ = [
 ]
 
 DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
-# step of finite_difference_gradient
-FD_STEP = 1e-3
+FD_STEP = 1e-3  # step of the suite's finite-difference cross-check
 PICARD_NODES = 8  # midpoint nodes in time of the first Picard iterate
 PICARD_SAMPLES = 512  # transition draws per node of the first Picard iterate
 SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
@@ -83,12 +92,12 @@ LAM_SWEEP = (1.0, 10.0, 100.0)  # the suite's Picard lam values, ascending
 class TestFunction(NamedTuple):
     """Vector-valued test observable on the mode space.
 
-    ``evaluate(states, lam)`` maps a batch of states with trailing mode axis
-    to an array of the same shape; ``bound`` is its sup norm, or None for an
+    ``evaluate(states)`` maps a batch of states with trailing mode axis to
+    an array of the same shape; ``bound`` is its sup norm, or None for an
     unbounded observable, which the bound-dependent checks refuse.
     """
 
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     bound: float | None
 
     __test__ = False  # keep pytest from collecting this as a test case
@@ -113,7 +122,7 @@ def coordinate_function(index: int, out_direction) -> TestFunction:
         raise ValueError("coordinate index must be at least 1")
     u = _unit(out_direction)
 
-    def evaluate(states, lam):
+    def evaluate(states):
         _check_size(u, states.shape[-1], "output direction")
         if index > states.shape[-1]:
             raise ValueError("coordinate index beyond the mode count")
@@ -126,7 +135,7 @@ def bounded_smooth_function(weights, out_direction) -> TestFunction:
     """tanh of a linear form times a unit output direction."""
     w, u = np.array(weights, dtype=float), _unit(out_direction)
 
-    def evaluate(states, lam):
+    def evaluate(states):
         _check_size(u, states.shape[-1], "output direction")
         _check_size(w, states.shape[-1], "weights")
         return np.tanh(states @ w)[..., None] * u
@@ -138,9 +147,9 @@ def bounded_smooth_function(weights, out_direction) -> TestFunction:
 def drift_test_function(spec: HolderDriftSpec, op: SpectralOperator, n_dim: int, time: float) -> TestFunction:
     """The drift frozen at ``time``, bounded by its sup over the first n_dim modes."""
 
-    def evaluate(states, lam):
+    def evaluate(states):
         # looked up at each call, so a wrapped module binding sees it
-        return drift_array(spec, lam, time, states)
+        return drift_array(spec, op.eigenvalues[: states.shape[-1]], time, states)
 
     return TestFunction(evaluate, _drift_sup(spec, op, n_dim))
 
@@ -255,90 +264,55 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
     return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
 
 
-def _semigroup_moments(op, fs, t, x, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n) means and standard errors of the k observables fs of one time-t transition draw per sample."""
+def ou_semigroup_estimate(
+    op: SpectralOperator, fs, t: float, x: ModeVector, m_samples: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Monte Carlo for the driftless semigroup applied to the k observables fs at x: their
+    (k, n) means and standard errors over one exact time-t transition draw per sample."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    lam = op.eigenvalues[: len(x)]
 
     def values(rng, rows):
         states = ou_transition_sample(op, x.coeffs, t, rng, rows)
-        return np.stack([f.evaluate(states, lam) for f in fs])
+        return np.stack([f.evaluate(states) for f in fs])
 
     return _stream_mean_stderr(m_samples, len(x), seed, values)
 
 
-def ou_semigroup_estimate(
-    op: SpectralOperator, f: TestFunction, t: float, x: ModeVector, m_samples: int, seed: int = 0
-) -> tuple[ModeVector, np.ndarray]:
-    """Plain Monte Carlo for the driftless semigroup applied to f at x."""
-    mean, se = _semigroup_moments(op, [f], t, x, m_samples, seed)
-    return ModeVector(mean[0]), se[0]
+def bismut_gradient(
+    op: SpectralOperator, fs, t: float, x: ModeVector, directions: np.ndarray, m_samples: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Semigroup gradients of the j observables fs along the k rows of the (k, n) directions: (j*k, n)
+    means and standard errors, row j*k + i for fs[j] and directions[i].
 
-
-def _bismut_moments(op, fs, t, x, directions, m_samples, seed) -> tuple[np.ndarray, np.ndarray]:
-    """(j*k, n) means and standard errors of f(Z_t) * (weights @ d) / t, row j*k + i for fs[j] and
-    directions[i], from one joint draw per sample with weights where a direction is nonzero."""
-    lam = op.eigenvalues[: len(x)]
+    Each draw contributes f(Z_t) * I/t where I is the stochastic integral of
+    the semigroup-flowed direction against the driving noise; no finite
+    difference step enters, so the estimator is exactly unbiased.  One joint
+    draw per sample, with weights where a direction is nonzero, serves every
+    pair.
+    """
+    if directions.ndim != 2 or directions.shape[1] != len(x):
+        raise ValueError("direction and state must have the same mode count")
     support = np.flatnonzero(np.any(directions != 0.0, axis=0))
 
     def products(rng, rows):
         states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows, support)
         pulls = (directions[:, support] @ weights.T) / t
-        values = np.stack([f.evaluate(states, lam) for f in fs])
+        values = np.stack([f.evaluate(states) for f in fs])
         del states, weights  # the joint draw, freed before the (j, k, rows, n) products
         return (values[:, None] * pulls[:, :, None]).reshape(-1, rows, len(x))
 
     return _stream_mean_stderr(m_samples, len(x), seed, products)
 
 
-def bismut_gradient(
-    op: SpectralOperator,
-    f: TestFunction,
-    t: float,
-    x: ModeVector,
-    eta: ModeVector,
-    m_samples: int,
-    seed: int = 0,
-) -> tuple[ModeVector, np.ndarray]:
-    """Directional semigroup gradient via the integral-weight representation.
-
-    Each draw contributes f(Z_t) * I/t where I is the stochastic integral of
-    the semigroup-flowed direction against the driving noise; no finite
-    difference step enters, so the estimator is exactly unbiased.
-    """
-    if len(eta) != len(x):
-        raise ValueError("direction and state must have the same mode count")
-    mean, se = _bismut_moments(op, [f], t, x, eta.coeffs[None], m_samples, seed)
-    return ModeVector(mean[0]), se[0]
-
-
 def _difference_quotient(op, f, t, x, eta) -> TestFunction:
-    """The difference quotient of finite_difference_gradient, an observable of the transition from x."""
+    """Central difference quotient of f along eta, step FD_STEP, as an observable of the transition
+    from x: the transition from x + c*eta is the one from x shifted, so both endpoints share their
+    draws and the quotient stays finite-variance as the step shrinks."""
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
     dz = decay_factor(op.eigenvalues[: len(x)], t) * (FD_STEP * eta.coeffs)  # shift of the transition
-    return TestFunction(lambda z, lam: (f.evaluate(z + dz, lam) - f.evaluate(z - dz, lam)) / (2.0 * FD_STEP), None)
-
-
-def finite_difference_gradient(
-    op: SpectralOperator,
-    f: TestFunction,
-    t: float,
-    x: ModeVector,
-    eta: ModeVector,
-    m_samples: int,
-    seed: int = 0,
-) -> tuple[ModeVector, np.ndarray]:
-    """Central finite difference of the semigroup, step FD_STEP, with common
-    random numbers.
-
-    The transition from x + c*eta shares its fluctuation with the one from x,
-    so the two endpoints use literally the same draws and the difference
-    quotient stays finite-variance as the step shrinks.
-    """
-    mean, se = _semigroup_moments(op, [_difference_quotient(op, f, t, x, eta)], t, x, m_samples, seed)
-    return ModeVector(mean[0]), se[0]
+    return TestFunction(lambda z: (f.evaluate(z + dz) - f.evaluate(z - dz)) / (2.0 * FD_STEP), None)
 
 
 @dataclass(frozen=True)
@@ -379,12 +353,10 @@ def gradient_decay_check(
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
     The report is bounded when no mode's size exceeds that bound by more
-    than three standard errors.  One joint draw, with weights on the checked
-    modes only, and one evaluation of f per sample serve every mode through
-    the estimator of bismut_gradient, so with one distinct mode i a row is
-    bitwise bismut_gradient along e_i with the same seed.  Its blocks of
-    _BLOCK_NUMBERS numbers keep memory independent of m_samples.  Every mode
-    shares the draws from default_rng(seed), so the decay trend is not
+    than three standard errors.  One `bismut_gradient` pass along the unit
+    vectors of the checked modes serves every mode: one joint draw, with
+    weights on those modes only, and one evaluation of f per sample.  Every
+    mode shares the draws from default_rng(seed), so the decay trend is not
     blurred by independent noise.
     """
     if f.bound is None:
@@ -394,7 +366,7 @@ def gradient_decay_check(
         raise ValueError("gradient decay check needs at least one mode")
     if not all(1 <= i <= len(x) for i in modes):
         raise ValueError("mode index beyond the state dimension")
-    mean, se = _bismut_moments(op, [f], t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)
+    mean, se = bismut_gradient(op, [f], t, x, np.eye(len(x))[[i - 1 for i in modes]], m_samples, seed)
     rows = []
     bounded = True
     for k, i in enumerate(modes):
@@ -548,10 +520,10 @@ def kolmogorov_suite(
     f_lin = coordinate_function(1, np.eye(dims)[0])
     f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, dims), np.eye(dims)[0])
     eta = ModeVector(np.linspace(1.0, 0.25, dims))
-    # two passes, each estimate bitwise its own estimator's: one transition pass, one joint pass
+    # two passes over shared draws: one transition pass, one joint pass
     quotient = _difference_quotient(op, f_smooth, t, x, eta)
-    (est, fd), (se, _fd_se) = _semigroup_moments(op, [f_lin, quotient], t, x, m_samples, seed)
-    (best, bis), (bse, bis_se) = _bismut_moments(op, [f_lin, f_smooth], t, x, eta.coeffs[None], m_samples, seed)
+    (est, fd), (se, _fd_se) = ou_semigroup_estimate(op, [f_lin, quotient], t, x, m_samples, seed)
+    (best, bis), (bse, bis_se) = bismut_gradient(op, [f_lin, f_smooth], t, x, eta.coeffs[None], m_samples, seed)
 
     expected = math.exp(-lam1 * t) * x.coeffs[0]
     gap = abs(est[0] - expected)

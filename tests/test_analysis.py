@@ -252,14 +252,16 @@ def test_ratio_one_pass_keeps_the_carried_state():
         (temporal_study, ([3], 5, 4, 4, ALPHA)),
         (spatial_study, ([2], 4, 3, 4, ALPHA)),
         (increment_statistic, ([3], 4, 4, 0.45, (0.5,))),
+        (temporal_study, ([3, 3], 5, 4, 4, ALPHA)),
+        (increment_statistic, ([3, 3], 4, 4, 0.45, (0.5,))),
     ],
-    ids=["temporal", "spatial", "increment"],
+    ids=["temporal", "spatial", "increment", "temporal-repeated", "increment-repeated"],
 )
 def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
-    # a rate is fitted through the rungs, so one rung used to fail in the
-    # fit, after every path had been simulated
+    # a rate is fitted through the rungs, so one rung, or one level given
+    # twice, used to fail in the fit, after every path had been simulated
     def no_run(*_):
-        raise AssertionError("a one-rung ladder was simulated")
+        raise AssertionError("a ladder of one distinct rung was simulated")
 
     monkeypatch.setattr(analysis, "_run_chunks", no_run)
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)

@@ -108,10 +108,12 @@ def test_parse_rejections(tmp_path):
     bad_noise["noise"] = {"seed": 7, "levels": 31, "n_modes": 8}
     with pytest.raises(ConfigError, match="levels"):
         parse_config(bad_noise)
-    bad_op = dict(good)
-    bad_op["operator"] = {"kind": "laplace", "n_max": 4}
-    with pytest.raises(ConfigError, match="operator kind"):
-        parse_config(bad_op)
+    # an explicit spectrum's trace condition is undetermined, so no command
+    # could run on one; the kind is gone
+    explicit = {"kind": "explicit", "eigenvalues": [float(i * i) for i in range(1, 9)]}
+    for operator in ({"kind": "laplace", "n_max": 4}, explicit):
+        with pytest.raises(ConfigError, match="unknown operator kind"):
+            parse_config({**good, "operator": operator})
 
 
 def test_removed_aliases_are_config_errors(tmp_path):
@@ -206,9 +208,12 @@ def test_spatial_study_end_to_end(tmp_path, capsys):
 
 
 def test_increment_study_end_to_end(tmp_path, capsys):
+    # at 20 paths the slope's standard error (about 0.3-0.5) dwarfed the 0.1
+    # margin and the verdict turned on the seed; at 20,000 the slope clears
+    # its threshold by more than three standard errors
     out = tmp_path / "o"
     doc = canonical_doc(
-        {"kind": "increment", "ladder": [2, 3], "m_paths": 20}, out=str(out)
+        {"kind": "increment", "ladder": [2, 3], "m_paths": 20_000}, out=str(out)
     )
     cfg = write_doc(tmp_path, doc)
     assert run(["increment-study", "--config", cfg, "--deterministic"]) == EXIT_OK
@@ -216,6 +221,8 @@ def test_increment_study_end_to_end(tmp_path, capsys):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
     assert len(lines) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["slope"] - summary["slope_threshold"] > 3.0 * summary["slope_stderr"]
 
 
 def test_off_lattice_increment_fractions_are_config_errors(tmp_path, capsys):
@@ -714,6 +721,16 @@ def test_decay_modes_validated_like_ladder(tmp_path, modes):
     with pytest.raises(ConfigError, match="decay_modes"):
         parse_config(_kolmogorov_doc("out", decay_modes=modes))
     assert parse_config(_kolmogorov_doc("out", decay_modes=[16, 1, 4])).study["decay_modes"] == [1, 4, 16]
+
+
+@pytest.mark.parametrize("n_max, modes", [(16, [1, 4, 16]), (8, [1, 4]), (3, [1])])
+def test_default_decay_modes_are_capped_at_the_operator(n_max, modes):
+    # the default [1, 4, 16] used to be refused below 16 modes, blaming a
+    # field the config never set
+    doc = canonical_doc({"kind": "kolmogorov", "m_samples": 200})
+    doc["operator"] = {"kind": "heat", "n_max": n_max}
+    doc["noise"] = {"seed": 2, "levels": 4, "n_modes": n_max, "horizon": 1.0}
+    assert parse_config(doc).study["decay_modes"] == modes
 
 
 def test_load_config_overrides(tmp_path):

@@ -6,7 +6,9 @@ its call is reported there as unavailable, not failed, so a refactor that
 drops a name or renames a keyword must fail here instead.  Likewise the
 benchmark's tracer (bench/tracer.py) wraps the module bindings below and
 silently records no span for one that is gone.  The benchmark's pinned
-configs (bench/workloads.py) must parse and satisfy every hypothesis.
+configs (bench/workloads.py) must parse and satisfy every hypothesis.  And
+the public surface is no larger than its callers: each exported name is
+used by the package itself or by the benchmark.
 """
 
 import ast
@@ -97,6 +99,44 @@ def test_tracer_targets_resolve(target):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spdelab"
+
+
+def _loaded_names(tree: ast.Module, skip: str) -> set[str]:
+    """Names the module's code reads, outside the definition of ``skip``."""
+    return {
+        node.id
+        for top in tree.body
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__")))
+def test_every_exported_name_has_a_caller(module):
+    # the public surface is what the package, the CLI and the benchmark use:
+    # an exported name is imported by a sibling module, read by its own
+    # module's code outside its definition, or called by a probe or traced
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    imported = {
+        alias.name
+        for stem, tree in trees.items()
+        if stem != module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    benchmarked = {path.split(".")[0] for _, path, _, _ in PROBE_CALLS}
+    benchmarked |= {target.partition(":")[2].split(".")[0] for target in TRACER_TARGETS}
+    uncalled = [
+        name
+        for name in importlib.import_module(f"spdelab.{module}").__all__
+        if name not in imported | benchmarked and name not in _loaded_names(trees[module], name)
+    ]
+    assert uncalled == []
 
 
 def _bench_workloads():

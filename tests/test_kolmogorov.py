@@ -23,7 +23,6 @@ from spdelab.kolmogorov import (
     bounded_smooth_function,
     coordinate_function,
     drift_test_function,
-    finite_difference_gradient,
     gradient_decay_check,
     gradient_summability_probe,
     kolmogorov_suite,
@@ -52,124 +51,121 @@ def test_test_function_validation(heat16):
     with pytest.raises(ValueError):
         drift_test_function(DRIFT, heat16, 17, time=0.25)
     # shape mismatches surface when the observable meets a state batch
-    lam = make_heat_operator(1).eigenvalues
     states = np.ones((3, 1))
     with pytest.raises(ValueError):
-        coordinate_function(2, [1.0]).evaluate(states, lam)
+        coordinate_function(2, [1.0]).evaluate(states)
     with pytest.raises(ValueError):
-        bounded_smooth_function([], [1.0]).evaluate(states, lam)
+        bounded_smooth_function([], [1.0]).evaluate(states)
     with pytest.raises(ValueError):
-        bounded_smooth_function([1.0], [1.0, 1.0]).evaluate(states, lam)
+        bounded_smooth_function([1.0], [1.0, 1.0]).evaluate(states)
 
 
 def test_factories(monkeypatch):
     states = np.arange(6.0).reshape(3, 2)
-    lam = make_heat_operator(2).eigenvalues
     f = coordinate_function(2, [3.0, 4.0])
     assert f.bound is None
-    assert np.array_equal(f.evaluate(states, lam), np.outer(states[:, 1], [0.6, 0.8]))
+    assert np.array_equal(f.evaluate(states), np.outer(states[:, 1], [0.6, 0.8]))
     weights = np.array([1.0, 0.5])
     g = bounded_smooth_function(weights, [2.0, 0.0])
     weights[0] = 9.0  # the observable keeps its own copy
     assert g.bound == 1.0
-    assert np.array_equal(g.evaluate(states, lam)[:, 0], np.tanh(states @ [1.0, 0.5]))
+    assert np.array_equal(g.evaluate(states)[:, 0], np.tanh(states @ [1.0, 0.5]))
     h = drift_test_function(DRIFT, make_heat_operator(16), 4, time=0.25)
     assert h.bound == pytest.approx(drift_bound(DRIFT, make_heat_operator(4)), rel=1e-15)
-    # the drift is looked up at each call, so a rebound module name sees it
+    # the drift is looked up at each call, so a rebound module name sees it,
+    # with the operator's eigenvalues of the state's modes
     seen = []
-    monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: seen.append(t) or x)
-    assert h.evaluate(states, lam) is states
-    assert seen == [0.25]
+    monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: seen.append((lam.tolist(), t)) or x)
+    assert h.evaluate(states) is states
+    assert seen == [(make_heat_operator(2).eigenvalues.tolist(), 0.25)]
 
 
 def test_evaluate_shapes_and_values():
     lam = make_heat_operator(3).eigenvalues
     states = np.arange(15.0).reshape(5, 3)
     f = coordinate_function(2, [1.0, 0.0, 0.0])
-    out = f.evaluate(states, lam)
+    out = f.evaluate(states)
     assert out.shape == (5, 3)
     assert np.array_equal(out[:, 0], states[:, 1])
     assert np.array_equal(out[:, 1:], np.zeros((5, 2)))
 
     g = bounded_smooth_function([0.5, -0.25, 0.1], [0.0, 1.0, 0.0])
-    gout = g.evaluate(states, lam)
+    gout = g.evaluate(states)
     assert np.max(np.abs(gout)) <= 1.0
     assert np.array_equal(gout[:, 1], np.tanh(states @ np.array([0.5, -0.25, 0.1])))
 
     from spdelab.drift import drift_array
 
-    h = drift_test_function(DRIFT, make_heat_operator(3), 3, time=0.25)
-    assert np.array_equal(h.evaluate(states, lam), drift_array(DRIFT, lam, 0.25, states))
+    h = drift_test_function(DRIFT, make_heat_operator(16), 3, time=0.25)
+    assert np.array_equal(h.evaluate(states), drift_array(DRIFT, lam, 0.25, states))
 
 
 def test_evaluate_dimension_errors():
-    lam = make_heat_operator(2).eigenvalues
     states = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        coordinate_function(3, [1.0, 0.0]).evaluate(states, lam)
+        coordinate_function(3, [1.0, 0.0]).evaluate(states)
     with pytest.raises(ValueError):
-        coordinate_function(1, [1.0, 0.0, 0.0]).evaluate(states, lam)
+        coordinate_function(1, [1.0, 0.0, 0.0]).evaluate(states)
     with pytest.raises(ValueError):
-        bounded_smooth_function([1.0], [1.0]).evaluate(states, lam)
+        bounded_smooth_function([1.0], [1.0]).evaluate(states)
 
 
 def test_semigroup_estimate_linear_closed_form(heat16):
     x = ModeVector(1.0 / np.arange(1.0, 17.0))
     f = coordinate_function(1, np.eye(16)[0])
-    est, se = ou_semigroup_estimate(heat16, f, 0.5, x, 20_000, seed=2024)
+    (est,), (se,) = ou_semigroup_estimate(heat16, [f], 0.5, x, 20_000, seed=2024)
     expected = math.exp(-0.5)
-    assert abs(est.coeffs[0] - expected) <= 3.0 * se[0]
+    assert abs(est[0] - expected) <= 3.0 * se[0]
 
 
 def test_semigroup_estimate_odd_function_at_origin(heat16):
     f = bounded_smooth_function(np.linspace(1.0, 0.1, 16), np.eye(16)[0])
-    est, se = ou_semigroup_estimate(heat16, f, 0.5, ModeVector(np.zeros(16)), 20_000, seed=1)
-    assert abs(est.coeffs[0]) <= 3.0 * se[0] + 1e-12
+    (est,), (se,) = ou_semigroup_estimate(heat16, [f], 0.5, ModeVector(np.zeros(16)), 20_000, seed=1)
+    assert abs(est[0]) <= 3.0 * se[0] + 1e-12
 
 
 def test_semigroup_estimate_respects_bound(heat16):
     f = bounded_smooth_function(np.ones(16), np.eye(16)[1])
-    est, _ = ou_semigroup_estimate(heat16, f, 0.5, ModeVector(np.ones(16)), 5000, seed=3)
-    assert est.norm() <= 1.0 + 1e-12
+    (est,), _ = ou_semigroup_estimate(heat16, [f], 0.5, ModeVector(np.ones(16)), 5000, seed=3)
+    assert np.linalg.norm(est) <= 1.0 + 1e-12
 
 
 def test_semigroup_estimate_validation(heat16):
     f = coordinate_function(1, np.eye(16)[0])
     x = ModeVector(np.zeros(16))
     with pytest.raises(ValueError):
-        ou_semigroup_estimate(heat16, f, 0.0, x, 100)
+        ou_semigroup_estimate(heat16, [f], 0.0, x, 100)
     with pytest.raises(ValueError):
-        ou_semigroup_estimate(heat16, f, 0.5, x, 1)
+        ou_semigroup_estimate(heat16, [f], 0.5, x, 1)
 
 
 def test_bismut_gradient_linear_closed_form(heat16):
     x = ModeVector(1.0 / np.arange(1.0, 17.0))
     eta = ModeVector(np.linspace(1.0, 0.25, 16))
     f = coordinate_function(1, np.eye(16)[0])
-    est, se = bismut_gradient(heat16, f, 0.5, x, eta, 40_000, seed=7)
+    (est,), (se,) = bismut_gradient(heat16, [f], 0.5, x, eta.coeffs[None], 40_000, seed=7)
     expected = math.exp(-0.5) * eta.coeffs[0]
-    assert abs(est.coeffs[0] - expected) <= 3.0 * se[0]
+    assert abs(est[0] - expected) <= 3.0 * se[0]
 
 
 def test_bismut_gradient_zero_direction_is_exact_zero(heat16):
     f = bounded_smooth_function(np.ones(16), np.eye(16)[0])
-    est, se = bismut_gradient(
-        heat16, f, 0.5, ModeVector(np.ones(16)), ModeVector(np.zeros(16)), 100, seed=0
-    )
-    assert np.array_equal(est.coeffs, np.zeros(16))
-    assert np.array_equal(se, np.zeros(16))
+    est, se = bismut_gradient(heat16, [f], 0.5, ModeVector(np.ones(16)), np.zeros((1, 16)), 100, seed=0)
+    assert np.array_equal(est, np.zeros((1, 16)))
+    assert np.array_equal(se, np.zeros((1, 16)))
 
 
 def test_bismut_gradient_validation(heat16):
     f = coordinate_function(1, np.eye(16)[0])
     x = ModeVector(np.zeros(16))
-    eta = ModeVector(np.ones(16))
+    eta = np.ones((1, 16))
     with pytest.raises(ValueError):
-        bismut_gradient(heat16, f, 0.0, x, eta, 100)
+        bismut_gradient(heat16, [f], 0.0, x, eta, 100)
+    for directions in (np.ones((1, 4)), np.ones(16)):
+        with pytest.raises(ValueError, match="same mode count"):
+            bismut_gradient(heat16, [f], 0.5, x, directions, 100)
     with pytest.raises(ValueError):
-        bismut_gradient(heat16, f, 0.5, x, ModeVector(np.ones(4)), 100)
-    with pytest.raises(ValueError):
-        bismut_gradient(heat16, f, 0.5, x, eta, 1)
+        bismut_gradient(heat16, [f], 0.5, x, eta, 1)
 
 
 def test_finite_difference_agrees_with_bismut():
@@ -177,13 +173,10 @@ def test_finite_difference_agrees_with_bismut():
     x = ModeVector(1.0 / np.arange(1.0, 5.0))
     eta = ModeVector(np.linspace(1.0, 0.25, 4))
     f = bounded_smooth_function(np.linspace(1.0, 0.125, 4), np.eye(4)[0])
-    bis, bis_se = bismut_gradient(op, f, 0.5, x, eta, 40_000, seed=2024)
-    fd, _ = finite_difference_gradient(op, f, 0.5, x, eta, 40_000, seed=2024)
-    gaps = [
-        abs(bis.coeffs[i] - fd.coeffs[i]) / abs(bis.coeffs[i])
-        for i in range(4)
-        if abs(bis.coeffs[i]) > 10.0 * bis_se[i]
-    ]
+    (bis,), (bis_se,) = bismut_gradient(op, [f], 0.5, x, eta.coeffs[None], 40_000, seed=2024)
+    quotient = kolmogorov._difference_quotient(op, f, 0.5, x, eta)
+    (fd,), _ = ou_semigroup_estimate(op, [quotient], 0.5, x, 40_000, seed=2024)
+    gaps = [abs(bis[i] - fd[i]) / abs(bis[i]) for i in range(4) if abs(bis[i]) > 10.0 * bis_se[i]]
     assert gaps
     assert max(gaps) < 0.05
 
@@ -191,14 +184,15 @@ def test_finite_difference_agrees_with_bismut():
 def test_finite_difference_validation(heat16):
     f = bounded_smooth_function(np.ones(16), np.eye(16)[0])
     x, eta = ModeVector(np.zeros(16)), ModeVector(np.ones(16))
+    quotient = kolmogorov._difference_quotient(heat16, f, 0.5, x, eta)
     with pytest.raises(ValueError):
-        finite_difference_gradient(heat16, f, 0.0, x, eta, 100)
+        ou_semigroup_estimate(heat16, [quotient], 0.0, x, 100)
     with pytest.raises(ValueError):
-        finite_difference_gradient(heat16, f, 0.5, x, ModeVector(np.ones(4)), 100)
+        kolmogorov._difference_quotient(heat16, f, 0.5, x, ModeVector(np.ones(4)))
     # one sample has no standard error and none has no mean
     for m in (0, 1):
         with pytest.raises(ValueError):
-            finite_difference_gradient(heat16, f, 0.5, x, eta, m)
+            ou_semigroup_estimate(heat16, [quotient], 0.5, x, m)
 
 
 @example(m=300, block_rows=1, lead=(2,), n=3, offset=1e6, seed=0)
@@ -321,7 +315,7 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
     def raising_on_call(k):
         calls = []
 
-        def evaluate(states, lam):
+        def evaluate(states):
             calls.append(None)
             if len(calls) == k:
                 raise error
@@ -331,14 +325,16 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
 
     def summability():
         raising = raising_on_call(2).evaluate
-        monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, states: raising(states, lam))
+        monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, states: raising(states))
         gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45)
 
     runs = {
-        "semigroup": lambda: ou_semigroup_estimate(heat16, raising_on_call(2), 0.5, x, 1000),
-        "bismut": lambda: bismut_gradient(heat16, raising_on_call(2), 0.5, x, eta, 1000),
+        "semigroup": lambda: ou_semigroup_estimate(heat16, [raising_on_call(2)], 0.5, x, 1000),
+        "bismut": lambda: bismut_gradient(heat16, [raising_on_call(2)], 0.5, x, eta.coeffs[None], 1000),
         # two evaluations per block
-        "finite_difference": lambda: finite_difference_gradient(heat16, raising_on_call(3), 0.5, x, eta, 1000),
+        "finite_difference": lambda: ou_semigroup_estimate(
+            heat16, [kolmogorov._difference_quotient(heat16, raising_on_call(3), 0.5, x, eta)], 0.5, x, 1000
+        ),
         "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 0.5, x, (1, 16), 1000),
         "summability": summability,
     }
@@ -448,8 +444,8 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
         f = drift_test_function(DRIFT, heat16, n, time=0.25)
         x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
         report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
-        est, se = bismut_gradient(heat16, f, t, x, ModeVector(np.eye(n)[modes[0] - 1]), m, seed=seed)
-        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, [est.coeffs] * 2, [se] * 2)
+        est, se = bismut_gradient(heat16, [f], t, x, np.eye(n)[[modes[0] - 1]], m, seed=seed)
+        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, [est[0]] * 2, [se[0]] * 2)
         assert _report_rows(report) == rows
         assert report.max_ratio == max_ratio
         assert report.bounded is bounded
@@ -468,7 +464,7 @@ def _decay_oracle_moments(op, f, t, x, modes, m, seed):
     z = np.random.default_rng(seed).standard_normal((m, n + len(support)))
     states = decay_factor(lam, t) * x.coeffs + sd * z[:, :n]
     weights = (cov / sd)[support] * z[:, support] + resid[support] * z[:, n:]
-    values = f.evaluate(states, lam)
+    values = f.evaluate(states)
     products = np.stack([(weights[:, support.index(i - 1)] / t)[:, None] * values for i in modes])
     return products.mean(axis=1), products.std(axis=1, ddof=1) / math.sqrt(m)
 
@@ -560,9 +556,11 @@ def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
         gradient_summability_probe(op, DRIFT, 1.0, 0.0, x, theta=0.45, seed=3)
 
     estimators = {
-        "semigroup": lambda m: ou_semigroup_estimate(op, f_lin, 0.5, x, m, seed=3),
-        "bismut": lambda m: bismut_gradient(op, f_smooth, 0.5, x, eta, m, seed=3),
-        "finite_difference": lambda m: finite_difference_gradient(op, f_smooth, 0.5, x, eta, m, seed=3),
+        "semigroup": lambda m: ou_semigroup_estimate(op, [f_lin], 0.5, x, m, seed=3),
+        "bismut": lambda m: bismut_gradient(op, [f_smooth], 0.5, x, eta.coeffs[None], m, seed=3),
+        "finite_difference": lambda m: ou_semigroup_estimate(
+            op, [kolmogorov._difference_quotient(op, f_smooth, 0.5, x, eta)], 0.5, x, m, seed=3
+        ),
         "decay": lambda m: gradient_decay_check(op, f_drift, 0.5, x, (1, 4, 16, 64), m, seed=3),
         "summability": summability,
     }
