@@ -413,17 +413,21 @@ def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray
     return np.array([int(round(phi * fine_per_step)) for phi in fractions])
 
 
-def _check_sample_fractions(fractions, finest_level: int, lattice_levels: int) -> None:
+def _check_sample_fractions(fractions, finest_level: int, lattice_levels: int) -> int:
     """Refuse increment-study fractions that are not off-grid lattice times
-    inside every step of every level up to finest_level; the CLI checks its
-    configs with this too."""
+    inside every step of every level up to finest_level; return how many
+    levels past it hold them all.  The CLI checks its configs with this."""
     finest_block = 1 << (lattice_levels - finest_level)
+    depth = 0
     for phi in fractions:
         if not 0.0 < phi < 1.0:
             raise ValueError("sample fractions must lie strictly inside (0, 1)")
         j = phi * finest_block
         if abs(j - round(j)) > 1e-9 or not 1 <= round(j) <= finest_block - 1:
             raise ValueError("sample fractions must hit off-grid lattice times at every level")
+        # phi = j / finest_block in lowest terms has denominator finest_block // (j & -j)
+        depth = max(depth, (finest_block // (round(j) & -round(j))).bit_length() - 1)
+    return depth
 
 
 def _increment_chunk(payload):

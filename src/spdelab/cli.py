@@ -12,7 +12,9 @@ writer `_emit` puts `report.csv`, `summary.json` (with the parser's record
 of the config and the hypothesis table) and `plot.gp` (plain plotting
 commands) into the output directory.  A study's fields, `kind` aside, are
 keywords of its function, which is looked up by its module-level name at
-each call, so a tracer that rebinds it here sees every run.
+each call, so a tracer that rebinds it here sees every run.  noise.levels
+is `simulate`'s level and only bounds a study's lattice, drawn at the level
+the study reads; it stays required while the benchmark's configs carry it.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
 3 hypothesis violated (stderr `hypothesis violated [<row name>]: <row
 value>`, the first row of the hypothesis table that does not hold),
@@ -105,7 +107,7 @@ class StudyConfig:
 
     `doc` holds every field the parser read, converted, with its default
     filled in and any override applied; it is the `config` of summary.json
-    and parses back to itself.  `lattice` is built from the noise section;
+    and parses back to itself.  `lattice` is the lattice the command draws;
     `alpha`, the noise regularity, is the one rate exponent not the drift's.
     """
 
@@ -222,9 +224,10 @@ def _build_operator(section: _Section) -> SpectralOperator:
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
-def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op: SpectralOperator):
+def _normalize_study(section: _Section, wanted, paths, levels: int, modes: int, op: SpectralOperator) -> int:
     """Read the study section for its kind; `wanted` is the kind the
-    command runs (None for any) and `paths` sets the kind's size field."""
+    command runs (None for any), `paths` sets the kind's size field, and
+    the finest lattice level the kind reads is returned (`levels` if none)."""
     kind = _get(section, "kind")
     if kind not in _STUDY_KINDS:
         raise ConfigError(f"unknown study kind {kind!r}")
@@ -232,26 +235,27 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
         raise ConfigError(f"config describes a {kind!r} study, not {wanted!r}")
     if paths is not None:
         section.values[_SIZE_FIELDS[kind]] = paths
-    levels, modes = lattice.levels, lattice.n_modes
     if kind in _POOLED_STUDIES:
         ladder = _int_list_field(section, "ladder", 0)
         # the study fits a rate through the rungs; simulate and hypotheses run none
         if wanted is not None and len(ladder) < 2:
             raise ConfigError("study.ladder needs at least two rungs to fit a rate")
+    read = levels
     if kind == "temporal":
-        if ladder[-1] >= _int_field(section, "reference_level", 0, levels):
+        if ladder[-1] >= (read := _int_field(section, "reference_level", 0, levels)):
             raise ConfigError("study.ladder must stay strictly below the reference level")
         _int_field(section, "n_modes", 1, modes, default=modes)
         _int_field(section, "m_paths", 2)
     elif kind == "spatial":
         if ladder[0] < 1 or ladder[-1] >= _int_field(section, "reference_modes", 1, modes):
             raise ConfigError("study.ladder must be mode counts strictly below reference_modes")
-        _int_field(section, "level", 0, levels)
+        read = _int_field(section, "level", 0, levels)
         _int_field(section, "m_paths", 2)
     elif kind == "increment":
         if ladder[-1] >= levels:
             raise ConfigError("study.ladder must stay strictly below the lattice levels")
-        _check_sample_fractions(_float_list_field(section, "sample_fractions", default=[0.5]), ladder[-1], levels)
+        fractions = _float_list_field(section, "sample_fractions", default=[0.5])
+        read = ladder[-1] + _check_sample_fractions(fractions, ladder[-1], levels)
         _int_field(section, "n_modes", 1, modes, default=modes)
         _int_field(section, "m_paths", 2)
     elif kind == "kolmogorov":
@@ -260,6 +264,7 @@ def _normalize_study(section: _Section, wanted, paths, lattice: NoiseLattice, op
         _int_field(section, "m_samples", 2, default=20_000)
     else:
         _int_field(section, "trials", 1, default=10_000)
+    return read
 
 
 def _directory(value, where: str) -> str:
@@ -316,8 +321,8 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         horizon = _float_field(noise, "horizon", default=1.0)
         if horizon <= 0.0:
             raise ConfigError("noise.horizon must be positive")
-        lattice = NoiseLattice(seed, horizon, levels, n_modes)
-        _normalize_study(sections["study"], kind, paths, lattice, op)
+        read = _normalize_study(sections["study"], kind, paths, levels, n_modes, op)
+        lattice = NoiseLattice(seed, horizon, levels if kind is None else read, n_modes)
         _get(sections["output"], "directory", convert=_directory)
         for section in sections.values():
             if unread := sorted(set(section.values) - set(section.record)):
@@ -388,9 +393,9 @@ def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
 
 def enforce_hypotheses(cfg: StudyConfig) -> None:
     """Gate a run: raise the violation of the first row of the hypothesis
-    table whose verdict is not True."""
+    table that does not hold."""
     for row in hypothesis_rows(cfg):
-        if row["holds"] is not True:
+        if not row["holds"]:
             raise HypothesisViolation(row["name"], row["value"])
 
 
@@ -445,6 +450,8 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
     xcol, xlabel = (3, "retained modes") if report.study == "spatial" else (2, "step size")
     summary = report.summary_dict()
     summary["rows"] = [asdict(r) for r in report.rows]
+    if cfg.lattice.levels != cfg.doc["noise"]["levels"]:  # drawn below its bound
+        summary["lattice_levels"] = cfg.lattice.levels
     plot = _plot(
         "set logscale xy",
         f"set xlabel '{xlabel}'",
@@ -548,10 +555,9 @@ def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
 def _cmd_hypotheses(cfg: StudyConfig) -> int:
     rows = hypothesis_rows(cfg)
     width = max(len(r["name"]) for r in rows)
-    verdicts = {True: "holds", False: "fails", None: "undetermined"}
     for row in rows:
-        print(f"{row['name']:<{width}}  {verdicts[row['holds']]:<12}  {row['value']}")
-    return EXIT_OK if all(row["holds"] is True for row in rows) else EXIT_HYPOTHESIS
+        print(f"{row['name']:<{width}}  {'holds' if row['holds'] else 'fails':<12}  {row['value']}")
+    return EXIT_OK if all(row["holds"] for row in rows) else EXIT_HYPOTHESIS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -264,6 +264,11 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
     return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
 
 
+def _evaluate_all(fs, states) -> np.ndarray:
+    """The (k, rows, n) values of the k observables fs on states; one observable's is a view, not a copy."""
+    return fs[0].evaluate(states)[None] if len(fs) == 1 else np.stack([f.evaluate(states) for f in fs])
+
+
 def ou_semigroup_estimate(
     op: SpectralOperator, fs, t: float, x: ModeVector, m_samples: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +278,7 @@ def ou_semigroup_estimate(
         raise ValueError("t must be positive")
 
     def values(rng, rows):
-        states = ou_transition_sample(op, x.coeffs, t, rng, rows)
-        return np.stack([f.evaluate(states) for f in fs])
+        return _evaluate_all(fs, ou_transition_sample(op, x.coeffs, t, rng, rows))
 
     return _stream_mean_stderr(m_samples, len(x), seed, values)
 
@@ -298,7 +302,7 @@ def bismut_gradient(
     def products(rng, rows):
         states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows, support)
         pulls = (directions[:, support] @ weights.T) / t
-        values = np.stack([f.evaluate(states) for f in fs])
+        values = _evaluate_all(fs, states)
         del states, weights  # the joint draw, freed before the (j, k, rows, n) products
         return (values[:, None] * pulls[:, :, None]).reshape(-1, rows, len(x))
 

@@ -4,10 +4,11 @@ Increments live on a dyadic grid of 2**levels steps.  Every (path, mode) pair
 owns a dedicated Philox substream: the key packs (master_seed, path_id) and
 the high counter word packs the mode, so streams are separated by 2**192
 counter blocks and never overlap.  A value at step k is the k-th draw of its
-substream, which makes every increment reproducible from
-(master_seed, path_id, mode, step) regardless of query order, worker count,
-or how many modes and levels any particular run consumes.  A path's
-substreams are opened together from its key, and no open reads OS entropy.
+substream scaled to the lattice's step, which makes every increment
+reproducible from (master_seed, path_id, mode, step) at the lattice's level,
+regardless of query order, worker count, or how many modes and coarser
+levels any particular run consumes.  A path's substreams are opened
+together from its key, and no open reads OS entropy.
 """
 
 from __future__ import annotations

@@ -17,15 +17,17 @@ Every consumer reads the noise in one forward pass over time windows
 (`_coupled_pass` over `_noise_windows`).  A path's substreams are opened
 together, once, and each fills the next W fine rows of one reused
 (W, C, n) buffer, so a batch holds one window instead of all 2**levels
-fine rows.  W is one step of the coarsest level in the pass, at least 256
-fine rows and at most the whole lattice.  Being a power of two no smaller
-than any level's step, W is a multiple of every level's step, so each block
-fold, recursion step and sub-step stack sees exactly the rows, in the same
-order, that it sees in a whole-lattice array; the grid state and the global
-step index, which sets the drift's time, carry from window to window.  A
-Philox substream read in pieces gives the draws it gives in one call, and
-they are scaled element by element by the factor `mode_increments` uses, so
-every output is bitwise that of the whole-lattice pass.
+fine rows.  W is one step of the coarsest level in the pass, at least
+_MIN_WINDOW steps of the finest and at most the whole lattice; the floor is
+counted in steps, as a window's stacks and grids hold a row per step of the
+finest level.  Being a power of two no smaller than any level's step, W is
+a multiple of every level's step, so each block fold, recursion step and
+sub-step stack sees exactly the rows, in the same order, that it sees in a
+whole-lattice array; the grid state and the global step index, which sets
+the drift's time, carry from window to window.  A Philox substream read in
+pieces gives the draws it gives in one call, and they are scaled element by
+element by the factor `mode_increments` uses, so every output is bitwise
+that of the whole-lattice pass.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ __all__ = [
 ]
 
 
-# fewest fine rows a noise window holds, unless the lattice is shorter: one
-# draw call costs about as much as 50 normals, so short windows would spend
-# their time on calls
-_MIN_WINDOW = 256
+# fewest steps of the pass's finest level a noise window holds, unless the
+# lattice is shorter.  A draw call costs about 0.5 us, as much as 40 normals
+# (690 ns for 16; 21 ns a normal for 64, 12 ns for 4096: numpy 2.4 Philox on
+# a 2-vCPU Xeon VM); 128 would cut 21 ns to 17 and add 4 MB per worker.
+_MIN_WINDOW = 64
 
 
 class SimulationError(RuntimeError):
@@ -185,12 +188,13 @@ def _noise_windows(lattice: NoiseLattice, path_ids, n_dim: int, levels):
     """Yield (start, window): fine increments start .. start+W-1 of a path
     batch, shape (W, C, n_dim), in one reused buffer.
 
-    W is one step of the coarsest of `levels`, at least _MIN_WINDOW rows and
-    at most the whole lattice, so every level's steps tile each window.
+    W is one step of the coarsest of `levels`, at least _MIN_WINDOW of the
+    finest's and at most the whole lattice, so every level's steps tile it.
     A path's substreams are opened together, once, and read forward; the
     draws are those of `NoiseLattice.mode_increments`, scaled by the same factor.
     """
-    rows = min(lattice.fine_steps, max(_MIN_WINDOW, 1 << (lattice.levels - min(levels))))
+    coarsest, finest = (1 << (lattice.levels - lev) for lev in (min(levels), max(levels)))
+    rows = min(lattice.fine_steps, max(coarsest, _MIN_WINDOW * finest))
     streams = [None] * len(path_ids)
     sd = lattice.scale * math.sqrt(lattice.fine_dt)
     draws = np.empty((n_dim, rows))

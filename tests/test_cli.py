@@ -270,16 +270,90 @@ def test_validate_drift_checks_the_noise_horizon(tmp_path, capsys):
     assert constants[1]["time_holder"] == pytest.approx(constants[0]["time_holder"] * 2.0**0.1, rel=1e-14)
 
 
-def test_simulate_writes_trajectories(tmp_path, capsys):
+def _record_draws(monkeypatch) -> tuple[set, list]:
+    """Patch the substream opener: the levels of the lattices a run opens
+    substreams on, and the size of every normal draw it makes from them."""
+    levels, drawn = set(), []
+    opened = NoiseLattice._substreams
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            values = self.gen.standard_normal(*args, **kwargs)
+            drawn.append(values.size)
+            return values
+
+    def substreams(self, path_id, modes):
+        levels.add(self.levels)
+        return [Counted(gen) for gen in opened(self, path_id, modes)]
+
+    monkeypatch.setattr(NoiseLattice, "_substreams", substreams)
+    return levels, drawn
+
+
+def test_temporal_study_draws_its_lattice_at_the_reference_level(tmp_path, capsys, monkeypatch):
+    levels, drawn = _record_draws(monkeypatch)
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc(str(out)))
+    assert run(["temporal-study", "--config", cfg, "--deterministic"]) == EXIT_OK
+    capsys.readouterr()
+    # paths x modes x 2**reference_level, not 2**noise.levels
+    assert levels == {5}
+    assert sum(drawn) == 12 * 8 * 2**5
+    assert json.loads((out / "summary.json").read_text())["lattice_levels"] == 5
+
+
+@pytest.mark.parametrize(
+    "fractions, level", [([0.5], 4), ([0.25, 0.75], 5), ([0.5, 0.125], 6)], ids=["halves", "quarters", "eighths"]
+)
+def test_increment_study_draws_its_lattice_at_the_finest_sampled_time(tmp_path, capsys, monkeypatch, fractions, level):
+    # the finest rung is level 3, and a fraction k / 2**d needs d levels more
+    levels, drawn = _record_draws(monkeypatch)
+    out = tmp_path / "o"
+    study = {"kind": "increment", "ladder": [2, 3], "m_paths": 4, "sample_fractions": fractions}
+    doc = canonical_doc(study, out=str(out))
+    run(["increment-study", "--config", write_doc(tmp_path, doc), "--deterministic"])
+    capsys.readouterr()
+    assert levels == {level}
+    assert sum(drawn) == 4 * 8 * 2**level
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary.get("lattice_levels", summary["config"]["noise"]["levels"]) == level
+
+
+def test_noise_levels_above_the_read_level_leave_the_report_unchanged(tmp_path, capsys):
+    # noise.levels only bounds a study's lattice: 12 and the reference level
+    # 5 draw the same lattice, and only the wider bound is recorded
+    reports, summaries = [], []
+    for bound in (12, 5):
+        out = tmp_path / f"levels{bound}"
+        doc = temporal_study_doc(str(out))
+        doc["noise"]["levels"] = bound
+        assert run(["temporal-study", "--config", write_doc(tmp_path, doc), "--deterministic"]) == EXIT_OK
+        reports.append((out / "report.csv").read_bytes())
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert summaries[0]["lattice_levels"] == 5 and "lattice_levels" not in summaries[1]
+    assert summaries[0]["config"]["noise"]["levels"] == 12
+
+
+def test_simulate_writes_trajectories(tmp_path, capsys, monkeypatch):
+    levels, drawn = _record_draws(monkeypatch)
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "temporal", "ladder": [2], "reference_level": 5, "m_paths": 4}, out=str(out))
     cfg = write_doc(tmp_path, doc)
     assert run(["simulate", "--config", cfg, "--paths", "2"]) == EXIT_OK
     capsys.readouterr()
+    # simulate runs at noise.levels, whatever level the study section reads
+    assert levels == {6}
+    assert sum(drawn) == 2 * 8 * 2**6
     assert (out / "trajectory_0.csv").exists()
     assert (out / "trajectory_1.csv").exists()
-    header = (out / "trajectory_0.csv").read_text().splitlines()[0]
-    assert header.startswith("t,mode_1")
+    lines = (out / "trajectory_0.csv").read_text().splitlines()
+    assert lines[0].startswith("t,mode_1")
+    assert len(lines) == 1 + 2**6 + 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["paths"] == 2
 
@@ -762,9 +836,11 @@ def test_paths_override_passes_the_size_field_rule(tmp_path, capsys, command, st
 
 
 def test_paths_override_replaces_the_field_before_its_check(tmp_path, capsys):
+    # m_paths 1 alone is refused; the override's 4 paths run the study.  The
+    # verdict of 4 paths is noise, so only completion is asserted
     out = tmp_path / "o"
     cfg = write_doc(tmp_path, temporal_study_doc(str(out), m_paths=1))
-    assert run(["temporal-study", "--config", cfg, "--paths", "4", "--deterministic"]) == EXIT_OK
+    assert run(["temporal-study", "--config", cfg, "--paths", "4", "--deterministic"]) in (EXIT_OK, EXIT_ACCEPTANCE)
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
     assert [row["m_paths"] for row in summary["rows"]] == [4, 4]

@@ -12,6 +12,11 @@ when a comparison of no coordinates got its own wording, its decay rows
 when the decay check began to draw weight normals only on the checked modes,
 and its `config.study` lost `t`, `dims`, `picard_dims`, `lam_sweep` and
 `theta` when the suite's shape became module constants and theta alpha.
+The temporal-study and increment-study entries were re-recorded when a
+study's lattice came to be drawn at the finest level the study reads (5 and
+4 here, not noise.levels 6): their noise, rows and verdicts changed, and
+their summaries gained `lattice_levels`.  The temporal study's exit went
+from 0 to 1 (`err2_strictly_decreasing` fails at 4 paths).
 """
 
 import json

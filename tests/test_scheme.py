@@ -359,7 +359,7 @@ def test_simulation_error_on_overflow():
 
 def test_simulation_error_names_global_step_path_and_mode():
     # mode 2 grows by about 1.5e305 a step from 1.3e308 and overflows at
-    # step 340, in the second noise window of a 1024-step grid; mode 1 stays 0
+    # step 340, in the sixth 64-row noise window of a 1024-step grid; mode 1 stays 0
     op = SpectralOperator(np.array([1e-30, 1e-30]))
     hot = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=1.5e293)
     cfg = SchemeConfig(op, hot, InitialData("explicit", coeffs=(0.0, 1.3e308)), 1.0, 10, 2)
