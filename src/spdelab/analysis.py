@@ -257,6 +257,15 @@ def _chunked(m_paths: int, chunk_size: int) -> list[list[int]]:
     return [ids[i : i + chunk_size] for i in range(0, m_paths, chunk_size)]
 
 
+def _sorted_ladder(ladder, bound: int, below: str) -> list[int]:
+    # a rate is fitted through the rungs, and a repeated rung would be one
+    # point simulated and reported twice; refused before any chunk runs
+    ladder = sorted(ladder)
+    if len(ladder) < 2 or len(set(ladder)) < len(ladder) or ladder[-1] >= bound:
+        raise ValueError(f"need at least two ladder rungs, distinct and all below {below}")
+    return ladder
+
+
 def _run_chunks(worker, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
@@ -348,9 +357,7 @@ def temporal_study(
     r2_at_least_min flag (R^2 >= R2_MIN) is set only on ladders of at least
     R2_MIN_POINTS rungs.
     """
-    ladder = sorted(ladder)
-    if len(set(ladder)) < 2 or ladder[-1] >= reference_level:
-        raise ValueError("need at least two ladder levels, distinct and all coarser than the reference")
+    ladder = _sorted_ladder(ladder, reference_level, "the reference level")
     nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
@@ -387,9 +394,7 @@ def spatial_study(
     The config fields `ladder` (mode counts), `reference_modes`, `level` and
     `m_paths` are keywords here; alpha is the noise regularity, as in
     `temporal_study`."""
-    ladder = sorted(ladder)
-    if len(ladder) < 2 or ladder[-1] >= reference_modes:
-        raise ValueError("need at least two ladder mode counts, all below the reference's")
+    ladder = _sorted_ladder(ladder, reference_modes, "the reference mode count")
     nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
     configs = [replace(ref_cfg, n_dim=n) for n in ladder]
@@ -532,9 +537,7 @@ def increment_statistic(
 
     The report carries ``slope_stderr`` and ``slope_threshold``.
     """
-    ladder = sorted(ladder)
-    if len(set(ladder)) < 2 or ladder[-1] >= lattice.levels:
-        raise ValueError("need at least two ladder levels, distinct and all coarser than the lattice")
+    ladder = _sorted_ladder(ladder, lattice.levels, "the lattice levels")
     _check_sample_fractions(sample_fractions, ladder[-1], lattice.levels)
     configs = [SchemeConfig(operator, drift_spec, initial, lattice.horizon, lev, n_modes) for lev in ladder]
     stops = [_substep_offsets(lattice, lev, sample_fractions) for lev in ladder]

@@ -15,10 +15,11 @@ keywords of its function, which is looked up by its module-level name at
 each call, so a tracer that rebinds it here sees every run.  noise.levels
 is `simulate`'s level and only bounds a study's lattice, drawn at the level
 the study reads; it stays required while the benchmark's configs carry it.
-Exit codes: 0 all pass flags true, 1 a study gate failed, 2 invalid config,
-3 hypothesis violated (stderr `hypothesis violated [<row name>]: <row
-value>`, the first row of the hypothesis table that does not hold),
-4 runtime failure.
+Exit codes: 0 all pass flags true, 1 a study gate failed, 2 every failure
+before the command starts (a bad option, a config that cannot be read,
+decoded, parsed or allocated, a refused output directory), 3 hypothesis
+violated (stderr `hypothesis violated [<row name>]: <row value>`, the first
+row of the hypothesis table that does not hold), 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import (
-    SpectralOperator,
-    check_trace_condition,
-    make_heat_operator,
-    make_power_law_operator,
-)
+from .spectral import SpectralOperator, check_trace_condition, make_heat_operator
 from .drift import HolderDriftSpec, verify_mode_holder, verify_time_holder
 from .noise import _MASK64, NoiseLattice
 from .scheme import (
@@ -220,7 +216,7 @@ def _build_operator(section: _Section) -> SpectralOperator:
         return make_heat_operator(_int_field(section, "n_max", 1))
     if kind == "power_law":
         power = _float_field(section, "power")
-        return make_power_law_operator(_int_field(section, "n_max", 1), power)
+        return SpectralOperator(_int_field(section, "n_max", 1), power)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -331,6 +327,8 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # numpy cannot allocate, say, an operator's ladder
+        raise ConfigError(f"config needs more memory than there is: {exc}") from exc
     if repeated != (drift.beta, drift.epsilon):
         raise ConfigError("rate_params must repeat the drift's beta and epsilon")
     doc = {name: section.record for name, section in sections.items()}
@@ -369,8 +367,10 @@ def load_config(path, kind=None, seed=None, paths=None, out=None) -> StudyConfig
         )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json recurses once per nesting level
+        raise ConfigError(f"config nests too deeply: {exc}") from exc
     return parse_config(doc, kind, seed, paths, out)
 
 
@@ -422,11 +422,14 @@ def _plot(*lines: str) -> str:
 def _check_output_dir(directory: str) -> None:
     """Refuse an output directory that is, or lies under, an existing non-directory."""
     path = Path(directory)
-    for part in (path, *path.parents):
-        if part.exists():
-            if not part.is_dir():
-                raise ConfigError(f"output.directory {directory!r}: {part} exists and is not a directory")
-            return
+    try:
+        for part in (path, *path.parents):
+            if part.exists():
+                if not part.is_dir():
+                    raise ConfigError(f"output.directory {directory!r}: {part} exists and is not a directory")
+                return
+    except OSError as exc:  # a name too long, say
+        raise ConfigError(f"output.directory {directory!r}: {exc}") from exc
 
 
 def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = None) -> Path:

@@ -95,22 +95,19 @@ class InitialData:
         return out
 
 
-def initial_domain_check(initial: InitialData, op: SpectralOperator) -> tuple[bool | None, str]:
+def initial_domain_check(initial: InitialData, op: SpectralOperator) -> tuple[bool, str]:
     """Whether the initial datum lies in the domain of the generator.
 
     Membership needs sum lam_i**2 x_i**2 < infinity over the full ladder.
-    For a power-law spectrum and power-decay data the series exponent is
-    2*power - 2*q, so the verdict is analytic; explicit data are finite-mode
-    and always belong; anything else is undetermined beyond the truncation.
+    Explicit data are finite-mode and always belong; for power-decay data
+    the series exponent is 2*power - 2*q, so the verdict is analytic.
     """
     if initial.profile == "explicit":
         return True, "finite mode expansion, trivially in the domain"
-    if op.power is not None:
-        exponent = 2.0 * op.power - 2.0 * initial.q
-        if exponent < -1.0:
-            return True, f"series exponent {exponent:g} < -1, sum lam_i^2 x_i^2 converges"
-        return False, f"series exponent {exponent:g} >= -1, sum lam_i^2 x_i^2 diverges"
-    return None, "explicit spectrum: domain membership undetermined beyond truncation"
+    exponent = 2.0 * op.power - 2.0 * initial.q
+    if exponent < -1.0:
+        return True, f"series exponent {exponent:g} < -1, sum lam_i^2 x_i^2 converges"
+    return False, f"series exponent {exponent:g} >= -1, sum lam_i^2 x_i^2 diverges"
 
 
 @dataclass(frozen=True)

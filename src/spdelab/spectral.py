@@ -1,16 +1,16 @@
-"""Diagonal calculus for a positive self-adjoint operator with a known spectrum.
+"""Diagonal calculus for the power-law operator of the rate theorem.
 
-Everything downstream works in the eigenbasis of the (negated) generator, so
-the operator is represented by its eigenvalue ladder alone and the basis is
-never materialized.  A ladder that is exactly i**power also carries
-``power``; a set power is the only mark of a power law, and the trace and
-domain checks read it for their analytic tail verdicts.
+Everything downstream works in the eigenbasis of the (negated) generator,
+and the theorem reads the operator only through its eigenvalues, so the
+operator is the ladder i**power, i = 1..n_max, and the basis is never
+materialized; the heat case is power 2.  Its tail is known in closed form,
+so the trace and domain verdicts are always analytic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "SpectralOperator",
     "TraceReport",
     "make_heat_operator",
-    "make_power_law_operator",
     "check_trace_condition",
     "decay_factor",
     "convolution_variance",
@@ -50,62 +49,45 @@ class ModeVector:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Eigenvalue ladder of the negated generator; ascending and positive.
+    """Eigenvalue ladder i**power, i = 1..n_max, of the negated generator.
 
-    ``power`` is set exactly when eigenvalue i equals i**power (the heat
-    case is power 2); None marks an explicit ladder.  Tail bounds in the
-    trace check are only available for power-law ladders.
+    ``eigenvalues`` is computed once and not to be written to: it stays out
+    of the comparison and the hash, which read (n_max, power) alone.
     """
 
-    eigenvalues: np.ndarray
-    power: float | None = None
+    n_max: int
+    power: float
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("eigenvalue ladder must be a nonempty 1-d array")
-        if not np.all(np.isfinite(lam)) or lam[0] <= 0.0:
-            raise ValueError("eigenvalues must be finite and strictly positive")
-        if np.any(np.diff(lam) < 0.0):
-            raise ValueError("eigenvalues must be ascending")
-        if self.power is not None:
-            if self.power <= 0.0:
-                raise ValueError("power_law spectrum needs a positive exponent")
-            idx = np.arange(1, lam.size + 1, dtype=float)
-            if not np.array_equal(lam, idx**self.power):
-                raise ValueError("power_law eigenvalues must equal i**power exactly")
-        object.__setattr__(self, "eigenvalues", lam.copy())
-
-    @property
-    def n_max(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def make_power_law_operator(n_max: int, power: float) -> SpectralOperator:
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    lam = np.arange(1, n_max + 1, dtype=float) ** power
-    return SpectralOperator(lam, power=power)
+        if self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        if not 0.0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
+        with np.errstate(over="ignore"):
+            lam = np.arange(1, self.n_max + 1, dtype=float) ** self.power
+        if not math.isfinite(lam[-1]):
+            raise ValueError(f"eigenvalue {self.n_max}**{self.power:g} overflows")
+        object.__setattr__(self, "eigenvalues", lam)
 
 
 def make_heat_operator(n_max: int) -> SpectralOperator:
     """Dirichlet-interval heat ladder: eigenvalue i is i**2."""
-    return make_power_law_operator(n_max, 2.0)
+    return SpectralOperator(n_max, 2.0)
 
 
 @dataclass(frozen=True)
 class TraceReport:
     """Result of the noise trace check: sum over modes of lambda_i**-(1-alpha).
 
-    ``converges`` is None when the spectrum is explicit and nothing can be
-    said beyond the stored truncation (tail_bound is then infinite).
+    The series is sum i**-exponent; tail_bound is infinite when it diverges.
     """
 
     alpha: float
     exponent: float
     partial_sum: float
     tail_bound: float
-    converges: bool | None
+    converges: bool
 
 
 def check_trace_condition(op: SpectralOperator, alpha: float) -> TraceReport:
@@ -113,14 +95,12 @@ def check_trace_condition(op: SpectralOperator, alpha: float) -> TraceReport:
         raise ValueError("alpha must lie in (0, 1)")
     s = 1.0 - alpha
     partial = float(np.sum(op.eigenvalues**-s))
-    if op.power is not None:
-        exponent = op.power * s
-        if exponent > 1.0:
-            # integral test: sum_{i>n} i^-e <= n^(1-e)/(e-1)
-            tail = op.n_max ** (1.0 - exponent) / (exponent - 1.0)
-            return TraceReport(alpha, exponent, partial, tail, True)
-        return TraceReport(alpha, exponent, partial, math.inf, False)
-    return TraceReport(alpha, s, partial, math.inf, None)
+    exponent = op.power * s
+    if exponent > 1.0:
+        # integral test: sum_{i>n} i^-e <= n^(1-e)/(e-1)
+        tail = op.n_max ** (1.0 - exponent) / (exponent - 1.0)
+        return TraceReport(alpha, exponent, partial, tail, True)
+    return TraceReport(alpha, exponent, partial, math.inf, False)
 
 
 def decay_factor(lam, t):

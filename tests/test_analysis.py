@@ -254,14 +254,22 @@ def test_ratio_one_pass_keeps_the_carried_state():
         (increment_statistic, ([3], 4, 4, 0.45, (0.5,))),
         (temporal_study, ([3, 3], 5, 4, 4, ALPHA)),
         (increment_statistic, ([3, 3], 4, 4, 0.45, (0.5,))),
+        (temporal_study, ([3, 3, 4], 5, 4, 4, ALPHA)),
+        (spatial_study, ([2, 2, 3], 4, 3, 4, ALPHA)),
+        (increment_statistic, ([2, 3, 3], 4, 4, 0.45, (0.5,))),
     ],
-    ids=["temporal", "spatial", "increment", "temporal-repeated", "increment-repeated"],
+    ids=[
+        "temporal", "spatial", "increment", "temporal-repeated", "increment-repeated",
+        "temporal-repeated-rung", "spatial-repeated-rung", "increment-repeated-rung",
+    ],
 )
 def test_one_rung_ladder_is_refused_before_simulating(monkeypatch, study, args):
     # a rate is fitted through the rungs, so one rung, or one level given
-    # twice, used to fail in the fit, after every path had been simulated
+    # twice, used to fail in the fit, after every path had been simulated;
+    # a rung repeated beside two distinct ones was simulated and reported
+    # twice, so the decrease gate saw a zero gap and the fit a phantom point
     def no_run(*_):
-        raise AssertionError("a ladder of one distinct rung was simulated")
+        raise AssertionError("a ladder with a repeated or lone rung was simulated")
 
     monkeypatch.setattr(analysis, "_run_chunks", no_run)
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=5, n_modes=4)
@@ -415,7 +423,8 @@ def test_spatial_ladder_with_tied_eigenvalues_is_refused_before_simulating(monke
         raise AssertionError("the ladder was simulated")
 
     monkeypatch.setattr(analysis, "_run_chunks", no_run)
-    op = SpectralOperator(np.array([1.0, 1.0, 4.0, 4.0]))
+    # i**1e-20 rounds to 1.0 for every i, so all four rungs tie
+    op = SpectralOperator(4, 1e-20)
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=3, n_modes=4)
     with pytest.raises(ValueError, match="largest retained eigenvalues"):
         spatial_study(op, DRIFT, INITIAL, lat, [1, 2], 4, 3, 4, ALPHA)

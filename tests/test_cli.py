@@ -108,8 +108,8 @@ def test_parse_rejections(tmp_path):
     bad_noise["noise"] = {"seed": 7, "levels": 31, "n_modes": 8}
     with pytest.raises(ConfigError, match="levels"):
         parse_config(bad_noise)
-    # an explicit spectrum's trace condition is undetermined, so no command
-    # could run on one; the kind is gone
+    # the operator is the power law i**power; an explicit eigenvalue list is
+    # no kind, as its trace condition could not be decided beyond its length
     explicit = {"kind": "explicit", "eigenvalues": [float(i * i) for i in range(1, 9)]}
     for operator in ({"kind": "laplace", "n_max": 4}, explicit):
         with pytest.raises(ConfigError, match="unknown operator kind"):
@@ -726,6 +726,55 @@ def test_output_directory_over_a_file_is_refused_before_running(tmp_path, capsys
     # hypotheses writes nothing, so it does not look at the directory
     assert run(["hypotheses", "--config", cfg, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "config is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 10_000, "config nests too deeply"),
+    ],
+    ids=["not-utf8", "too-deep"],
+)
+def test_undecodable_config_is_a_config_error(tmp_path, capsys, content, message):
+    # both used to escape load_config with a traceback and exit 1, the code
+    # of a failed study gate
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run(["hypotheses", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_operator_too_large_to_allocate_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an n_max of 10**13 needs a 73 TiB ladder; numpy's MemoryError used to
+    # escape parse_config.  The constructor is patched, as a real request
+    # that large may be overcommitted on some hosts
+    def no_memory(*_):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+    monkeypatch.setattr(cli, "SpectralOperator", no_memory)
+    doc = temporal_study_doc(str(tmp_path / "o"))
+    doc["operator"] = {"kind": "power_law", "n_max": 10**13, "power": 2.0}
+    assert run(["hypotheses", "--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: config needs more memory than there is: "
+        "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"
+    )
+
+
+def test_overflowing_power_law_is_a_config_error(tmp_path, capsys):
+    doc = temporal_study_doc(str(tmp_path / "o"))
+    doc["operator"] = {"kind": "power_law", "n_max": 8, "power": 400}
+    assert run(["hypotheses", "--config", write_doc(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: eigenvalue 8**400 overflows\n"
+
+
+def test_output_directory_name_too_long_is_a_config_error(tmp_path, capsys):
+    # the existence check raised OSError (ENAMETOOLONG) before any study ran
+    out = tmp_path / ("a" * 300) / "o"
+    cfg = write_doc(tmp_path, temporal_study_doc("out"))
+    assert run(["temporal-study", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: output.directory {str(out)!r}: ")
 
 
 def _kolmogorov_doc(out, **study):

@@ -8,13 +8,15 @@ benchmark's tracer (bench/tracer.py) wraps the module bindings below and
 silently records no span for one that is gone.  The benchmark's pinned
 configs (bench/workloads.py) must parse and satisfy every hypothesis.  And
 the public surface is no larger than its callers: each exported name is
-used by the package itself or by the benchmark.
+used by the package itself or by the benchmark.  The package imports only
+the standard library and the dependencies pyproject.toml declares.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -173,3 +175,22 @@ def test_benchmark_configs_parse_and_hold(name):
             "initial_state_in_domain",
         )
     ]
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    # a module installed here but not declared (scipy, say) would pass every
+    # local test and fail on a clean install; imports inside functions count
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep)[0].lower() for dep in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    # the pool's imports sit inside analysis._run_chunks
+    assert {("analysis.py", "concurrent"), ("analysis.py", "numpy")} <= imported
+    assert "numpy" in declared
+    assert sorted(pair for pair in imported if pair[1] not in sys.stdlib_module_names | declared) == []

@@ -16,7 +16,7 @@ from spdelab.noise import (
     ou_joint_modes_batch,
     ou_transition_sample,
 )
-from spdelab.spectral import SpectralOperator, convolution_variance, decay_factor, make_heat_operator
+from spdelab.spectral import convolution_variance, decay_factor, make_heat_operator
 
 from oracles import coarse_increment, increment
 
@@ -275,11 +275,11 @@ def test_joint_second_moments():
 
 
 def test_joint_small_lambda_limit():
-    op = SpectralOperator(np.array([1e-10]))
-    t = 1.0
-    assert convolution_variance(1e-10, t) == pytest.approx(t, rel=1e-9)
-    assert ou_cross_covariance(1e-10, t) == pytest.approx(t, rel=1e-9)
-    states, weights = ou_joint_modes_batch(op, np.zeros(1), t, np.random.default_rng(2), 50_000)
+    assert convolution_variance(1e-10, 1.0) == pytest.approx(1.0, rel=1e-9)
+    assert ou_cross_covariance(1e-10, 1.0) == pytest.approx(1.0, rel=1e-9)
+    # lam*t = 1e-6 on the heat ladder's first mode takes the residual's series branch
+    t = 1e-6
+    states, weights = ou_joint_modes_batch(make_heat_operator(1), np.zeros(1), t, np.random.default_rng(2), 50_000)
     assert np.all(np.isfinite(weights))
     assert abs(weights[:, 0].var() - t) <= 4.0 * t * math.sqrt(2.0 / 50_000)
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,10 +68,6 @@ def test_initial_domain_check(heat16):
     assert edge is False
     exp_ok, _ = initial_domain_check(InitialData(profile="explicit", coeffs=(1.0,)), heat16)
     assert exp_ok is True
-    none_case, _ = initial_domain_check(
-        InitialData(profile="power_decay", q=3.0), SpectralOperator(np.array([1.0, 2.0]))
-    )
-    assert none_case is None
 
 
 def test_scheme_config_properties():
@@ -347,6 +344,22 @@ def test_coupled_validation():
         simulate_path(make_config(level=3, n_dim=5, n_op=5), lat, 0)
 
 
+def test_operators_and_configs_compare_and_hash_by_value():
+    # an operator is its (n_max, power); the ladder it computes stays out of
+    # the comparison, so equal parts give equal, equally hashed configs
+    heat = make_heat_operator(8)
+    assert heat == SpectralOperator(8, 2.0) and hash(heat) == hash(SpectralOperator(8, 2.0))
+    assert heat != SpectralOperator(8, 2.5) and heat != make_heat_operator(9)
+    cfg, twin = make_config(level=3, n_dim=4, n_op=8), make_config(level=3, n_dim=4, n_op=8)
+    assert cfg is not twin and cfg == twin and hash(cfg) == hash(twin)
+    assert cfg != make_config(level=4, n_dim=4, n_op=8)
+    # the process pool sends configs to its workers pickled
+    back_heat, back_cfg = pickle.loads(pickle.dumps((heat, cfg)))
+    assert back_heat == heat and hash(back_heat) == hash(heat)
+    assert back_cfg == cfg and hash(back_cfg) == hash(cfg)
+    assert np.array_equal(back_cfg.operator.eigenvalues, heat.eigenvalues)
+
+
 def test_simulation_error_on_overflow():
     hot = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=1.6e308)
     cfg = make_config(
@@ -358,10 +371,12 @@ def test_simulation_error_on_overflow():
 
 
 def test_simulation_error_names_global_step_path_and_mode():
-    # mode 2 grows by about 1.5e305 a step from 1.3e308 and overflows at
-    # step 340, in the sixth 64-row noise window of a 1024-step grid; mode 1 stays 0
-    op = SpectralOperator(np.array([1e-30, 1e-30]))
-    hot = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=1.5e293)
+    # 1**1e-20 and 2**1e-20 round to 1.0, so the drift weights are 1 and the
+    # decay is exp(-delta); mode 2 grows by about 1.4e305 a step from 1.3e308
+    # and overflows at step 390, in the seventh 64-row noise window of a
+    # 1024-step grid; mode 1 stays 0
+    op = SpectralOperator(2, 1e-20)
+    hot = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=8.2e30, cap=1e300)
     cfg = SchemeConfig(op, hot, InitialData("explicit", coeffs=(0.0, 1.3e308)), 1.0, 10, 2)
     y, step = ModeVector(cfg.initial_coefficients()), 0
     with np.errstate(over="ignore"):
