@@ -1,6 +1,7 @@
 """Tests for the Kolmogorov-side estimators: semigroup means, gradients,
 Picard iterates, and the bundled diagnostic suite."""
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -782,3 +783,48 @@ def test_kolmogorov_suite_golden():
     result = kolmogorov_suite(make_heat_operator(64), DRIFT, 0.45, m_samples=2000, decay_modes=(1, 4, 16, 64))
     assert result["decay_csv"] == GOLDEN_DECAY_CSV
     assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_DETAILS
+
+
+# recorded for the other two drift kinds before states became plain arrays;
+# the point checks read no drift, so only the decay rows and the last four
+# details differ from the diagonal drift's
+GOLDEN_KIND_DECAY_CSV = {
+    "rank_one": (
+        "i,estimate,stderr,bound_ratio\n"
+        "1,0.44727665617322676,0.017207081291997356,0.059294114302478024\n"
+        "4,0.010877307085873188,0.006028915111648397,0.004585816967003215\n"
+        "16,0.0001978158358494381,0.0014662981858297637,0.0003335925549129487\n"
+        "64,7.890796193211723e-05,0.00036628485089370573,0.0005322750529223307\n"
+    ),
+    "smooth_baseline": (
+        "i,estimate,stderr,bound_ratio\n"
+        "1,0.39352690024841075,0.015102382841171446,0.19387711588339057\n"
+        "4,0.008262692416294964,0.004943216683154529,0.012945942849337843\n"
+        "16,0.0002759104682661421,0.001183042671723469,0.001729180161991699\n"
+        "64,9.495050806463885e-05,0.0002964678653321006,0.0023802871409436\n"
+    ),
+}
+GOLDEN_KIND_DETAILS = {
+    "rank_one": GOLDEN_DETAILS[:3] + [
+        ("gradient_decay_bounded", "max bound ratio 0.0593 over modes (1, 4, 16, 64)", True),
+        ("picard_terminal_zero", "value at t = horizon", True),
+        ("picard_norm_bound", "norms 0.4251 <= 1.159, 0.09985 <= 0.1833, 0.0002799 <= 0.01833", True),
+        ("picard_smallness_trend", "norms along the sweep: 0.4251, 0.09985, 0.0002799", True),
+        ("summability_non_exploding", "partial sum growth ratio 1.0024 at theta = 0.45", True),
+    ],
+    "smooth_baseline": GOLDEN_DETAILS[:3] + [
+        ("gradient_decay_bounded", "max bound ratio 0.1939 over modes (1, 4, 16, 64)", True),
+        ("picard_terminal_zero", "value at t = horizon", True),
+        ("picard_norm_bound", "norms 0.3029 <= 0.7375, 0.06524 <= 0.1167, 0.0001782 <= 0.01167", True),
+        ("picard_smallness_trend", "norms along the sweep: 0.3029, 0.06524, 0.0001782", True),
+        ("summability_non_exploding", "partial sum growth ratio 1.0014 at theta = 0.45", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_KIND_DECAY_CSV))
+def test_kolmogorov_suite_golden_per_drift_kind(kind):
+    spec = dataclasses.replace(DRIFT, kind=kind)
+    result = kolmogorov_suite(make_heat_operator(64), spec, 0.45, m_samples=2000, decay_modes=(1, 4, 16, 64))
+    assert result["decay_csv"] == GOLDEN_KIND_DECAY_CSV[kind]
+    assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_KIND_DETAILS[kind]
