@@ -33,10 +33,13 @@ flight.  The samplers and the observables still run on the calling thread,
 and the executor is shut down before the estimator returns or raises.
 Picard's few draws stay in line.
 
-A test observable is a `TestFunction`: a function of a batch of states
-alone, paired with its sup-norm bound (None when unbounded); the drift
-observable reads the eigenvalues from its operator.  The samplers take the
-operator itself and read as many modes as the state has.
+A state is a 1-D float array of coefficients in the eigenbasis, as in the
+scheme and noise layers, and its H-norm is the euclidean norm, summed
+exactly by `_norm`.  A test observable is a plain function that maps a batch
+of states, mode axis last, to an array of the same shape; the drift
+observable (`drift_test_function`) reads the eigenvalues from its operator,
+and the one check that needs a sup-norm bound takes it as an argument.  The
+samplers take the operator itself and read as many modes as the state has.
 The quadrature and gate settings that no caller varies are the module
 constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
 `PICARD_SAMPLES`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
@@ -50,18 +53,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .spectral import ModeVector, SpectralOperator, decay_factor
+from .spectral import SpectralOperator, decay_factor
 from .drift import HolderDriftSpec, drift_array, drift_bound
 from .noise import _mode_eigenvalues, ou_joint_modes_batch, ou_transition_sample
 
 __all__ = [
-    "TestFunction",
-    "coordinate_function",
-    "bounded_smooth_function",
     "drift_test_function",
     "ou_semigroup_estimate",
     "bismut_gradient",
@@ -89,69 +89,21 @@ PICARD_DIMS = 3  # modes of the suite's Picard checks, at most the operator's
 LAM_SWEEP = (1.0, 10.0, 100.0)  # the suite's Picard lam values, ascending
 
 
-class TestFunction(NamedTuple):
-    """Vector-valued test observable on the mode space.
-
-    ``evaluate(states)`` maps a batch of states with trailing mode axis to
-    an array of the same shape; ``bound`` is its sup norm, or None for an
-    unbounded observable, which the bound-dependent checks refuse.
-    """
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    bound: float | None
-
-    __test__ = False  # keep pytest from collecting this as a test case
-
-
-def _unit(direction) -> np.ndarray:
-    u = np.asarray(direction, dtype=float)
-    size = float(np.linalg.norm(u))
-    if size == 0.0:
-        raise ValueError("output direction must be nonzero")
-    return u / size
-
-
-def _check_size(vector: np.ndarray, n: int, what: str) -> None:
-    if vector.shape != (n,):
-        raise ValueError(f"{what} does not match the mode count")
-
-
-def coordinate_function(index: int, out_direction) -> TestFunction:
-    """Mode ``index`` (1-based) sent along a unit output direction; unbounded."""
-    if index < 1:
-        raise ValueError("coordinate index must be at least 1")
-    u = _unit(out_direction)
-
-    def evaluate(states):
-        _check_size(u, states.shape[-1], "output direction")
-        if index > states.shape[-1]:
-            raise ValueError("coordinate index beyond the mode count")
-        return states[..., index - 1, None] * u
-
-    return TestFunction(evaluate, None)
-
-
-def bounded_smooth_function(weights, out_direction) -> TestFunction:
-    """tanh of a linear form times a unit output direction."""
-    w, u = np.array(weights, dtype=float), _unit(out_direction)
-
-    def evaluate(states):
-        _check_size(u, states.shape[-1], "output direction")
-        _check_size(w, states.shape[-1], "weights")
-        return np.tanh(states @ w)[..., None] * u
-
-    # |tanh| < 1 and the direction is normalized, so the sup norm is 1
-    return TestFunction(evaluate, 1.0)
-
-
-def drift_test_function(spec: HolderDriftSpec, op: SpectralOperator, n_dim: int, time: float) -> TestFunction:
-    """The drift frozen at ``time``, bounded by its sup over the first n_dim modes."""
+def drift_test_function(spec: HolderDriftSpec, op: SpectralOperator, time: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The drift frozen at ``time`` as an observable: a batch of n-mode states reads the operator's
+    first n eigenvalues.  Its sup norm over those modes is `_drift_sup`'s."""
 
     def evaluate(states):
         # looked up at each call, so a wrapped module binding sees it
         return drift_array(spec, op.eigenvalues[: states.shape[-1]], time, states)
 
-    return TestFunction(evaluate, _drift_sup(spec, op, n_dim))
+    return evaluate
+
+
+def _norm(v: np.ndarray) -> float:
+    """H-norm of a state: the euclidean norm of its coefficients."""
+    # fsum keeps the squared sum exact, so zero padding cannot change it
+    return math.sqrt(math.fsum(float(c) * float(c) for c in v))
 
 
 def _drift_sup(spec: HolderDriftSpec, op: SpectralOperator, n: int) -> float:
@@ -265,11 +217,11 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
 
 def _evaluate_all(fs, states) -> np.ndarray:
     """The (k, rows, n) values of the k observables fs on states; one observable's is a view, not a copy."""
-    return fs[0].evaluate(states)[None] if len(fs) == 1 else np.stack([f.evaluate(states) for f in fs])
+    return fs[0](states)[None] if len(fs) == 1 else np.stack([f(states) for f in fs])
 
 
 def ou_semigroup_estimate(
-    op: SpectralOperator, fs, t: float, x: ModeVector, m_samples: int, seed: int = 0
+    op: SpectralOperator, fs, t: float, x: np.ndarray, m_samples: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain Monte Carlo for the driftless semigroup applied to the k observables fs at x: their
     (k, n) means and standard errors over one exact time-t transition draw per sample."""
@@ -277,13 +229,13 @@ def ou_semigroup_estimate(
         raise ValueError("t must be positive")
 
     def values(rng, rows):
-        return _evaluate_all(fs, ou_transition_sample(op, x.coeffs, t, rng, rows))
+        return _evaluate_all(fs, ou_transition_sample(op, x, t, rng, rows))
 
     return _stream_mean_stderr(m_samples, len(x), seed, values)
 
 
 def bismut_gradient(
-    op: SpectralOperator, fs, t: float, x: ModeVector, directions: np.ndarray, m_samples: int, seed: int = 0
+    op: SpectralOperator, fs, t: float, x: np.ndarray, directions: np.ndarray, m_samples: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Semigroup gradients of the j observables fs along the k rows of the (k, n) directions: (j*k, n)
     means and standard errors, row j*k + i for fs[j] and directions[i].
@@ -299,7 +251,7 @@ def bismut_gradient(
     support = np.flatnonzero(np.any(directions != 0.0, axis=0))
 
     def products(rng, rows):
-        states, weights = ou_joint_modes_batch(op, x.coeffs, t, rng, rows, support)
+        states, weights = ou_joint_modes_batch(op, x, t, rng, rows, support)
         pulls = (directions[:, support] @ weights.T) / t
         values = _evaluate_all(fs, states)
         del states, weights  # the joint draw, freed before the (j, k, rows, n) products
@@ -308,14 +260,14 @@ def bismut_gradient(
     return _stream_mean_stderr(m_samples, len(x), seed, products)
 
 
-def _difference_quotient(op, f, t, x, eta) -> TestFunction:
+def _difference_quotient(op, f, t, x, eta) -> Callable[[np.ndarray], np.ndarray]:
     """Central difference quotient of f along eta, step FD_STEP, as an observable of the transition
     from x: the transition from x + c*eta is the one from x shifted, so both endpoints share their
     draws and the quotient stays finite-variance as the step shrinks."""
     if len(eta) != len(x):
         raise ValueError("direction and state must have the same mode count")
-    dz = decay_factor(op.eigenvalues[: len(x)], t) * (FD_STEP * eta.coeffs)  # shift of the transition
-    return TestFunction(lambda z: (f.evaluate(z + dz) - f.evaluate(z - dz)) / (2.0 * FD_STEP), None)
+    dz = decay_factor(op.eigenvalues[: len(x)], t) * (FD_STEP * eta)  # shift of the transition
+    return lambda z: (f(z + dz) - f(z - dz)) / (2.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -346,24 +298,24 @@ class GradientDecayReport:
 
 def gradient_decay_check(
     op: SpectralOperator,
-    f: TestFunction,
+    f: Callable[[np.ndarray], np.ndarray],
+    sup_bound: float,
     t: float,
-    x: ModeVector,
+    x: np.ndarray,
     modes,
     m_samples: int,
     seed: int = 0,
 ) -> GradientDecayReport:
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
-    The report is bounded when no mode's size exceeds that bound by more
+    sup_bound is the sup norm of the observable f, which the caller knows
+    (for the drift, `_drift_sup`).  The report is bounded when no mode's size exceeds that bound by more
     than three standard errors.  One `bismut_gradient` pass along the unit
     vectors of the checked modes serves every mode: one joint draw, with
     weights on those modes only, and one evaluation of f per sample.  Every
     mode shares the draws from default_rng(seed), so the decay trend is not
     blurred by independent noise.
     """
-    if f.bound is None:
-        raise ValueError("gradient decay check needs an observable with a declared bound")
     modes = list(modes)
     if not modes:
         raise ValueError("gradient decay check needs at least one mode")
@@ -373,17 +325,17 @@ def gradient_decay_check(
     rows = []
     bounded = True
     for k, i in enumerate(modes):
-        size = ModeVector(mean[k]).norm()
+        size = _norm(mean[k])
         se_size = float(np.linalg.norm(se[k]))
         lam_i = float(op.eigenvalues[i - 1])
-        theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
+        theory = sup_bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         # a zero drift has a zero bound and a zero estimate, which sit at ratio 0
         ratio = size / theory if size else 0.0
         rows.append(GradientDecayRow(mode=int(i), estimate=size, stderr=se_size, bound_ratio=ratio))
         if size > theory + 3.0 * se_size:
             bounded = False
     max_ratio = max(row.bound_ratio for row in rows)
-    return GradientDecayReport(t=t, sup_bound=f.bound, rows=rows, max_ratio=max_ratio, bounded=bounded)
+    return GradientDecayReport(t=t, sup_bound=sup_bound, rows=rows, max_ratio=max_ratio, bounded=bounded)
 
 
 def picard_u_lambda(
@@ -391,12 +343,13 @@ def picard_u_lambda(
     op: SpectralOperator,
     spec: HolderDriftSpec,
     t: float,
-    x: ModeVector,
+    x: np.ndarray,
     horizon: float = 1.0,
     seed: int = 0,
-) -> tuple[ModeVector, np.ndarray]:
-    """First Picard iterate of the integral equation at one point of 1 to 4
-    modes, and its per-coordinate standard error.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First Picard iterate of the integral equation at the state x, a 1-D
+    array of 1 to 4 modes: the iterate and its per-coordinate standard
+    error, both arrays of x's shape.
 
     Midpoint rule in time over PICARD_NODES nodes, each of PICARD_SAMPLES
     exact transition draws.  The nodes are independent, so the standard
@@ -412,17 +365,17 @@ def picard_u_lambda(
     acc = np.zeros(len(x))
     var_acc = np.zeros(len(x))
     if t >= horizon:
-        return ModeVector(acc), var_acc
+        return acc, var_acc
     rng = np.random.default_rng(seed)
     ds = (horizon - t) / PICARD_NODES
     for j in range(PICARD_NODES):
         s = t + (j + 0.5) * ds
-        states = ou_transition_sample(op, x.coeffs, s - t, rng, PICARD_SAMPLES)
+        states = ou_transition_sample(op, x, s - t, rng, PICARD_SAMPLES)
         integrand = drift_array(spec, lam_d, s, states)
         weight = math.exp(-lam * (s - t)) * ds
         acc += weight * integrand.mean(axis=0)
         var_acc += weight**2 * integrand.var(axis=0, ddof=1) / PICARD_SAMPLES
-    return ModeVector(acc), np.sqrt(var_acc)
+    return acc, np.sqrt(var_acc)
 
 
 def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> float:
@@ -450,7 +403,7 @@ def gradient_summability_probe(
     spec: HolderDriftSpec,
     lam_picard: float,
     t: float,
-    x: ModeVector,
+    x: np.ndarray,
     theta: float,
     horizon: float = 1.0,
     seed: int = 0,
@@ -478,7 +431,7 @@ def gradient_summability_probe(
             tau = s - t
             node_sum = np.zeros((n, n))
             for rows in _block_rows(SUMMABILITY_SAMPLES, n):
-                states, weights = ou_joint_modes_batch(op, x.coeffs, tau, rng, rows)
+                states, weights = ou_joint_modes_batch(op, x, tau, rng, rows)
                 node_sum += weights.T @ drift_array(spec, lam, s, states)
             grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
     partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
@@ -517,18 +470,23 @@ def kolmogorov_suite(
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     t, dims, picard_dims = SUITE_T, min(SUITE_DIMS, op.n_max), min(PICARD_DIMS, op.n_max)
-    x = ModeVector(1.0 / np.arange(1, dims + 1))
+    x = 1.0 / np.arange(1, dims + 1)
     lam1 = float(op.eigenvalues[0])
+    e1, w = np.eye(dims)[0], np.linspace(1.0, 0.125, dims)
 
-    f_lin = coordinate_function(1, np.eye(dims)[0])
-    f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, dims), np.eye(dims)[0])
-    eta = ModeVector(np.linspace(1.0, 0.25, dims))
+    def f_lin(z):  # mode 1, along mode 1; unbounded
+        return z[..., 0, None] * e1
+
+    def f_smooth(z):  # tanh of a linear form, along mode 1; bounded by 1
+        return np.tanh(z @ w)[..., None] * e1
+
+    eta = np.linspace(1.0, 0.25, dims)
     # two passes over shared draws: one transition pass, one joint pass
     quotient = _difference_quotient(op, f_smooth, t, x, eta)
     (est, fd), (se, _fd_se) = ou_semigroup_estimate(op, [f_lin, quotient], t, x, m_samples, seed)
-    (best, bis), (bse, bis_se) = bismut_gradient(op, [f_lin, f_smooth], t, x, eta.coeffs[None], m_samples, seed)
+    (best, bis), (bse, bis_se) = bismut_gradient(op, [f_lin, f_smooth], t, x, eta[None], m_samples, seed)
 
-    expected = math.exp(-lam1 * t) * x.coeffs[0]
+    expected = math.exp(-lam1 * t) * x[0]
     gap = abs(est[0] - expected)
     record(
         "semigroup_linear_closed_form",
@@ -536,7 +494,7 @@ def kolmogorov_suite(
         f"|{est[0]:.6g} - {expected:.6g}| vs 3*stderr = {3.0 * se[0]:.3g}",
     )
 
-    expected_grad = math.exp(-lam1 * t) * eta.coeffs[0]
+    expected_grad = math.exp(-lam1 * t) * eta[0]
     gap = abs(best[0] - expected_grad)
     record(
         "bismut_linear_closed_form",
@@ -557,24 +515,25 @@ def kolmogorov_suite(
     record("bismut_matches_finite_difference", bool(rel) and max(rel) < 0.05, detail)
 
     n_decay = max(decay_modes)
-    f_drift = drift_test_function(spec, op, n_decay, time=0.25)
-    x_decay = ModeVector(1.0 / np.arange(1, n_decay + 1))
-    decay = gradient_decay_check(op, f_drift, t, x_decay, decay_modes, m_samples, seed=seed)
+    f_drift = drift_test_function(spec, op, time=0.25)
+    x_decay = 1.0 / np.arange(1, n_decay + 1)
+    sup_drift = _drift_sup(spec, op, n_decay)
+    decay = gradient_decay_check(op, f_drift, sup_drift, t, x_decay, decay_modes, m_samples, seed=seed)
     record(
         "gradient_decay_bounded",
         decay.bounded,
         f"max bound ratio {decay.max_ratio:.4f} over modes {decay_modes}",
     )
 
-    x_pic = ModeVector(1.0 / np.arange(1, picard_dims + 1))
+    x_pic = 1.0 / np.arange(1, picard_dims + 1)
     terminal, _ = picard_u_lambda(LAM_SWEEP[0], op, spec, horizon, x_pic, horizon, seed=seed)
-    record("picard_terminal_zero", terminal.norm() == 0.0, "value at t = horizon")
+    record("picard_terminal_zero", _norm(terminal) == 0.0, "value at t = horizon")
 
     sup_b = _drift_sup(spec, op, picard_dims)
     norms, bounds, slacks = [], [], []
     for lam_value in LAM_SWEEP:
         value, value_se = picard_u_lambda(lam_value, op, spec, 0.0, x_pic, horizon, seed=seed)
-        norms.append(value.norm())
+        norms.append(_norm(value))
         bounds.append(picard_norm_bound(sup_b, lam_value, 0.0, horizon))
         slacks.append(float(np.linalg.norm(value_se)))
     within = all(v <= b + 3.0 * slack for v, b, slack in zip(norms, bounds, slacks))

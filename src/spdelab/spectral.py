@@ -4,7 +4,9 @@ Everything downstream works in the eigenbasis of the (negated) generator,
 and the theorem reads the operator only through its eigenvalues, so the
 operator is the ladder i**power, i = 1..n_max, and the basis is never
 materialized; the heat case is power 2.  Its tail is known in closed form,
-so the trace and domain verdicts are always analytic.
+so the trace and domain verdicts are always analytic.  A state is a 1-D
+float array of its coefficients in that basis, a batch of states carries the
+mode axis last, and the H-norm is the euclidean norm of the coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ModeVector",
     "SpectralOperator",
     "TraceReport",
     "make_heat_operator",
@@ -23,28 +24,6 @@ __all__ = [
     "decay_factor",
     "convolution_variance",
 ]
-
-
-@dataclass(frozen=True)
-class ModeVector:
-    """Coefficient vector in the eigenbasis, H-norm = euclidean norm."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("mode coefficients must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("mode coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr.copy())
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-    def norm(self) -> float:
-        # fsum keeps the squared sum exact, so zero padding cannot change it
-        return math.sqrt(math.fsum(float(c) * float(c) for c in self.coeffs))
 
 
 @dataclass(frozen=True)

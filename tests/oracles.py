@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from spdelab.drift import drift_array, drift_bound, mode_holder_constant, time_weight_lipschitz
-from spdelab.spectral import ModeVector
 
 
 def interpolate_substep(cfg, k, y, t, partial_noise):
@@ -35,8 +34,8 @@ def _substep(cfg, k, y, tau, partial):
     if len(y) != cfg.n_dim or len(partial) != cfg.n_dim:
         raise ValueError("state and noise must have n_dim modes")
     lam = cfg.operator.eigenvalues[: cfg.n_dim]
-    b = drift_array(cfg.drift, lam, k * cfg.delta, y.coeffs)
-    return ModeVector(np.exp(-lam * tau) * (y.coeffs + b * tau + partial.coeffs))
+    b = drift_array(cfg.drift, lam, k * cfg.delta, y)
+    return np.exp(-lam * tau) * (y + b * tau + partial)
 
 
 def increment(lattice, path_id, mode, step):

@@ -14,15 +14,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spdelab import kolmogorov
-from spdelab.drift import HolderDriftSpec, drift_bound
+from spdelab.drift import HolderDriftSpec, drift_array, drift_bound
 from spdelab.kolmogorov import (
     DECAY_CSV_HEADER,
     PICARD_NODES,
     PICARD_SAMPLES,
-    TestFunction,
     bismut_gradient,
-    bounded_smooth_function,
-    coordinate_function,
     drift_test_function,
     gradient_decay_check,
     gradient_summability_probe,
@@ -32,108 +29,80 @@ from spdelab.kolmogorov import (
     picard_u_lambda,
 )
 from spdelab.noise import ou_cross_covariance
-from spdelab.spectral import ModeVector, convolution_variance, decay_factor, make_heat_operator
+from spdelab.spectral import convolution_variance, decay_factor, make_heat_operator
 
 from oracles import mean_stderr
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 
 
-def test_test_function_validation(heat16):
-    # checks at construction: a 1-based index and a nonzero direction
-    with pytest.raises(ValueError):
-        coordinate_function(0, [1.0])
-    with pytest.raises(ValueError):
-        coordinate_function(1, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        bounded_smooth_function([1.0], [0.0])
-    with pytest.raises(ValueError):
-        drift_test_function(DRIFT, heat16, 0, time=0.25)
-    with pytest.raises(ValueError):
-        drift_test_function(DRIFT, heat16, 17, time=0.25)
-    # shape mismatches surface when the observable meets a state batch
-    states = np.ones((3, 1))
-    with pytest.raises(ValueError):
-        coordinate_function(2, [1.0]).evaluate(states)
-    with pytest.raises(ValueError):
-        bounded_smooth_function([], [1.0]).evaluate(states)
-    with pytest.raises(ValueError):
-        bounded_smooth_function([1.0], [1.0, 1.0]).evaluate(states)
+def coordinate(n):
+    """Mode 1 sent along mode 1 of n modes: the suite's linear observable, unbounded."""
+    e1 = np.eye(n)[0]
+    return lambda z: z[..., 0, None] * e1
+
+
+def tanh_form(weights, direction):
+    """tanh of a linear form along a unit output direction: bounded by 1."""
+    w, u = np.array(weights, dtype=float), np.array(direction, dtype=float)
+    return lambda z: np.tanh(z @ w)[..., None] * u
 
 
 def test_factories(monkeypatch):
     states = np.arange(6.0).reshape(3, 2)
-    f = coordinate_function(2, [3.0, 4.0])
-    assert f.bound is None
-    assert np.array_equal(f.evaluate(states), np.outer(states[:, 1], [0.6, 0.8]))
-    weights = np.array([1.0, 0.5])
-    g = bounded_smooth_function(weights, [2.0, 0.0])
-    weights[0] = 9.0  # the observable keeps its own copy
-    assert g.bound == 1.0
-    assert np.array_equal(g.evaluate(states)[:, 0], np.tanh(states @ [1.0, 0.5]))
-    h = drift_test_function(DRIFT, make_heat_operator(16), 4, time=0.25)
-    assert h.bound == pytest.approx(drift_bound(DRIFT, make_heat_operator(4)), rel=1e-15)
+    h = drift_test_function(DRIFT, make_heat_operator(16), time=0.25)
     # the drift is looked up at each call, so a rebound module name sees it,
     # with the operator's eigenvalues of the state's modes
     seen = []
     monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: seen.append((lam.tolist(), t)) or x)
-    assert h.evaluate(states) is states
+    assert h(states) is states
     assert seen == [(make_heat_operator(2).eigenvalues.tolist(), 0.25)]
 
 
 def test_evaluate_shapes_and_values():
     lam = make_heat_operator(3).eigenvalues
     states = np.arange(15.0).reshape(5, 3)
-    f = coordinate_function(2, [1.0, 0.0, 0.0])
-    out = f.evaluate(states)
+    h = drift_test_function(DRIFT, make_heat_operator(16), time=0.25)
+    out = h(states)
     assert out.shape == (5, 3)
-    assert np.array_equal(out[:, 0], states[:, 1])
-    assert np.array_equal(out[:, 1:], np.zeros((5, 2)))
-
-    g = bounded_smooth_function([0.5, -0.25, 0.1], [0.0, 1.0, 0.0])
-    gout = g.evaluate(states)
-    assert np.max(np.abs(gout)) <= 1.0
-    assert np.array_equal(gout[:, 1], np.tanh(states @ np.array([0.5, -0.25, 0.1])))
-
-    from spdelab.drift import drift_array
-
-    h = drift_test_function(DRIFT, make_heat_operator(16), 3, time=0.25)
-    assert np.array_equal(h.evaluate(states), drift_array(DRIFT, lam, 0.25, states))
+    assert np.array_equal(out, drift_array(DRIFT, lam, 0.25, states))
 
 
-def test_evaluate_dimension_errors():
-    states = np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        coordinate_function(3, [1.0, 0.0]).evaluate(states)
-    with pytest.raises(ValueError):
-        coordinate_function(1, [1.0, 0.0, 0.0]).evaluate(states)
-    with pytest.raises(ValueError):
-        bounded_smooth_function([1.0], [1.0]).evaluate(states)
+def test_norm_sums_the_squares_exactly():
+    # the squares 1e16, 1 and 1 sum to 1e16 + 2 only when summed exactly, and
+    # order or zero padding cannot change an exact sum
+    assert kolmogorov._norm(np.array([3.0, 4.0])) == 5.0
+    assert math.sqrt(1e16 + 1.0 + 1.0) == 1e8
+    want = math.sqrt(1e16 + 2.0)
+    assert want > 1e8
+    assert kolmogorov._norm(np.array([1e8, 1.0, 1.0])) == want
+    assert kolmogorov._norm(np.array([1.0, 0.0, 1e8, 1.0, 0.0])) == want
+    assert kolmogorov._norm(np.zeros(3)) == 0.0
 
 
 def test_semigroup_estimate_linear_closed_form(heat16):
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
-    f = coordinate_function(1, np.eye(16)[0])
+    x = 1.0 / np.arange(1.0, 17.0)
+    f = coordinate(16)
     (est,), (se,) = ou_semigroup_estimate(heat16, [f], 0.5, x, 20_000, seed=2024)
     expected = math.exp(-0.5)
     assert abs(est[0] - expected) <= 3.0 * se[0]
 
 
 def test_semigroup_estimate_odd_function_at_origin(heat16):
-    f = bounded_smooth_function(np.linspace(1.0, 0.1, 16), np.eye(16)[0])
-    (est,), (se,) = ou_semigroup_estimate(heat16, [f], 0.5, ModeVector(np.zeros(16)), 20_000, seed=1)
+    f = tanh_form(np.linspace(1.0, 0.1, 16), np.eye(16)[0])
+    (est,), (se,) = ou_semigroup_estimate(heat16, [f], 0.5, np.zeros(16), 20_000, seed=1)
     assert abs(est[0]) <= 3.0 * se[0] + 1e-12
 
 
 def test_semigroup_estimate_respects_bound(heat16):
-    f = bounded_smooth_function(np.ones(16), np.eye(16)[1])
-    (est,), _ = ou_semigroup_estimate(heat16, [f], 0.5, ModeVector(np.ones(16)), 5000, seed=3)
+    f = tanh_form(np.ones(16), np.eye(16)[1])
+    (est,), _ = ou_semigroup_estimate(heat16, [f], 0.5, np.ones(16), 5000, seed=3)
     assert np.linalg.norm(est) <= 1.0 + 1e-12
 
 
 def test_semigroup_estimate_validation(heat16):
-    f = coordinate_function(1, np.eye(16)[0])
-    x = ModeVector(np.zeros(16))
+    f = coordinate(16)
+    x = np.zeros(16)
     with pytest.raises(ValueError):
         ou_semigroup_estimate(heat16, [f], 0.0, x, 100)
     with pytest.raises(ValueError):
@@ -141,24 +110,24 @@ def test_semigroup_estimate_validation(heat16):
 
 
 def test_bismut_gradient_linear_closed_form(heat16):
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
-    eta = ModeVector(np.linspace(1.0, 0.25, 16))
-    f = coordinate_function(1, np.eye(16)[0])
-    (est,), (se,) = bismut_gradient(heat16, [f], 0.5, x, eta.coeffs[None], 40_000, seed=7)
-    expected = math.exp(-0.5) * eta.coeffs[0]
+    x = 1.0 / np.arange(1.0, 17.0)
+    eta = np.linspace(1.0, 0.25, 16)
+    f = coordinate(16)
+    (est,), (se,) = bismut_gradient(heat16, [f], 0.5, x, eta[None], 40_000, seed=7)
+    expected = math.exp(-0.5) * eta[0]
     assert abs(est[0] - expected) <= 3.0 * se[0]
 
 
 def test_bismut_gradient_zero_direction_is_exact_zero(heat16):
-    f = bounded_smooth_function(np.ones(16), np.eye(16)[0])
-    est, se = bismut_gradient(heat16, [f], 0.5, ModeVector(np.ones(16)), np.zeros((1, 16)), 100, seed=0)
+    f = tanh_form(np.ones(16), np.eye(16)[0])
+    est, se = bismut_gradient(heat16, [f], 0.5, np.ones(16), np.zeros((1, 16)), 100, seed=0)
     assert np.array_equal(est, np.zeros((1, 16)))
     assert np.array_equal(se, np.zeros((1, 16)))
 
 
 def test_bismut_gradient_validation(heat16):
-    f = coordinate_function(1, np.eye(16)[0])
-    x = ModeVector(np.zeros(16))
+    f = coordinate(16)
+    x = np.zeros(16)
     eta = np.ones((1, 16))
     with pytest.raises(ValueError):
         bismut_gradient(heat16, [f], 0.0, x, eta, 100)
@@ -171,10 +140,10 @@ def test_bismut_gradient_validation(heat16):
 
 def test_finite_difference_agrees_with_bismut():
     op = make_heat_operator(4)
-    x = ModeVector(1.0 / np.arange(1.0, 5.0))
-    eta = ModeVector(np.linspace(1.0, 0.25, 4))
-    f = bounded_smooth_function(np.linspace(1.0, 0.125, 4), np.eye(4)[0])
-    (bis,), (bis_se,) = bismut_gradient(op, [f], 0.5, x, eta.coeffs[None], 40_000, seed=2024)
+    x = 1.0 / np.arange(1.0, 5.0)
+    eta = np.linspace(1.0, 0.25, 4)
+    f = tanh_form(np.linspace(1.0, 0.125, 4), np.eye(4)[0])
+    (bis,), (bis_se,) = bismut_gradient(op, [f], 0.5, x, eta[None], 40_000, seed=2024)
     quotient = kolmogorov._difference_quotient(op, f, 0.5, x, eta)
     (fd,), _ = ou_semigroup_estimate(op, [quotient], 0.5, x, 40_000, seed=2024)
     gaps = [abs(bis[i] - fd[i]) / abs(bis[i]) for i in range(4) if abs(bis[i]) > 10.0 * bis_se[i]]
@@ -183,13 +152,13 @@ def test_finite_difference_agrees_with_bismut():
 
 
 def test_finite_difference_validation(heat16):
-    f = bounded_smooth_function(np.ones(16), np.eye(16)[0])
-    x, eta = ModeVector(np.zeros(16)), ModeVector(np.ones(16))
+    f = tanh_form(np.ones(16), np.eye(16)[0])
+    x, eta = np.zeros(16), np.ones(16)
     quotient = kolmogorov._difference_quotient(heat16, f, 0.5, x, eta)
     with pytest.raises(ValueError):
         ou_semigroup_estimate(heat16, [quotient], 0.0, x, 100)
     with pytest.raises(ValueError):
-        kolmogorov._difference_quotient(heat16, f, 0.5, x, ModeVector(np.ones(4)))
+        kolmogorov._difference_quotient(heat16, f, 0.5, x, np.ones(4))
     # one sample has no standard error and none has no mean
     for m in (0, 1):
         with pytest.raises(ValueError):
@@ -311,7 +280,7 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
 
     error = Stop()
     monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", 100 * 16)
-    x, eta = ModeVector(1.0 / np.arange(1.0, 17.0)), ModeVector(np.linspace(1.0, 0.25, 16))
+    x, eta = 1.0 / np.arange(1.0, 17.0), np.linspace(1.0, 0.25, 16)
 
     def raising_on_call(k):
         calls = []
@@ -322,21 +291,21 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
                 raise error
             return states
 
-        return TestFunction(evaluate, 1.0)
+        return evaluate
 
     def summability():
-        raising = raising_on_call(2).evaluate
+        raising = raising_on_call(2)
         monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, states: raising(states))
         gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45)
 
     runs = {
         "semigroup": lambda: ou_semigroup_estimate(heat16, [raising_on_call(2)], 0.5, x, 1000),
-        "bismut": lambda: bismut_gradient(heat16, [raising_on_call(2)], 0.5, x, eta.coeffs[None], 1000),
+        "bismut": lambda: bismut_gradient(heat16, [raising_on_call(2)], 0.5, x, eta[None], 1000),
         # two evaluations per block
         "finite_difference": lambda: ou_semigroup_estimate(
             heat16, [kolmogorov._difference_quotient(heat16, raising_on_call(3), 0.5, x, eta)], 0.5, x, 1000
         ),
-        "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 0.5, x, (1, 16), 1000),
+        "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 1.0, 0.5, x, (1, 16), 1000),
         "summability": summability,
     }
     before = threading.active_count()
@@ -367,17 +336,11 @@ def test_suite_samples_and_evaluates_on_the_calling_thread(heat16, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_gradient_decay_rejects_unbounded_observable(heat16):
-    f = coordinate_function(1, np.eye(16)[0])
-    with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, 0.5, ModeVector(np.ones(16)), (1, 2), 100)
-
-
 def test_gradient_decay_refuses_no_modes_before_drawing(heat16, monkeypatch):
-    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
+    f = drift_test_function(DRIFT, heat16, time=0.25)
     monkeypatch.setattr(kolmogorov, "ou_joint_modes_batch", mock.Mock(side_effect=AssertionError("drew")))
     with pytest.raises(ValueError, match="at least one mode"):
-        gradient_decay_check(heat16, f, 0.5, ModeVector(np.ones(16)), (), 1000)
+        gradient_decay_check(heat16, f, 1.0, 0.5, np.ones(16), (), 1000)
 
 
 @pytest.mark.parametrize("decay_modes", [(), (0, 4), (1, 17)], ids=["none", "zero", "beyond-n-max"])
@@ -390,9 +353,10 @@ def test_suite_refuses_decay_modes_before_drawing(heat16, monkeypatch, decay_mod
 
 
 def test_gradient_decay_report(heat16):
-    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
-    report = gradient_decay_check(heat16, f, 0.5, x, (1, 2, 4), 20_000, seed=2024)
+    f = drift_test_function(DRIFT, heat16, time=0.25)
+    x = 1.0 / np.arange(1.0, 17.0)
+    sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
+    report = gradient_decay_check(heat16, f, sup, 0.5, x, (1, 2, 4), 20_000, seed=2024)
     assert report.bounded
     assert report.max_ratio < 1.0
     sizes = [row.estimate for row in report.rows]
@@ -405,23 +369,23 @@ def test_gradient_decay_report(heat16):
     assert summary["bounded"] is True
     assert len(summary["rows"]) == 3
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, 0.5, x, (0,), 100)
+        gradient_decay_check(heat16, f, sup, 0.5, x, (0,), 100)
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, 0.5, x, (17,), 100)
+        gradient_decay_check(heat16, f, sup, 0.5, x, (17,), 100)
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, 0.0, x, (1,), 100)
+        gradient_decay_check(heat16, f, sup, 0.0, x, (1,), 100)
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, 0.5, x, (1,), 1)
+        gradient_decay_check(heat16, f, sup, 0.5, x, (1,), 1)
 
 
-def _expected_decay_rows(op, f, t, x, modes, mean, se):
+def _expected_decay_rows(op, sup, t, modes, mean, se):
     """(rows, max ratio, bounded) of gradient_decay_check from the per-mode
     means and standard errors of its gradient estimates."""
     rows, bounded = [], True
     for i, mean_i, se_i in zip(modes, mean, se):
-        size = ModeVector(mean_i).norm()
+        size = kolmogorov._norm(mean_i)
         lam_i = float(op.eigenvalues[i - 1])
-        theory = f.bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
+        theory = sup * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         rows.append((i, size, float(np.linalg.norm(se_i)), size / theory))
         bounded = bounded and not size > theory + 3.0 * rows[-1][2]
     return rows, max(row[3] for row in rows), bounded
@@ -442,11 +406,12 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
     for n, modes, block_rows in [(1, (1,), 300), (1, (1, 1), 300), (1, (1, 1), None), (16, (5, 5), 300)]:
         if block_rows is not None:
             monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
-        f = drift_test_function(DRIFT, heat16, n, time=0.25)
-        x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-        report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
+        f = drift_test_function(DRIFT, heat16, time=0.25)
+        x = 1.0 / np.arange(1.0, n + 1.0)
+        sup = kolmogorov._drift_sup(DRIFT, heat16, n)
+        report = gradient_decay_check(heat16, f, sup, t, x, modes, m, seed=seed)
         est, se = bismut_gradient(heat16, [f], t, x, np.eye(n)[[modes[0] - 1]], m, seed=seed)
-        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, [est[0]] * 2, [se[0]] * 2)
+        rows, max_ratio, bounded = _expected_decay_rows(heat16, sup, t, modes, [est[0]] * 2, [se[0]] * 2)
         assert _report_rows(report) == rows
         assert report.max_ratio == max_ratio
         assert report.bounded is bounded
@@ -463,9 +428,9 @@ def _decay_oracle_moments(op, f, t, x, modes, m, seed):
     sd, cov = np.sqrt(var), ou_cross_covariance(lam, t)
     resid = np.sqrt(var - cov * cov / var)
     z = np.random.default_rng(seed).standard_normal((m, n + len(support)))
-    states = decay_factor(lam, t) * x.coeffs + sd * z[:, :n]
+    states = decay_factor(lam, t) * x + sd * z[:, :n]
     weights = (cov / sd)[support] * z[:, support] + resid[support] * z[:, n:]
-    values = f.evaluate(states)
+    values = f(states)
     products = np.stack([(weights[:, support.index(i - 1)] / t)[:, None] * values for i in modes])
     return products.mean(axis=1), products.std(axis=1, ddof=1) / math.sqrt(m)
 
@@ -487,11 +452,12 @@ def test_gradient_decay_matches_its_stated_draw(heat16, monkeypatch):
     for n, modes, block_rows in cases:
         if block_rows is not None:
             monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
-        f = drift_test_function(DRIFT, heat16, n, time=0.25)
-        x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-        report = gradient_decay_check(heat16, f, t, x, modes, m, seed=seed)
+        f = drift_test_function(DRIFT, heat16, time=0.25)
+        x = 1.0 / np.arange(1.0, n + 1.0)
+        sup = kolmogorov._drift_sup(DRIFT, heat16, n)
+        report = gradient_decay_check(heat16, f, sup, t, x, modes, m, seed=seed)
         mean, se = _decay_oracle_moments(heat16, f, t, x, modes, m, seed)
-        rows, max_ratio, bounded = _expected_decay_rows(heat16, f, t, x, modes, mean, se)
+        rows, max_ratio, bounded = _expected_decay_rows(heat16, sup, t, modes, mean, se)
         got = _report_rows(report)
         assert [(i, size, ratio) for i, size, _, ratio in got] == [(i, size, ratio) for i, size, _, ratio in rows]
         np.testing.assert_allclose([r[2] for r in got], [r[2] for r in rows], rtol=1e-12, atol=0.0)
@@ -515,9 +481,9 @@ def test_gradient_decay_memory_is_one_values_array():
     # under a twelfth of that array
     op = make_heat_operator(64)
     m, n = 100_000, 64
-    f = drift_test_function(DRIFT, op, n, time=0.25)
-    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 0.5, x, (1, 4, 16, 64), m, seed=2024))
+    f = drift_test_function(DRIFT, op, time=0.25)
+    x = 1.0 / np.arange(1.0, n + 1.0)
+    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 1.0, 0.5, x, (1, 4, 16, 64), m, seed=2024))
     assert peak <= 4e6
     assert peak <= m * n * 8 / 12
 
@@ -532,9 +498,9 @@ def test_gradient_decay_memory_is_values_and_selected_columns(monkeypatch):
     op = make_heat_operator(64)
     m, n, modes = 100_000, 64, (1, 4, 16, 64)
     rows, k = kolmogorov._BLOCK_NUMBERS // n, len(modes)
-    f = drift_test_function(DRIFT, op, n, time=0.25)
-    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 0.5, x, modes, m, seed=2024))
+    f = drift_test_function(DRIFT, op, time=0.25)
+    x = 1.0 / np.arange(1.0, n + 1.0)
+    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 1.0, 0.5, x, modes, m, seed=2024))
     assert peak <= 1.5 * (rows * n + k * rows * n + k * rows) * 8 + 1e6
     assert peak <= (m * n + m * k) * 8 / 4
 
@@ -545,11 +511,11 @@ def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
     # summability probe's samples per node are the module constant, and one
     # node is enough
     op, n = make_heat_operator(64), 64
-    x = ModeVector(1.0 / np.arange(1.0, n + 1.0))
-    eta = ModeVector(np.linspace(1.0, 0.25, n))
-    f_lin = coordinate_function(1, np.eye(n)[0])
-    f_smooth = bounded_smooth_function(np.linspace(1.0, 0.125, n), np.eye(n)[0])
-    f_drift = drift_test_function(DRIFT, op, n, time=0.25)
+    x = 1.0 / np.arange(1.0, n + 1.0)
+    eta = np.linspace(1.0, 0.25, n)
+    f_lin = coordinate(n)
+    f_smooth = tanh_form(np.linspace(1.0, 0.125, n), np.eye(n)[0])
+    f_drift = drift_test_function(DRIFT, op, time=0.25)
     monkeypatch.setattr(kolmogorov, "SUMMABILITY_NODES", 1)
 
     def summability(m):
@@ -558,11 +524,11 @@ def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
 
     estimators = {
         "semigroup": lambda m: ou_semigroup_estimate(op, [f_lin], 0.5, x, m, seed=3),
-        "bismut": lambda m: bismut_gradient(op, [f_smooth], 0.5, x, eta.coeffs[None], m, seed=3),
+        "bismut": lambda m: bismut_gradient(op, [f_smooth], 0.5, x, eta[None], m, seed=3),
         "finite_difference": lambda m: ou_semigroup_estimate(
             op, [kolmogorov._difference_quotient(op, f_smooth, 0.5, x, eta)], 0.5, x, m, seed=3
         ),
-        "decay": lambda m: gradient_decay_check(op, f_drift, 0.5, x, (1, 4, 16, 64), m, seed=3),
+        "decay": lambda m: gradient_decay_check(op, f_drift, 1.0, 0.5, x, (1, 4, 16, 64), m, seed=3),
         "summability": summability,
     }
     for name, run in estimators.items():
@@ -571,16 +537,17 @@ def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
 
 
 def test_gradient_decay_vanishes_at_large_time(heat16):
-    f = drift_test_function(DRIFT, heat16, 16, time=0.25)
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
-    report = gradient_decay_check(heat16, f, 20.0, x, (1, 2), 20_000, seed=5)
+    f = drift_test_function(DRIFT, heat16, time=0.25)
+    x = 1.0 / np.arange(1.0, 17.0)
+    sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
+    report = gradient_decay_check(heat16, f, sup, 20.0, x, (1, 2), 20_000, seed=5)
     assert all(row.estimate < 1e-3 for row in report.rows)
     assert report.max_ratio < 0.05
 
 
 def test_picard_terminal_condition(heat16):
-    value, _ = picard_u_lambda(1.0, heat16, DRIFT, 1.0, ModeVector([1.0, 0.5, 0.25]))
-    assert np.array_equal(value.coeffs, np.zeros(3))
+    value, _ = picard_u_lambda(1.0, heat16, DRIFT, 1.0, np.array([1.0, 0.5, 0.25]))
+    assert np.array_equal(value, np.zeros(3))
 
 
 def test_picard_draws_its_nodes_through_the_transition_binding(heat16, monkeypatch):
@@ -592,7 +559,7 @@ def test_picard_draws_its_nodes_through_the_transition_binding(heat16, monkeypat
         return _sampler(op, x, t, rng, size)
 
     monkeypatch.setattr(kolmogorov, "ou_transition_sample", counted)
-    x = ModeVector([1.0, 0.5, 0.25])
+    x = np.array([1.0, 0.5, 0.25])
     picard_u_lambda(1.0, heat16, DRIFT, 0.0, x, seed=1)
     assert rows == [PICARD_SAMPLES] * PICARD_NODES
     rows.clear()
@@ -602,39 +569,39 @@ def test_picard_draws_its_nodes_through_the_transition_binding(heat16, monkeypat
 
 
 def test_picard_first_iterate_respects_bound(heat16):
-    x = ModeVector([1.0, 0.5, 1.0 / 3.0])
+    x = np.array([1.0, 0.5, 1.0 / 3.0])
     value, se = picard_u_lambda(2.0, heat16, DRIFT, 0.3, x, seed=9)
     sup_b = drift_bound(DRIFT, make_heat_operator(3))
     bound = picard_norm_bound(sup_b, 2.0, 0.3, 1.0)
-    assert value.norm() <= bound + 3.0 * float(np.linalg.norm(se))
+    assert np.linalg.norm(value) <= bound + 3.0 * float(np.linalg.norm(se))
 
 
 def test_picard_lambda_sweep_monotone(heat16):
-    x = ModeVector([1.0, 0.5, 1.0 / 3.0])
+    x = np.array([1.0, 0.5, 1.0 / 3.0])
     sup_b = drift_bound(DRIFT, make_heat_operator(3))
     norms = []
     for lam in (1.0, 10.0, 100.0):
         value, se = picard_u_lambda(lam, heat16, DRIFT, 0.0, x, seed=13)
         bound = picard_norm_bound(sup_b, lam, 0.0, 1.0)
-        assert value.norm() <= bound + 3.0 * float(np.linalg.norm(se))
-        norms.append(value.norm())
+        assert np.linalg.norm(value) <= bound + 3.0 * float(np.linalg.norm(se))
+        norms.append(np.linalg.norm(value))
     assert norms[0] > norms[1] > norms[2]
 
 
 def test_picard_golden(heat16):
     # the value, its standard error and the draw order must not move
-    value, se = picard_u_lambda(2.0, heat16, DRIFT, 0.3, ModeVector([1.0, 0.5, 1.0 / 3.0]), seed=9)
-    assert value.coeffs.tolist() == [0.22530727595000155, 0.03866758474099669, 0.010354927421232599]
+    value, se = picard_u_lambda(2.0, heat16, DRIFT, 0.3, np.array([1.0, 0.5, 1.0 / 3.0]), seed=9)
+    assert value.tolist() == [0.22530727595000155, 0.03866758474099669, 0.010354927421232599]
     assert se.tolist() == [0.0014788152737012289, 0.0007995889700161969, 0.0004296839680449389]
 
 
 def test_picard_validation(heat16):
-    x = ModeVector([1.0, 0.5, 0.25])
+    x = np.array([1.0, 0.5, 0.25])
     with pytest.raises(ValueError):
         picard_u_lambda(0.0, heat16, DRIFT, 0.0, x)
     for dims in (0, 5):
         with pytest.raises(ValueError):
-            picard_u_lambda(1.0, heat16, DRIFT, 0.0, ModeVector(np.ones(dims)))
+            picard_u_lambda(1.0, heat16, DRIFT, 0.0, np.ones(dims))
     for t in (-0.1, 1.5):
         with pytest.raises(ValueError):
             picard_u_lambda(1.0, heat16, DRIFT, t, x)
@@ -652,7 +619,7 @@ def test_picard_norm_bound_values():
 
 
 def test_summability_probe(heat16):
-    x = ModeVector(1.0 / np.arange(1.0, 17.0))
+    x = 1.0 / np.arange(1.0, 17.0)
     report = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45, seed=4)
     assert report.bounded
     assert report.growth_ratio >= 1.0

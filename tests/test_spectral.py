@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdelab.spectral import (
-    ModeVector,
     SpectralOperator,
     check_trace_condition,
     convolution_variance,
@@ -51,20 +50,6 @@ def test_eigenvalues_are_the_power_law():
     op = SpectralOperator(5, 1.5)
     assert np.array_equal(op.eigenvalues, np.arange(1, 6, dtype=float) ** 1.5)
     assert (op.n_max, op.power) == (5, 1.5)
-
-
-def test_mode_vector_basics():
-    v = ModeVector([3.0, 4.0])
-    assert len(v) == 2
-    assert v.norm() == 5.0
-    with pytest.raises(ValueError):
-        ModeVector(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ModeVector([math.nan])
-    src = np.array([1.0, 2.0])
-    w = ModeVector(src)
-    src[0] = 99.0
-    assert w.coeffs[0] == 1.0
 
 
 def test_trace_condition_heat_alpha_045():
@@ -123,11 +108,11 @@ def test_semigroup_heat_half_life():
 )
 def test_semigroup_contraction_and_composition(t, s, coeffs):
     lam = make_heat_operator(len(coeffs)).eigenvalues
-    v = ModeVector(coeffs)
-    once = ModeVector(decay_factor(lam, t) * v.coeffs)
-    assert once.norm() <= v.norm() * (1.0 + 1e-12)
-    twice = decay_factor(lam, s) * once.coeffs
-    joint = decay_factor(lam, t + s) * v.coeffs
+    v = np.array(coeffs)
+    once = decay_factor(lam, t) * v
+    assert np.linalg.norm(once) <= np.linalg.norm(v) * (1.0 + 1e-12)
+    twice = decay_factor(lam, s) * once
+    joint = decay_factor(lam, t + s) * v
     np.testing.assert_allclose(twice, joint, rtol=1e-12, atol=1e-15)
 
 
