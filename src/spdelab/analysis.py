@@ -299,11 +299,18 @@ def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tu
     """Run the chunks -> (one row per ladder config, the per-path values
     behind the rows, shape (paths, rungs)).  A chunk gives each rung's cells
     per path, one for err2 and one per (fraction, step) for an increment; a
-    row is the cell with the largest mean, with that mean's standard error."""
+    row is the cell with the largest mean, with that mean's standard error.
+    A cell that is not finite is refused, naming its rung and first path."""
     results = _run_chunks(worker, payloads, workers)
     rows, values = [], np.empty((m_paths, len(configs)))
     for i, (res, cfg) in enumerate(zip(resolutions, configs)):
         cells = np.concatenate([r[i] for r in results]).reshape(m_paths, -1)
+        bad = ~np.isfinite(cells).all(axis=1)
+        if bad.any():  # the chunks hold paths 0..m_paths-1 in order
+            raise FloatingPointError(
+                f"statistic not finite at ladder rung {res} (delta {cfg.delta:g}, {cfg.n_dim} modes), "
+                f"first on path {int(np.argmax(bad))}"
+            )
         means = cells.mean(axis=0)
         flat = int(np.argmax(means))
         vals = values[:, i] = cells[:, flat]

@@ -89,7 +89,9 @@ PICARD_DIMS = 3  # modes of the suite's Picard checks, at most the operator's
 LAM_SWEEP = (1.0, 10.0, 100.0)  # the suite's Picard lam values, ascending
 
 
-def drift_test_function(spec: HolderDriftSpec, op: SpectralOperator, time: float) -> Callable[[np.ndarray], np.ndarray]:
+def drift_test_function(
+    spec: HolderDriftSpec, op: SpectralOperator, time: float
+) -> Callable[[np.ndarray], np.ndarray]:
     """The drift frozen at ``time`` as an observable: a batch of n-mode states reads the operator's
     first n eigenvalues.  Its sup norm over those modes is `_drift_sup`'s."""
 
@@ -175,7 +177,9 @@ def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return np.concatenate((head, tail)) if head.size else tail
 
 
-def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tuple[np.ndarray, np.ndarray]:
+def _stream_mean_stderr(
+    estimator: str, m_samples: int, n: int, seed: int, block_values
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of m_samples samples drawn block by block.
 
     ``block_values(rng, rows)`` returns the values of the next ``rows`` draws
@@ -189,7 +193,9 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
     centred on the running mean, gives its mean and sum of squares by the
     corrected two-pass formula, and blocks merge by the update of Chan, Golub
     and LeVeque (Amer. Stat. 37, 1983).  Means are kept less the first
-    sample, so a mean far above the spread costs the spread no digits.
+    sample, so a mean far above the spread costs the spread no digits.  A
+    mean or standard error that is not finite, as when the squared sums
+    overflow, is refused in the name of the estimator.
     """
     if m_samples < 2:
         raise ValueError("need at least two samples")
@@ -212,7 +218,17 @@ def _stream_mean_stderr(m_samples: int, n: int, seed: int, block_values) -> tupl
             mean += delta * (rows / count)
             m2 += (block.sum(axis=-2) - rows * offset * offset) + delta * delta * ((count - rows) * rows / count)
             del block  # before the next block's values are formed
-    return total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
+    mean, se = total / m_samples, np.sqrt(m2 / (m_samples - 1)) / math.sqrt(m_samples)
+    _refuse_non_finite(f"{estimator}: mean or standard error", mean, se)
+    return mean, se
+
+
+def _refuse_non_finite(what: str, *values: np.ndarray) -> None:
+    """Raise FloatingPointError naming ``what`` and the first mode (last axis) at which a value is not finite."""
+    bad = np.logical_or.reduce([~np.isfinite(v) for v in values])
+    modes = bad.reshape(-1, bad.shape[-1]).any(axis=0)
+    if modes.any():
+        raise FloatingPointError(f"{what} is not finite, first at mode {int(np.argmax(modes)) + 1}")
 
 
 def _evaluate_all(fs, states) -> np.ndarray:
@@ -231,7 +247,7 @@ def ou_semigroup_estimate(
     def values(rng, rows):
         return _evaluate_all(fs, ou_transition_sample(op, x, t, rng, rows))
 
-    return _stream_mean_stderr(m_samples, len(x), seed, values)
+    return _stream_mean_stderr("ou_semigroup_estimate", m_samples, len(x), seed, values)
 
 
 def bismut_gradient(
@@ -257,7 +273,7 @@ def bismut_gradient(
         del states, weights  # the joint draw, freed before the (j, k, rows, n) products
         return (values[:, None] * pulls[:, :, None]).reshape(-1, rows, len(x))
 
-    return _stream_mean_stderr(m_samples, len(x), seed, products)
+    return _stream_mean_stderr("bismut_gradient", m_samples, len(x), seed, products)
 
 
 def _difference_quotient(op, f, t, x, eta) -> Callable[[np.ndarray], np.ndarray]:
@@ -354,6 +370,7 @@ def picard_u_lambda(
     Midpoint rule in time over PICARD_NODES nodes, each of PICARD_SAMPLES
     exact transition draws.  The nodes are independent, so the standard
     error is exact.  At t = horizon the iterate is zero and nothing is drawn.
+    An iterate or standard error that is not finite is refused, naming lam.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -375,7 +392,9 @@ def picard_u_lambda(
         weight = math.exp(-lam * (s - t)) * ds
         acc += weight * integrand.mean(axis=0)
         var_acc += weight**2 * integrand.var(axis=0, ddof=1) / PICARD_SAMPLES
-    return acc, np.sqrt(var_acc)
+    se = np.sqrt(var_acc)
+    _refuse_non_finite(f"picard_u_lambda at lam = {lam!r}: iterate or standard error", acc, se)
+    return acc, se
 
 
 def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> float:
@@ -415,7 +434,8 @@ def gradient_summability_probe(
     of SUMMABILITY_NODES nodes and SUMMABILITY_SAMPLES joint draws per node.
     Then reports whether the partial sums of lam_i**theta * ||grad_i||**2
     flatten out: the last half of the modes may add at most
-    SUMMABILITY_GROWTH_CAP times the first half's sum.
+    SUMMABILITY_GROWTH_CAP times the first half's sum.  A partial sum that
+    is not finite is refused, since two infinite sums would read as no growth.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -435,6 +455,7 @@ def gradient_summability_probe(
                 node_sum += weights.T @ drift_array(spec, lam, s, states)
             grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
     partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
+    _refuse_non_finite("gradient_summability_probe: partial sum", partial_sums)
     half, full = partial_sums[max(1, n // 2) - 1], partial_sums[-1]
     # sums that never grow, all zeros under a zero drift among them, have ratio 1
     growth_ratio = 1.0 if full == half else float(full / half)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdelab
@@ -21,6 +22,7 @@ from spdelab.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_OK,
+    EXIT_RUNTIME,
     _SIZE_FIELDS,
     _STUDY_KINDS,
     ConfigError,
@@ -463,6 +465,27 @@ def test_one_rung_ladder_is_a_config_error(tmp_path, capsys, command):
     assert run(["hypotheses", "--config", cfg]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command, rung",
+    [("temporal-study", "rung 2 (delta 0.25, 8 modes)"), ("spatial-study", "rung 2 (delta 0.125, 2 modes)"),
+     ("increment-study", "rung 2 (delta 0.25, 8 modes)")],
+)
+def test_overflowing_study_statistic_names_its_rung_and_path(tmp_path, capsys, command, rung):
+    # a drift near 1e300 keeps every state finite but overflows the squared
+    # errors; the fit used to refuse them with "rate fitting needs positive
+    # finite inputs", which names no rung
+    out = tmp_path / "o"
+    kind = command.split("-")[0]
+    doc = canonical_doc({**_MINIMAL_STUDIES[kind], "ladder": [2, 3]}, out=str(out))
+    doc["drift"]["amplitude"] = 1e300
+    cfg = write_doc(tmp_path, doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([command, "--config", cfg, "--deterministic"])
+    assert code == EXIT_RUNTIME
+    assert f"statistic not finite at ladder {rung}, first on path 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_script(script):
     src = str(Path(spdelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -581,6 +604,24 @@ def test_kolmogorov_check_with_zero_drift(tmp_path, capsys):
     assert passed["gradient_decay_bounded"] and passed["summability_non_exploding"]
     assert summary["decay"]["max_ratio"] == 0.0
     assert summary["summability"]["growth_ratio"] == 1.0
+
+
+def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):
+    # drift values near 1e300 are finite, but an estimator's squared sums
+    # overflow; the standard errors used to come out inf or NaN, and every
+    # check read [ok] (decay rows "1,inf,nan,nan", Picard norms "inf <= inf",
+    # growth ratio 1); the first estimator to meet them now stops the run
+    out = tmp_path / "o"
+    doc = canonical_doc({"kind": "kolmogorov", "m_samples": 2000, "decay_modes": [1, 4, 16, 64]}, out=str(out))
+    doc["drift"].update(amplitude=1e300, cap=1e300)
+    cfg = write_doc(tmp_path, doc)
+    # outside the test suite numpy only warns of the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["kolmogorov-check", "--config", cfg, "--seed", "0"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "bismut_gradient: mean or standard error is not finite, first at mode 1" in err
+    assert not out.exists()
 
 
 def test_hypotheses_canonical_table(tmp_path, capsys):

@@ -186,7 +186,7 @@ def test_stream_reducer_matches_two_pass_oracle(m, block_rows, lead, n, offset, 
         return samples[..., start : start + rows, :].copy()
 
     with mock.patch.object(kolmogorov, "_BLOCK_NUMBERS", block_rows * n):
-        mean, se = kolmogorov._stream_mean_stderr(m, n, 0, block_values)
+        mean, se = kolmogorov._stream_mean_stderr("oracle", m, n, 0, block_values)
     assert sum(taken) == m and max(taken) == min(block_rows, m)
     for j in np.ndindex(*lead):
         want_mean, want_se = mean_stderr(samples[j])
@@ -629,6 +629,29 @@ def test_summability_probe(heat16):
         gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=-0.1)
     with pytest.raises(ValueError):
         gradient_summability_probe(heat16, DRIFT, 1.0, 1.0, x, theta=0.45)
+
+
+def test_estimators_refuse_statistics_that_are_not_finite(heat16):
+    # values near 1e300 are finite, but their squared sums overflow; the
+    # standard errors, and the summability sums, used to come out inf or NaN
+    # and pass every gate; numpy's warnings are errors in the test suite
+    x = 1.0 / np.arange(1.0, 17.0)
+    scale = np.where(np.arange(16) >= 2, 1e300, 1.0)
+    hot = dataclasses.replace(DRIFT, amplitude=1e300, cap=1e300)
+    refusals = {
+        "ou_semigroup_estimate: mean or standard error is not finite, first at mode 3":
+            lambda: ou_semigroup_estimate(heat16, [lambda z: z * scale], 0.5, x, 1000),
+        "bismut_gradient: mean or standard error is not finite, first at mode 3":
+            lambda: bismut_gradient(heat16, [lambda z: z * scale], 0.5, x, np.eye(16)[:1], 1000),
+        "picard_u_lambda at lam = 10.0: iterate or standard error is not finite, first at mode 1":
+            lambda: picard_u_lambda(10.0, heat16, hot, 0.0, x[:3]),
+        "gradient_summability_probe: partial sum is not finite, first at mode 1":
+            lambda: gradient_summability_probe(heat16, hot, 1.0, 0.0, x, theta=0.45),
+    }
+    for message, run in refusals.items():
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as raised:
+            run()
+        assert str(raised.value) == message
 
 
 def test_kolmogorov_suite_passes(heat16):
