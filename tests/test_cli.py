@@ -256,6 +256,26 @@ def test_validate_drift_end_to_end(tmp_path, capsys):
             assert cell in ("True", "False") or float(cell) >= 0.0
 
 
+def test_validate_drift_reports_a_failing_validator(tmp_path, capsys, monkeypatch):
+    # a halved constant is beaten by the antisymmetric pairs near the origin,
+    # so the mode validator fails; the command exits with the acceptance code
+    # and still writes both validators' rows and records
+    full = spdelab.drift.mode_holder_constant
+    monkeypatch.setattr(spdelab.drift, "mode_holder_constant", lambda spec: 0.5 * full(spec))
+    out = tmp_path / "o"
+    doc = canonical_doc({"kind": "validate", "trials": 2000}, out=str(out))
+    doc["operator"] = {"kind": "heat", "n_max": 16}
+    doc["noise"] = {"seed": 7, "levels": 4, "n_modes": 16, "horizon": 1.0}
+    assert run(["validate-drift", "--config", write_doc(tmp_path, doc)]) == EXIT_ACCEPTANCE
+    assert "[FAIL] mode_holder" in capsys.readouterr().out
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[1].startswith("mode_holder,False,2000,")
+    assert lines[2].startswith("time_holder,True,2000,")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert [v["passed"] for v in summary["validators"]] == [False, True]
+
+
 def test_validate_drift_checks_the_noise_horizon(tmp_path, capsys):
     # Lipschitz in time gives Holder on [0, T] with constant ~ T**(1-epsilon)
     constants = []
