@@ -55,8 +55,6 @@ R2_MIN = 0.9  # least R^2 of the temporal fit
 SLOPE_MARGIN = 0.05  # how far the fitted rate may fall short of nu
 ALPHA_MARGIN = 0.1  # how far the increment slope may fall below min(alpha, s0)
 
-CSV_HEADER = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
-
 
 class HypothesisViolation(ValueError):
     """A standing hypothesis of the convergence theorem fails."""
@@ -220,15 +218,6 @@ class ConvergenceReport:
     @property
     def fit_points(self) -> int:
         return len(self.rows)
-
-    def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.resolution},{row.delta!r},{row.n_modes},{row.m_paths},"
-                f"{row.err2_mean!r},{row.err2_stderr!r}"
-            )
-        return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
         out = {
@@ -555,7 +544,7 @@ def increment_statistic(
     slope, intercept, r2 = fit_rate(deltas, stats)
     s0 = _driftless_increment_slope(operator, initial, lattice, ladder, n_modes, sample_fractions)
     threshold = min(alpha, s0) - ALPHA_MARGIN
-    flags = {"finite": bool(np.all(np.isfinite(stats))), "slope_at_least_alpha_minus_margin": slope >= threshold}
+    flags = {"slope_at_least_alpha_minus_margin": slope >= threshold}
     return ConvergenceReport(
         "increment", rows, slope, intercept, r2, float("nan"), flags,
         slope_stderr=_slope_stderr(deltas, values), slope_threshold=threshold,

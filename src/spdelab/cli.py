@@ -10,7 +10,9 @@ command, `--paths` the study's size field.  A command that writes refuses
 an output directory over an existing non-directory before it runs.  The one
 writer `_emit` puts `report.csv`, `summary.json` (with the parser's record
 of the config and the hypothesis table) and `plot.gp` (plain plotting
-commands) into the output directory.  A study's fields, `kind` aside, are
+commands) into the output directory.  The library returns reports and plain
+records; each command builds its report.csv table from them with `_csv`, so
+no other module writes report text.  A study's fields, `kind` aside, are
 keywords of its function, which is looked up by its module-level name at
 each call, so a tracer that rebinds it here sees every run.  noise.levels
 is `simulate`'s level and only bounds a study's lattice, drawn at the level
@@ -414,6 +416,11 @@ def _sanitize(value):
     return value
 
 
+def _csv(header: str, rows) -> str:
+    """report.csv text: the header, then each row's cells as text, comma-separated."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def _plot(*lines: str) -> str:
     """plot.gp text: the shared header, then the given gnuplot commands."""
     return "\n".join(["# plotting commands for a gnuplot-compatible tool", "set datafile separator ','", *lines, ""])
@@ -465,7 +472,8 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
         f"plot 'report.csv' skip 1 using {xcol}:5:6 with yerrorlines title 'measured', \\",
         "     exp(intercept) * x**slope with lines title sprintf('fit, slope %.3f', slope)",
     )
-    outdir = _emit(cfg, summary, plot, report.csv_text())
+    header = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
+    outdir = _emit(cfg, summary, plot, _csv(header, (row.values() for row in summary["rows"])))
     for row in report.rows:
         print(
             f"resolution {row.resolution:>4}  delta {row.delta:.6g}  "
@@ -501,7 +509,6 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
     settings = {k: v for k, v in cfg.study.items() if k != "kind"}
     lat = cfg.lattice
     suite = kolmogorov_suite(cfg.operator, cfg.drift, cfg.alpha, horizon=lat.horizon, seed=lat.master_seed, **settings)
-    report_csv = suite.pop("decay_csv")
     plot = _plot(
         "set logscale y",
         "set xlabel 'mode index'",
@@ -509,7 +516,8 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
         "plot 'report.csv' skip 1 using 1:2:3 with yerrorlines title 'estimated gradient size', \\",
         "     'report.csv' skip 1 using 1:($2/$4) with lines title 'decay bound'",
     )
-    outdir = _emit(cfg, suite, plot, report_csv)
+    decay_csv = _csv("i,estimate,stderr,bound_ratio", (row.values() for row in suite["decay"]["rows"]))
+    outdir = _emit(cfg, suite, plot, decay_csv)
     for check in suite["checks"]:
         print(f"  [{'ok' if check['passed'] else 'FAIL'}] {check['name']}: {check['detail']}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'plot.gp'}")
@@ -522,14 +530,12 @@ def _cmd_validate(cfg: StudyConfig) -> int:
         verify(cfg.drift, cfg.operator, trials=trials, rng_seed=lattice.master_seed, horizon=lattice.horizon)
         for verify in (verify_mode_holder, verify_time_holder)
     ]
-    lines = ["name,passed,trials,max_ratio,constant"]
+    columns = ("name", "passed", "trials", "max_ratio", "constant")
+    report_csv = _csv(",".join(columns), ([rep[c] for c in columns] for rep in reports))
+    passed = all(rep["passed"] for rep in reports)
+    _emit(cfg, {"pass": passed, "validators": reports}, "# nothing to plot for validator reports\n", report_csv)
     for rep in reports:
-        lines.append(f"{rep.name},{rep.passed},{rep.trials},{rep.max_ratio!r},{rep.constant!r}")
-    passed = all(r.passed for r in reports)
-    summary = {"pass": passed, "validators": [asdict(r) for r in reports]}
-    _emit(cfg, summary, "# nothing to plot for validator reports\n", "\n".join(lines) + "\n")
-    for rep in reports:
-        print(f"  [{'ok' if rep.passed else 'FAIL'}] {rep.name}: max ratio {rep.max_ratio:.6f}")
+        print(f"  [{'ok' if rep['passed'] else 'FAIL'}] {rep['name']}: max ratio {rep['max_ratio']:.6f}")
     return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 

@@ -3,7 +3,8 @@
 Each drift maps a coefficient vector to a coefficient vector and satisfies,
 mode by mode, ||b_t(x) - b_t(x + (y_i - x_i) e_i)|| <= c * lam_i**-beta *
 |x_i - y_i|**epsilon, together with an epsilon-Holder bound in time.  The
-validators below check both empirically against the analytic constants.
+validators below check both empirically against the analytic constants and
+return plain records of Python numbers, as summary.json holds them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .spectral import SpectralOperator
 
 __all__ = [
     "HolderDriftSpec",
-    "ValidationReport",
     "drift_array",
     "drift_bound",
     "time_weight",
@@ -128,7 +128,12 @@ def drift_bound(spec: HolderDriftSpec, op: SpectralOperator) -> float:
     else:
         size = math.sqrt(float(np.sum(weights**2))) * sup_nl
     # sup_t |h(t)| = 1 for both modulations (cos attains 1 at t = 0)
-    return spec.amplitude * size
+    bound = spec.amplitude * size
+    if not math.isfinite(bound):  # no drift could exceed it, so every check against it would pass
+        raise OverflowError(
+            f"drift sup bound overflows: amplitude {spec.amplitude!r}, cap {spec.cap!r}, {op.n_max} modes"
+        )
+    return bound
 
 
 def mode_holder_constant(spec: HolderDriftSpec) -> float:
@@ -140,18 +145,6 @@ def mode_holder_constant(spec: HolderDriftSpec) -> float:
     shrinks differences.  min(d, 2) <= 2**(1-e) * d**e covers tanh as well.
     """
     return spec.amplitude * 2.0 ** (1.0 - spec.epsilon)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of one validator, held in plain Python numbers."""
-
-    name: str
-    passed: bool
-    trials: int
-    max_ratio: float
-    constant: float
-    worst: dict
 
 
 _PASS_TOL = 1.0 + 1e-9  # rounding headroom; the analytic constants are attained
@@ -181,13 +174,18 @@ def _worst_trial(trials: int, block_ratios) -> tuple[float, int | None]:
     return best, worst
 
 
+def _record(name: str, passed: bool, trials: int, max_ratio: float, constant: float, worst: dict) -> dict:
+    """A validator's outcome, in plain Python numbers, as summary.json holds it."""
+    return dict(name=name, passed=passed, trials=trials, max_ratio=max_ratio, constant=constant, worst=worst)
+
+
 def verify_mode_holder(
     spec: HolderDriftSpec,
     op: SpectralOperator,
     trials: int,
     rng_seed: int = 0,
     horizon: float = 1.0,
-) -> ValidationReport:
+) -> dict:
     """Sample the mode-wise Holder ratio against the analytic constant.
 
     A quarter of the samples are antisymmetric pairs near the origin, where
@@ -199,7 +197,7 @@ def verify_mode_holder(
     lam = op.eigenvalues
     c = mode_holder_constant(spec)
     if c == 0.0:
-        return ValidationReport("mode_holder", spec.amplitude == 0.0, trials, 0.0, c, {})
+        return _record("mode_holder", spec.amplitude == 0.0, trials, 0.0, c, {})
 
     x = rng.normal(0.0, 1.5, size=(trials, n))
     y_val = rng.normal(0.0, 1.5, size=trials)
@@ -210,7 +208,10 @@ def verify_mode_holder(
     small = 10.0 ** rng.uniform(-3.0, 0.0, size=quarter)
     x[np.arange(quarter), idx[:quarter]] = small
     y_val[:quarter] = -small
-    near_cap = spec.cap ** (1.0 / spec.epsilon)
+    try:
+        near_cap = spec.cap ** (1.0 / spec.epsilon)
+    except OverflowError:  # the saturation point of psi; errno 34 names no input
+        raise OverflowError(f"cap**(1/epsilon) overflows: cap {spec.cap!r}, epsilon {spec.epsilon!r}") from None
     x[np.arange(quarter, 2 * quarter), idx[quarter : 2 * quarter]] = near_cap * rng.uniform(
         0.8, 1.2, size=quarter
     )
@@ -234,7 +235,7 @@ def verify_mode_holder(
     if j is not None:
         i = int(idx[j])
         worst = {"t": float(times[j]), "mode": i, "x_i": float(x[j, i]), "y_i": float(y_val[j])}
-    return ValidationReport("mode_holder", max_ratio <= _PASS_TOL, trials, max_ratio, c, worst)
+    return _record("mode_holder", max_ratio <= _PASS_TOL, trials, max_ratio, c, worst)
 
 
 def verify_time_holder(
@@ -243,7 +244,7 @@ def verify_time_holder(
     trials: int,
     rng_seed: int = 0,
     horizon: float = 1.0,
-) -> ValidationReport:
+) -> dict:
     """Sample ||b_s(x) - b_t(x)|| against c_time * |s - t|**epsilon.
 
     c_time combines the size of the drift profile, the Lipschitz constant of
@@ -272,5 +273,5 @@ def verify_time_holder(
 
     max_ratio, j = _worst_trial(trials, block_ratios)
     worst = {} if j is None else {"s": float(s_times[j]), "t": float(t_times[j])}
-    return ValidationReport("time_holder", max_ratio <= _PASS_TOL, trials, max_ratio, c_time, worst)
+    return _record("time_holder", max_ratio <= _PASS_TOL, trials, max_ratio, c_time, worst)
 

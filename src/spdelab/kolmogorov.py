@@ -14,7 +14,9 @@ m_samples, seed)` gives the (j*k, n) means and standard errors of the
 gradients of the j observables fs along the k rows of directions, through
 the Bismut-Elworthy-Li weight.  `gradient_decay_check` is one pass of the
 second, and the suite's finite-difference cross-check runs
-`_difference_quotient` through the first.
+`_difference_quotient` through the first.  The checks return plain records,
+dicts of Python numbers, bools and lists that summary.json holds as they
+stand; the command-line front end writes the decay table from them.
 
 Every Monte Carlo estimator draws from `default_rng(seed)`, so checks with
 one seed share their leading normals and are not independent samples.  Only
@@ -52,7 +54,6 @@ modes of its point and Picard checks, capped at the operator's) and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,17 +66,13 @@ __all__ = [
     "drift_test_function",
     "ou_semigroup_estimate",
     "bismut_gradient",
-    "GradientDecayRow",
-    "GradientDecayReport",
     "gradient_decay_check",
     "picard_u_lambda",
     "picard_norm_bound",
-    "SummabilityReport",
     "gradient_summability_probe",
     "kolmogorov_suite",
 ]
 
-DECAY_CSV_HEADER = "i,estimate,stderr,bound_ratio"
 FD_STEP = 1e-3  # step of the suite's finite-difference cross-check
 PICARD_NODES = 8  # midpoint nodes in time of the first Picard iterate
 PICARD_SAMPLES = 512  # transition draws per node of the first Picard iterate
@@ -286,32 +283,6 @@ def _difference_quotient(op, f, t, x, eta) -> Callable[[np.ndarray], np.ndarray]
     return lambda z: (f(z + dz) - f(z - dz)) / (2.0 * FD_STEP)
 
 
-@dataclass(frozen=True)
-class GradientDecayRow:
-    mode: int
-    estimate: float
-    stderr: float
-    bound_ratio: float
-
-
-@dataclass
-class GradientDecayReport:
-    t: float
-    sup_bound: float
-    rows: list[GradientDecayRow]
-    max_ratio: float
-    bounded: bool
-
-    def csv_text(self) -> str:
-        lines = [DECAY_CSV_HEADER]
-        for row in self.rows:
-            lines.append(f"{row.mode},{row.estimate!r},{row.stderr!r},{row.bound_ratio!r}")
-        return "\n".join(lines) + "\n"
-
-    def summary_dict(self) -> dict:
-        return asdict(self)
-
-
 def gradient_decay_check(
     op: SpectralOperator,
     f: Callable[[np.ndarray], np.ndarray],
@@ -321,12 +292,14 @@ def gradient_decay_check(
     modes,
     m_samples: int,
     seed: int = 0,
-) -> GradientDecayReport:
+) -> dict:
     """Per-mode gradient size against sup_bound*sqrt(1-e^(-2*lam*t))/(sqrt(lam)*t).
 
     sup_bound is the sup norm of the observable f, which the caller knows
-    (for the drift, `_drift_sup`).  The report is bounded when no mode's size exceeds that bound by more
-    than three standard errors.  One `bismut_gradient` pass along the unit
+    (for the drift, `_drift_sup`).  The check is bounded when no mode's size exceeds that bound by more
+    than three standard errors.  The record, in plain Python numbers, holds
+    t, sup_bound, max_ratio, bounded and one row per mode (mode, estimate,
+    stderr, bound_ratio).  One `bismut_gradient` pass along the unit
     vectors of the checked modes serves every mode: one joint draw, with
     weights on those modes only, and one evaluation of f per sample.  Every
     mode shares the draws from default_rng(seed), so the decay trend is not
@@ -347,11 +320,11 @@ def gradient_decay_check(
         theory = sup_bound * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
         # a zero drift has a zero bound and a zero estimate, which sit at ratio 0
         ratio = size / theory if size else 0.0
-        rows.append(GradientDecayRow(mode=int(i), estimate=size, stderr=se_size, bound_ratio=ratio))
+        rows.append({"mode": int(i), "estimate": size, "stderr": se_size, "bound_ratio": ratio})
         if size > theory + 3.0 * se_size:
             bounded = False
-    max_ratio = max(row.bound_ratio for row in rows)
-    return GradientDecayReport(t=t, sup_bound=sup_bound, rows=rows, max_ratio=max_ratio, bounded=bounded)
+    max_ratio = max(row["bound_ratio"] for row in rows)
+    return {"t": t, "sup_bound": sup_bound, "rows": rows, "max_ratio": max_ratio, "bounded": bounded}
 
 
 def picard_u_lambda(
@@ -406,17 +379,6 @@ def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> flo
     return sup_b * (-math.expm1(-lam * (horizon - t))) / lam
 
 
-@dataclass
-class SummabilityReport:
-    theta: float
-    partial_sums: list[float]
-    growth_ratio: float
-    bounded: bool
-
-    def summary_dict(self) -> dict:
-        return asdict(self)
-
-
 def gradient_summability_probe(
     op: SpectralOperator,
     spec: HolderDriftSpec,
@@ -426,7 +388,7 @@ def gradient_summability_probe(
     theta: float,
     horizon: float = 1.0,
     seed: int = 0,
-) -> SummabilityReport:
+) -> dict:
     """Weighted square sum of per-mode gradients of the first Picard iterate.
 
     Estimates grad_i of u at (t, x) for every retained mode in one pass (the
@@ -436,6 +398,8 @@ def gradient_summability_probe(
     flatten out: the last half of the modes may add at most
     SUMMABILITY_GROWTH_CAP times the first half's sum.  A partial sum that
     is not finite is refused, since two infinite sums would read as no growth.
+    The record, in plain Python numbers, holds theta, the partial_sums, their
+    growth_ratio and whether they are bounded.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
@@ -459,7 +423,8 @@ def gradient_summability_probe(
     half, full = partial_sums[max(1, n // 2) - 1], partial_sums[-1]
     # sums that never grow, all zeros under a zero drift among them, have ratio 1
     growth_ratio = 1.0 if full == half else float(full / half)
-    return SummabilityReport(theta, partial_sums.tolist(), growth_ratio, growth_ratio <= SUMMABILITY_GROWTH_CAP)
+    bounded = growth_ratio <= SUMMABILITY_GROWTH_CAP
+    return {"theta": theta, "partial_sums": partial_sums.tolist(), "growth_ratio": growth_ratio, "bounded": bounded}
 
 
 def kolmogorov_suite(
@@ -481,6 +446,7 @@ def kolmogorov_suite(
     uses PICARD_NODES (8) nodes times PICARD_SAMPLES (512) draws and the
     summability probe SUMMABILITY_NODES (8) nodes times SUMMABILITY_SAMPLES
     (4096) draws.  The decay modes are checked before anything is drawn.
+    It returns the verdict, the check table and the three records it ran.
     """
     decay_modes = tuple(decay_modes)
     if not decay_modes or not all(1 <= i <= op.n_max for i in decay_modes):
@@ -542,8 +508,8 @@ def kolmogorov_suite(
     decay = gradient_decay_check(op, f_drift, sup_drift, t, x_decay, decay_modes, m_samples, seed=seed)
     record(
         "gradient_decay_bounded",
-        decay.bounded,
-        f"max bound ratio {decay.max_ratio:.4f} over modes {decay_modes}",
+        decay["bounded"],
+        f"max bound ratio {decay['max_ratio']:.4f} over modes {decay_modes}",
     )
 
     x_pic = 1.0 / np.arange(1, picard_dims + 1)
@@ -571,20 +537,19 @@ def kolmogorov_suite(
     summ = gradient_summability_probe(op, spec, LAM_SWEEP[0], 0.0, x_decay, theta, horizon=horizon, seed=seed)
     record(
         "summability_non_exploding",
-        summ.bounded,
-        f"partial sum growth ratio {summ.growth_ratio:.4f} at theta = {theta}",
+        summ["bounded"],
+        f"partial sum growth ratio {summ['growth_ratio']:.4f} at theta = {theta}",
     )
 
     return {
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
-        "decay": decay.summary_dict(),
+        "decay": decay,
         "picard": {
             "lam_sweep": list(LAM_SWEEP),
             "norms": norms,
             "bounds": bounds,
             "stderrs": slacks,
         },
-        "summability": summ.summary_dict(),
-        "decay_csv": decay.csv_text(),
+        "summability": summ,
     }

@@ -630,10 +630,12 @@ def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):
     # drift values near 1e300 are finite, but an estimator's squared sums
     # overflow; the standard errors used to come out inf or NaN, and every
     # check read [ok] (decay rows "1,inf,nan,nan", Picard norms "inf <= inf",
-    # growth ratio 1); the first estimator to meet them now stops the run
+    # growth ratio 1); the first estimator to meet them now stops the run.
+    # cap 1 keeps the drift's sup bound finite (1.28e300), so the run gets
+    # past the bound's own refusal to the estimators
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "kolmogorov", "m_samples": 2000, "decay_modes": [1, 4, 16, 64]}, out=str(out))
-    doc["drift"].update(amplitude=1e300, cap=1e300)
+    doc["drift"].update(amplitude=1e300, cap=1.0)
     cfg = write_doc(tmp_path, doc)
     # outside the test suite numpy only warns of the overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -641,6 +643,38 @@ def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "bismut_gradient: mean or standard error is not finite, first at mode 1" in err
+    assert not out.exists()
+
+
+def _overflowing_bound_doc(study, out):
+    # psi never reaches the cap (|u|**0.9 < 1e278 for every float u), so every
+    # drift value is finite, but the sup bound amplitude * cap * |lam**-beta|
+    # overflows
+    doc = canonical_doc(study, out=str(out))
+    doc["drift"].update(amplitude=1e10, cap=1e300)
+    return doc
+
+
+def test_kolmogorov_check_refuses_a_drift_bound_that_overflows(tmp_path, capsys):
+    # the bound used to be inf, and every check against it passed: exit 0
+    # with a decay bound ratio of 0 and Picard norms "3.964e+09 <= inf"
+    out = tmp_path / "o"
+    doc = _overflowing_bound_doc({"kind": "kolmogorov", "m_samples": 100_000, "decay_modes": [1, 4, 16, 64]}, out)
+    cfg = write_doc(tmp_path, doc)
+    assert run(["kolmogorov-check", "--config", cfg, "--paths", "2000", "--seed", "0"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "drift sup bound overflows: amplitude 10000000000.0, cap 1e+300, 64 modes" in err
+    assert not out.exists()
+
+
+def test_validate_drift_names_the_cap_that_overflows(tmp_path, capsys):
+    # the mode validator's saturation point cap**(1/epsilon) used to die as a
+    # bare "OverflowError: (34, 'Numerical result out of range')"
+    out = tmp_path / "o"
+    cfg = write_doc(tmp_path, _overflowing_bound_doc({"kind": "validate", "trials": 200}, out))
+    assert run(["validate-drift", "--config", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "overflows: cap 1e+300, epsilon 0.9" in err
     assert not out.exists()
 
 

@@ -16,7 +16,9 @@ The temporal-study and increment-study entries were re-recorded when a
 study's lattice came to be drawn at the finest level the study reads (5 and
 4 here, not noise.levels 6): their noise, rows and verdicts changed, and
 their summaries gained `lattice_levels`.  The temporal study's exit went
-from 0 to 1 (`err2_strictly_decreasing` fails at 4 paths).
+from 0 to 1 (`err2_strictly_decreasing` fails at 4 paths).  The
+increment-study entry lost its `finite` pass flag, in summary.json and in
+stdout, when that flag, which could not fail, was deleted.
 """
 
 import json

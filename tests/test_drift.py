@@ -78,6 +78,16 @@ def test_drift_bound_variants():
     )
 
 
+def test_drift_bound_refuses_a_bound_that_overflows():
+    # amplitude 1e10 and cap 1e300 are finite, but their product is not: the
+    # bound used to be inf, which no drift size can exceed
+    spec = _diag(0.9, amplitude=1e10, cap=1e300)
+    op = make_heat_operator(64)
+    with pytest.raises(OverflowError, match=r"overflows: amplitude 10000000000\.0, cap 1e\+300, 64 modes"):
+        drift_bound(spec, op)
+    assert drift_bound(_diag(0.9, amplitude=1e300), op) == 1e300 * drift_bound(_diag(0.9), op)  # 1.28e300
+
+
 def test_time_weight_cosine_default_period(rough_drift):
     assert time_weight(rough_drift, 0.0) == 1.0
     assert time_weight(rough_drift, 0.7) == pytest.approx(math.cos(0.7), rel=1e-12)
@@ -89,39 +99,39 @@ def test_time_weight_cosine_default_period(rough_drift):
 
 def test_mode_holder_validator_passes(heat16, rough_drift):
     report = verify_mode_holder(rough_drift, heat16, trials=10_000)
-    assert report.passed
-    assert report.trials == 10_000
+    assert report["passed"]
+    assert report["trials"] == 10_000
     # the antisymmetric pairs drive the ratio against the constant
-    assert 0.97 < report.max_ratio <= 1.0 + 1e-9
-    assert report.constant == pytest.approx(mode_holder_constant(rough_drift), rel=1e-15)
+    assert 0.97 < report["max_ratio"] <= 1.0 + 1e-9
+    assert report["constant"] == pytest.approx(mode_holder_constant(rough_drift), rel=1e-15)
     # plain Python numbers, so reports print and serialize as numbers
-    assert report.name == "mode_holder"
-    assert report.passed is True
-    assert type(report.max_ratio) is float and type(report.constant) is float
+    assert report["name"] == "mode_holder"
+    assert report["passed"] is True
+    assert type(report["max_ratio"]) is float and type(report["constant"]) is float
 
 
 def test_mode_holder_validator_rejects_halved_constant(heat16, rough_drift, monkeypatch):
     full = drift.mode_holder_constant
     monkeypatch.setattr(drift, "mode_holder_constant", lambda spec: 0.5 * full(spec))
     report = verify_mode_holder(rough_drift, heat16, trials=2000)
-    assert not report.passed
-    assert 1.9 < report.max_ratio < 2.1
-    assert report.worst  # worst offender is recorded
+    assert not report["passed"]
+    assert 1.9 < report["max_ratio"] < 2.1
+    assert report["worst"]  # worst offender is recorded
 
 
 def test_mode_holder_validator_zero_amplitude(heat16):
     report = verify_mode_holder(_diag(0.9, amplitude=0.0), heat16, trials=100)
-    assert report.passed
-    assert report.max_ratio == 0.0
+    assert report["passed"]
+    assert report["max_ratio"] == 0.0
 
 
 def test_time_holder_validator(heat16, rough_drift):
     report = verify_time_holder(rough_drift, heat16, trials=10_000)
-    assert report.passed
-    assert 0.0 < report.max_ratio <= 1.0 + 1e-9
+    assert report["passed"]
+    assert 0.0 < report["max_ratio"] <= 1.0 + 1e-9
     flat = verify_time_holder(_diag(0.9), heat16, trials=500)
-    assert flat.passed
-    assert flat.max_ratio == 0.0
+    assert flat["passed"]
+    assert flat["max_ratio"] == 0.0
 
 
 def test_worst_trial_scans_every_block():
@@ -329,15 +339,15 @@ def test_validator_golden(heat16, kind, time_mod, seed, which, passed, constant,
     spec = HolderDriftSpec(kind=kind, beta=0.5, epsilon=0.9, amplitude=1.0, cap=1.0, time_mod=time_mod)
     verify = verify_mode_holder if which == "mode" else verify_time_holder
     report = verify(spec, heat16, trials=10_000, rng_seed=seed)
-    assert report.passed == passed
-    assert report.trials == 10_000
-    assert report.constant == constant
-    assert math.isclose(report.max_ratio, max_ratio, rel_tol=1e-14)
+    assert report["passed"] == passed
+    assert report["trials"] == 10_000
+    assert report["constant"] == constant
+    assert math.isclose(report["max_ratio"], max_ratio, rel_tol=1e-14)
     if not worst:
-        assert report.worst == {}
+        assert report["worst"] == {}
         return
     # many trials attain the constant to within rounding, so the worst record
     # may name another trial, as long as its reference ratio ties the maximum
-    assert report.worst.keys() == worst.keys()
-    ratio = holder_ratio_at(spec, heat16, which, 10_000, seed, report.worst)
+    assert report["worst"].keys() == worst.keys()
+    ratio = holder_ratio_at(spec, heat16, which, 10_000, seed, report["worst"])
     assert math.isclose(ratio, max_ratio, rel_tol=1e-14)

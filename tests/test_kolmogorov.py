@@ -13,10 +13,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spdelab import kolmogorov
+from spdelab import cli, kolmogorov
 from spdelab.drift import HolderDriftSpec, drift_array, drift_bound
 from spdelab.kolmogorov import (
-    DECAY_CSV_HEADER,
     PICARD_NODES,
     PICARD_SAMPLES,
     bismut_gradient,
@@ -357,17 +356,14 @@ def test_gradient_decay_report(heat16):
     x = 1.0 / np.arange(1.0, 17.0)
     sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
     report = gradient_decay_check(heat16, f, sup, 0.5, x, (1, 2, 4), 20_000, seed=2024)
-    assert report.bounded
-    assert report.max_ratio < 1.0
-    sizes = [row.estimate for row in report.rows]
+    assert report["bounded"] is True
+    assert report["max_ratio"] < 1.0
+    sizes = [row["estimate"] for row in report["rows"]]
     assert sizes[0] > sizes[1] > sizes[2]
-    text = report.csv_text()
-    lines = text.splitlines()
-    assert lines[0] == DECAY_CSV_HEADER
-    assert len(lines) == 4
-    summary = report.summary_dict()
-    assert summary["bounded"] is True
-    assert len(summary["rows"]) == 3
+    assert [row["mode"] for row in report["rows"]] == [1, 2, 4]
+    # plain Python numbers, so the record is summary.json's as it stands
+    assert {type(v) for row in report["rows"] for v in row.values()} == {int, float}
+    assert type(report["max_ratio"]) is float and type(report["sup_bound"]) is float
     with pytest.raises(ValueError):
         gradient_decay_check(heat16, f, sup, 0.5, x, (0,), 100)
     with pytest.raises(ValueError):
@@ -392,7 +388,7 @@ def _expected_decay_rows(op, sup, t, modes, mean, se):
 
 
 def _report_rows(report):
-    return [(row.mode, row.estimate, row.stderr, row.bound_ratio) for row in report.rows]
+    return [(row["mode"], row["estimate"], row["stderr"], row["bound_ratio"]) for row in report["rows"]]
 
 
 def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
@@ -413,8 +409,8 @@ def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
         est, se = bismut_gradient(heat16, [f], t, x, np.eye(n)[[modes[0] - 1]], m, seed=seed)
         rows, max_ratio, bounded = _expected_decay_rows(heat16, sup, t, modes, [est[0]] * 2, [se[0]] * 2)
         assert _report_rows(report) == rows
-        assert report.max_ratio == max_ratio
-        assert report.bounded is bounded
+        assert report["max_ratio"] == max_ratio
+        assert report["bounded"] is bounded
 
 
 def _decay_oracle_moments(op, f, t, x, modes, m, seed):
@@ -461,8 +457,8 @@ def test_gradient_decay_matches_its_stated_draw(heat16, monkeypatch):
         got = _report_rows(report)
         assert [(i, size, ratio) for i, size, _, ratio in got] == [(i, size, ratio) for i, size, _, ratio in rows]
         np.testing.assert_allclose([r[2] for r in got], [r[2] for r in rows], rtol=1e-12, atol=0.0)
-        assert report.max_ratio == max_ratio
-        assert report.bounded is bounded
+        assert report["max_ratio"] == max_ratio
+        assert report["bounded"] is bounded
         assert len({row[1] for row in got}) == len(set(modes))  # a repeated mode repeats its row
 
 
@@ -541,8 +537,8 @@ def test_gradient_decay_vanishes_at_large_time(heat16):
     x = 1.0 / np.arange(1.0, 17.0)
     sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
     report = gradient_decay_check(heat16, f, sup, 20.0, x, (1, 2), 20_000, seed=5)
-    assert all(row.estimate < 1e-3 for row in report.rows)
-    assert report.max_ratio < 0.05
+    assert all(row["estimate"] < 1e-3 for row in report["rows"])
+    assert report["max_ratio"] < 0.05
 
 
 def test_picard_terminal_condition(heat16):
@@ -621,10 +617,11 @@ def test_picard_norm_bound_values():
 def test_summability_probe(heat16):
     x = 1.0 / np.arange(1.0, 17.0)
     report = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45, seed=4)
-    assert report.bounded
-    assert report.growth_ratio >= 1.0
-    assert np.all(np.diff(report.partial_sums) >= 0.0)
-    assert report.summary_dict()["theta"] == 0.45
+    assert report["bounded"] is True
+    assert report["growth_ratio"] >= 1.0
+    assert np.all(np.diff(report["partial_sums"]) >= 0.0)
+    assert report["theta"] == 0.45
+    assert type(report["growth_ratio"]) is float and {type(s) for s in report["partial_sums"]} == {float}
     with pytest.raises(ValueError):
         gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=-0.1)
     with pytest.raises(ValueError):
@@ -668,7 +665,7 @@ def test_kolmogorov_suite_passes(heat16):
         "summability_non_exploding",
     ]
     assert all(c["passed"] for c in result["checks"])
-    assert result["decay_csv"].startswith(DECAY_CSV_HEADER)
+    assert [row["mode"] for row in result["decay"]["rows"]] == [1, 4, 16]
     assert len(result["picard"]["norms"]) == 3
 
 
@@ -746,6 +743,11 @@ def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
     assert _suite_normals(100_000, 4, (1, 4, 16, 64)) == 12_231_168
 
 
+def _decay_csv(result) -> str:
+    """The suite's decay rows as kolmogorov-check writes them to report.csv."""
+    return cli._csv("i,estimate,stderr,bound_ratio", (row.values() for row in result["decay"]["rows"]))
+
+
 # re-recorded when each joint draw began to take a sample's z1 and z2
 # together, and the decay rows again when the decay check's joint draw began
 # to take weight normals only on the checked modes; the suite must
@@ -771,7 +773,7 @@ GOLDEN_DETAILS = [
 
 def test_kolmogorov_suite_golden():
     result = kolmogorov_suite(make_heat_operator(64), DRIFT, 0.45, m_samples=2000, decay_modes=(1, 4, 16, 64))
-    assert result["decay_csv"] == GOLDEN_DECAY_CSV
+    assert _decay_csv(result) == GOLDEN_DECAY_CSV
     assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_DETAILS
 
 
@@ -816,5 +818,5 @@ GOLDEN_KIND_DETAILS = {
 def test_kolmogorov_suite_golden_per_drift_kind(kind):
     spec = dataclasses.replace(DRIFT, kind=kind)
     result = kolmogorov_suite(make_heat_operator(64), spec, 0.45, m_samples=2000, decay_modes=(1, 4, 16, 64))
-    assert result["decay_csv"] == GOLDEN_KIND_DECAY_CSV[kind]
+    assert _decay_csv(result) == GOLDEN_KIND_DECAY_CSV[kind]
     assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_KIND_DETAILS[kind]
