@@ -5,12 +5,15 @@ squared H-distance between a fine reference path and a coarse approximation
 of the same path.  It is evaluated as a left Riemann sum on the reference
 grid; between its own grid points the coarse scheme is read through the
 sub-step closed form (exponential interpolation with frozen drift and the
-exact partial noise), and that convention is stamped into every report.
+exact partial noise), and that convention is stamped into every record.
 The sub-step values come from the scheme's own step (`scheme._advance`),
 which gives them with the grid from one kernel call per step; this module
 has no copy of the formula.  All three studies, temporal, spatial and
 increment, run through one ladder driver (`_ladder_rows`): a chunk gives
 per-path cells for every rung, and a rung's row is its largest-mean cell.
+Each returns the plain record (`_record`) that `cli` writes as summary.json:
+dicts, lists, strings and Python numbers, so no class carries a result and
+`cli` builds every CSV from the record.
 
 The study chunks and `integrated_square_error` consume the scheme's window
 pass (`scheme._coupled_pass`) one config at a time: a chunk holds one noise
@@ -25,7 +28,7 @@ computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,8 +42,6 @@ __all__ = [
     "theoretical_nu",
     "fit_rate",
     "integrated_square_error",
-    "ReportRow",
-    "ConvergenceReport",
     "temporal_study",
     "spatial_study",
     "increment_statistic",
@@ -189,54 +190,6 @@ def integrated_square_error(ref: Trajectory, approx: Trajectory, lattice: NoiseL
     return float(err2[0] * ref_cfg.delta)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    resolution: int
-    delta: float
-    n_modes: int
-    m_paths: int
-    err2_mean: float
-    err2_stderr: float
-
-
-@dataclass
-class ConvergenceReport:
-    study: str
-    rows: list[ReportRow]
-    slope: float
-    intercept: float
-    r_squared: float
-    nu_theory: float
-    pass_flags: dict[str, bool]
-    slope_stderr: float | None = None
-    slope_threshold: float | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(self.pass_flags.values())
-
-    @property
-    def fit_points(self) -> int:
-        return len(self.rows)
-
-    def summary_dict(self) -> dict:
-        out = {
-            "study": self.study,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r_squared,
-            "fit_points": self.fit_points,
-            "nu_theory": self.nu_theory,
-            "pass": self.passed,
-            "pass_flags": dict(self.pass_flags),
-            "offgrid_rule": OFFGRID_RULE,
-        }
-        if self.slope_threshold is not None:
-            out["slope_stderr"] = self.slope_stderr
-            out["slope_threshold"] = self.slope_threshold
-        return out
-
-
 def _chunked(m_paths: int, chunk_size: int) -> list[list[int]]:
     # every study reports a standard error per rung, which needs two paths;
     # the studies split their paths here, before any chunk runs
@@ -284,12 +237,13 @@ def _ladder_chunk(payload):
     return err2 * ref_cfg.delta
 
 
-def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tuple[list[ReportRow], np.ndarray]:
+def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tuple[list[dict], np.ndarray]:
     """Run the chunks -> (one row per ladder config, the per-path values
-    behind the rows, shape (paths, rungs)).  A chunk gives each rung's cells
-    per path, one for err2 and one per (fraction, step) for an increment; a
-    row is the cell with the largest mean, with that mean's standard error.
-    A cell that is not finite is refused, naming its rung and first path."""
+    behind the rows, shape (paths, rungs)).  A row is a dict keyed by the
+    report.csv columns, in their order.  A chunk gives each rung's cells per
+    path, one for err2 and one per (fraction, step) for an increment; a row
+    is the cell with the largest mean, with that mean's standard error.  A
+    cell that is not finite is refused, naming its rung and first path."""
     results = _run_chunks(worker, payloads, workers)
     rows, values = [], np.empty((m_paths, len(configs)))
     for i, (res, cfg) in enumerate(zip(resolutions, configs)):
@@ -304,8 +258,22 @@ def _ladder_rows(worker, payloads, configs, resolutions, m_paths, workers) -> tu
         flat = int(np.argmax(means))
         vals = values[:, i] = cells[:, flat]
         stderr = float(np.std(vals, ddof=1) / math.sqrt(m_paths))
-        rows.append(ReportRow(res, cfg.delta, cfg.n_dim, m_paths, float(means[flat]), stderr))
+        rows.append(
+            {"resolution": res, "delta": cfg.delta, "n_modes": cfg.n_dim, "m_paths": m_paths,
+             "err2_mean": float(means[flat]), "err2_stderr": stderr}
+        )
     return rows, values
+
+
+def _record(study: str, rows: list[dict], slope, intercept, r2, nu: float, flags: dict, **extra) -> dict:
+    """A study's result, the record summary.json holds: its rows, the fit
+    through them, nu, the pass flags and their conjunction `pass`, and any
+    `extra` entries."""
+    return {
+        "study": study, "rows": rows, "slope": slope, "intercept": intercept, "r2": r2,
+        "fit_points": len(rows), "nu_theory": nu, "pass": all(flags.values()), "pass_flags": flags,
+        "offgrid_rule": OFFGRID_RULE, **extra,
+    }
 
 
 def _decreasing_beyond_noise(means: np.ndarray, stderrs: np.ndarray) -> bool:
@@ -341,7 +309,7 @@ def temporal_study(
     alpha: float,
     workers: int = 1,
     chunk_size: int = 25,
-) -> ConvergenceReport:
+) -> dict:
     """Self-convergence in the step size at fixed mode count.
 
     The config fields `ladder` (levels), `reference_level`, `n_modes` and
@@ -351,7 +319,7 @@ def temporal_study(
     truncation error cancels exactly and the fitted slope isolates the
     temporal rate.  The slope must reach nu - SLOPE_MARGIN; the
     r2_at_least_min flag (R^2 >= R2_MIN) is set only on ladders of at least
-    R2_MIN_POINTS rungs.
+    R2_MIN_POINTS rungs.  Returns the study's record (`_record`).
     """
     ladder = _sorted_ladder(ladder, reference_level, "the reference level")
     nu = theoretical_nu(alpha, drift_spec)
@@ -359,17 +327,16 @@ def temporal_study(
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
     rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
-    means = np.array([r.err2_mean for r in rows])
-    stderrs = np.array([r.err2_stderr for r in rows])
-    deltas = np.array([r.delta for r in rows])
-    slope, intercept, r2 = fit_rate(deltas, means)
+    means = np.array([r["err2_mean"] for r in rows])
+    stderrs = np.array([r["err2_stderr"] for r in rows])
+    slope, intercept, r2 = fit_rate(np.array([r["delta"] for r in rows]), means)
     flags = {
         "err2_strictly_decreasing": _decreasing_beyond_noise(means, stderrs),
         "slope_at_least_nu_minus_margin": slope >= nu - SLOPE_MARGIN,
     }
     if len(rows) >= R2_MIN_POINTS:
         flags["r2_at_least_min"] = r2 >= R2_MIN
-    return ConvergenceReport("temporal", rows, slope, intercept, r2, nu, flags)
+    return _record("temporal", rows, slope, intercept, r2, nu, flags)
 
 
 def spatial_study(
@@ -384,12 +351,12 @@ def spatial_study(
     alpha: float,
     workers: int = 1,
     chunk_size: int = 25,
-) -> ConvergenceReport:
+) -> dict:
     """Galerkin truncation error at fixed step size, fitted against the
     largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN).
     The config fields `ladder` (mode counts), `reference_modes`, `level` and
     `m_paths` are keywords here; alpha is the noise regularity, as in
-    `temporal_study`."""
+    `temporal_study`.  Returns the study's record (`_record`)."""
     ladder = _sorted_ladder(ladder, reference_modes, "the reference mode count")
     nu = theoretical_nu(alpha, drift_spec)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
@@ -399,13 +366,13 @@ def spatial_study(
         raise ValueError("the ladder's largest retained eigenvalues must take at least two values to fit a rate")
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
     rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
-    means = np.array([r.err2_mean for r in rows])
+    means = np.array([r["err2_mean"] for r in rows])
     slope, intercept, r2 = fit_rate(top_eigs, means)
     flags = {
         "err2_strictly_decreasing": bool(np.all(np.diff(means) < 0.0)),
         "slope_at_most_neg_nu_plus_margin": slope <= -(nu - SLOPE_MARGIN),
     }
-    return ConvergenceReport("spatial", rows, slope, intercept, r2, nu, flags)
+    return _record("spatial", rows, slope, intercept, r2, nu, flags)
 
 
 def _substep_offsets(lattice: NoiseLattice, level: int, fractions) -> np.ndarray:
@@ -493,7 +460,7 @@ def increment_statistic(
     sample_fractions,
     workers: int = 1,
     chunk_size: int = 25,
-) -> ConvergenceReport:
+) -> dict:
     """Worst off-grid mean-square displacement from the last grid point.
 
     For each level of the `ladder` the statistic S(delta) is the maximum
@@ -521,7 +488,7 @@ def increment_statistic(
       is the plain asymptotic assertion slope >= alpha - ALPHA_MARGIN.
       On a coarse ladder the flag asserts that the drift lowers the local
       slope below the driftless one by no more than ALPHA_MARGIN.
-    * The flag is the plain comparison slope >= threshold.  The report
+    * The flag is the plain comparison slope >= threshold.  The record
       also carries ``slope_stderr``, a delta-method standard error from the
       paired per-path values of the selected cells (``_slope_stderr``).  It
       is information only: where 2 * slope_stderr exceeds ALPHA_MARGIN, a
@@ -531,7 +498,8 @@ def increment_statistic(
       bias is larger on the finer rungs, so the fitted slope is biased down;
       the bias shrinks with the standard error as paths are added.
 
-    The report carries ``slope_stderr`` and ``slope_threshold``.
+    Returns the study's record (`_record`), whose ``nu_theory`` is NaN and
+    which also carries ``slope_stderr`` and ``slope_threshold``.
     """
     ladder = _sorted_ladder(ladder, lattice.levels, "the lattice levels")
     _check_sample_fractions(sample_fractions, ladder[-1], lattice.levels)
@@ -539,13 +507,12 @@ def increment_statistic(
     stops = [_substep_offsets(lattice, lev, sample_fractions) for lev in ladder]
     payloads = [(configs, stops, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
     rows, values = _ladder_rows(_increment_chunk, payloads, configs, ladder, m_paths, workers)
-    deltas = np.array([r.delta for r in rows])
-    stats = np.array([r.err2_mean for r in rows])
-    slope, intercept, r2 = fit_rate(deltas, stats)
+    deltas = np.array([r["delta"] for r in rows])
+    slope, intercept, r2 = fit_rate(deltas, np.array([r["err2_mean"] for r in rows]))
     s0 = _driftless_increment_slope(operator, initial, lattice, ladder, n_modes, sample_fractions)
     threshold = min(alpha, s0) - ALPHA_MARGIN
     flags = {"slope_at_least_alpha_minus_margin": slope >= threshold}
-    return ConvergenceReport(
+    return _record(
         "increment", rows, slope, intercept, r2, float("nan"), flags,
         slope_stderr=_slope_stderr(deltas, values), slope_threshold=threshold,
     )

@@ -10,13 +10,14 @@ command, `--paths` the study's size field.  A command that writes refuses
 an output directory over an existing non-directory before it runs.  The one
 writer `_emit` puts `report.csv`, `summary.json` (with the parser's record
 of the config and the hypothesis table) and `plot.gp` (plain plotting
-commands) into the output directory.  The library returns reports and plain
-records; each command builds its report.csv table from them with `_csv`, so
-no other module writes report text.  A study's fields, `kind` aside, are
-keywords of its function, which is looked up by its module-level name at
-each call, so a tracer that rebinds it here sees every run.  noise.levels
-is `simulate`'s level and only bounds a study's lattice, drawn at the level
-the study reads; it stays required while the benchmark's configs carry it.
+commands) into the output directory.  The library returns plain records;
+`cli` builds every CSV from them with `_csv`, each report.csv table and
+`simulate`'s trajectory files, so no other module writes CSV text.  A
+study's fields, `kind` aside, are keywords of its function, which is looked
+up by its module-level name at each call, so a tracer that rebinds it here
+sees every run.  noise.levels is `simulate`'s level and only bounds a
+study's lattice, drawn at the level the study reads; it stays required
+while the benchmark's configs carry it.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 every failure
 before the command starts (a bad option, a config that cannot be read,
 decoded, parsed or allocated, a refused output directory), 3 hypothesis
@@ -31,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +46,9 @@ from .scheme import (
     SimulationError,
     initial_domain_check,
     simulate_path,
-    write_trajectory_csv,
 )
 from .analysis import (
     R2_MIN_POINTS,
-    ConvergenceReport,
     HypothesisViolation,
     _check_sample_fractions,
     increment_statistic,
@@ -456,10 +455,10 @@ def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = N
     return outdir
 
 
-def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
-    xcol, xlabel = (3, "retained modes") if report.study == "spatial" else (2, "step size")
-    summary = report.summary_dict()
-    summary["rows"] = [asdict(r) for r in report.rows]
+def _emit_convergence(cfg: StudyConfig, summary: dict) -> int:
+    """Write a convergence study's record as summary.json, its rows as
+    report.csv, and print the rows and the verdict."""
+    xcol, xlabel = (3, "retained modes") if summary["study"] == "spatial" else (2, "step size")
     if cfg.lattice.levels != cfg.doc["noise"]["levels"]:  # drawn below its bound
         summary["lattice_levels"] = cfg.lattice.levels
     plot = _plot(
@@ -467,41 +466,39 @@ def _emit_convergence(cfg: StudyConfig, report: ConvergenceReport) -> int:
         f"set xlabel '{xlabel}'",
         "set ylabel 'mean integrated squared error'",
         "set key left top",
-        f"slope = {report.slope!r}",
-        f"intercept = {report.intercept!r}",
+        f"slope = {summary['slope']!r}",
+        f"intercept = {summary['intercept']!r}",
         f"plot 'report.csv' skip 1 using {xcol}:5:6 with yerrorlines title 'measured', \\",
         "     exp(intercept) * x**slope with lines title sprintf('fit, slope %.3f', slope)",
     )
     header = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
     outdir = _emit(cfg, summary, plot, _csv(header, (row.values() for row in summary["rows"])))
-    for row in report.rows:
+    for row in summary["rows"]:
         print(
-            f"resolution {row.resolution:>4}  delta {row.delta:.6g}  "
-            f"err2 {row.err2_mean:.6g} +- {row.err2_stderr:.3g}"
+            f"resolution {row['resolution']:>4}  delta {row['delta']:.6g}  "
+            f"err2 {row['err2_mean']:.6g} +- {row['err2_stderr']:.3g}"
         )
-    verdict = "pass" if report.passed else "FAIL"
+    verdict = "pass" if summary["pass"] else "FAIL"
     gate = ""
-    if report.slope_threshold is not None:
-        gate = f"  stderr {report.slope_stderr:.4f}  threshold {report.slope_threshold:.4f}"
-    if report.fit_points >= R2_MIN_POINTS:
-        r2 = f"r2 {report.r_squared:.4f}"
-    else:
-        r2 = f"r2 n/a ({report.fit_points} points)"
+    if "slope_threshold" in summary:
+        gate = f"  stderr {summary['slope_stderr']:.4f}  threshold {summary['slope_threshold']:.4f}"
+    points = summary["fit_points"]
+    r2 = f"r2 {summary['r2']:.4f}" if points >= R2_MIN_POINTS else f"r2 n/a ({points} points)"
     print(
-        f"{report.study} study: slope {report.slope:.4f}{gate}  {r2}  "
-        f"nu {report.nu_theory:.5g}  -> {verdict}"
+        f"{summary['study']} study: slope {summary['slope']:.4f}{gate}  {r2}  "
+        f"nu {summary['nu_theory']:.5g}  -> {verdict}"
     )
-    for name, ok in report.pass_flags.items():
+    for name, ok in summary["pass_flags"].items():
         print(f"  [{'ok' if ok else 'FAIL'}] {name}")
     print(f"wrote {outdir / 'report.csv'}, {outdir / 'summary.json'}, {outdir / 'plot.gp'}")
-    return EXIT_OK if report.passed else EXIT_ACCEPTANCE
+    return EXIT_OK if summary["pass"] else EXIT_ACCEPTANCE
 
 
 def _cmd_convergence(cfg: StudyConfig, workers: int) -> int:
     fields = {k: v for k, v in cfg.study.items() if k != "kind"}
     study = globals()[_POOLED_STUDIES[cfg.study["kind"]]]
-    report = study(cfg.operator, cfg.drift, cfg.initial, cfg.lattice, **fields, alpha=cfg.alpha, workers=workers)
-    return _emit_convergence(cfg, report)
+    record = study(cfg.operator, cfg.drift, cfg.initial, cfg.lattice, **fields, alpha=cfg.alpha, workers=workers)
+    return _emit_convergence(cfg, record)
 
 
 def _cmd_kolmogorov(cfg: StudyConfig) -> int:
@@ -544,11 +541,12 @@ def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     lattice = cfg.lattice
     scheme = SchemeConfig(cfg.operator, cfg.drift, cfg.initial, lattice.horizon, lattice.levels, lattice.n_modes)
+    header = ",".join(["t", *(f"mode_{i + 1}" for i in range(scheme.n_dim))])
     files = []
     for pid in range(n_paths):
-        traj = simulate_path(scheme, lattice, pid)
+        grid = simulate_path(scheme, lattice, pid).grid
         target = outdir / f"trajectory_{pid}.csv"
-        write_trajectory_csv(traj, target)
+        target.write_text(_csv(header, ([k * scheme.delta, *row.tolist()] for k, row in enumerate(grid))))
         files.append(target.name)
     summary = {"paths": n_paths, "level": lattice.levels, "n_modes": lattice.n_modes, "files": files}
     plot = _plot(

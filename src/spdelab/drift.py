@@ -121,6 +121,8 @@ def drift_array(spec: HolderDriftSpec, lam: np.ndarray, t, x: np.ndarray) -> np.
 
 def drift_bound(spec: HolderDriftSpec, op: SpectralOperator) -> float:
     """Supremum of ||b_t(x)|| over all t and x, on the stored truncation."""
+    if spec.amplitude == 0.0:  # switched off; the unscaled size may overflow, and 0 * inf is NaN
+        return 0.0
     sup_nl = _nonlinearity_sup(spec)
     weights = op.eigenvalues ** (-spec.beta)
     if spec.kind == "rank_one":

@@ -32,7 +32,6 @@ that of the whole-lattice pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -50,7 +49,6 @@ __all__ = [
     "initial_domain_check",
     "simulate_path",
     "simulate_coupled",
-    "write_trajectory_csv",
 ]
 
 
@@ -153,9 +151,6 @@ class Trajectory:
         expected = (self.config.steps + 1, self.config.n_dim)
         if self.grid.shape != expected:
             raise ValueError(f"grid shape {self.grid.shape} != {expected}")
-
-    def time(self, k: int) -> float:
-        return k * self.config.delta
 
 
 def _ei_substep(cfg: SchemeConfig, k: int, y: np.ndarray, decay, tau, partial, scratch) -> np.ndarray:
@@ -298,12 +293,3 @@ def simulate_coupled(configs, lattice: NoiseLattice, path_id: int) -> list[Traje
     for i, k0, grid, _ in _coupled_pass(configs, lattice, [path_id], [None] * len(configs)):
         grids[i][k0 : k0 + len(grid)] = grid[:, 0]
     return [Trajectory(cfg, path_id, g) for cfg, g in zip(configs, grids)]
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Columns t, mode_1 .. mode_n, one row per grid time."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"mode_{i + 1}" for i in range(traj.config.n_dim)])
-        for k in range(traj.config.steps + 1):
-            writer.writerow([repr(traj.time(k))] + [repr(float(v)) for v in traj.grid[k]])

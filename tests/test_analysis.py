@@ -1,6 +1,5 @@
 """Tests for rate theory, the error functional, and the study drivers."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -300,9 +299,9 @@ def test_fewer_than_two_paths_are_refused_before_simulating(monkeypatch, study, 
 
 
 def _csv_text(report) -> str:
-    """A study report's rows as the study commands write them to report.csv."""
+    """A study record's rows as the study commands write them to report.csv."""
     header = "resolution,delta,n_modes,m_paths,err2_mean,err2_stderr"
-    return cli._csv(header, map(dataclasses.astuple, report.rows))
+    return cli._csv(header, (row.values() for row in report["rows"]))
 
 
 def _temporal(workers=1):
@@ -324,33 +323,53 @@ def _temporal(workers=1):
 
 def test_temporal_study_report_shape():
     report = _temporal()
-    assert report.study == "temporal"
-    assert [r.resolution for r in report.rows] == [3, 4, 5]
-    assert [r.delta for r in report.rows] == [0.125, 0.0625, 0.03125]
-    assert all(r.n_modes == 8 and r.m_paths == 40 for r in report.rows)
-    assert report.nu_theory == pytest.approx(0.08225, rel=1e-12)
-    assert set(report.pass_flags) == {
+    assert report["study"] == "temporal"
+    assert [r["resolution"] for r in report["rows"]] == [3, 4, 5]
+    assert [r["delta"] for r in report["rows"]] == [0.125, 0.0625, 0.03125]
+    assert all(r["n_modes"] == 8 and r["m_paths"] == 40 for r in report["rows"])
+    assert report["nu_theory"] == pytest.approx(0.08225, rel=1e-12)
+    assert set(report["pass_flags"]) == {
         "err2_strictly_decreasing",
         "slope_at_least_nu_minus_margin",
         "r2_at_least_min",
     }
-    assert report.passed == all(report.pass_flags.values())
-    assert report.summary_dict()["offgrid_rule"] == OFFGRID_RULE
-    summary = report.summary_dict()
-    assert summary["study"] == "temporal"
-    assert summary["nu_theory"] == report.nu_theory
-    assert summary["pass"] == report.passed
-    assert summary["fit_points"] == report.fit_points == 3
+    assert report["pass"] == all(report["pass_flags"].values())
+    assert report["offgrid_rule"] == OFFGRID_RULE
+    assert report["fit_points"] == 3
     # errors shrink as the step refines on this toy ladder
-    means = [r.err2_mean for r in report.rows]
+    means = [r["err2_mean"] for r in report["rows"]]
     assert means[0] > means[1] > means[2]
+
+
+def _plain(value) -> bool:
+    """Whether value is built only of dicts, lists, strings and Python numbers."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool)
+
+
+def test_study_records_are_plain_values():
+    lat = NoiseLattice(master_seed=0, horizon=1.0, levels=5, n_modes=4)
+    increment = increment_statistic(
+        make_heat_operator(4), DRIFT, INITIAL, lat, [2, 3], 4, 2, ALPHA, sample_fractions=(0.5,)
+    )
+    keys = [
+        "study", "rows", "slope", "intercept", "r2", "fit_points", "nu_theory", "pass", "pass_flags", "offgrid_rule"
+    ]
+    for record, extra in ((_temporal(), []), (_spatial(), []), (increment, ["slope_stderr", "slope_threshold"])):
+        assert list(record) == keys + extra
+        assert _plain(record), record
+        for row in record["rows"]:
+            assert list(row) == ["resolution", "delta", "n_modes", "m_paths", "err2_mean", "err2_stderr"]
 
 
 def test_temporal_study_worker_count_invariance():
     solo = _temporal(workers=1)
     pooled = _temporal(workers=2)
     assert _csv_text(solo) == _csv_text(pooled)
-    assert solo.slope == pooled.slope
+    assert solo["slope"] == pooled["slope"]
 
 
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (4, 4), (8, 4)])
@@ -434,13 +453,13 @@ def test_spatial_ladder_with_tied_eigenvalues_is_refused_before_simulating(monke
 def test_temporal_study_golden():
     report = _temporal()
     assert _csv_text(report) == GOLDEN_TEMPORAL_CSV
-    assert repr(report.slope) == "1.3522521998399442"
+    assert repr(report["slope"]) == "1.3522521998399442"
 
 
 def test_spatial_study_golden():
     report = _spatial()
     assert _csv_text(report) == GOLDEN_SPATIAL_CSV
-    assert repr(report.slope) == "-3.6969637959871195"
+    assert repr(report["slope"]) == "-3.6969637959871195"
 
 
 def test_increment_statistic_golden():
@@ -458,8 +477,8 @@ def test_increment_statistic_golden():
         alpha=0.45,
     )
     assert _csv_text(report) == GOLDEN_INCREMENT_CSV
-    assert repr(report.slope) == "0.3182738827174801"
-    assert repr(report.slope_stderr) == "0.16676456395423334"
+    assert repr(report["slope"]) == "0.3182738827174801"
+    assert repr(report["slope_stderr"]) == "0.16676456395423334"
 
 
 # Multi-window goldens, recorded before the coupled pass streamed the noise
@@ -493,7 +512,7 @@ def test_temporal_study_golden_across_windows():
         n_modes=16, m_paths=13, alpha=ALPHA, chunk_size=5,
     )
     assert _csv_text(report) == GOLDEN_TEMPORAL_WINDOWS_CSV
-    assert repr(report.slope) == "1.0958590131862938"
+    assert repr(report["slope"]) == "1.0958590131862938"
 
 
 def test_increment_statistic_golden_across_windows():
@@ -503,8 +522,8 @@ def test_increment_statistic_golden_across_windows():
         sample_fractions=(0.25, 0.5), chunk_size=5, alpha=0.45,
     )
     assert _csv_text(report) == GOLDEN_INCREMENT_WINDOWS_CSV
-    assert repr(report.slope) == "0.4133773611490132"
-    assert repr(report.slope_stderr) == "0.24663149879256746"
+    assert repr(report["slope"]) == "0.4133773611490132"
+    assert repr(report["slope_stderr"]) == "0.24663149879256746"
 
 
 def test_spatial_study_golden_across_windows():
@@ -514,7 +533,7 @@ def test_spatial_study_golden_across_windows():
         level=9, m_paths=12, alpha=ALPHA, chunk_size=5,
     )
     assert _csv_text(report) == GOLDEN_SPATIAL_WINDOWS_CSV
-    assert repr(report.slope) == "-0.691265920270509"
+    assert repr(report["slope"]) == "-0.691265920270509"
 
 
 def test_integrated_error_golden_across_windows():
@@ -540,15 +559,15 @@ def test_temporal_study_ladder_validation():
 
 def test_spatial_study_report_shape():
     report = _spatial()
-    assert report.study == "spatial"
-    assert [r.resolution for r in report.rows] == [2, 4, 8]
-    assert all(r.delta == 0.125 for r in report.rows)
-    assert report.slope < 0.0
-    assert set(report.pass_flags) == {
+    assert report["study"] == "spatial"
+    assert [r["resolution"] for r in report["rows"]] == [2, 4, 8]
+    assert all(r["delta"] == 0.125 for r in report["rows"])
+    assert report["slope"] < 0.0
+    assert set(report["pass_flags"]) == {
         "err2_strictly_decreasing",
         "slope_at_most_neg_nu_plus_margin",
     }
-    means = [r.err2_mean for r in report.rows]
+    means = [r["err2_mean"] for r in report["rows"]]
     assert means[0] > means[1] > means[2]
 
 
@@ -560,9 +579,9 @@ def test_spatial_rungs_past_the_damping_see_only_the_initial_tail():
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=7, n_modes=128)
     report = spatial_study(make_heat_operator(128), DRIFT, INITIAL, lat, [64, 96], 128, 7, 4, ALPHA)
     x2 = INITIAL.mode_coefficients(128) ** 2
-    for row in report.rows:
-        assert row.err2_mean == pytest.approx(row.delta * x2[row.n_modes :].sum(), rel=1e-12, abs=0.0)
-        assert row.err2_stderr <= 1e-12 * row.err2_mean
+    for row in report["rows"]:
+        assert row["err2_mean"] == pytest.approx(row["delta"] * x2[row["n_modes"] :].sum(), rel=1e-12, abs=0.0)
+        assert row["err2_stderr"] <= 1e-12 * row["err2_mean"]
 
 
 def test_spatial_study_ladder_validation():
@@ -591,12 +610,12 @@ def test_increment_statistic_zero_noise_closed_form():
         sample_fractions=(0.5,),
         alpha=0.45,
     )
-    assert report.rows[0].err2_mean == pytest.approx(0.0027020364466804436, rel=1e-12)
-    assert report.rows[1].err2_mean == pytest.approx(0.0009046038404684865, rel=1e-12)
-    assert report.rows[0].err2_stderr == 0.0
-    assert report.rows[1].err2_stderr == 0.0
-    assert math.isnan(report.nu_theory)
-    assert "slope_at_least_alpha_minus_margin" in report.pass_flags
+    assert report["rows"][0]["err2_mean"] == pytest.approx(0.0027020364466804436, rel=1e-12)
+    assert report["rows"][1]["err2_mean"] == pytest.approx(0.0009046038404684865, rel=1e-12)
+    assert report["rows"][0]["err2_stderr"] == 0.0
+    assert report["rows"][1]["err2_stderr"] == 0.0
+    assert math.isnan(report["nu_theory"])
+    assert "slope_at_least_alpha_minus_margin" in report["pass_flags"]
 
 
 def _driftless_increment_oracle(level, n_dim, fraction, lattice_levels, scale=1.0):
@@ -697,7 +716,7 @@ def _driftless_spatial_oracle(ladder, ref_modes, level):
 
 
 def _assert_rungs_match(report, exact):
-    z = [(r.err2_mean - e) / r.err2_stderr for r, e in zip(report.rows, exact)]
+    z = [(r["err2_mean"] - e) / r["err2_stderr"] for r, e in zip(report["rows"], exact)]
     assert all(abs(v) <= 3.0 for v in z), z
 
 
@@ -743,19 +762,17 @@ def test_increment_gate_passes_and_fails():
         )
 
     coarse = gate(0.45)
-    assert coarse.slope_threshold == pytest.approx(0.35)
-    assert coarse.pass_flags["slope_at_least_alpha_minus_margin"]
+    assert coarse["slope_threshold"] == pytest.approx(0.35)
+    assert coarse["pass_flags"]["slope_at_least_alpha_minus_margin"]
     # claiming alpha = 2 caps the threshold at s0 - 0.1; the drift lowers
     # the slope by more than the margin, so the gate fails
     smooth = gate(2.0)
     assert s0 < 2.0
-    assert smooth.slope_threshold == pytest.approx(s0 - 0.1, abs=1e-12)
-    assert smooth.slope < smooth.slope_threshold
-    assert not smooth.pass_flags["slope_at_least_alpha_minus_margin"]
-    assert not smooth.passed
-    summary = smooth.summary_dict()
-    assert summary["slope_threshold"] == smooth.slope_threshold
-    assert summary["slope_stderr"] == 0.0
+    assert smooth["slope_threshold"] == pytest.approx(s0 - 0.1, abs=1e-12)
+    assert smooth["slope"] < smooth["slope_threshold"]
+    assert not smooth["pass_flags"]["slope_at_least_alpha_minus_margin"]
+    assert not smooth["pass"]
+    assert smooth["slope_stderr"] == 0.0
 
 
 def test_studies_check_configs_against_the_lattice():

@@ -17,6 +17,7 @@ from spdelab import cli
 from spdelab.analysis import increment_statistic, spatial_study, temporal_study
 from spdelab.kolmogorov import kolmogorov_suite
 from spdelab.noise import NoiseLattice
+from spdelab.scheme import SchemeConfig, simulate_path
 from spdelab.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -380,6 +381,27 @@ def test_simulate_writes_trajectories(tmp_path, capsys, monkeypatch):
     assert summary["paths"] == 2
 
 
+def test_simulate_trajectory_csv_round_trip(tmp_path, capsys):
+    out = tmp_path / "o"
+    doc = canonical_doc({"kind": "temporal", "ladder": [1], "reference_level": 2, "m_paths": 4}, out=str(out))
+    doc["noise"].update(seed=3, levels=2, n_modes=3)
+    path = write_doc(tmp_path, doc)
+    assert run(["simulate", "--config", path, "--paths", "2"]) == EXIT_OK
+    capsys.readouterr()
+    cfg = load_config(path)
+    scheme = SchemeConfig(cfg.operator, cfg.drift, cfg.initial, 1.0, 2, 3)
+    traj = simulate_path(scheme, cfg.lattice, 1)
+    data = (out / "trajectory_1.csv").read_bytes()
+    # LF line ends, as in every report.csv; csv.writer used to end rows with CRLF
+    assert b"\r" not in data and data.endswith(b"\n")
+    rows = [line.split(",") for line in data.decode().splitlines()]
+    assert rows[0] == ["t", "mode_1", "mode_2", "mode_3"]
+    assert len(rows) == scheme.steps + 2
+    for k, row in enumerate(rows[1:]):
+        assert float(row[0]) == k * scheme.delta
+        assert np.array_equal(np.array([float(v) for v in row[1:]]), traj.grid[k])
+
+
 @pytest.mark.parametrize("paths", ["0", "-5"])
 def test_simulate_refuses_nonpositive_path_count(tmp_path, capsys, paths):
     out = tmp_path / "o"
@@ -676,6 +698,17 @@ def test_validate_drift_names_the_cap_that_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "overflows: cap 1e+300, epsilon 0.9" in err
     assert not out.exists()
+
+
+def test_validate_drift_passes_a_switched_off_drift(tmp_path, capsys):
+    # the time validator's drift bound used to overflow on the cap of a drift
+    # whose zero amplitude turns it off, and the command exited 4
+    out = tmp_path / "o"
+    doc = canonical_doc({"kind": "validate", "trials": 200}, out=str(out))
+    doc["drift"].update(kind="rank_one", amplitude=0.0, cap=1e308)
+    assert run(["validate-drift", "--config", write_doc(tmp_path, doc)]) == EXIT_OK
+    assert "[ok] time_holder" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["pass"] is True
 
 
 def test_hypotheses_canonical_table(tmp_path, capsys):
@@ -1064,8 +1097,8 @@ def test_increment_verdict_line_shows_gate(tmp_path, capsys):
     stdout = capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["slope_stderr"] == 0.0
-    assert summary["slope_threshold"] == report.slope_threshold > report.slope
-    assert f"slope {report.slope:.4f}  stderr 0.0000  threshold {report.slope_threshold:.4f}" in stdout
+    assert summary["slope_threshold"] == report["slope_threshold"] > report["slope"]
+    assert f"slope {report['slope']:.4f}  stderr 0.0000  threshold {report['slope_threshold']:.4f}" in stdout
     assert "[FAIL] slope_at_least_alpha_minus_margin" in stdout
 
 

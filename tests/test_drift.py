@@ -88,6 +88,17 @@ def test_drift_bound_refuses_a_bound_that_overflows():
     assert drift_bound(_diag(0.9, amplitude=1e300), op) == 1e300 * drift_bound(_diag(0.9), op)  # 1.28e300
 
 
+def test_drift_bound_of_a_switched_off_drift_is_zero():
+    # cap 1e308 times the rank-one weight sum overflows, and 0 * inf is NaN:
+    # the bound used to raise for a drift whose amplitude turns it off
+    op = make_heat_operator(64)
+    off = HolderDriftSpec("rank_one", 0.5, 0.9, amplitude=0.0, cap=1e308)
+    assert drift_bound(off, op) == 0.0
+    assert verify_time_holder(off, op, trials=50)["passed"]
+    with pytest.raises(OverflowError, match="drift sup bound overflows"):
+        drift_bound(HolderDriftSpec("rank_one", 0.5, 0.9, amplitude=1e-300, cap=1e308), op)
+
+
 def test_time_weight_cosine_default_period(rough_drift):
     assert time_weight(rough_drift, 0.0) == 1.0
     assert time_weight(rough_drift, 0.7) == pytest.approx(math.cos(0.7), rel=1e-12)

@@ -1,6 +1,5 @@
 """Tests for the exponential integrator: steps, paths, coupling, interpolation."""
 
-import csv
 import hashlib
 import math
 import pickle
@@ -21,7 +20,6 @@ from spdelab.scheme import (
     initial_domain_check,
     simulate_coupled,
     simulate_path,
-    write_trajectory_csv,
 )
 from spdelab.spectral import SpectralOperator, make_heat_operator
 
@@ -245,7 +243,7 @@ def test_zero_noise_zero_drift_is_semigroup():
     lam = cfg.operator.eigenvalues
     for k in range(cfg.steps + 1):
         np.testing.assert_allclose(
-            traj.grid[k], np.exp(-lam * traj.time(k)) * x, rtol=1e-12, atol=0.0
+            traj.grid[k], np.exp(-lam * (k * cfg.delta)) * x, rtol=1e-12, atol=0.0
         )
 
 
@@ -392,26 +390,10 @@ def test_simulation_error_names_global_step_path_and_mode():
         simulate_path(cfg, lat, 5)
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    cfg = make_config(level=2, n_dim=3)
-    lat = NoiseLattice(master_seed=3, horizon=1.0, levels=2, n_modes=3)
-    traj = simulate_path(cfg, lat, 1)
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "mode_1", "mode_2", "mode_3"]
-    assert len(rows) == cfg.steps + 2
-    for k, row in enumerate(rows[1:]):
-        assert float(row[0]) == traj.time(k)
-        assert np.array_equal(np.array([float(v) for v in row[1:]]), traj.grid[k])
-
-
 def test_trajectory_accessors():
     cfg = make_config(level=1, n_dim=2)
     lat = NoiseLattice(master_seed=2, horizon=1.0, levels=1, n_modes=2)
     traj = simulate_path(cfg, lat, 0)
-    assert traj.time(2) == 1.0
     assert np.array_equal(traj.grid[0], cfg.initial_coefficients())
     with pytest.raises(ValueError):
         Trajectory(cfg, 0, np.zeros((2, 2)))
