@@ -1,5 +1,10 @@
 """Strong-error estimation against a fine reference, and rate extraction.
 
+The rate theorem's standing hypotheses are one table, `hypotheses`, with one
+gate, `theoretical_nu`: it refuses the first row that fails and otherwise
+gives nu.  The CLI runs the gate before every command that runs, and the
+temporal and spatial studies run it on their own arguments before any chunk.
+
 The error functional is the time integral over [0, T] of the expected
 squared H-distance between a fine reference path and a coarse approximation
 of the same path.  It is evaluated as a left Riemann sum on the reference
@@ -38,7 +43,7 @@ from .scheme import SchemeConfig, Trajectory, _coupled_pass
 __all__ = [
     "HypothesisViolation",
     "rate_exponent",
-    "rate_hypotheses",
+    "hypotheses",
     "theoretical_nu",
     "fit_rate",
     "integrated_square_error",
@@ -78,29 +83,54 @@ def rate_exponent(alpha: float, drift) -> float:
     return (epsilon + min(2.0 * beta, alpha * epsilon**2)) / 2.0 + alpha - 1.0
 
 
-def rate_hypotheses(alpha: float, drift) -> list[dict]:
-    """The rate theorem's hypotheses on the exponents of `rate_exponent`,
-    one row each: name, computed value, verdict.  The drift-weight
-    constraint 2*beta/(2-epsilon) >= 1-alpha comes first, then 0 < nu and
-    nu < 1/2."""
-    nu = rate_exponent(alpha, drift)
+def hypotheses(operator, drift, alpha: float, initial) -> list[dict]:
+    """The rate theorem's standing hypotheses, one row each: name, computed
+    value, verdict.  In order: the noise trace sum lam_i**-(1-alpha) <
+    infinity, the drift-weight constraint 2*beta/(2-epsilon) >= 1-alpha,
+    0 < nu, nu < 1/2, and the initial datum in the generator's domain.
+
+    The operator's ladder i**power has tails known in closed form, so both
+    series verdicts are analytic.  The trace series is sum i**-e with
+    e = power*(1-alpha); it converges when e > 1, and its tail past n_max is
+    then at most n_max**(1-e)/(e-1) (integral test).  Domain membership
+    needs sum lam_i**2 x_i**2 < infinity: explicit data are a finite mode
+    expansion and always belong, and power-decay data x_i = i**-q give the
+    series exponent 2*power - 2*q.
+    """
+    nu = rate_exponent(alpha, drift)  # refuses an alpha outside (0, 1)
+    s = 1.0 - alpha
+    exponent = operator.power * s
+    partial = float(np.sum(operator.eigenvalues**-s))
+    tail = operator.n_max ** (1.0 - exponent) / (exponent - 1.0) if exponent > 1.0 else math.inf
     constraint = 2.0 * drift.beta / (2.0 - drift.epsilon)
-    target = 1.0 - alpha
+    if initial.profile == "explicit":
+        in_domain, why = True, "finite mode expansion, trivially in the domain"
+    else:
+        series = 2.0 * operator.power - 2.0 * initial.q
+        in_domain = series < -1.0
+        verdict = "< -1, sum lam_i^2 x_i^2 converges" if in_domain else ">= -1, sum lam_i^2 x_i^2 diverges"
+        why = f"series exponent {series:g} {verdict}"
     return [
         {
+            "name": "noise_trace_summable",
+            "value": f"exponent {exponent:.6g}, partial sum {partial:.6g}, tail bound {tail:.6g}",
+            "holds": exponent > 1.0,
+        },
+        {
             "name": "drift_weight_constraint",
-            "value": f"2*beta/(2-epsilon) = {constraint:.6g} vs 1-alpha = {target:.6g}",
-            "holds": constraint >= target,
+            "value": f"2*beta/(2-epsilon) = {constraint:.6g} vs 1-alpha = {s:.6g}",
+            "holds": constraint >= s,
         },
         {"name": "rate_exponent_positive", "value": f"nu = {nu:.6g}", "holds": nu > 0.0},
         {"name": "rate_exponent_below_half", "value": f"nu = {nu:.6g}", "holds": nu < 0.5},
+        {"name": "initial_state_in_domain", "value": why, "holds": in_domain},
     ]
 
 
-def theoretical_nu(alpha: float, drift) -> float:
-    """Gated rate exponent; raises HypothesisViolation for the first row of
-    `rate_hypotheses` that fails."""
-    for row in rate_hypotheses(alpha, drift):
+def theoretical_nu(operator, drift, alpha: float, initial) -> float:
+    """The rate exponent behind the gate: raises HypothesisViolation for the
+    first row of `hypotheses` that fails."""
+    for row in hypotheses(operator, drift, alpha, initial):
         if not row["holds"]:
             raise HypothesisViolation(row["name"], row["value"])
     return rate_exponent(alpha, drift)
@@ -314,15 +344,17 @@ def temporal_study(
 
     The config fields `ladder` (levels), `reference_level`, `n_modes` and
     `m_paths` are keywords here; alpha is the noise regularity, which with
-    the drift's beta and epsilon gives nu (`theoretical_nu`).  Every level
-    is coupled to the reference through the shared lattice, so the spatial
-    truncation error cancels exactly and the fitted slope isolates the
-    temporal rate.  The slope must reach nu - SLOPE_MARGIN; the
-    r2_at_least_min flag (R^2 >= R2_MIN) is set only on ladders of at least
-    R2_MIN_POINTS rungs.  Returns the study's record (`_record`).
+    the drift's beta and epsilon gives nu.  `theoretical_nu` computes it and
+    first refuses, before any chunk runs, a run that fails a row of
+    `hypotheses`.  Every level is coupled to the reference through the
+    shared lattice, so the spatial truncation error cancels exactly and the
+    fitted slope isolates the temporal rate.  The slope must reach
+    nu - SLOPE_MARGIN; the r2_at_least_min flag (R^2 >= R2_MIN) is set only
+    on ladders of at least R2_MIN_POINTS rungs.  Returns the study's record
+    (`_record`).
     """
     ladder = _sorted_ladder(ladder, reference_level, "the reference level")
-    nu = theoretical_nu(alpha, drift_spec)
+    nu = theoretical_nu(operator, drift_spec, alpha, initial)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, reference_level, n_modes)
     configs = [replace(ref_cfg, level=lev) for lev in ladder]
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
@@ -355,15 +387,15 @@ def spatial_study(
     """Galerkin truncation error at fixed step size, fitted against the
     largest retained eigenvalue; the slope must reach -(nu - SLOPE_MARGIN).
     The config fields `ladder` (mode counts), `reference_modes`, `level` and
-    `m_paths` are keywords here; alpha is the noise regularity, as in
-    `temporal_study`.  Returns the study's record (`_record`)."""
+    `m_paths` are keywords here; alpha is the noise regularity, and nu comes
+    from the gate `theoretical_nu`, as in `temporal_study`.  The gate's trace
+    row needs power*(1-alpha) > 1, so power > 1 and distinct rungs retain
+    distinct largest eigenvalues.  Returns the study's record (`_record`)."""
     ladder = _sorted_ladder(ladder, reference_modes, "the reference mode count")
-    nu = theoretical_nu(alpha, drift_spec)
+    nu = theoretical_nu(operator, drift_spec, alpha, initial)
     ref_cfg = SchemeConfig(operator, drift_spec, initial, lattice.horizon, level, reference_modes)
     configs = [replace(ref_cfg, n_dim=n) for n in ladder]
     top_eigs = np.array([operator.eigenvalues[n - 1] for n in ladder])
-    if top_eigs.min() == top_eigs.max():
-        raise ValueError("the ladder's largest retained eigenvalues must take at least two values to fit a rate")
     payloads = [(ref_cfg, configs, lattice, ids) for ids in _chunked(m_paths, chunk_size)]
     rows, _ = _ladder_rows(_ladder_chunk, payloads, configs, ladder, m_paths, workers)
     means = np.array([r["err2_mean"] for r in rows])

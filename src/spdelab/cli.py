@@ -1,7 +1,8 @@
 """Command line front end: JSON study configs in, CSV and JSON reports out.
 
 Every invocation loads one config document, checks the standing hypotheses
-of the rate theorem against it and runs the command `_COMMANDS` names.  A
+of the rate theorem against it through the library's one gate
+(`analysis.theoretical_nu`) and runs the command `_COMMANDS` names.  A
 config field the parser does not read for its section's kind is an error,
 as are a key repeated in one object and `--workers` on a command with no
 worker pool.  An override is the field it sets, checked by that field's
@@ -9,15 +10,15 @@ rule: `--seed` sets noise.seed, `--out` output.directory and, on a study
 command, `--paths` the study's size field.  A command that writes refuses
 an output directory over an existing non-directory before it runs.  The one
 writer `_emit` puts `report.csv`, `summary.json` (with the parser's record
-of the config and the hypothesis table) and `plot.gp` (plain plotting
-commands) into the output directory.  The library returns plain records;
-`cli` builds every CSV from them with `_csv`, each report.csv table and
-`simulate`'s trajectory files, so no other module writes CSV text.  A
-study's fields, `kind` aside, are keywords of its function, which is looked
-up by its module-level name at each call, so a tracer that rebinds it here
-sees every run.  noise.levels is `simulate`'s level and only bounds a
-study's lattice, drawn at the level the study reads; it stays required
-while the benchmark's configs carry it.
+of the config and the hypothesis table `analysis.hypotheses`) and `plot.gp`
+(plain plotting commands) into the output directory.  The library returns
+plain records; `cli` builds every CSV from them with `_csv`, each report.csv
+table and `simulate`'s trajectory files, so no other module writes CSV
+text.  A study's fields, `kind` aside, are keywords of its function, which
+is looked up by its module-level name at each call, so a tracer that
+rebinds it here sees every run.  noise.levels is `simulate`'s level and only
+bounds a study's lattice, drawn at the level the study reads; it stays
+required while the benchmark's configs carry it.
 Exit codes: 0 all pass flags true, 1 a study gate failed, 2 every failure
 before the command starts (a bad option, a config that cannot be read,
 decoded, parsed or allocated, a refused output directory), 3 hypothesis
@@ -37,25 +38,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import SpectralOperator, check_trace_condition, make_heat_operator
+from .spectral import SpectralOperator, make_heat_operator
 from .drift import HolderDriftSpec, verify_mode_holder, verify_time_holder
 from .noise import _MASK64, NoiseLattice
-from .scheme import (
-    InitialData,
-    SchemeConfig,
-    SimulationError,
-    initial_domain_check,
-    simulate_path,
-)
+from .scheme import InitialData, SchemeConfig, SimulationError, simulate_path
 from .analysis import (
     R2_MIN_POINTS,
     HypothesisViolation,
     _check_sample_fractions,
+    hypotheses,
     increment_statistic,
     rate_exponent,
-    rate_hypotheses,
     spatial_study,
     temporal_study,
+    theoretical_nu,
 )
 from .kolmogorov import kolmogorov_suite
 
@@ -64,8 +60,6 @@ __all__ = [
     "StudyConfig",
     "load_config",
     "parse_config",
-    "hypothesis_rows",
-    "enforce_hypotheses",
     "main",
 ]
 
@@ -308,7 +302,13 @@ def parse_config(doc: dict, kind=None, seed=None, paths=None, out=None) -> Study
         if profile == "power_decay":
             initial = InitialData("power_decay", q=_float_field(initial_section, "q"))
         elif profile == "explicit":
-            initial = InitialData("explicit", coeffs=tuple(_float_list_field(initial_section, "coeffs")))
+            coeffs = _float_list_field(initial_section, "coeffs")
+            # a coefficient past the operator's modes would be dropped unseen
+            if len(coeffs) > op.n_max:
+                raise ConfigError(
+                    f"initial.coeffs holds {len(coeffs)} coefficients, more than operator.n_max {op.n_max}"
+                )
+            initial = InitialData("explicit", coeffs=tuple(coeffs))
         else:
             raise ConfigError(f"unknown initial profile {profile!r}")
         noise = sections["noise"]
@@ -375,31 +375,6 @@ def load_config(path, kind=None, seed=None, paths=None, out=None) -> StudyConfig
     return parse_config(doc, kind, seed, paths, out)
 
 
-def hypothesis_rows(cfg: StudyConfig) -> list[dict]:
-    """One row per standing hypothesis (name, computed value, verdict): the
-    noise trace, the rate rows of `analysis.rate_hypotheses`, the initial datum."""
-    trace = check_trace_condition(cfg.operator, cfg.alpha)
-    in_domain, why = initial_domain_check(cfg.initial, cfg.operator)
-    return [
-        {
-            "name": "noise_trace_summable",
-            "value": f"exponent {trace.exponent:.6g}, partial sum {trace.partial_sum:.6g}, "
-            f"tail bound {trace.tail_bound:.6g}",
-            "holds": trace.converges,
-        },
-        *rate_hypotheses(cfg.alpha, cfg.drift),
-        {"name": "initial_state_in_domain", "value": why, "holds": in_domain},
-    ]
-
-
-def enforce_hypotheses(cfg: StudyConfig) -> None:
-    """Gate a run: raise the violation of the first row of the hypothesis
-    table that does not hold."""
-    for row in hypothesis_rows(cfg):
-        if not row["holds"]:
-            raise HypothesisViolation(row["name"], row["value"])
-
-
 def _sanitize(value):
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
@@ -449,7 +424,7 @@ def _emit(cfg: StudyConfig, summary: dict, plot: str, report_csv: str | None = N
     if report_csv is not None:
         (outdir / "report.csv").write_text(report_csv)
     summary["config"] = cfg.doc
-    summary["hypotheses"] = hypothesis_rows(cfg)
+    summary["hypotheses"] = hypotheses(cfg.operator, cfg.drift, cfg.alpha, cfg.initial)
     (outdir / "summary.json").write_text(json.dumps(_sanitize(summary), indent=2, sort_keys=True) + "\n")
     (outdir / "plot.gp").write_text(plot)
     return outdir
@@ -560,7 +535,7 @@ def _cmd_simulate(cfg: StudyConfig, n_paths: int) -> int:
 
 
 def _cmd_hypotheses(cfg: StudyConfig) -> int:
-    rows = hypothesis_rows(cfg)
+    rows = hypotheses(cfg.operator, cfg.drift, cfg.alpha, cfg.initial)
     width = max(len(r["name"]) for r in rows)
     for row in rows:
         print(f"{row['name']:<{width}}  {'holds' if row['holds'] else 'fails':<12}  {row['value']}")
@@ -618,7 +593,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "hypotheses":
             return _cmd_hypotheses(cfg)
-        enforce_hypotheses(cfg)
+        theoretical_nu(cfg.operator, cfg.drift, cfg.alpha, cfg.initial)
         if simulate:
             return _cmd_simulate(cfg, args.paths or 1)
         if wanted == "kolmogorov":

@@ -46,7 +46,6 @@ __all__ = [
     "SchemeConfig",
     "Trajectory",
     "SimulationError",
-    "initial_domain_check",
     "simulate_path",
     "simulate_coupled",
 ]
@@ -91,21 +90,6 @@ class InitialData:
         take = min(n, len(self.coeffs))
         out[:take] = self.coeffs[:take]
         return out
-
-
-def initial_domain_check(initial: InitialData, op: SpectralOperator) -> tuple[bool, str]:
-    """Whether the initial datum lies in the domain of the generator.
-
-    Membership needs sum lam_i**2 x_i**2 < infinity over the full ladder.
-    Explicit data are finite-mode and always belong; for power-decay data
-    the series exponent is 2*power - 2*q, so the verdict is analytic.
-    """
-    if initial.profile == "explicit":
-        return True, "finite mode expansion, trivially in the domain"
-    exponent = 2.0 * op.power - 2.0 * initial.q
-    if exponent < -1.0:
-        return True, f"series exponent {exponent:g} < -1, sum lam_i^2 x_i^2 converges"
-    return False, f"series exponent {exponent:g} >= -1, sum lam_i^2 x_i^2 diverges"
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 Everything downstream works in the eigenbasis of the (negated) generator,
 and the theorem reads the operator only through its eigenvalues, so the
 operator is the ladder i**power, i = 1..n_max, and the basis is never
-materialized; the heat case is power 2.  Its tail is known in closed form,
-so the trace and domain verdicts are always analytic.  A state is a 1-D
-float array of its coefficients in that basis, a batch of states carries the
-mode axis last, and the H-norm is the euclidean norm of the coefficients.
+materialized; the heat case is power 2.  A state is a 1-D float array of
+its coefficients in that basis, a batch of states carries the mode axis
+last, and the H-norm is the euclidean norm of the coefficients.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import numpy as np
 
 __all__ = [
     "SpectralOperator",
-    "TraceReport",
     "make_heat_operator",
-    "check_trace_condition",
     "decay_factor",
     "convolution_variance",
 ]
@@ -53,33 +50,6 @@ class SpectralOperator:
 def make_heat_operator(n_max: int) -> SpectralOperator:
     """Dirichlet-interval heat ladder: eigenvalue i is i**2."""
     return SpectralOperator(n_max, 2.0)
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    """Result of the noise trace check: sum over modes of lambda_i**-(1-alpha).
-
-    The series is sum i**-exponent; tail_bound is infinite when it diverges.
-    """
-
-    alpha: float
-    exponent: float
-    partial_sum: float
-    tail_bound: float
-    converges: bool
-
-
-def check_trace_condition(op: SpectralOperator, alpha: float) -> TraceReport:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    s = 1.0 - alpha
-    partial = float(np.sum(op.eigenvalues**-s))
-    exponent = op.power * s
-    if exponent > 1.0:
-        # integral test: sum_{i>n} i^-e <= n^(1-e)/(e-1)
-        tail = op.n_max ** (1.0 - exponent) / (exponent - 1.0)
-        return TraceReport(alpha, exponent, partial, tail, True)
-    return TraceReport(alpha, exponent, partial, math.inf, False)
 
 
 def decay_factor(lam, t):

@@ -18,10 +18,10 @@ from spdelab.analysis import (
     _slope_stderr,
     _substep_offsets,
     fit_rate,
+    hypotheses,
     increment_statistic,
     integrated_square_error,
     rate_exponent,
-    rate_hypotheses,
     spatial_study,
     temporal_study,
     theoretical_nu,
@@ -37,40 +37,57 @@ ALPHA = 0.45  # the canonical noise regularity
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 DRIFTLESS = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, amplitude=0.0)
 INITIAL = InitialData(profile="power_decay", q=3.0)
+HEAT = make_heat_operator(64)
+# power*(1-alpha) > 1 at alpha = 0.99: the trace row holds, so the rate rows decide
+STEEP = SpectralOperator(4, 150.0)
 
 
 def _drift(beta, epsilon):
     return HolderDriftSpec(kind="diagonal", beta=beta, epsilon=epsilon)
 
 
+def _nu(alpha, drift, operator=HEAT, initial=INITIAL):
+    return theoretical_nu(operator, drift, alpha, initial)
+
+
 def test_rate_params_validation():
     # the rate functions refuse an alpha outside (0, 1); the drift refuses
     # a beta or an epsilon outside its range
     for alpha in (0.0, 1.0, 1.5):
-        for rate_fn in (rate_exponent, rate_hypotheses, theoretical_nu):
+        with pytest.raises(ValueError, match="alpha"):
+            rate_exponent(alpha, DRIFT)
+        for table_fn in (hypotheses, theoretical_nu):
             with pytest.raises(ValueError, match="alpha"):
-                rate_fn(alpha, DRIFT)
+                table_fn(HEAT, DRIFT, alpha, INITIAL)
     for bad in (dict(beta=0.0), dict(epsilon=0.0), dict(epsilon=1.0)):
         with pytest.raises(ValueError):
             _drift(**{"beta": 0.5, "epsilon": 0.9, **bad})
 
 
 def test_theoretical_nu_canonical():
-    assert theoretical_nu(ALPHA, DRIFT) == pytest.approx(0.08225, rel=1e-12)
+    assert _nu(ALPHA, DRIFT) == pytest.approx(0.08225, rel=1e-12)
 
 
 def test_theoretical_nu_rejections():
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(0.49, _drift(1.0, 0.7))
+        _nu(0.49, _drift(1.0, 0.7))
     assert exc.value.hypothesis == "rate_exponent_positive"
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(0.99, _drift(1.0, 0.99))
+        _nu(0.99, _drift(1.0, 0.99), operator=STEEP)
     assert exc.value.hypothesis == "rate_exponent_below_half"
     # both gates violated: the weight constraint is checked first
     weak = _drift(0.1, 0.5)
     assert rate_exponent(0.1, weak) < 0.0
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(0.1, weak)
+        _nu(0.1, weak)
+    assert exc.value.hypothesis == "drift_weight_constraint"
+    # the trace row comes before every rate row: on the heat ladder alpha =
+    # 0.99 fails it, and the domain row comes after them
+    with pytest.raises(HypothesisViolation) as exc:
+        _nu(0.99, _drift(1.0, 0.99))
+    assert exc.value.hypothesis == "noise_trace_summable"
+    with pytest.raises(HypothesisViolation) as exc:
+        _nu(0.1, weak, initial=InitialData(profile="power_decay", q=2.0))
     assert exc.value.hypothesis == "drift_weight_constraint"
 
 
@@ -86,9 +103,9 @@ def test_admissibility_boundary_in_epsilon():
     assert crossing == pytest.approx(0.7320508075688772, rel=1e-15)
     assert (2.0 - crossing) / (2.0 + crossing**2) >= 0.5
     assert (2.0 - 0.75) / (2.0 + 0.75**2) == pytest.approx(0.4878048780487805, rel=1e-12)
-    assert theoretical_nu(0.49, _drift(1.0, 0.75)) == pytest.approx(0.0028125, abs=1e-12)
+    assert _nu(0.49, _drift(1.0, 0.75)) == pytest.approx(0.0028125, abs=1e-12)
     with pytest.raises(HypothesisViolation) as exc:
-        theoretical_nu(0.48, _drift(1.0, 0.75))
+        _nu(0.48, _drift(1.0, 0.75))
     assert exc.value.hypothesis == "rate_exponent_positive"
 
 
@@ -438,7 +455,8 @@ def _spatial(seed=5, m_paths=30, drift=DRIFT):
 
 def test_spatial_ladder_with_tied_eigenvalues_is_refused_before_simulating(monkeypatch):
     # mode counts 1 and 2 retain the same largest eigenvalue, so no rate can
-    # be fitted; every path used to be simulated before the fit failed
+    # be fitted.  Ties need power <= 1, where the noise trace diverges for
+    # every alpha in (0, 1), so the gate refuses the operator before any chunk
     def no_run(*_):
         raise AssertionError("the ladder was simulated")
 
@@ -446,8 +464,9 @@ def test_spatial_ladder_with_tied_eigenvalues_is_refused_before_simulating(monke
     # i**1e-20 rounds to 1.0 for every i, so all four rungs tie
     op = SpectralOperator(4, 1e-20)
     lat = NoiseLattice(master_seed=1, horizon=1.0, levels=3, n_modes=4)
-    with pytest.raises(ValueError, match="largest retained eigenvalues"):
+    with pytest.raises(HypothesisViolation) as exc:
         spatial_study(op, DRIFT, INITIAL, lat, [1, 2], 4, 3, 4, ALPHA)
+    assert exc.value.hypothesis == "noise_trace_summable"
 
 
 def test_temporal_study_golden():

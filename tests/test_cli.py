@@ -14,7 +14,7 @@ import pytest
 
 import spdelab
 from spdelab import cli
-from spdelab.analysis import increment_statistic, spatial_study, temporal_study
+from spdelab.analysis import HypothesisViolation, hypotheses, increment_statistic, spatial_study, temporal_study
 from spdelab.kolmogorov import kolmogorov_suite
 from spdelab.noise import NoiseLattice
 from spdelab.scheme import SchemeConfig, simulate_path
@@ -28,7 +28,6 @@ from spdelab.cli import (
     _STUDY_KINDS,
     ConfigError,
     _emit_convergence,
-    hypothesis_rows,
     load_config,
     main,
     parse_config,
@@ -765,19 +764,43 @@ def test_study_refuses_rough_drift_outside_admissible_range(tmp_path, capsys):
 )
 def test_hypothesis_exit_names_the_table_row(tmp_path, capsys, section, field, value):
     # a refused run names the first row of the hypotheses table that does
-    # not hold, with that row's value
+    # not hold, with that row's value; a direct study call meets the same gate
     doc = temporal_study_doc(str(tmp_path / "o"))
     if section == "epsilon":
         doc["drift"]["epsilon"] = doc["rate_params"]["epsilon"] = value
     else:
         doc[section][field] = value
     cfg = write_doc(tmp_path, doc)
-    row = next(r for r in hypothesis_rows(load_config(cfg)) if r["holds"] is not True)
+    parsed = load_config(cfg)
+    table = hypotheses(parsed.operator, parsed.drift, parsed.alpha, parsed.initial)
+    row = next(r for r in table if r["holds"] is not True)
     for command, extra in (("temporal-study", ["--deterministic"]), ("simulate", ["--paths", "1"])):
         assert run([command, "--config", cfg, *extra]) == EXIT_HYPOTHESIS
         assert capsys.readouterr().err == f"hypothesis violated [{row['name']}]: {row['value']}\n"
     assert run(["hypotheses", "--config", cfg]) == EXIT_HYPOTHESIS
     assert f"{row['value']}" in capsys.readouterr().out
+    fields = {k: v for k, v in parsed.study.items() if k != "kind"}
+    with pytest.raises(HypothesisViolation) as exc:
+        temporal_study(parsed.operator, parsed.drift, parsed.initial, parsed.lattice, **fields, alpha=parsed.alpha)
+    assert (exc.value.hypothesis, str(exc.value)) == (row["name"], row["value"])
+
+
+def test_explicit_initial_data_may_not_outnumber_the_modes(tmp_path, capsys):
+    # coefficients past operator.n_max would be dropped without a word
+    doc = temporal_study_doc(str(tmp_path / "o"))
+    doc["operator"]["n_max"] = doc["noise"]["n_modes"] = doc["study"]["n_modes"] = 4
+    doc["initial"] = {"profile": "explicit", "coeffs": [1, 2, 3, 4, 5, 6, 7, 8]}
+    cfg = write_doc(tmp_path, doc)
+    for command in ("temporal-study", "hypotheses"):
+        assert run([command, "--config", cfg, "--deterministic"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: initial.coeffs holds 8 coefficients, more than operator.n_max 4\n"
+        )
+    # as many as the operator has modes, or fewer (zero-padded), still parse
+    doc["initial"]["coeffs"] = [1, 2, 3, 4]
+    assert parse_config(doc).initial.mode_coefficients(4).tolist() == [1.0, 2.0, 3.0, 4.0]
+    doc["initial"]["coeffs"] = [1]
+    assert parse_config(doc).initial.mode_coefficients(4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_study_refuses_bad_initial_datum(tmp_path, capsys):

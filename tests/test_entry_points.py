@@ -159,13 +159,15 @@ def _bench_workloads():
 def test_benchmark_configs_parse_and_hold(name):
     # the benchmark times these configs; a config schema change that refuses
     # one, or a hypothesis that no longer holds for it, must fail here
-    from spdelab.cli import _COMMANDS, hypothesis_rows, parse_config
+    from spdelab.analysis import hypotheses
+    from spdelab.cli import _COMMANDS, parse_config
 
     workload = _bench_workloads()[name]
     cfg = parse_config(workload.doc)
     assert cfg.study["kind"] == _COMMANDS[workload.command][1]
     assert parse_config(cfg.doc).doc == cfg.doc
-    assert [(row["name"], row["holds"]) for row in hypothesis_rows(cfg)] == [
+    rows = hypotheses(cfg.operator, cfg.drift, cfg.alpha, cfg.initial)
+    assert [(row["name"], row["holds"]) for row in rows] == [
         (n, True)
         for n in (
             "noise_trace_summable",

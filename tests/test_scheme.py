@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spdelab.analysis import hypotheses
 from spdelab.drift import HolderDriftSpec, drift_bound
 from spdelab.noise import NoiseLattice
 from spdelab.scheme import (
@@ -17,7 +18,6 @@ from spdelab.scheme import (
     SimulationError,
     Trajectory,
     _advance,
-    initial_domain_check,
     simulate_coupled,
     simulate_path,
 )
@@ -57,15 +57,21 @@ def test_initial_data_validation():
 
 
 def test_initial_domain_check(heat16):
-    ok, why = initial_domain_check(InitialData(profile="power_decay", q=3.0), heat16)
-    assert ok is True
-    bad, why = initial_domain_check(InitialData(profile="power_decay", q=2.0), heat16)
-    assert bad is False
-    assert "diverges" in why
-    edge, _ = initial_domain_check(InitialData(profile="power_decay", q=2.5), heat16)
-    assert edge is False
-    exp_ok, _ = initial_domain_check(InitialData(profile="explicit", coeffs=(1.0,)), heat16)
-    assert exp_ok is True
+    # the last row of the hypothesis table: sum lam_i^2 x_i^2 has series exponent 2*2 - 2*q
+    def domain_row(initial):
+        drift = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9)
+        row = hypotheses(heat16, drift, 0.45, initial)[-1]
+        assert row["name"] == "initial_state_in_domain"
+        return row["holds"], row["value"]
+
+    ok, why = domain_row(InitialData(profile="power_decay", q=3.0))
+    assert (ok, why) == (True, "series exponent -2 < -1, sum lam_i^2 x_i^2 converges")
+    bad, why = domain_row(InitialData(profile="power_decay", q=2.0))
+    assert (bad, why) == (False, "series exponent 0 >= -1, sum lam_i^2 x_i^2 diverges")
+    edge, why = domain_row(InitialData(profile="power_decay", q=2.5))
+    assert (edge, why) == (False, "series exponent -1 >= -1, sum lam_i^2 x_i^2 diverges")
+    exp_ok, why = domain_row(InitialData(profile="explicit", coeffs=(1.0,)))
+    assert (exp_ok, why) == (True, "finite mode expansion, trivially in the domain")
 
 
 def test_scheme_config_properties():

@@ -1,4 +1,5 @@
-"""Oracle and property tests for the diagonal spectral calculus."""
+"""Oracle and property tests for the diagonal spectral calculus, and for the
+noise-trace row that the hypothesis table reads off the operator."""
 
 import math
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spdelab.analysis import hypotheses
+from spdelab.drift import HolderDriftSpec
+from spdelab.scheme import InitialData
 from spdelab.spectral import (
     SpectralOperator,
-    check_trace_condition,
     convolution_variance,
     decay_factor,
     make_heat_operator,
@@ -20,6 +23,13 @@ finite_coeffs = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+def _trace_row(op, alpha):
+    drift = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9)
+    row = hypotheses(op, drift, alpha, InitialData(profile="power_decay", q=3.0))[0]
+    assert row["name"] == "noise_trace_summable"
+    return row
 
 
 def test_heat_ladder_small():
@@ -53,33 +63,32 @@ def test_eigenvalues_are_the_power_law():
 
 
 def test_trace_condition_heat_alpha_045():
-    report = check_trace_condition(make_heat_operator(128), 0.45)
-    assert report.converges is True
-    assert report.exponent == pytest.approx(1.1, abs=1e-12)
-    # fsum oracle over 128 modes of i**-1.1
-    assert report.partial_sum == pytest.approx(4.431127533122982, rel=1e-12)
-    # integral-test tail 128**-0.1 / 0.1
-    assert report.tail_bound == pytest.approx(6.1557220667245724, rel=1e-12)
+    row = _trace_row(make_heat_operator(128), 0.45)
+    assert row["holds"] is True
+    # fsum oracle over 128 modes of i**-1.1, and the integral-test tail 128**-0.1 / 0.1
+    partial = math.fsum(i**-1.1 for i in range(1, 129))
+    assert row["value"] == f"exponent 1.1, partial sum {partial:.6g}, tail bound {128**-0.1 / 0.1:.6g}"
+    assert row["value"] == "exponent 1.1, partial sum 4.43113, tail bound 6.15572"
 
 
 def test_trace_condition_divergent_alpha_05():
-    report = check_trace_condition(make_heat_operator(64), 0.5)
-    assert report.converges is False
-    assert report.exponent == pytest.approx(1.0, abs=1e-12)
-    assert math.isinf(report.tail_bound)
+    row = _trace_row(make_heat_operator(64), 0.5)
+    assert row["holds"] is False
+    assert row["value"].startswith("exponent 1, ")
+    assert row["value"].endswith(", tail bound inf")
 
 
 def test_trace_condition_single_mode():
-    report = check_trace_condition(make_heat_operator(1), 0.3)
-    assert report.partial_sum == 1.0
-    assert report.converges is True
+    row = _trace_row(make_heat_operator(1), 0.3)
+    assert ", partial sum 1, " in row["value"]
+    assert row["holds"] is True
 
 
 def test_trace_condition_alpha_range():
     op = make_heat_operator(4)
     for alpha in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            check_trace_condition(op, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            _trace_row(op, alpha)
 
 
 @given(
@@ -87,8 +96,7 @@ def test_trace_condition_alpha_range():
     alpha=st.floats(min_value=0.01, max_value=0.99, allow_nan=False),
 )
 def test_trace_dichotomy_power_law(power, alpha):
-    report = check_trace_condition(SpectralOperator(8, power), alpha)
-    assert report.converges is (power * (1.0 - alpha) > 1.0)
+    assert _trace_row(SpectralOperator(8, power), alpha)["holds"] is (power * (1.0 - alpha) > 1.0)
 
 
 def test_semigroup_identity_at_zero(heat16):
