@@ -1,10 +1,11 @@
-"""Monte Carlo probes of the backward-equation machinery behind the rate proof.
+"""Probes of the backward-equation machinery behind the rate proof.
 
 The driftless mild solution is an Ornstein-Uhlenbeck process whose transition
 is sampled exactly, so its Markov semigroup, the gradient representation with
 an integral weight, the per-mode gradient decay, and the first Picard
-iterate of the resolvent-type integral equation can all be checked by plain
-Monte Carlo with no discretization error.
+iterate of the resolvent-type integral equation can be checked by plain
+Monte Carlo with no discretization error; the summability probe draws
+nothing, as its gradients are one-dimensional Gaussian integrals per mode.
 
 There is one estimator per representation, and each takes a list of
 observables that share its draws.  `ou_semigroup_estimate(op, fs, t, x,
@@ -44,7 +45,7 @@ and the one check that needs a sup-norm bound takes it as an argument.  The
 samplers take the operator itself and read as many modes as the state has.
 The quadrature and gate settings that no caller varies are the module
 constants `FD_STEP` (the finite-difference step), `PICARD_NODES`,
-`PICARD_SAMPLES`, `SUMMABILITY_NODES`, `SUMMABILITY_SAMPLES` and
+`PICARD_SAMPLES`, `SUMMABILITY_NODES`, `GAUSS_NODES`, `GAUSS_CUT` and
 `SUMMABILITY_GROWTH_CAP`, and the suite's fixed shape is `SUITE_T` (the
 time of its point and decay checks), `SUITE_DIMS` and `PICARD_DIMS` (the
 modes of its point and Picard checks, capped at the operator's) and
@@ -53,12 +54,14 @@ modes of its point and Picard checks, capped at the operator's) and
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralOperator, decay_factor
+from .spectral import SpectralOperator, convolution_variance, decay_factor
 from .drift import HolderDriftSpec, drift_array, drift_bound
 from .noise import _mode_eigenvalues, ou_joint_modes_batch, ou_transition_sample
 
@@ -77,7 +80,8 @@ FD_STEP = 1e-3  # step of the suite's finite-difference cross-check
 PICARD_NODES = 8  # midpoint nodes in time of the first Picard iterate
 PICARD_SAMPLES = 512  # transition draws per node of the first Picard iterate
 SUMMABILITY_NODES = 8  # midpoint nodes in time of the summability probe
-SUMMABILITY_SAMPLES = 4096  # joint draws per node of the summability probe
+GAUSS_NODES = 64  # Gauss-Legendre nodes on each side of a cusp, in the summability probe's z integrals
+GAUSS_CUT = 12.0  # |z| at which the summability probe's z integrals are cut
 # the last half of the modes may add at most this factor to the first half's sum
 SUMMABILITY_GROWTH_CAP = 1.5
 SUITE_T = 0.5  # time of the suite's point and decay checks
@@ -379,6 +383,49 @@ def picard_norm_bound(sup_b: float, lam: float, t: float, horizon: float) -> flo
     return sup_b * (-math.expm1(-lam * (horizon - t))) / lam
 
 
+@functools.cache
+def _cusp_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The GAUSS_NODES-point Gauss-Legendre rule (v, w) on [0, 1] as column nodes u = v**4, weights
+    4*v**3*w, then a tail node u = 1 of weight 0; by Newton's method, not `numpy.polynomial`."""
+    n = GAUSS_NODES
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        before, p = np.ones(n), x
+        for k in range(1, n):
+            before, p = p, ((2 * k + 1) * x * p - k * before) / (k + 1)
+        slope = n * (x * p - before) / (x * x - 1.0)
+        x = x - p / slope
+    v, w = (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
+    return np.append(v**4, 1.0)[:, None], np.append(4.0 * w * v**3, 0.0)[:, None]
+
+
+def _picard_gradient(op, spec, lam_picard, t, x, horizon) -> np.ndarray:
+    """Each mode's one nonzero gradient entry of the first Picard iterate at (t, x), midpoint in time.
+
+    Node tau adds exp(-lam_picard*tau)*ds*e^(-lam_i*tau)*E[b_i(m + s*Z)*Z]/s, m = e^(-lam_i*tau)*x_i,
+    s**2 = convolution_variance(lam_i, tau); rank_one's entry is the diagonal kind's, on mode 1.  The z
+    integral is cut at |z| = GAUSS_CUT and split at psi's cusp z0 and saturation points, past which its
+    tails are closed-form; each side of z0 takes `_cusp_rule` in z = z0 + (end - z0)*u."""
+    lam = _mode_eigenvalues(op, len(x))
+    ds = (horizon - t) / SUMMABILITY_NODES
+    with np.errstate(over="ignore"):  # an overflowing saturation point lies beyond the cut
+        kink = math.inf if spec.kind == "smooth_baseline" else np.power(spec.cap, 1.0 / spec.epsilon)
+    per_mode = replace(spec, kind="diagonal") if spec.kind == "rank_one" else spec
+    u, w = _cusp_rule()
+    grad = np.zeros(len(x))
+    for j in range(SUMMABILITY_NODES):
+        tau = (j + 0.5) * ds
+        sd, decay = np.sqrt(convolution_variance(lam, tau)), decay_factor(lam, tau)
+        kinks = np.clip((np.array([0.0, kink, -kink])[:, None] - decay * x) / sd, -GAUSS_CUT, GAUSS_CUT)
+        cusp, ends = kinks[0], kinks[1:, None]
+        z = cusp + (ends - cusp) * u
+        # the tail node u = 1 carries the closed-form tail beyond its end
+        weight = np.exp(-0.5 * z * z) / math.sqrt(math.tau) * (w * (ends - cusp) * z + (u == 1.0))
+        sides = (drift_array(per_mode, lam, t + tau, decay * x + sd * z) * weight).sum(axis=1)
+        grad += math.exp(-lam_picard * tau) * ds * decay * (sides[0] - sides[1]) / sd
+    return grad
+
+
 def gradient_summability_probe(
     op: SpectralOperator,
     spec: HolderDriftSpec,
@@ -387,38 +434,25 @@ def gradient_summability_probe(
     x: np.ndarray,
     theta: float,
     horizon: float = 1.0,
-    seed: int = 0,
 ) -> dict:
     """Weighted square sum of per-mode gradients of the first Picard iterate.
 
-    Estimates grad_i of u at (t, x) for every retained mode in one pass (the
-    joint sampler hands out all mode weights at once), with a midpoint rule
-    of SUMMABILITY_NODES nodes and SUMMABILITY_SAMPLES joint draws per node.
-    Then reports whether the partial sums of lam_i**theta * ||grad_i||**2
-    flatten out: the last half of the modes may add at most
-    SUMMABILITY_GROWTH_CAP times the first half's sum.  A partial sum that
-    is not finite is refused, since two infinite sums would read as no growth.
-    The record, in plain Python numbers, holds theta, the partial_sums, their
-    growth_ratio and whether they are bounded.
+    Takes grad_i of u at (t, x) for every retained mode from `_picard_gradient`,
+    exact in space while the time integral is the midpoint rule of
+    SUMMABILITY_NODES nodes; nothing is drawn.  Then reports whether the partial
+    sums of lam_i**theta * ||grad_i||**2 flatten out: the last half of the modes
+    may add at most SUMMABILITY_GROWTH_CAP times the first half's sum.  A partial
+    sum that is not finite is refused, since two infinite sums would read as no
+    growth.  The record, in plain Python numbers, holds theta, the partial_sums,
+    their growth_ratio and whether they are bounded.
     """
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
     if not 0.0 <= t < horizon:
         raise ValueError("t must lie in [0, horizon)")
     n = len(x)
-    lam = op.eigenvalues[:n]
-    ds = (horizon - t) / SUMMABILITY_NODES
-    grad = np.zeros((n, n))
-    with _NormalsAhead(seed) as rng:
-        for j in range(SUMMABILITY_NODES):
-            s = t + (j + 0.5) * ds
-            tau = s - t
-            node_sum = np.zeros((n, n))
-            for rows in _block_rows(SUMMABILITY_SAMPLES, n):
-                states, weights = ou_joint_modes_batch(op, x, tau, rng, rows)
-                node_sum += weights.T @ drift_array(spec, lam, s, states)
-            grad += math.exp(-lam_picard * tau) * ds * (node_sum / (SUMMABILITY_SAMPLES * tau))
-    partial_sums = np.cumsum(lam**theta * np.einsum("ij,ij->i", grad, grad))
+    grad = _picard_gradient(op, spec, lam_picard, t, x, horizon)
+    partial_sums = np.cumsum(op.eigenvalues[:n] ** theta * grad * grad)
     _refuse_non_finite("gradient_summability_probe: partial sum", partial_sums)
     half, full = partial_sums[max(1, n // 2) - 1], partial_sums[-1]
     # sums that never grow, all zeros under a zero drift among them, have ratio 1
@@ -442,10 +476,12 @@ def kolmogorov_suite(
     estimators, the finite-difference cross-check, per-mode gradient decay,
     the Picard terminal condition, the first-iterate norm bound with its
     large-lam smallness trend over LAM_SWEEP, and the summability probe
-    weighted by lam_i**theta.  Whatever m_samples is, each Picard evaluation
-    uses PICARD_NODES (8) nodes times PICARD_SAMPLES (512) draws and the
-    summability probe SUMMABILITY_NODES (8) nodes times SUMMABILITY_SAMPLES
-    (4096) draws.  The decay modes are checked before anything is drawn.
+    weighted by lam_i**theta.  It draws 2*m_samples states of SUITE_DIMS
+    modes (one transition pass, one joint pass), m_samples states of
+    max(decay_modes) modes, and 3*PICARD_NODES*PICARD_SAMPLES states of
+    PICARD_DIMS modes for the lam sweep, whatever m_samples is; the
+    summability probe draws nothing.  The decay modes are checked before
+    anything is drawn.
     It returns the verdict, the check table and the three records it ran.
     """
     decay_modes = tuple(decay_modes)
@@ -534,7 +570,7 @@ def kolmogorov_suite(
     )
     record("picard_smallness_trend", monotone, "norms along the sweep: " + ", ".join(f"{v:.4g}" for v in norms))
 
-    summ = gradient_summability_probe(op, spec, LAM_SWEEP[0], 0.0, x_decay, theta, horizon=horizon, seed=seed)
+    summ = gradient_summability_probe(op, spec, LAM_SWEEP[0], 0.0, x_decay, theta, horizon=horizon)
     record(
         "summability_non_exploding",
         summ["bounded"],

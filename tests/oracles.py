@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from spdelab.drift import drift_array, drift_bound, mode_holder_constant, time_weight_lipschitz
+from spdelab.noise import ou_joint_modes_batch
 
 
 def interpolate_substep(cfg, k, y, t, partial_noise):
@@ -121,3 +122,66 @@ def mean_stderr(samples):
         means.append(mean)
         stderrs.append(math.sqrt(var / m))
     return np.array(means), np.array(stderrs)
+
+
+def summability_gradient_monte_carlo(op, spec, lam_picard, t, x, samples, seed, horizon=1.0, nodes=8):
+    """The summability probe's (n, n) gradient matrix by Monte Carlo, and its standard errors.
+
+    Entry (i, k) is the gradient along mode i of mode k of the first Picard
+    iterate at (t, x), by the midpoint rule of ``nodes`` nodes in time, as
+    the library estimated it before it turned to quadrature.  At node tau,
+    ``samples`` joint draws from default_rng(seed) of the transition state
+    and the Bismut weights W add exp(-lam_picard*tau)*ds * mean(W_i*b_k)/tau.
+    The nodes draw in turn from one stream, so they are independent and
+    their variances add.
+    """
+    n = len(x)
+    lam = op.eigenvalues[:n]
+    rng = np.random.default_rng(seed)
+    ds = (horizon - t) / nodes
+    grad, var = np.zeros((n, n)), np.zeros((n, n))
+    for j in range(nodes):
+        s = t + (j + 0.5) * ds
+        tau = s - t
+        states, weights = ou_joint_modes_batch(op, x, tau, rng, samples)
+        drift = drift_array(spec, lam, s, states)
+        mean = weights.T @ drift / samples
+        second = (weights * weights).T @ (drift * drift) / samples
+        scale = math.exp(-lam_picard * tau) * ds / tau
+        grad += scale * mean
+        var += scale**2 * np.maximum(second - mean * mean, 0.0) / (samples - 1)
+    return grad, np.sqrt(var)
+
+
+def summability_gradient_dense(spec, lam, lam_picard, t, x, horizon=1.0, nodes=8, points=400_001, cut=12.0):
+    """Each mode's one nonzero summability gradient entry by a dense midpoint rule in z.
+
+    The entry of mode i with eigenvalue lam[i] at x[i] sums, over the
+    ``nodes`` midpoint nodes tau of time, exp(-lam_picard*tau)*ds*e^(-lam_i*tau)
+    * a*h*lam_i^(-beta) * E[phi(m + s*Z)*Z]/s, with m = e^(-lam_i*tau)*x_i,
+    s**2 = (1 - e^(-2*lam_i*tau))/(2*lam_i) and phi = psi, or tanh for the
+    smooth baseline (rank_one's entry is the diagonal's, on mode 1).  The
+    expectation is a ``points``-point midpoint rule on z in [-cut, cut],
+    one mode and one node at a time, with phi written out here.
+    """
+    h = 2.0 * cut / points
+    z = -cut + h * (np.arange(points) + 0.5)
+    kernel = z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * h
+    ds = (horizon - t) / nodes
+    entries = []
+    for lam_i, x_i in zip(lam, x):
+        lam_i, entry = float(lam_i), 0.0
+        for j in range(nodes):
+            s = t + (j + 0.5) * ds
+            tau = s - t
+            sd = math.sqrt(-math.expm1(-2.0 * lam_i * tau) / (2.0 * lam_i))
+            u = math.exp(-lam_i * tau) * x_i + sd * z
+            if spec.kind == "smooth_baseline":
+                phi = np.tanh(u)
+            else:
+                phi = np.sign(u) * np.minimum(np.abs(u) ** spec.epsilon, spec.cap)
+            h_s = math.cos(2.0 * math.pi * s / spec.period) if spec.time_mod == "cosine" else 1.0
+            size = spec.amplitude * h_s * lam_i ** (-spec.beta) * float(phi @ kernel) / sd
+            entry += math.exp(-lam_picard * tau) * ds * math.exp(-lam_i * tau) * size
+        entries.append(entry)
+    return np.array(entries)

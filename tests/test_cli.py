@@ -645,6 +645,7 @@ def test_kolmogorov_check_with_zero_drift(tmp_path, capsys):
     assert passed["gradient_decay_bounded"] and passed["summability_non_exploding"]
     assert summary["decay"]["max_ratio"] == 0.0
     assert summary["summability"]["growth_ratio"] == 1.0
+    assert set(summary["summability"]["partial_sums"]) == {0.0}
 
 
 def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):

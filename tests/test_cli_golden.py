@@ -10,6 +10,8 @@ for `config.output`.  The goldens in `cli_golden.json` were recorded at
 kolmogorov-check `bismut_matches_finite_difference` detail was re-recorded
 when a comparison of no coordinates got its own wording, its decay rows
 when the decay check began to draw weight normals only on the checked modes,
+its summability detail, growth ratio and partial sums when the probe's
+gradients became exact in space (growth 1.0017 estimated, 1.0000009 exact),
 and its `config.study` lost `t`, `dims`, `picard_dims`, `lam_sweep` and
 `theta` when the suite's shape became module constants and theta alpha.
 The temporal-study and increment-study entries were re-recorded when a

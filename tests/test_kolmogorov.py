@@ -3,6 +3,10 @@ Picard iterates, and the bundled diagnostic suite."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 import weakref
@@ -30,7 +34,7 @@ from spdelab.kolmogorov import (
 from spdelab.noise import ou_cross_covariance
 from spdelab.spectral import convolution_variance, decay_factor, make_heat_operator
 
-from oracles import mean_stderr
+from oracles import mean_stderr, summability_gradient_dense, summability_gradient_monte_carlo
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 
@@ -271,9 +275,8 @@ def test_normals_ahead_leave_a_failed_order_uncollected():
 
 
 def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
-    # an observable, or for the summability probe the drift, that raises in
-    # the second block: the error reaches the caller as raised, after the
-    # helper drawing ahead was joined
+    # an observable that raises in the second block: the error reaches the
+    # caller as raised, after the helper drawing ahead was joined
     class Stop(Exception):
         pass
 
@@ -292,11 +295,6 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
 
         return evaluate
 
-    def summability():
-        raising = raising_on_call(2)
-        monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, states: raising(states))
-        gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45)
-
     runs = {
         "semigroup": lambda: ou_semigroup_estimate(heat16, [raising_on_call(2)], 0.5, x, 1000),
         "bismut": lambda: bismut_gradient(heat16, [raising_on_call(2)], 0.5, x, eta[None], 1000),
@@ -305,7 +303,6 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
             heat16, [kolmogorov._difference_quotient(heat16, raising_on_call(3), 0.5, x, eta)], 0.5, x, 1000
         ),
         "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 1.0, 0.5, x, (1, 16), 1000),
-        "summability": summability,
     }
     before = threading.active_count()
     for name, run in runs.items():
@@ -501,22 +498,15 @@ def test_gradient_decay_memory_is_values_and_selected_columns(monkeypatch):
     assert peak <= (m * n + m * k) * 8 / 4
 
 
-def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
+def test_estimator_memory_does_not_grow_with_samples():
     # every Monte Carlo estimator draws and reduces fixed-size blocks, so its
-    # peak at 50,000 samples is within 0.5 MB of its peak at 5,000; the
-    # summability probe's samples per node are the module constant, and one
-    # node is enough
+    # peak at 50,000 samples is within 0.5 MB of its peak at 5,000
     op, n = make_heat_operator(64), 64
     x = 1.0 / np.arange(1.0, n + 1.0)
     eta = np.linspace(1.0, 0.25, n)
     f_lin = coordinate(n)
     f_smooth = tanh_form(np.linspace(1.0, 0.125, n), np.eye(n)[0])
     f_drift = drift_test_function(DRIFT, op, time=0.25)
-    monkeypatch.setattr(kolmogorov, "SUMMABILITY_NODES", 1)
-
-    def summability(m):
-        monkeypatch.setattr(kolmogorov, "SUMMABILITY_SAMPLES", m)
-        gradient_summability_probe(op, DRIFT, 1.0, 0.0, x, theta=0.45, seed=3)
 
     estimators = {
         "semigroup": lambda m: ou_semigroup_estimate(op, [f_lin], 0.5, x, m, seed=3),
@@ -525,7 +515,6 @@ def test_estimator_memory_does_not_grow_with_samples(monkeypatch):
             op, [kolmogorov._difference_quotient(op, f_smooth, 0.5, x, eta)], 0.5, x, m, seed=3
         ),
         "decay": lambda m: gradient_decay_check(op, f_drift, 1.0, 0.5, x, (1, 4, 16, 64), m, seed=3),
-        "summability": summability,
     }
     for name, run in estimators.items():
         small, large = (_peak_bytes(lambda: run(m)) for m in (5_000, 50_000))
@@ -616,7 +605,7 @@ def test_picard_norm_bound_values():
 
 def test_summability_probe(heat16):
     x = 1.0 / np.arange(1.0, 17.0)
-    report = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45, seed=4)
+    report = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=0.45)
     assert report["bounded"] is True
     assert report["growth_ratio"] >= 1.0
     assert np.all(np.diff(report["partial_sums"]) >= 0.0)
@@ -626,6 +615,120 @@ def test_summability_probe(heat16):
         gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=-0.1)
     with pytest.raises(ValueError):
         gradient_summability_probe(heat16, DRIFT, 1.0, 1.0, x, theta=0.45)
+
+
+def test_cusp_rule_is_the_substituted_gauss_legendre_rule():
+    # Gauss-Legendre in v is exact to degree 127, so the rule in u = v**4,
+    # with its weights 4*v**3*w, integrates u**j exactly for j <= 31;
+    # numpy's leggauss, whose weights carry 1e-12 more rounding, places the
+    # same nodes
+    from numpy.polynomial.legendre import leggauss
+
+    u, weights = kolmogorov._cusp_rule()
+    assert u.shape == weights.shape == (kolmogorov.GAUSS_NODES + 1, 1)
+    assert (u[-1, 0], weights[-1, 0]) == (1.0, 0.0)
+    u, weights = u[:-1, 0], weights[:-1, 0]
+    moments = np.array([weights @ u**j for j in range(32)])
+    np.testing.assert_allclose(moments, 1.0 / np.arange(1.0, 33.0), rtol=1e-13, atol=0)
+    x, w = leggauss(kolmogorov.GAUSS_NODES)
+    np.testing.assert_allclose(u, ((x + 1.0) / 2.0) ** 4, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(weights, 2.0 * w * ((x + 1.0) / 2.0) ** 3, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize(
+    "kind, t, lam_picard, horizon, modes",
+    [
+        ("diagonal", 0.0, 1.0, 1.0, (1, 2, 4, 16, 64)),
+        ("smooth_baseline", 0.0, 1.0, 1.0, (1, 2, 4, 16, 64)),
+        ("diagonal", 0.3, 10.0, 2.0, (1, 3, 16)),
+        ("smooth_baseline", 0.3, 10.0, 2.0, (1, 3, 16)),
+    ],
+)
+def test_summability_gradient_matches_a_dense_rule(kind, t, lam_picard, horizon, modes):
+    # each mode's one nonzero entry, against a 400,001-point midpoint rule in
+    # z, at heat16 and at the suite's shape (64 modes, x = 1/i), whose first
+    # 16 modes are heat16's; rank_one's entries are the diagonal kind's, so
+    # the diagonal's reference serves it too
+    x = 1.0 / np.arange(1.0, 65.0)
+    index = np.array(modes) - 1
+    spec = dataclasses.replace(DRIFT, kind=kind)
+    lam = make_heat_operator(64).eigenvalues[index]
+    exact = summability_gradient_dense(spec, lam, lam_picard, t, x[index], horizon)
+    for checked in (spec, dataclasses.replace(DRIFT, kind="rank_one")) if kind == "diagonal" else (spec,):
+        for n in (16, 64):
+            got = kolmogorov._picard_gradient(make_heat_operator(n), checked, lam_picard, t, x[:n], horizon)
+            keep = index < n
+            np.testing.assert_allclose(got[index[keep]], exact[keep], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rank_one", "smooth_baseline"])
+def test_summability_gradient_lies_within_the_monte_carlo_oracle(heat16, kind):
+    # seeds and sample sizes were fixed before the first run; each mode's one
+    # nonzero entry lies within 4 standard errors of the Monte Carlo estimate,
+    # and each other entry, exactly 0, within 5 (up to 240 per run); an entry
+    # with no spread, as rank_one's columns past the first, must be exact
+    spec = dataclasses.replace(DRIFT, kind=kind)
+    x = 1.0 / np.arange(1.0, 17.0)
+    exact = np.zeros((16, 16))
+    column = np.zeros(16, dtype=int) if kind == "rank_one" else np.arange(16)
+    exact[np.arange(16), column] = kolmogorov._picard_gradient(heat16, spec, 1.0, 0.0, x, 1.0)
+    support = exact != 0.0
+    assert support.sum() == 16
+    for seed in (4, 2024):
+        for samples in (1024, 4096):
+            grad, se = summability_gradient_monte_carlo(heat16, spec, 1.0, 0.0, x, samples, seed)
+            assert np.array_equal(grad[se == 0.0], exact[se == 0.0])
+            z = np.abs(grad - exact) / np.where(se == 0.0, 1.0, se)
+            assert z[support].max() <= 4.0, (seed, samples, z[support].max())
+            assert z[~support].max() <= 5.0, (seed, samples, z[~support].max())
+
+
+def test_summability_gate_can_decide(heat16):
+    # the exact probe fails a sum that grows and passes one that is flat to
+    # 2e-4, where the Monte Carlo estimate it replaced (4096 joint draws per
+    # node, seed 4) read a growth of 1.626 and failed
+    grows = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, 1.0 / np.arange(1.0, 9.0), theta=4.0)
+    assert grows["bounded"] is False
+    assert grows["growth_ratio"] == pytest.approx(2.379, abs=5e-4)
+    x = 1.0 / np.arange(1.0, 17.0)
+    flat = gradient_summability_probe(heat16, DRIFT, 1.0, 0.0, x, theta=2.0)
+    assert flat["bounded"] is True
+    assert flat["growth_ratio"] == pytest.approx(1.0002, abs=5e-5)
+    grad, _ = summability_gradient_monte_carlo(heat16, DRIFT, 1.0, 0.0, x, 4096, seed=4)
+    estimated = np.cumsum(heat16.eigenvalues**2.0 * np.einsum("ij,ij->i", grad, grad))
+    assert estimated[-1] / estimated[7] == pytest.approx(1.626, abs=5e-4)
+
+
+def test_summability_probe_loads_no_polynomial_module_and_no_eigen_solver():
+    # its Gauss-Legendre nodes are formed at first use, not at import, and by
+    # Newton's method: numpy.polynomial costs about 0.8 MB of resident memory,
+    # its leggauss 1.2 MB more and a LAPACK eigen-solver 2 MB, against the
+    # benchmark's peak memory; a fresh interpreter shows what is loaded
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigen-solver was called")
+
+        for name in ("eigh", "eig", "eigvals", "eigvalsh"):
+            setattr(np.linalg, name, refuse)
+        from spdelab import kolmogorov
+        from spdelab.drift import HolderDriftSpec
+        from spdelab.spectral import make_heat_operator
+
+        assert kolmogorov._cusp_rule.cache_info().currsize == 0, "formed at import"
+        spec = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
+        kolmogorov.kolmogorov_suite(make_heat_operator(16), spec, 0.45, m_samples=200, decay_modes=(1, 16))
+        assert kolmogorov._cusp_rule.cache_info().currsize == 1, "never formed"
+        assert "numpy.polynomial" not in sys.modules, "numpy.polynomial imported"
+        """
+    )
+    src = os.path.dirname(os.path.dirname(kolmogorov.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_estimators_refuse_statistics_that_are_not_finite(heat16):
@@ -672,14 +775,9 @@ def test_kolmogorov_suite_passes(heat16):
 def _suite_draws(m_samples, dims, n_decay) -> int:
     """States the suite draws: one transition pass for the semigroup and the
     finite difference and one joint pass for both Bismut gradients at dims
-    modes, the decay check at n_decay modes, the three Picard evaluations of
-    the lam sweep at 3 modes and the summability probe at n_decay modes."""
-    return (
-        2 * m_samples * dims
-        + m_samples * n_decay
-        + 3 * PICARD_NODES * PICARD_SAMPLES * 3
-        + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * n_decay
-    )
+    modes, the decay check at n_decay modes and the three Picard evaluations
+    of the lam sweep at 3 modes; the summability probe draws none."""
+    return 2 * m_samples * dims + m_samples * n_decay + 3 * PICARD_NODES * PICARD_SAMPLES * 3
 
 
 def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
@@ -697,22 +795,21 @@ def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
         monkeypatch.setattr(kolmogorov, name, counted)
     kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=(1, 4, 16))
     assert sum(drawn) == _suite_draws(3000, 4, 16)
-    # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64
-    assert _suite_draws(100_000, 4, 64) == 9_334_016
+    # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64;
+    # 9,334,016 while the summability probe drew 8 * 4096 states of 64 modes
+    assert _suite_draws(100_000, 4, 64) == 7_236_864
 
 
 def _suite_normals(m_samples, dims, decay_modes) -> int:
     """Normals the suite draws: a state's per mode, and a joint draw's weight
     normals on the modes its directions touch, every mode for the suite's
-    dense direction and the summability probe, the distinct checked modes
-    for the decay check."""
+    dense direction, the distinct checked modes for the decay check."""
     n_decay = max(decay_modes)
     return (
         m_samples * dims
         + 2 * m_samples * dims
         + m_samples * (n_decay + len(set(decay_modes)))
         + 3 * PICARD_NODES * PICARD_SAMPLES * 3
-        + kolmogorov.SUMMABILITY_NODES * kolmogorov.SUMMABILITY_SAMPLES * 2 * n_decay
     )
 
 
@@ -739,8 +836,9 @@ def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
     kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=decay_modes)
     assert sum(requested) == _suite_normals(3000, 4, decay_modes)
     # the kolmogorov-probe benchmark workload, against 19,431,168 when every
-    # estimator drew weights on all modes and the shared passes were drawn twice
-    assert _suite_normals(100_000, 4, (1, 4, 16, 64)) == 12_231_168
+    # estimator drew weights on all modes and the shared passes were drawn
+    # twice, and 12,231,168 while the summability probe drew 8 * 4096 * 128
+    assert _suite_normals(100_000, 4, (1, 4, 16, 64)) == 8_036_864
 
 
 def _decay_csv(result) -> str:
@@ -750,8 +848,9 @@ def _decay_csv(result) -> str:
 
 # re-recorded when each joint draw began to take a sample's z1 and z2
 # together, and the decay rows again when the decay check's joint draw began
-# to take weight normals only on the checked modes; the suite must
-# reproduce it byte for byte
+# to take weight normals only on the checked modes; the summability line
+# when the probe's gradients became exact in space (the Monte Carlo
+# estimate read 1.0016); the suite must reproduce it byte for byte
 GOLDEN_DECAY_CSV = (
     "i,estimate,stderr,bound_ratio\n"
     "1,0.45873708432748894,0.017087607311921816,0.22600392197338348\n"
@@ -767,7 +866,7 @@ GOLDEN_DETAILS = [
     ("picard_terminal_zero", "value at t = horizon", True),
     ("picard_norm_bound", "norms 0.3654 <= 0.7375, 0.07972 <= 0.1167, 0.0002187 <= 0.01167", True),
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
-    ("summability_non_exploding", "partial sum growth ratio 1.0016 at theta = 0.45", True),
+    ("summability_non_exploding", "partial sum growth ratio 1.0000 at theta = 0.45", True),
 ]
 
 
@@ -777,9 +876,11 @@ def test_kolmogorov_suite_golden():
     assert [(c["name"], c["detail"], c["passed"]) for c in result["checks"]] == GOLDEN_DETAILS
 
 
-# recorded for the other two drift kinds before states became plain arrays;
-# the point checks read no drift, so only the decay rows and the last four
-# details differ from the diagonal drift's
+# recorded for the other two drift kinds before states became plain arrays,
+# and the summability lines again when the probe became exact in space (the
+# estimates read 1.0024 and 1.0014); the point checks read no drift, so
+# only the decay rows and the last four details differ from the diagonal
+# drift's
 GOLDEN_KIND_DECAY_CSV = {
     "rank_one": (
         "i,estimate,stderr,bound_ratio\n"
@@ -802,14 +903,14 @@ GOLDEN_KIND_DETAILS = {
         ("picard_terminal_zero", "value at t = horizon", True),
         ("picard_norm_bound", "norms 0.4251 <= 1.159, 0.09985 <= 0.1833, 0.0002799 <= 0.01833", True),
         ("picard_smallness_trend", "norms along the sweep: 0.4251, 0.09985, 0.0002799", True),
-        ("summability_non_exploding", "partial sum growth ratio 1.0024 at theta = 0.45", True),
+        ("summability_non_exploding", "partial sum growth ratio 1.0000 at theta = 0.45", True),
     ],
     "smooth_baseline": GOLDEN_DETAILS[:3] + [
         ("gradient_decay_bounded", "max bound ratio 0.1939 over modes (1, 4, 16, 64)", True),
         ("picard_terminal_zero", "value at t = horizon", True),
         ("picard_norm_bound", "norms 0.3029 <= 0.7375, 0.06524 <= 0.1167, 0.0001782 <= 0.01167", True),
         ("picard_smallness_trend", "norms along the sweep: 0.3029, 0.06524, 0.0001782", True),
-        ("summability_non_exploding", "partial sum growth ratio 1.0014 at theta = 0.45", True),
+        ("summability_non_exploding", "partial sum growth ratio 1.0000 at theta = 0.45", True),
     ],
 }
 
