@@ -484,11 +484,12 @@ def _cmd_kolmogorov(cfg: StudyConfig) -> int:
     plot = _plot(
         "set logscale y",
         "set xlabel 'mode index'",
-        "set ylabel 'gradient estimate'",
-        "plot 'report.csv' skip 1 using 1:2:3 with yerrorlines title 'estimated gradient size', \\",
-        "     'report.csv' skip 1 using 1:($2/$4) with lines title 'decay bound'",
+        "set ylabel 'gradient size at t = 1/lam_i'",
+        "plot 'report.csv' skip 1 using 1:2 with linespoints title 'exact gradient size', \\",
+        "     'report.csv' skip 1 using 1:($2/$5) with lines title 'sup bound', \\",
+        "     'report.csv' skip 1 using 1:($2/$6) with lines title 'Holder bound'",
     )
-    decay_csv = _csv("i,estimate,stderr,bound_ratio", (row.values() for row in suite["decay"]["rows"]))
+    decay_csv = _csv("i,estimate,stderr,t,bound_ratio,holder_ratio", (row.values() for row in suite["decay"]["rows"]))
     outdir = _emit(cfg, suite, plot, decay_csv)
     for check in suite["checks"]:
         print(f"  [{'ok' if check['passed'] else 'FAIL'}] {check['name']}: {check['detail']}")

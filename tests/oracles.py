@@ -153,35 +153,69 @@ def summability_gradient_monte_carlo(op, spec, lam_picard, t, x, samples, seed, 
     return grad, np.sqrt(var)
 
 
+def _dense_mode_term(spec, lam_i, x_i, tau, s, z, kernel):
+    """One mode's e^(-lam_i*tau) * a*h(s)*lam_i^(-beta) * E[phi(m + sd*Z)*Z]/sd, with
+    m = e^(-lam_i*tau)*x_i, sd**2 = (1 - e^(-2*lam_i*tau))/(2*lam_i) and phi = psi, or tanh for the
+    smooth baseline, the expectation a midpoint rule whose points z carry the weights ``kernel``."""
+    sd = math.sqrt(-math.expm1(-2.0 * lam_i * tau) / (2.0 * lam_i))
+    u = math.exp(-lam_i * tau) * x_i + sd * z
+    if spec.kind == "smooth_baseline":
+        phi = np.tanh(u)
+    else:
+        phi = np.sign(u) * np.minimum(np.abs(u) ** spec.epsilon, spec.cap)
+    h_s = math.cos(2.0 * math.pi * s / spec.period) if spec.time_mod == "cosine" else 1.0
+    return math.exp(-lam_i * tau) * spec.amplitude * h_s * lam_i ** (-spec.beta) * float(phi @ kernel) / sd
+
+
+def _midpoint_kernel(points, cut):
+    """Points z of the ``points``-point midpoint rule on [-cut, cut] and their weights z*phi(z)*h."""
+    h = 2.0 * cut / points
+    z = -cut + h * (np.arange(points) + 0.5)
+    return z, z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * h
+
+
 def summability_gradient_dense(spec, lam, lam_picard, t, x, horizon=1.0, nodes=8, points=400_001, cut=12.0):
     """Each mode's one nonzero summability gradient entry by a dense midpoint rule in z.
 
     The entry of mode i with eigenvalue lam[i] at x[i] sums, over the
-    ``nodes`` midpoint nodes tau of time, exp(-lam_picard*tau)*ds*e^(-lam_i*tau)
-    * a*h*lam_i^(-beta) * E[phi(m + s*Z)*Z]/s, with m = e^(-lam_i*tau)*x_i,
-    s**2 = (1 - e^(-2*lam_i*tau))/(2*lam_i) and phi = psi, or tanh for the
-    smooth baseline (rank_one's entry is the diagonal's, on mode 1).  The
-    expectation is a ``points``-point midpoint rule on z in [-cut, cut],
-    one mode and one node at a time, with phi written out here.
+    ``nodes`` midpoint nodes tau of time, exp(-lam_picard*tau)*ds times the
+    `_dense_mode_term` of the drift at time t + tau carried for tau (rank_one's
+    entry is the diagonal's, on mode 1).  The expectation is a ``points``-point
+    midpoint rule on z in [-cut, cut], one mode and one node at a time, with
+    phi written out here.
     """
-    h = 2.0 * cut / points
-    z = -cut + h * (np.arange(points) + 0.5)
-    kernel = z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * h
+    z, kernel = _midpoint_kernel(points, cut)
     ds = (horizon - t) / nodes
     entries = []
     for lam_i, x_i in zip(lam, x):
-        lam_i, entry = float(lam_i), 0.0
+        entry = 0.0
         for j in range(nodes):
-            s = t + (j + 0.5) * ds
-            tau = s - t
-            sd = math.sqrt(-math.expm1(-2.0 * lam_i * tau) / (2.0 * lam_i))
-            u = math.exp(-lam_i * tau) * x_i + sd * z
-            if spec.kind == "smooth_baseline":
-                phi = np.tanh(u)
-            else:
-                phi = np.sign(u) * np.minimum(np.abs(u) ** spec.epsilon, spec.cap)
-            h_s = math.cos(2.0 * math.pi * s / spec.period) if spec.time_mod == "cosine" else 1.0
-            size = spec.amplitude * h_s * lam_i ** (-spec.beta) * float(phi @ kernel) / sd
-            entry += math.exp(-lam_picard * tau) * ds * math.exp(-lam_i * tau) * size
+            tau = (j + 0.5) * ds
+            term = _dense_mode_term(spec, float(lam_i), x_i, tau, t + tau, z, kernel)
+            entry += math.exp(-lam_picard * tau) * ds * term
         entries.append(entry)
     return np.array(entries)
+
+
+def decay_rows_dense(spec, lam, t, x, time=0.25, points=400_001, cut=12.0):
+    """Each mode's signed gradient-decay entry by a dense midpoint rule in z.
+
+    The entry of mode i with eigenvalue lam[i] at x[i] is the
+    `_dense_mode_term` of the drift frozen at ``time`` and carried for t[i]:
+    the derivative along e_i of the driftless semigroup applied to the drift,
+    whose size is the decay check's row (rank_one's is the diagonal's, on
+    mode 1).  t is one time per mode.
+    """
+    z, kernel = _midpoint_kernel(points, cut)
+    terms = [_dense_mode_term(spec, float(lam_i), x_i, t_i, time, z, kernel) for lam_i, x_i, t_i in zip(lam, x, t)]
+    return np.array(terms)
+
+
+def drift_test_function(spec, op, time):
+    """The drift frozen at ``time`` as an observable: a batch of n-mode states reads the operator's
+    first n eigenvalues."""
+
+    def evaluate(states):
+        return drift_array(spec, op.eigenvalues[: states.shape[-1]], time, states)
+
+    return evaluate

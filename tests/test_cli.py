@@ -654,7 +654,9 @@ def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):
     # check read [ok] (decay rows "1,inf,nan,nan", Picard norms "inf <= inf",
     # growth ratio 1); the first estimator to meet them now stops the run.
     # cap 1 keeps the drift's sup bound finite (1.28e300), so the run gets
-    # past the bound's own refusal to the estimators
+    # past the bound's own refusal to the estimators.  The exact decay rows,
+    # about 1e300, are finite and within their bounds, so the first Picard
+    # iterate's squared sums are the first to overflow
     out = tmp_path / "o"
     doc = canonical_doc({"kind": "kolmogorov", "m_samples": 2000, "decay_modes": [1, 4, 16, 64]}, out=str(out))
     doc["drift"].update(amplitude=1e300, cap=1.0)
@@ -664,7 +666,7 @@ def test_kolmogorov_check_refuses_an_overflowing_drift(tmp_path, capsys):
         code = run(["kolmogorov-check", "--config", cfg, "--seed", "0"])
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert "bismut_gradient: mean or standard error is not finite, first at mode 1" in err
+    assert "picard_u_lambda at lam = 1.0: iterate or standard error is not finite, first at mode 1" in err
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from spdelab.kolmogorov import (
     PICARD_NODES,
     PICARD_SAMPLES,
     bismut_gradient,
-    drift_test_function,
     gradient_decay_check,
     gradient_summability_probe,
     kolmogorov_suite,
@@ -31,10 +30,16 @@ from spdelab.kolmogorov import (
     picard_norm_bound,
     picard_u_lambda,
 )
-from spdelab.noise import ou_cross_covariance
-from spdelab.spectral import convolution_variance, decay_factor, make_heat_operator
+from spdelab.spectral import make_heat_operator
 
-from oracles import mean_stderr, summability_gradient_dense, summability_gradient_monte_carlo
+import oracles
+from oracles import (
+    decay_rows_dense,
+    drift_test_function,
+    mean_stderr,
+    summability_gradient_dense,
+    summability_gradient_monte_carlo,
+)
 
 DRIFT = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
 
@@ -53,11 +58,11 @@ def tanh_form(weights, direction):
 
 def test_factories(monkeypatch):
     states = np.arange(6.0).reshape(3, 2)
-    h = drift_test_function(DRIFT, make_heat_operator(16), time=0.25)
-    # the drift is looked up at each call, so a rebound module name sees it,
+    # the Monte Carlo oracle's drift observable reads the drift at each call,
     # with the operator's eigenvalues of the state's modes
+    h = drift_test_function(DRIFT, make_heat_operator(16), time=0.25)
     seen = []
-    monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: seen.append((lam.tolist(), t)) or x)
+    monkeypatch.setattr(oracles, "drift_array", lambda spec, lam, t, x: seen.append((lam.tolist(), t)) or x)
     assert h(states) is states
     assert seen == [(make_heat_operator(2).eigenvalues.tolist(), 0.25)]
 
@@ -302,7 +307,6 @@ def test_no_helper_outlives_an_estimator_that_raises(heat16, monkeypatch):
         "finite_difference": lambda: ou_semigroup_estimate(
             heat16, [kolmogorov._difference_quotient(heat16, raising_on_call(3), 0.5, x, eta)], 0.5, x, 1000
         ),
-        "decay": lambda: gradient_decay_check(heat16, raising_on_call(2), 1.0, 0.5, x, (1, 16), 1000),
     }
     before = threading.active_count()
     for name, run in runs.items():
@@ -325,6 +329,8 @@ def test_suite_samples_and_evaluates_on_the_calling_thread(heat16, monkeypatch):
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(kolmogorov, name, on_caller)
+    # 1000-row blocks, so each point pass takes three and its helper draws ahead
+    monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", 1000 * 4)
     before = threading.active_count()
     kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=(1, 4, 16))
     assert threads == {threading.get_ident()}
@@ -333,10 +339,18 @@ def test_suite_samples_and_evaluates_on_the_calling_thread(heat16, monkeypatch):
 
 
 def test_gradient_decay_refuses_no_modes_before_drawing(heat16, monkeypatch):
-    f = drift_test_function(DRIFT, heat16, time=0.25)
-    monkeypatch.setattr(kolmogorov, "ou_joint_modes_batch", mock.Mock(side_effect=AssertionError("drew")))
+    monkeypatch.setattr(kolmogorov, "_gaussian_gradient", mock.Mock(side_effect=AssertionError("evaluated")))
     with pytest.raises(ValueError, match="at least one mode"):
-        gradient_decay_check(heat16, f, 1.0, 0.5, np.ones(16), (), 1000)
+        gradient_decay_check(heat16, DRIFT, 0.25, np.ones(16), ())
+
+
+def test_gradient_decay_draws_nothing(monkeypatch):
+    # every row is a quadrature, so neither sampler binding is called, at the
+    # kolmogorov-probe shape
+    for name in ("ou_joint_modes_batch", "ou_transition_sample"):
+        monkeypatch.setattr(kolmogorov, name, mock.Mock(side_effect=AssertionError("drew")))
+    x = 1.0 / np.arange(1.0, 65.0)
+    assert gradient_decay_check(make_heat_operator(64), DRIFT, 0.25, x, (1, 4, 16, 64))["bounded"] is True
 
 
 @pytest.mark.parametrize("decay_modes", [(), (0, 4), (1, 17)], ids=["none", "zero", "beyond-n-max"])
@@ -349,114 +363,125 @@ def test_suite_refuses_decay_modes_before_drawing(heat16, monkeypatch, decay_mod
 
 
 def test_gradient_decay_report(heat16):
-    f = drift_test_function(DRIFT, heat16, time=0.25)
     x = 1.0 / np.arange(1.0, 17.0)
-    sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
-    report = gradient_decay_check(heat16, f, sup, 0.5, x, (1, 2, 4), 20_000, seed=2024)
+    report = gradient_decay_check(heat16, DRIFT, 0.25, x, (1, 2, 4))
     assert report["bounded"] is True
-    assert report["max_ratio"] < 1.0
+    assert 0.0 < report["max_ratio"] < 1.0
+    assert report["sup_bound"] == kolmogorov._drift_sup(DRIFT, heat16, 16)
     sizes = [row["estimate"] for row in report["rows"]]
-    assert sizes[0] > sizes[1] > sizes[2]
+    assert sizes[0] > sizes[1] > sizes[2] > 0.0
     assert [row["mode"] for row in report["rows"]] == [1, 2, 4]
+    assert [row["t"] for row in report["rows"]] == [1.0, 0.25, 1.0 / 16.0]
+    assert {row["stderr"] for row in report["rows"]} == {0.0}
+    assert report["max_ratio"] == max(max(row["bound_ratio"], row["holder_ratio"]) for row in report["rows"])
     # plain Python numbers, so the record is summary.json's as it stands
     assert {type(v) for row in report["rows"] for v in row.values()} == {int, float}
     assert type(report["max_ratio"]) is float and type(report["sup_bound"]) is float
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, sup, 0.5, x, (0,), 100)
+        gradient_decay_check(heat16, DRIFT, 0.25, x, (0,))
     with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, sup, 0.5, x, (17,), 100)
-    with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, sup, 0.0, x, (1,), 100)
-    with pytest.raises(ValueError):
-        gradient_decay_check(heat16, f, sup, 0.5, x, (1,), 1)
+        gradient_decay_check(heat16, DRIFT, 0.25, x, (17,))
+    with pytest.raises(ValueError, match="more modes than the operator"):
+        gradient_decay_check(heat16, DRIFT, 0.25, np.ones(17), (1,))
 
 
-def _expected_decay_rows(op, sup, t, modes, mean, se):
-    """(rows, max ratio, bounded) of gradient_decay_check from the per-mode
-    means and standard errors of its gradient estimates."""
-    rows, bounded = [], True
-    for i, mean_i, se_i in zip(modes, mean, se):
-        size = kolmogorov._norm(mean_i)
-        lam_i = float(op.eigenvalues[i - 1])
-        theory = sup * math.sqrt(-math.expm1(-2.0 * lam_i * t)) / (math.sqrt(lam_i) * t)
-        rows.append((i, size, float(np.linalg.norm(se_i)), size / theory))
-        bounded = bounded and not size > theory + 3.0 * rows[-1][2]
-    return rows, max(row[3] for row in rows), bounded
+def test_gradient_decay_matches_per_mode_bismut(heat16):
+    # the Monte Carlo oracle: bismut_gradient along e_i at t_i = 1/lam_i, for
+    # each drift kind; seeds and sample sizes were fixed before the first run;
+    # the entry the row measures (mode i, or mode 1 for rank_one) lies within
+    # 4 standard errors of the signed exact value, whose size is the row, and
+    # every other entry, exactly 0, within 5, or is exact where it has no spread
+    x, modes = 1.0 / np.arange(1.0, 17.0), (1, 4, 16)
+    index = np.array(modes) - 1
+    lam = heat16.eigenvalues[index]
+    for kind in ("diagonal", "rank_one", "smooth_baseline"):
+        spec = dataclasses.replace(DRIFT, kind=kind)
+        rows = gradient_decay_check(heat16, spec, 0.25, x, modes)["rows"]
+        f = drift_test_function(spec, heat16, time=0.25)
+        for row, signed in zip(rows, kolmogorov._gaussian_gradient(spec, lam, 0.25, 1.0 / lam, x[index])):
+            i = row["mode"]
+            assert row["estimate"] == abs(signed)
+            column = 0 if kind == "rank_one" else i - 1
+            exact = np.zeros(16)
+            exact[column] = signed
+            for seed in (4, 2024):
+                for m in (4000, 16000):
+                    (mean,), (se,) = bismut_gradient(heat16, [f], row["t"], x, np.eye(16)[i - 1 : i], m, seed)
+                    assert np.array_equal(mean[se == 0.0], exact[se == 0.0])
+                    z = np.abs(mean - exact) / np.where(se == 0.0, 1.0, se)
+                    assert z[column] <= 4.0, (kind, i, seed, m, z[column])
+                    assert np.delete(z, column).max() <= 5.0, (kind, i, seed, m)
 
 
-def _report_rows(report):
-    return [(row["mode"], row["estimate"], row["stderr"], row["bound_ratio"]) for row in report["rows"]]
+@pytest.mark.parametrize("kind", ["diagonal", "rank_one", "smooth_baseline"])
+def test_gradient_decay_matches_a_dense_rule(kind):
+    # the rows against a 400,001-point midpoint rule in z, at t_i = 1/lam_i
+    # and at the old fixed time 0.5, where the diagonal's rows are 0.4463,
+    # 9.33e-5, 2.05e-57 and 0 on modes 1, 4, 16 and 64; rank_one's per-mode
+    # term is the diagonal's, so the diagonal's reference serves it too
+    spec = dataclasses.replace(DRIFT, kind=kind)
+    reference = dataclasses.replace(DRIFT, kind="diagonal") if kind == "rank_one" else spec
+    op, modes = make_heat_operator(64), (1, 4, 16, 64)
+    x = 1.0 / np.arange(1.0, 65.0)
+    index = np.array(modes) - 1
+    lam = op.eigenvalues[index]
+    rows = gradient_decay_check(op, spec, 0.25, x, modes)["rows"]
+    exact = decay_rows_dense(reference, lam, 1.0 / lam, x[index])
+    np.testing.assert_allclose([row["estimate"] for row in rows], np.abs(exact), rtol=1e-9, atol=0)
+    at_half = kolmogorov._gaussian_gradient(spec, lam, 0.25, 0.5, x[index])
+    exact = decay_rows_dense(reference, lam, np.full(4, 0.5), x[index])
+    np.testing.assert_allclose(at_half, exact, rtol=1e-9, atol=0)
+    if kind != "smooth_baseline":
+        assert [f"{v:.3g}" for v in at_half[:3]] == ["0.446", "9.33e-05", "2.05e-57"]
+        assert at_half[3] == 0.0
 
 
-def test_gradient_decay_matches_per_mode_bismut(heat16, monkeypatch):
-    # with one distinct mode i the joint draw has weights on mode i alone,
-    # as bismut_gradient's along e_i does, so every row is bitwise that
-    # call; 300-row blocks split m = 2000 into six full blocks and a short
-    # last one, so the carried sums are exercised; the one-mode states check
-    # that an (m, 1) column, which numpy sums pairwise, is reduced the same
-    # way for one row and for two; a repeated mode gives equal rows
-    t, m, seed = 0.5, 2000, 2024
-    for n, modes, block_rows in [(1, (1,), 300), (1, (1, 1), 300), (1, (1, 1), None), (16, (5, 5), 300)]:
-        if block_rows is not None:
-            monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
-        f = drift_test_function(DRIFT, heat16, time=0.25)
-        x = 1.0 / np.arange(1.0, n + 1.0)
-        sup = kolmogorov._drift_sup(DRIFT, heat16, n)
-        report = gradient_decay_check(heat16, f, sup, t, x, modes, m, seed=seed)
-        est, se = bismut_gradient(heat16, [f], t, x, np.eye(n)[[modes[0] - 1]], m, seed=seed)
-        rows, max_ratio, bounded = _expected_decay_rows(heat16, sup, t, modes, [est[0]] * 2, [se[0]] * 2)
-        assert _report_rows(report) == rows
-        assert report["max_ratio"] == max_ratio
-        assert report["bounded"] is bounded
+@pytest.mark.parametrize("kind", ["diagonal", "rank_one", "smooth_baseline"])
+@pytest.mark.parametrize("n, modes", [(16, (1, 4, 16)), (64, (1, 4, 16, 64))], ids=["test-size", "probe-shape"])
+def test_gradient_decay_holder_ratios_lie_in_the_unit_interval(kind, n, modes):
+    # unmutated, every row is positive and within its Holder bound; past mode 1
+    # the canonical drift attains 0.919 of it
+    spec = dataclasses.replace(DRIFT, kind=kind)
+    report = gradient_decay_check(make_heat_operator(n), spec, 0.25, 1.0 / np.arange(1.0, n + 1.0), modes)
+    ratios = [row["holder_ratio"] for row in report["rows"]]
+    assert all(0.0 < r <= 1.0 for r in ratios), ratios
+    assert report["bounded"] is True
+    if kind != "smooth_baseline":
+        np.testing.assert_allclose(ratios, [0.7674, *[0.9192] * (len(modes) - 1)], atol=5e-5)
 
 
-def _decay_oracle_moments(op, f, t, x, modes, m, seed):
-    """Per checked mode, numpy's mean and standard error of the gradient
-    products from the check's stated draw: per sample z1 on every mode, then
-    z2 on the distinct checked modes in ascending order."""
-    n = len(x)
-    support = sorted({i - 1 for i in modes})
-    lam = op.eigenvalues[:n]
-    var = convolution_variance(lam, t)
-    sd, cov = np.sqrt(var), ou_cross_covariance(lam, t)
-    resid = np.sqrt(var - cov * cov / var)
-    z = np.random.default_rng(seed).standard_normal((m, n + len(support)))
-    states = decay_factor(lam, t) * x + sd * z[:, :n]
-    weights = (cov / sd)[support] * z[:, support] + resid[support] * z[:, n:]
-    values = f(states)
-    products = np.stack([(weights[:, support.index(i - 1)] / t)[:, None] * values for i in modes])
-    return products.mean(axis=1), products.std(axis=1, ddof=1) / math.sqrt(m)
+def _rebound(**changes):
+    """A drift_array that evaluates the spec it is given with ``changes`` applied."""
+    return lambda spec, lam, t, x: drift_array(dataclasses.replace(spec, **changes), lam, t, x)
 
 
-def test_gradient_decay_matches_its_stated_draw(heat16, monkeypatch):
-    # several distinct modes share one joint draw with weights on those
-    # modes only: each row's estimate is bitwise the oracle's (the reducer's
-    # mean is bitwise numpy's for n >= 2) and its standard error agrees to
-    # 1e-12; 300- and 1999-row blocks leave a short and a one-row last block,
-    # and repeated or unsorted modes must not change the draw
-    t, m, seed = 0.5, 2000, 2024
-    cases = [
-        (16, (1, 2, 4, 16), None),
-        (16, (1, 2, 4, 16), 300),
-        (2, (2, 1), 300),
-        (16, (3, 3, 1), 300),
-        (16, (5, 2), 1999),
-    ]
-    for n, modes, block_rows in cases:
-        if block_rows is not None:
-            monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", block_rows * n)
-        f = drift_test_function(DRIFT, heat16, time=0.25)
-        x = 1.0 / np.arange(1.0, n + 1.0)
-        sup = kolmogorov._drift_sup(DRIFT, heat16, n)
-        report = gradient_decay_check(heat16, f, sup, t, x, modes, m, seed=seed)
-        mean, se = _decay_oracle_moments(heat16, f, t, x, modes, m, seed)
-        rows, max_ratio, bounded = _expected_decay_rows(heat16, sup, t, modes, mean, se)
-        got = _report_rows(report)
-        assert [(i, size, ratio) for i, size, _, ratio in got] == [(i, size, ratio) for i, size, _, ratio in rows]
-        np.testing.assert_allclose([r[2] for r in got], [r[2] for r in rows], rtol=1e-12, atol=0.0)
-        assert report["max_ratio"] == max_ratio
-        assert report["bounded"] is bounded
-        assert len({row[1] for row in got}) == len(set(modes))  # a repeated mode repeats its row
+@pytest.mark.parametrize(
+    "mutant, bounded",
+    [
+        (_rebound(epsilon=0.45), False),  # psi's exponent halved
+        (_rebound(beta=0.4), False),
+        (_rebound(amplitude=1.1), False),
+        (_rebound(kind="smooth_baseline"), True),  # tanh in place of psi: smoother, rightly passes
+        (_rebound(amplitude=0.0), True),  # a zero drift, whose rows sit at ratio 0 (test_cli pins the CLI's)
+    ],
+    ids=["exponent-halved", "beta-0.4", "amplitude-1.1", "tanh", "zero"],
+)
+def test_gradient_decay_gate_catches_wrong_drifts(heat16, monkeypatch, mutant, bounded):
+    # the mutant is bound to the module's drift_array, as the benchmark's
+    # tracer wraps it, while the bounds still read the unmutated spec
+    monkeypatch.setattr(kolmogorov, "drift_array", mutant)
+    report = gradient_decay_check(heat16, DRIFT, 0.25, 1.0 / np.arange(1.0, 17.0), (1, 4, 16))
+    assert report["bounded"] is bounded
+    assert (report["max_ratio"] > 1.0 + 1e-9) is not bounded
+
+
+def test_gradient_decay_refuses_a_row_that_is_not_finite(heat16, monkeypatch):
+    # a drift that is infinite on mode 4 alone; the message names the mode,
+    # not its place among the checked modes
+    monkeypatch.setattr(kolmogorov, "drift_array", lambda spec, lam, t, x: np.where(lam == 16.0, np.inf, 1.0) * x)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as raised:
+        gradient_decay_check(heat16, DRIFT, 0.25, 1.0 / np.arange(1.0, 17.0), (16, 4, 1))
+    assert str(raised.value) == "gradient_decay_check: exact row or Holder bound is not finite, first at mode 4"
 
 
 def _peak_bytes(run) -> int:
@@ -469,33 +494,14 @@ def _peak_bytes(run) -> int:
 
 
 def test_gradient_decay_memory_is_one_values_array():
-    # the only values array of f that the check holds is one block's, not
-    # the (m, n) array: at m = 100,000 and n = 64 it peaks below 4 MB,
-    # under a twelfth of that array
-    op = make_heat_operator(64)
-    m, n = 100_000, 64
-    f = drift_test_function(DRIFT, op, time=0.25)
-    x = 1.0 / np.arange(1.0, n + 1.0)
-    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 1.0, 0.5, x, (1, 4, 16, 64), m, seed=2024))
-    assert peak <= 4e6
-    assert peak <= m * n * 8 / 12
-
-
-def test_gradient_decay_memory_is_values_and_selected_columns(monkeypatch):
-    # beyond one block's values of f, their (k, rows, n) products with the k
-    # selected weight columns and the (k, rows) pulls, the check holds only
-    # buffers of the same block size; a four-times block is checked so the
-    # block, not m or the fixed overhead, sets the bound; that is under a
-    # quarter of the (m, n) values and (m, k) columns at m = 100,000
-    monkeypatch.setattr(kolmogorov, "_BLOCK_NUMBERS", 4 * kolmogorov._BLOCK_NUMBERS)
-    op = make_heat_operator(64)
-    m, n, modes = 100_000, 64, (1, 4, 16, 64)
-    rows, k = kolmogorov._BLOCK_NUMBERS // n, len(modes)
-    f = drift_test_function(DRIFT, op, time=0.25)
-    x = 1.0 / np.arange(1.0, n + 1.0)
-    peak = _peak_bytes(lambda: gradient_decay_check(op, f, 1.0, 0.5, x, modes, m, seed=2024))
-    assert peak <= 1.5 * (rows * n + k * rows * n + k * rows) * 8 + 1e6
-    assert peak <= (m * n + m * k) * 8 / 4
+    # the check holds one (2, GAUSS_NODES + 1, k) array of drift values at its
+    # quadrature points and a few of that size, not the (m, n) values of a
+    # Monte Carlo pass (51 MB at m = 100,000 and n = 64); the rule is formed first
+    op, modes = make_heat_operator(64), (1, 4, 16, 64)
+    x = 1.0 / np.arange(1.0, 65.0)
+    kolmogorov._cusp_rule()
+    peak = _peak_bytes(lambda: gradient_decay_check(op, DRIFT, 0.25, x, modes))
+    assert peak <= 16 * 2 * (kolmogorov.GAUSS_NODES + 1) * len(modes) * 8
 
 
 def test_estimator_memory_does_not_grow_with_samples():
@@ -506,7 +512,6 @@ def test_estimator_memory_does_not_grow_with_samples():
     eta = np.linspace(1.0, 0.25, n)
     f_lin = coordinate(n)
     f_smooth = tanh_form(np.linspace(1.0, 0.125, n), np.eye(n)[0])
-    f_drift = drift_test_function(DRIFT, op, time=0.25)
 
     estimators = {
         "semigroup": lambda m: ou_semigroup_estimate(op, [f_lin], 0.5, x, m, seed=3),
@@ -514,7 +519,6 @@ def test_estimator_memory_does_not_grow_with_samples():
         "finite_difference": lambda m: ou_semigroup_estimate(
             op, [kolmogorov._difference_quotient(op, f_smooth, 0.5, x, eta)], 0.5, x, m, seed=3
         ),
-        "decay": lambda m: gradient_decay_check(op, f_drift, 1.0, 0.5, x, (1, 4, 16, 64), m, seed=3),
     }
     for name, run in estimators.items():
         small, large = (_peak_bytes(lambda: run(m)) for m in (5_000, 50_000))
@@ -522,12 +526,11 @@ def test_estimator_memory_does_not_grow_with_samples():
 
 
 def test_gradient_decay_vanishes_at_large_time(heat16):
-    f = drift_test_function(DRIFT, heat16, time=0.25)
-    x = 1.0 / np.arange(1.0, 17.0)
-    sup = kolmogorov._drift_sup(DRIFT, heat16, 16)
-    report = gradient_decay_check(heat16, f, sup, 20.0, x, (1, 2), 20_000, seed=5)
-    assert all(row["estimate"] < 1e-3 for row in report["rows"])
-    assert report["max_ratio"] < 0.05
+    # carried for t = 20, the exact per-mode gradient is below e^(-20) of the drift's size
+    x = 1.0 / np.arange(1.0, 3.0)
+    rows = kolmogorov._gaussian_gradient(DRIFT, heat16.eigenvalues[:2], 0.25, 20.0, x)
+    assert np.all(np.abs(rows) < 1e-8)
+    assert np.all(rows != 0.0)
 
 
 def test_picard_terminal_condition(heat16):
@@ -700,10 +703,11 @@ def test_summability_gate_can_decide(heat16):
 
 
 def test_summability_probe_loads_no_polynomial_module_and_no_eigen_solver():
-    # its Gauss-Legendre nodes are formed at first use, not at import, and by
-    # Newton's method: numpy.polynomial costs about 0.8 MB of resident memory,
-    # its leggauss 1.2 MB more and a LAPACK eigen-solver 2 MB, against the
-    # benchmark's peak memory; a fresh interpreter shows what is loaded
+    # nor does the decay check, which shares its rule; the Gauss-Legendre
+    # nodes are formed at first use, not at import, and by Newton's method:
+    # numpy.polynomial costs about 0.8 MB of resident memory, its leggauss
+    # 1.2 MB more and a LAPACK eigen-solver 2 MB, against the benchmark's peak
+    # memory; a fresh interpreter shows what is loaded
     script = textwrap.dedent(
         """
         import sys
@@ -720,6 +724,9 @@ def test_summability_probe_loads_no_polynomial_module_and_no_eigen_solver():
 
         assert kolmogorov._cusp_rule.cache_info().currsize == 0, "formed at import"
         spec = HolderDriftSpec(kind="diagonal", beta=0.5, epsilon=0.9, time_mod="cosine")
+        kolmogorov.gradient_decay_check(make_heat_operator(16), spec, 0.25, np.ones(16), (1, 16))
+        assert kolmogorov._cusp_rule.cache_info().currsize == 1, "not formed by the decay check"
+        assert "numpy.polynomial" not in sys.modules, "numpy.polynomial imported by the decay check"
         kolmogorov.kolmogorov_suite(make_heat_operator(16), spec, 0.45, m_samples=200, decay_modes=(1, 16))
         assert kolmogorov._cusp_rule.cache_info().currsize == 1, "never formed"
         assert "numpy.polynomial" not in sys.modules, "numpy.polynomial imported"
@@ -772,12 +779,12 @@ def test_kolmogorov_suite_passes(heat16):
     assert len(result["picard"]["norms"]) == 3
 
 
-def _suite_draws(m_samples, dims, n_decay) -> int:
+def _suite_draws(m_samples, dims) -> int:
     """States the suite draws: one transition pass for the semigroup and the
     finite difference and one joint pass for both Bismut gradients at dims
-    modes, the decay check at n_decay modes and the three Picard evaluations
-    of the lam sweep at 3 modes; the summability probe draws none."""
-    return 2 * m_samples * dims + m_samples * n_decay + 3 * PICARD_NODES * PICARD_SAMPLES * 3
+    modes, and the three Picard evaluations of the lam sweep at 3 modes; the
+    decay check and the summability probe draw none."""
+    return 2 * m_samples * dims + 3 * PICARD_NODES * PICARD_SAMPLES * 3
 
 
 def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
@@ -794,28 +801,23 @@ def test_suite_draws_go_through_the_sampler_bindings(heat16, monkeypatch):
 
         monkeypatch.setattr(kolmogorov, name, counted)
     kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=(1, 4, 16))
-    assert sum(drawn) == _suite_draws(3000, 4, 16)
-    # the kolmogorov-probe benchmark workload: m = 10^5, decay modes up to 64;
-    # 9,334,016 while the summability probe drew 8 * 4096 states of 64 modes
-    assert _suite_draws(100_000, 4, 64) == 7_236_864
+    assert sum(drawn) == _suite_draws(3000, 4)
+    # the kolmogorov-probe benchmark workload: m = 10^5; 9,334,016 while the
+    # summability probe drew 8 * 4096 states of 64 modes, and 7,236,864 while
+    # the decay check drew 10^5 states of 64 modes
+    assert _suite_draws(100_000, 4) == 836_864
 
 
-def _suite_normals(m_samples, dims, decay_modes) -> int:
+def _suite_normals(m_samples, dims) -> int:
     """Normals the suite draws: a state's per mode, and a joint draw's weight
     normals on the modes its directions touch, every mode for the suite's
-    dense direction, the distinct checked modes for the decay check."""
-    n_decay = max(decay_modes)
-    return (
-        m_samples * dims
-        + 2 * m_samples * dims
-        + m_samples * (n_decay + len(set(decay_modes)))
-        + 3 * PICARD_NODES * PICARD_SAMPLES * 3
-    )
+    dense direction."""
+    return m_samples * dims + 2 * m_samples * dims + 3 * PICARD_NODES * PICARD_SAMPLES * 3
 
 
 def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
     # every normal a sampler asks its rng for, counted at the module's
-    # sampler bindings; the repeated decay mode adds no weight normals
+    # sampler bindings; the decay modes add none
     requested = []
 
     class Counting:
@@ -834,35 +836,39 @@ def test_suite_draws_only_the_normals_it_reads(heat16, monkeypatch):
         monkeypatch.setattr(kolmogorov, name, counted)
     decay_modes = (1, 4, 16, 16)
     kolmogorov_suite(heat16, DRIFT, 0.45, m_samples=3000, decay_modes=decay_modes)
-    assert sum(requested) == _suite_normals(3000, 4, decay_modes)
+    assert sum(requested) == _suite_normals(3000, 4)
     # the kolmogorov-probe benchmark workload, against 19,431,168 when every
     # estimator drew weights on all modes and the shared passes were drawn
-    # twice, and 12,231,168 while the summability probe drew 8 * 4096 * 128
-    assert _suite_normals(100_000, 4, (1, 4, 16, 64)) == 8_036_864
+    # twice, 12,231,168 while the summability probe drew 8 * 4096 * 128, and
+    # 8,036,864 while the decay check drew 10^5 * (64 + 4)
+    assert _suite_normals(100_000, 4) == 1_236_864
 
 
 def _decay_csv(result) -> str:
     """The suite's decay rows as kolmogorov-check writes them to report.csv."""
-    return cli._csv("i,estimate,stderr,bound_ratio", (row.values() for row in result["decay"]["rows"]))
+    return cli._csv("i,estimate,stderr,t,bound_ratio,holder_ratio", (row.values() for row in result["decay"]["rows"]))
 
 
 # re-recorded when each joint draw began to take a sample's z1 and z2
 # together, and the decay rows again when the decay check's joint draw began
 # to take weight normals only on the checked modes; the summability line
 # when the probe's gradients became exact in space (the Monte Carlo
-# estimate read 1.0016); the suite must reproduce it byte for byte
+# estimate read 1.0016); the decay rows and line when the rows became exact
+# at t = 1/lam_i with a Holder bound (Monte Carlo at t = 0.5 read 0.4587,
+# 0.01025, 2.2e-4 and 1.0e-4 against exact 0.4463, 9.33e-5, 2.05e-57 and 0);
+# the suite must reproduce it byte for byte
 GOLDEN_DECAY_CSV = (
-    "i,estimate,stderr,bound_ratio\n"
-    "1,0.45873708432748894,0.017087607311921816,0.22600392197338348\n"
-    "4,0.010249344196308522,0.005886517137100088,0.016058618368381718\n"
-    "16,0.00022230985093658892,0.0014058020076506063,0.0013932555240494802\n"
-    "64,0.00010322071170614664,0.0003537269126614411,0.002587610511635464\n"
+    "i,estimate,stderr,t,bound_ratio,holder_ratio\n"
+    "1,0.2951195843985753,0.0,1.0,0.2486315520355419,0.7674049732532092\n"
+    "4,0.1015144081704249,0.0,0.0625,0.021380896246531923,0.9191962797311882\n"
+    "16,0.029152358799433183,0.0,0.00390625,0.001535012541731848,0.9191962917433713\n"
+    "64,0.008371816649298059,0.0,0.000244140625,0.00011020414884919946,0.9191962917433714\n"
 )
 GOLDEN_DETAILS = [
     ("semigroup_linear_closed_form", "|0.596154 - 0.606531| vs 3*stderr = 0.0366", True),
     ("bismut_linear_closed_form", "|0.552888 - 0.606531| vs 3*stderr = 0.0769", True),
     ("bismut_matches_finite_difference", "max relative gap 0.0754 over 1 significant coordinates", False),
-    ("gradient_decay_bounded", "max bound ratio 0.2260 over modes (1, 4, 16, 64)", True),
+    ("gradient_decay_bounded", "max ratio 0.9192 to the Holder and sup bounds over modes (1, 4, 16, 64)", True),
     ("picard_terminal_zero", "value at t = horizon", True),
     ("picard_norm_bound", "norms 0.3654 <= 0.7375, 0.07972 <= 0.1167, 0.0002187 <= 0.01167", True),
     ("picard_smallness_trend", "norms along the sweep: 0.3654, 0.07972, 0.0002187", True),
@@ -877,36 +883,38 @@ def test_kolmogorov_suite_golden():
 
 
 # recorded for the other two drift kinds before states became plain arrays,
-# and the summability lines again when the probe became exact in space (the
-# estimates read 1.0024 and 1.0014); the point checks read no drift, so
-# only the decay rows and the last four details differ from the diagonal
+# the summability lines again when the probe became exact in space (the
+# estimates read 1.0024 and 1.0014), and the decay rows and lines when the
+# rows became exact at t = 1/lam_i (rank_one's rows are the diagonal's, with
+# its larger sup bound); the point checks read no drift, so only the decay
+# rows and the details from the decay line on can differ from the diagonal
 # drift's
 GOLDEN_KIND_DECAY_CSV = {
     "rank_one": (
-        "i,estimate,stderr,bound_ratio\n"
-        "1,0.44727665617322676,0.017207081291997356,0.059294114302478024\n"
-        "4,0.010877307085873188,0.006028915111648397,0.004585816967003215\n"
-        "16,0.0001978158358494381,0.0014662981858297637,0.0003335925549129487\n"
-        "64,7.890796193211723e-05,0.00036628485089370573,0.0005322750529223307\n"
+        "i,estimate,stderr,t,bound_ratio,holder_ratio\n"
+        "1,0.2951195843985753,0.0,1.0,0.066902056678135,0.7674049732532092\n"
+        "4,0.1015144081704249,0.0,0.0625,0.005753195524879815,0.9191962797311882\n"
+        "16,0.029152358799433183,0.0,0.00390625,0.00041304289511056035,0.9191962917433713\n"
+        "64,0.008371816649298059,0.0,0.000244140625,2.9653855884794595e-05,0.9191962917433714\n"
     ),
     "smooth_baseline": (
-        "i,estimate,stderr,bound_ratio\n"
-        "1,0.39352690024841075,0.015102382841171446,0.19387711588339057\n"
-        "4,0.008262692416294964,0.004943216683154529,0.012945942849337843\n"
-        "16,0.0002759104682661421,0.001183042671723469,0.001729180161991699\n"
-        "64,9.495050806463885e-05,0.0002964678653321006,0.0023802871409436\n"
+        "i,estimate,stderr,t,bound_ratio,holder_ratio\n"
+        "1,0.2503837483307677,0.0,1.0,0.21094262544053594,0.6510775422864098\n"
+        "4,0.08614680135615463,0.0,0.0625,0.01814418125429365,0.7800451260512685\n"
+        "16,0.02222849487482802,0.0,0.00390625,0.0011704376531392906,0.7008815375987937\n"
+        "64,0.005568649589389282,0.0,0.000244140625,7.330407651600267e-05,0.6114183177929554\n"
     ),
 }
 GOLDEN_KIND_DETAILS = {
     "rank_one": GOLDEN_DETAILS[:3] + [
-        ("gradient_decay_bounded", "max bound ratio 0.0593 over modes (1, 4, 16, 64)", True),
+        ("gradient_decay_bounded", "max ratio 0.9192 to the Holder and sup bounds over modes (1, 4, 16, 64)", True),
         ("picard_terminal_zero", "value at t = horizon", True),
         ("picard_norm_bound", "norms 0.4251 <= 1.159, 0.09985 <= 0.1833, 0.0002799 <= 0.01833", True),
         ("picard_smallness_trend", "norms along the sweep: 0.4251, 0.09985, 0.0002799", True),
         ("summability_non_exploding", "partial sum growth ratio 1.0000 at theta = 0.45", True),
     ],
     "smooth_baseline": GOLDEN_DETAILS[:3] + [
-        ("gradient_decay_bounded", "max bound ratio 0.1939 over modes (1, 4, 16, 64)", True),
+        ("gradient_decay_bounded", "max ratio 0.7800 to the Holder and sup bounds over modes (1, 4, 16, 64)", True),
         ("picard_terminal_zero", "value at t = horizon", True),
         ("picard_norm_bound", "norms 0.3029 <= 0.7375, 0.06524 <= 0.1167, 0.0001782 <= 0.01167", True),
         ("picard_smallness_trend", "norms along the sweep: 0.3029, 0.06524, 0.0001782", True),
